@@ -16,7 +16,8 @@ from . import frontseed as F
 from . import gen, kinfinity, serialize, witness
 from .cells import Pentagon, RedSeq, globular_check
 from .completion import (hd_map, pi0_equiv, realize_boundary_check)
-from .domains import Tower, check_projection_pair, flat_base, step_map
+from .domains import (Tower, check_law_budget, check_projection_pair,
+                      flat_base, flat_stage1_size, step_map)
 from .gen import gen_hd_tree, gen_rtower_cell
 from .terms import (App, FuelExhausted, Lam, Term, Var, apply_step, normalize,
                     to_text)
@@ -332,13 +333,15 @@ def _configured_tower(args) -> Tower:
     if poles is None:
         n_extra = max(0, args.base_size - 3)
         poles = ("sR1", "sL1") + tuple(f"s{i + 2}" for i in range(n_extra))
-    return Tower(flat_base(poles))
+    base = flat_base(poles)
+    check_law_budget(flat_stage1_size(len(poles)))
+    return Tower(base)
 
 
 def cmd_kinfty(args) -> int:
     tower = _configured_tower(args)
     rng = random.Random(args.seed)
-    report = kinfinity.verify_laws(tower, depth=args.depth, seed=args.seed)
+    report = kinfinity.verify_laws(tower, depth=args.depth)
     checks = list(report["checks"])
 
     sample = _step_join_sample(tower, rng, args.samples)

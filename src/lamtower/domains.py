@@ -18,8 +18,34 @@ DEFAULT_POLES = ("sR1", "sL1")
 BOTTOM_LABEL = "bot"
 
 
+# Estimated stage-1 order lookups verify_laws may make (see check_law_budget).
+# It admits base 4 (67 stage-1 elements, about 3.0e5 lookups) and refuses
+# base 5 (629 elements, about 2.5e8), which does not finish in minutes.
+LAW_BUDGET = 10_000_000
+
+
 class CapExceeded(ValueError):
     """Requested enumeration above the enumeration cap."""
+
+
+def flat_stage1_size(poles: int) -> int:
+    """Exact stage-1 size over a flat base with `poles` poles: the monotone
+    maps fixing bottom (any map of the poles) plus the constants at a pole."""
+    return (poles + 1) ** poles + poles
+
+
+def check_law_budget(stage1_size: int) -> None:
+    """Refuse a law suite whose estimated work exceeds LAW_BUDGET.
+
+    The density chain compares stage-2 tables pointwise on every probe for
+    every stage-1 thread, so the work grows as the cube of the stage-1 size.
+    """
+    work = stage1_size ** 3
+    if work > LAW_BUDGET:
+        raise CapExceeded(
+            f"the law suite over a stage 1 of {stage1_size} elements needs an "
+            f"estimated {work} stage-1 order lookups, above the budget of "
+            f"{LAW_BUDGET}")
 
 
 @dataclass(frozen=True)
@@ -83,6 +109,16 @@ class Tower:
     table over base indices; stage 2 is a table over the canonical stage-1
     enumeration whose entries are stage-1 tables; stage 3 is a LazyMono
     evaluated at stage-2 tables on demand.
+
+    Construction enumerates stage 1 and nothing more.  The tower also keeps
+    three stage-1 tables, each built on first use and held for the life of
+    the instance:
+    - `_emb1`: emb(1, g) per stage-1 element g, filled one g at a time, so
+      embedding a few poles over a large base stays cheap;
+    - `_order1`: the stage-1 order as a set of pairs, built whole on the
+      first leq(1, ...) or leq(2, ...), whose entries must therefore be
+      stage-1 elements;
+    - `_probes`: the stage2_probes() family, built whole on first call.
     """
 
     MAX_LEVEL = 3
@@ -92,6 +128,9 @@ class Tower:
         self.cap = cap
         self.stage1 = self._enumerate_stage1()
         self.stage1_index = {t: i for i, t in enumerate(self.stage1)}
+        self._emb1: dict = {}
+        self._order1: Optional[frozenset] = None
+        self._probes: Optional[tuple] = None
 
     def _enumerate_stage1(self) -> tuple[tuple[int, ...], ...]:
         n = len(self.base)
@@ -122,10 +161,19 @@ class Tower:
         if level == 0:
             return self.base.leq[a][b]
         if level == 1:
-            return all(self.base.leq[x][y] for x, y in zip(a, b))
+            return (a, b) in self._stage1_order()
         if level == 2:
-            return all(self.leq(1, x, y) for x, y in zip(a, b))
+            return all(map(self._stage1_order().__contains__, zip(a, b)))
         raise CapExceeded("no order comparison above stage 2")
+
+    def _stage1_order(self) -> frozenset:
+        """The stage-1 order as the set of its pairs (a, b) with a <= b."""
+        if self._order1 is None:
+            leq0 = self.base.leq
+            self._order1 = frozenset(
+                (a, b) for a in self.stage1 for b in self.stage1
+                if all(leq0[x][y] for x, y in zip(a, b)))
+        return self._order1
 
     def bottom(self, level: int):
         if level == 0:
@@ -155,7 +203,11 @@ class Tower:
         if n == 0:
             return (x,) * len(self.base)
         if n == 1:
-            return tuple(self.emb(0, x[u[self.base.bottom]]) for u in self.stage1)
+            table = self._emb1.get(x)
+            if table is None:
+                table = tuple(self.emb(0, x[u[self.base.bottom]]) for u in self.stage1)
+                self._emb1[x] = table
+            return table
         if n == 2:
             return LazyMono(lambda w: self.emb(1, self.apply(2, x, self.proj(1, w))),
                             key=("emb2", x))
@@ -189,9 +241,10 @@ class Tower:
 
     def stage2_probes(self) -> tuple:
         """Canonical finite probe family for comparing stage-3 elements."""
-        probes = [self.bottom(2)]
-        probes.extend(self.emb(1, g) for g in self.stage1)
-        return tuple(probes)
+        if self._probes is None:
+            self._probes = ((self.bottom(2),)
+                            + tuple(self.emb(1, g) for g in self.stage1))
+        return self._probes
 
 
 class LazyMono:
@@ -204,9 +257,10 @@ class LazyMono:
         self.memo: dict = {}
 
     def eval(self, w):
-        if w not in self.memo:
-            self.memo[w] = self.fn(w)
-        return self.memo[w]
+        value = self.memo.get(w)
+        if value is None:
+            value = self.memo[w] = self.fn(w)
+        return value
 
 
 def enumerate_stage(tower: Tower, n: int) -> Stage:

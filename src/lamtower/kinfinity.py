@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .domains import LazyMono, Tower
+from .domains import LazyMono, Tower, check_law_budget
 
 
 class DepthTooSmall(ValueError):
@@ -210,11 +210,16 @@ def _check(name: str, failures: list, checked: int) -> dict:
             "detail": failures[:3]}
 
 
-def verify_laws(tower: Tower, depth: int = 3, seed: int = 0,
+def verify_laws(tower: Tower, depth: int = 3,
                 sample_threads: Optional[list] = None) -> dict:
-    """Run the exact application/retract/section/density checks at this depth."""
+    """Run the exact application/retract/section/density checks at this depth.
+
+    Raises CapExceeded, before any work, when the stage-1 size puts the
+    suite over the budget of check_law_budget.
+    """
     if depth < 2:
         raise DepthTooSmall("the law suite needs depth >= 2")
+    check_law_budget(len(tower.stage1))
     checks = []
     embeds1 = [stage_embed(tower, 1, u, depth) for u in tower.stage1]
 

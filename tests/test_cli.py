@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -119,3 +120,15 @@ def test_cli_error_exit(capsys):
     out = capsys.readouterr().out
     assert code == 2
     assert "error" in json.loads(out)
+
+
+@pytest.mark.parametrize("base_size, digest", [
+    ("3", "e4f67995ec48da578c1e4e646da580e6a506f2d262328fb50ba7c6f82463a346"),
+    ("4", "9219d6384f5b57b374cd0efac29e9b659dd1193e438bdb9a791b6a840d7b914d"),
+])
+def test_cli_kinfty_stdout_pinned(capsys, base_size, digest):
+    # pinned stdout digests: the kinfty report must stay byte-identical
+    code = main(["kinfty", "check", "--base-size", base_size, "--seed", "5"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

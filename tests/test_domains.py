@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from lamtower.domains import (CapExceeded, FinPoset, Tower,
+from lamtower.domains import (CapExceeded, FinPoset, Tower, check_law_budget,
                               check_projection_pair, enumerate_stage,
-                              flat_base, lub, step_map)
+                              flat_base, flat_stage1_size, lub, step_map)
 
 BOT, SR1, SL1 = 0, 1, 2
 
@@ -138,3 +138,44 @@ def test_extra_poles():
     brute = sum(all(table[0] == 0 or table[0] == table[i] for i in range(4))
                 for table in itertools.product(range(4), repeat=4))
     assert len(t.stage1) == brute == 67
+
+
+def test_flat_stage1_size_matches_enumeration():
+    assert [flat_stage1_size(k) for k in (1, 2, 3, 4)] == [3, 11, 67, 629]
+    assert flat_stage1_size(5) == 7781
+    for k in (2, 3, 4):
+        poles = ("sR1", "sL1") + tuple(f"s{i}" for i in range(k - 2))
+        assert len(Tower(flat_base(poles)).stage1) == flat_stage1_size(k)
+
+
+def test_law_budget_admits_base4_refuses_base5():
+    check_law_budget(flat_stage1_size(3))
+    with pytest.raises(CapExceeded, match="629 elements"):
+        check_law_budget(flat_stage1_size(4))
+
+
+def test_construction_builds_no_stage1_table():
+    t = Tower(flat_base(("sR1", "sL1", "s2", "s3", "s4")))
+    assert len(t.base) == 6 and len(t.stage1) == 7781
+    assert t._emb1 == {} and t._order1 is None and t._probes is None
+    # embedding a pole fills one entry, not the whole table
+    t.emb(1, t.emb(0, 1))
+    assert len(t._emb1) == 1 and t._order1 is None
+
+
+def test_towers_keep_their_own_tables():
+    t3 = Tower(flat_base())
+    t4 = Tower(flat_base(("sR1", "sL1", "s2")))
+    for t in (t3, t4):
+        t.stage2_probes()
+        t.leq(1, t.bottom(1), t.bottom(1))
+    assert t3._emb1 is not t4._emb1 and t3._order1 is not t4._order1
+    assert len(t3._emb1) == 11 and len(t4._emb1) == 67
+    assert len(t3.stage2_probes()) == 12 and len(t4.stage2_probes()) == 68
+    for t in (t3, t4):
+        n = len(t.base)
+        for g in t.stage1:
+            assert t.emb(1, g) == tuple((g[u[0]],) * n for u in t.stage1)
+        for a in t.stage1:
+            for b in t.stage1:
+                assert t.leq(1, a, b) == all(_flat_leq(x, y) for x, y in zip(a, b))

@@ -1,4 +1,8 @@
+import json
+
 import pytest
+from lamtower.cli import main
+from lamtower.domains import CapExceeded, Tower, flat_base
 from lamtower.kinfinity import (Constant, DepthTooSmall, FromThread, Identity,
                                 Tabulated, Thread, app, app_shadow,
                                 bottom_thread, coherent, reify, restrict,
@@ -142,7 +146,7 @@ def test_incoherent_thread_rejected(tower):
 
 
 def test_verify_laws_pass(tower):
-    report = verify_laws(tower, depth=3, seed=0)
+    report = verify_laws(tower, depth=3)
     assert report["ok"]
     names = {c["name"] for c in report["checks"]}
     assert names == {"stagewise_application", "retract_reify_app",
@@ -152,7 +156,7 @@ def test_verify_laws_pass(tower):
 def test_verify_laws_flags_corrupt_input(tower):
     good = stage_embed(tower, 0, SR1, 3)
     bad = Thread(tower, (SL1,) + good.coords[1:], check=False)
-    report = verify_laws(tower, depth=3, seed=0, sample_threads=[bad])
+    report = verify_laws(tower, depth=3, sample_threads=[bad])
     density = next(c for c in report["checks"] if c["name"] == "density_chain")
     assert not density["pass"]
     assert density["detail"][0]["reason"] == "incoherent input"
@@ -177,3 +181,36 @@ def test_thread_returning_ops_stay_coherent(tower, rng):
         for n in range(3):
             assert coherent(app_shadow(n, x, y))
         assert coherent(reify(FromThread(x), 3, tower))
+
+
+def _tower(base_size):
+    extra = tuple(f"s{i}" for i in range(base_size - 3))
+    return Tower(flat_base(("sR1", "sL1") + extra))
+
+
+def test_verify_laws_base4_passes_every_law():
+    report = verify_laws(_tower(4), depth=3)
+    assert report["ok"] and all(c["pass"] for c in report["checks"])
+    checked = {c["name"]: c["checked"] for c in report["checks"]}
+    assert checked == {"stagewise_application": 4757, "retract_reify_app": 68,
+                       "section_on_embedded_stages": 355, "density_chain": 67}
+
+
+def test_verify_laws_repeat_matches_fresh_tower():
+    used = _tower(4)
+    first = verify_laws(used, depth=3)
+    assert verify_laws(used, depth=3) == first == verify_laws(_tower(4), depth=3)
+
+
+def test_verify_laws_base5_refused_before_tables():
+    tower = _tower(5)
+    with pytest.raises(CapExceeded, match="629 elements"):
+        verify_laws(tower, depth=3)
+    assert tower._emb1 == {} and tower._order1 is None and tower._probes is None
+
+
+def test_cli_base5_refused(capsys):
+    code = main(["kinfty", "check", "--base-size", "5"])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert "629 elements" in json.loads(out)["error"]
