@@ -485,7 +485,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, FuelExhausted) as e:
+    except (ValueError, FuelExhausted, RecursionError) as e:
+        # RecursionError: an input nested deeper than the recursive parser
+        # (or another recursive pass) can follow.
         print(json.dumps({"error": str(e)}, sort_keys=True))
         print(f"[lamtower] error: {e}", file=sys.stderr)
         return 2

@@ -267,38 +267,49 @@ def invert_step(s: RedStep, source: Term) -> RedStep:
     return RedStep(s.kind, s.path, True)
 
 
-def _redex_at(node: Term, path: Path) -> Optional[RedStep]:
-    if isinstance(node, App) and isinstance(node.fun, Lam):
-        return RedStep(StepKind.BETA, path)
+def _redex_kind(node: Term) -> Optional[StepKind]:
+    if isinstance(node, App):
+        return StepKind.BETA if isinstance(node.fun, Lam) else None
     if (isinstance(node, Lam) and isinstance(node.body, App)
             and node.body.arg == Var(0) and not free_in(node.body.fun, 0)):
-        return RedStep(StepKind.ETA, path)
+        return StepKind.ETA
     return None
 
 
-def _preorder(t: Term) -> Iterator[tuple[Term, Path]]:
-    stack: list[tuple[Term, Path]] = [(t, ())]
+def _preorder(t: Term) -> Iterator[tuple[Term, list[Dir]]]:
+    """Every node of t with its path, leftmost-outermost.
+
+    The path is one live list, cut back to the parent's depth and extended in
+    place as the walk moves, so visiting a node costs O(1) however deep it
+    sits.  A caller that keeps a path must copy it with tuple(path).
+    """
+    path: list[Dir] = []
+    stack: list[tuple[Term, int, Optional[Dir]]] = [(t, 0, None)]
     while stack:
-        node, path = stack.pop()
+        node, depth, d = stack.pop()
+        del path[depth:]
+        if d is not None:
+            path.append(d)
         yield node, path
+        depth = len(path)
         if isinstance(node, App):
-            stack.append((node.arg, path + (Dir.ARG,)))
-            stack.append((node.fun, path + (Dir.FUN,)))
+            stack.append((node.arg, depth, Dir.ARG))
+            stack.append((node.fun, depth, Dir.FUN))
         elif isinstance(node, Lam):
-            stack.append((node.body, path + (Dir.BODY,)))
+            stack.append((node.body, depth, Dir.BODY))
 
 
 def find_redexes(t: Term) -> list[RedStep]:
     """All forward steps on t in leftmost-outermost path order."""
-    return [s for node, path in _preorder(t)
-            if (s := _redex_at(node, path)) is not None]
+    return [RedStep(kind, tuple(path)) for node, path in _preorder(t)
+            if (kind := _redex_kind(node)) is not None]
 
 
 def first_redex(t: Term) -> Optional[RedStep]:
     for node, path in _preorder(t):
-        s = _redex_at(node, path)
-        if s is not None:
-            return s
+        kind = _redex_kind(node)
+        if kind is not None:
+            return RedStep(kind, tuple(path))
     return None
 
 
@@ -322,16 +333,27 @@ def normalize(t: Term, fuel: int) -> tuple[Term, tuple[RedStep, ...]]:
 
 
 def to_text(t: Term) -> str:
-    """Raw de Bruijn syntax: #n, juxtaposition, and `\\ . e` binders."""
-    if isinstance(t, Var):
-        return f"#{t.index}"
-    if isinstance(t, Lam):
-        return f"\\ . {to_text(t.body)}"
-    fun, arg = t.fun, t.arg
-    fs = to_text(fun)
-    if isinstance(fun, Lam):
-        fs = f"({fs})"
-    as_ = to_text(arg)
-    if isinstance(arg, (Lam, App)):
-        as_ = f"({as_})"
-    return f"{fs} {as_}"
+    """Raw de Bruijn syntax: #n, juxtaposition, and `\\ . e` binders.
+
+    A function in lambda form and an argument that is not a variable are
+    parenthesized.  Iterative, so terms of any depth print.
+    """
+    out: list[str] = []
+    work: list = [t]
+    while work:
+        item = work.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif isinstance(item, Var):
+            out.append(f"#{item.index}")
+        elif isinstance(item, Lam):
+            out.append("\\ . ")
+            work.append(item.body)
+        else:
+            # Pushed in reverse: the function's text comes off the stack first.
+            arg = item.arg
+            work.extend((arg,) if isinstance(arg, Var) else (")", arg, "("))
+            work.append(" ")
+            fun = item.fun
+            work.extend((")", fun, "(") if isinstance(fun, Lam) else (fun,))
+    return "".join(out)

@@ -122,6 +122,23 @@ def test_cli_error_exit(capsys):
     assert "error" in json.loads(out)
 
 
+def test_cli_reduce_looping_past_printer_depth(capsys):
+    # the partial term nests about 1050 deep, past the interpreter stack
+    code, report = _run(capsys, ["reduce", "(\\x. x x x) (\\x. x x x)",
+                                 "--fuel", "1050"])
+    assert code == 1
+    assert report["checks"][0]["detail"] == "fuel exhausted"
+    assert report["result"]["steps"] == 1050
+    assert report["result"]["partial"].startswith("(\\ . #0 #0 #0) " * 2)
+
+
+def test_cli_recursion_error_is_json(capsys):
+    code = main(["reduce", "(" * 600 + "x" + ")" * 600])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert "error" in json.loads(out)
+
+
 @pytest.mark.parametrize("base_size, digest", [
     ("3", "e4f67995ec48da578c1e4e646da580e6a506f2d262328fb50ba7c6f82463a346"),
     ("4", "9219d6384f5b57b374cd0efac29e9b659dd1193e438bdb9a791b6a840d7b914d"),

@@ -4,13 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lamtower.gen import gen_term
+from lamtower.gen import _all_paths, gen_term
 from lamtower.terms import (App, Dir, EtaFreeVarViolation, FuelExhausted,
                             InvalidStep, Lam, NegativeIndex, RedStep, StepKind,
-                            Var, apply_step, find_redexes, free_in,
-                            invert_step, normalize, shift, subst)
+                            Var, apply_step, find_redexes, first_redex,
+                            free_in, invert_step, normalize, shift, subst,
+                            term_size, to_text)
 
 OMEGA = App(Lam(App(Var(0), Var(0))), Lam(App(Var(0), Var(0))))
+# (\x. x x x) (\x. x x x): every step grows the spine by one application.
+_TRIPLE = Lam(App(App(Var(0), Var(0)), Var(0)))
+LOOPING = App(_TRIPLE, _TRIPLE)
 SPAN_M = App(Lam(App(Var(1), Var(0))), Var(1))
 SPAN_N = App(Var(0), Var(1))
 
@@ -58,6 +62,8 @@ def _named_subst(t, name, repl):
 
 terms_strategy = st.integers(0, 10 ** 6).map(
     lambda s: gen_term(random.Random(s), 9))
+larger_terms = st.integers(0, 10 ** 6).map(
+    lambda s: gen_term(random.Random(s), 40))
 
 
 # --- shift ------------------------------------------------------------------
@@ -176,9 +182,35 @@ def test_find_redexes_examples():
     assert find_redexes(Lam(App(Var(0), Var(0)))) == []
 
 
-@given(terms_strategy)
+@given(st.one_of(terms_strategy, larger_terms))
 def test_find_redexes_matches_brute_force(t):
-    assert find_redexes(t) == _brute_redexes(t)
+    reference = _brute_redexes(t)
+    assert find_redexes(t) == reference
+    assert first_redex(t) == (reference[0] if reference else None)
+    for s in reference:
+        apply_step(t, s)  # every returned path addresses its redex
+
+
+def test_redex_paths_are_frozen_copies():
+    # The walker reuses one path list; returned steps must not share it.
+    t = App(Lam(Lam(App(Var(2), Var(0)))), App(Lam(Var(0)), Var(1)))
+    steps = find_redexes(t)
+    first = first_redex(t)
+    find_redexes(LOOPING)
+    first_redex(Lam(App(Lam(Var(0)), Var(0))))
+    assert all(type(s.path) is tuple for s in steps + [first])
+    assert steps == [RedStep(StepKind.BETA, ()),
+                     RedStep(StepKind.ETA, (Dir.FUN, Dir.BODY)),
+                     RedStep(StepKind.BETA, (Dir.ARG,))]
+    assert first == steps[0]
+
+
+def test_gen_all_paths_order_pinned():
+    # rng.choice over this list picks every generated expansion site, so its
+    # order (argument before function) fixes each seed's generated inputs.
+    t = App(Lam(App(Var(0), Var(1))), App(Var(2), Lam(Var(0))))
+    rendered = ["".join(d.value for d in p) for p in _all_paths(t)]
+    assert rendered == ["", "a", "aa", "aal", "af", "f", "fl", "fla", "flf"]
 
 
 # --- normalize --------------------------------------------------------------
@@ -191,6 +223,16 @@ def test_normalize_examples():
     with pytest.raises(FuelExhausted) as exc:
         normalize(OMEGA, 50)
     assert exc.value.term == OMEGA  # Omega reduces to itself
+
+
+def test_normalize_looping_spine():
+    with pytest.raises(FuelExhausted) as exc:
+        normalize(LOOPING, 300)
+    trace = exc.value.trace
+    assert len(trace) == 300
+    for i, s in enumerate(trace):
+        assert s == RedStep(StepKind.BETA, (Dir.FUN,) * i)
+    assert term_size(exc.value.term) == 7 * 300 + 13
 
 
 def test_normalize_trace_replays():
@@ -214,6 +256,48 @@ def test_replay_soundness(t):
         # and inverting twice recovers the original step
         again = invert_step(invert_step(s, t), forward)
         assert again == s
+
+
+# --- to_text ----------------------------------------------------------------
+
+def _to_text_reference(t):
+    """The recursive printer: parenthesize a lambda function and a non-variable
+    argument."""
+    if isinstance(t, Var):
+        return f"#{t.index}"
+    if isinstance(t, Lam):
+        return f"\\ . {_to_text_reference(t.body)}"
+    fs = _to_text_reference(t.fun)
+    if isinstance(t.fun, Lam):
+        fs = f"({fs})"
+    as_ = _to_text_reference(t.arg)
+    if isinstance(t.arg, (Lam, App)):
+        as_ = f"({as_})"
+    return f"{fs} {as_}"
+
+
+def test_to_text_examples():
+    assert to_text(LOOPING) == "(\\ . #0 #0 #0) (\\ . #0 #0 #0)"
+    assert to_text(App(Var(1), App(Var(2), Var(0)))) == "#1 (#2 #0)"
+
+
+@given(larger_terms)
+@settings(max_examples=300)
+def test_to_text_matches_recursive_reference(t):
+    assert to_text(t) == _to_text_reference(t)
+
+
+def test_to_text_deep_terms():
+    n = 20_000
+    lams, args, funs = Var(0), Var(0), Var(0)
+    for _ in range(n):
+        lams = Lam(lams)
+        args = App(Var(1), args)
+        funs = App(funs, Var(1))
+    assert to_text(lams) == "\\ . " * n + "#0"
+    # the innermost argument is a variable, so it takes no parentheses
+    assert to_text(args) == "#1 (" * (n - 1) + "#1 #0" + ")" * (n - 1)
+    assert to_text(funs) == "#0" + " #1" * n
 
 
 def test_free_in():
