@@ -16,8 +16,9 @@ from . import frontseed as F
 from . import gen, kinfinity, serialize, witness
 from .cells import Pentagon, RedSeq, globular_check
 from .completion import (hd_map, pi0_equiv, realize_boundary_check)
-from .domains import (Tower, check_law_budget, check_projection_pair,
-                      flat_base, flat_stage1_size, step_map)
+from .domains import (CapExceeded, Tower, check_law_budget,
+                      check_projection_pair, flat_base, flat_stage1_size,
+                      step_map)
 from .gen import gen_hd_tree, gen_rtower_cell
 from .terms import (App, FuelExhausted, Lam, Term, Var, apply_step, normalize,
                     to_text)
@@ -286,7 +287,17 @@ def cmd_witness(args) -> int:
                           "depth": args.depth}, result, checks))
 
 
+# Largest --maxdim tower-check accepts.  Realization cost per cell grows
+# steeply with dimension: with the default --samples 100, maxdim 15 finished
+# in 3.1-7.7 s over seeds 0-9 (2-core host) and 16 took up to 10.5 s, past
+# the 10 s budget; 24 took minutes at --samples 5 and 40 never finished.
+MAX_TOWER_DIM = 15
+
+
 def cmd_tower_check(args) -> int:
+    if args.maxdim > MAX_TOWER_DIM:
+        raise CapExceeded(f"--maxdim {args.maxdim} is above the cap of "
+                          f"{MAX_TOWER_DIM} dimensions")
     rng = random.Random(args.seed)
     checks = []
 
@@ -327,7 +338,11 @@ def _configured_tower(args) -> Tower:
     poles = None
     if getattr(args, "config", None):
         with open(args.config) as fh:
-            poles = tuple(json.load(fh)["poles"])
+            config = json.load(fh)
+        labels = config.get("poles") if isinstance(config, dict) else None
+        if not (isinstance(labels, list) and all(isinstance(p, str) for p in labels)):
+            raise ValueError(f"{args.config}: expected {{\"poles\": [label, ...]}}")
+        poles = tuple(labels)
     if getattr(args, "poles", None):
         poles = tuple(args.poles.split(","))
     if poles is None:
@@ -378,8 +393,9 @@ def _step_join_sample(tower: Tower, rng: random.Random, n: int) -> list:
 def cmd_coherence(args) -> int:
     if args.sequences:
         with open(args.sequences) as fh:
-            seqs = [serialize.decode(x) for x in json.load(fh)]
-        if len(seqs) != 4:
+            data = json.load(fh)
+        seqs = [serialize.decode(x) for x in data] if isinstance(data, list) else []
+        if len(seqs) != 4 or not all(isinstance(x, RedSeq) for x in seqs):
             raise ParseError("expected exactly four serialized sequences", 0)
         p, q, r, s = seqs
     elif args.span:
@@ -485,7 +501,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, FuelExhausted, RecursionError) as e:
+    except (ValueError, OSError, FuelExhausted, RecursionError) as e:
+        # OSError: an unreadable --config or --sequences file.
         # RecursionError: an input nested deeper than the recursive parser
         # (or another recursive pass) can follow.
         print(json.dumps({"error": str(e)}, sort_keys=True))

@@ -110,9 +110,11 @@ class Tower:
     enumeration whose entries are stage-1 tables; stage 3 is a LazyMono
     evaluated at stage-2 tables on demand.
 
-    Construction enumerates stage 1 and nothing more.  The tower also keeps
-    three stage-1 tables, each built on first use and held for the life of
-    the instance:
+    Construction enumerates stage 1 and indexes it: `stage1_index` maps each
+    table to its position and `_const1` holds the positions of the constant
+    maps (x,)*n, one per base element x, which is all proj(1, .) reads.  The
+    tower also keeps three stage-1 tables, each built on first use and held
+    for the life of the instance:
     - `_emb1`: emb(1, g) per stage-1 element g, filled one g at a time, so
       embedding a few poles over a large base stays cheap;
     - `_order1`: the stage-1 order as a set of pairs, built whole on the
@@ -128,6 +130,8 @@ class Tower:
         self.cap = cap
         self.stage1 = self._enumerate_stage1()
         self.stage1_index = {t: i for i, t in enumerate(self.stage1)}
+        self._const1 = tuple(self.stage1_index[self.emb(0, x)]
+                             for x in range(len(base)))
         self._emb1: dict = {}
         self._order1: Optional[frozenset] = None
         self._probes: Optional[tuple] = None
@@ -158,12 +162,19 @@ class Tower:
     # -- order -----------------------------------------------------------
 
     def leq(self, level: int, a, b) -> bool:
+        """a <= b in stage `level`, for a and b elements of that stage.
+
+        Above stage 0 an element is reflexively below itself without a
+        lookup (`a is b`), and otherwise the answer is looked up in the
+        stage-1 order.  Both are exact only for stage elements: a table
+        that is not one may compare as below itself.
+        """
         if level == 0:
             return self.base.leq[a][b]
         if level == 1:
-            return (a, b) in self._stage1_order()
+            return a is b or (a, b) in self._stage1_order()
         if level == 2:
-            return all(map(self._stage1_order().__contains__, zip(a, b)))
+            return a is b or all(map(self._stage1_order().__contains__, zip(a, b)))
         raise CapExceeded("no order comparison above stage 2")
 
     def _stage1_order(self) -> frozenset:
@@ -218,11 +229,13 @@ class Tower:
         if n == 0:
             return u[self.base.bottom]
         if n == 1:
-            return tuple(self.proj(0, self.apply(2, u, self.emb(0, x)))
-                         for x in range(len(self.base)))
+            # u applied to the constant map at x, then evaluated at bottom
+            bot = self.base.bottom
+            return tuple(u[i][bot] for i in self._const1)
         if n == 2:
-            return tuple(self.proj(1, self.apply(3, u, self.emb(1, g)))
-                         for g in self.stage1)
+            # u at emb(1, g) for each g: the probes after bottom(2)
+            return tuple(self.proj(1, v)
+                         for v in itertools.islice(self.at_probes(u), 1, None))
         raise CapExceeded(f"no projection representation to stage {n}")
 
     def emb_proj(self, n: int) -> tuple[Callable, Callable]:
@@ -231,8 +244,15 @@ class Tower:
     def make_mono(self, level: int, table) -> MonoMap:
         """A validated monotone self-map table over stage `level`."""
         table = tuple(table)
-        if len(table) != len(self.domain(level)):
+        dom = self.domain(level)
+        if len(table) != len(dom):
             raise ValueError("table length must match the stage enumeration")
+        # leq's reflexive shortcut holds only for stage elements, so an entry
+        # outside the stage must be caught here, not by the order lookups
+        elements = self.stage1_index if level == 1 else range(len(dom))
+        for t in table:
+            if t not in elements:
+                raise ValueError(f"table entry {t!r} is not a stage-{level} element")
         if not self._monotone_table(level, table):
             raise ValueError("table is not monotone")
         return MonoMap(level, table)
@@ -246,15 +266,30 @@ class Tower:
                             + tuple(self.emb(1, g) for g in self.stage1))
         return self._probes
 
+    def at_probes(self, u: "LazyMono"):
+        """The values of the stage-3 element u at stage2_probes(), in order.
+
+        Each value is computed once per u and kept on it (`u.probed`); the
+        vector fills only as far as a caller reads, so a comparison that
+        stops at its first differing probe evaluates no further.
+        """
+        probed = u.probed
+        for i, w in enumerate(self.stage2_probes()):
+            if i == len(probed):
+                probed.append(u.fn(w))
+            yield probed[i]
+
 
 class LazyMono:
     """A stage-3 element backed by evaluation, memoized; carries an optional
-    construction key so embedded elements compare exactly."""
+    construction key so embedded elements compare exactly.  `probed` holds
+    its values at the probe family, filled by Tower.at_probes."""
 
     def __init__(self, fn: Callable, key=None):
         self.fn = fn
         self.key = key
         self.memo: dict = {}
+        self.probed: list = []
 
     def eval(self, w):
         value = self.memo.get(w)

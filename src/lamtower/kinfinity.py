@@ -11,7 +11,9 @@ compare exactly).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from .domains import LazyMono, Tower, check_law_budget
@@ -64,13 +66,13 @@ def _top_eq(tw: Tower, a, b) -> bool:
     if isinstance(a, LazyMono) and isinstance(b, LazyMono):
         if a.key is not None and a.key == b.key:
             return True
-        return all(a.eval(w) == b.eval(w) for w in tw.stage2_probes())
+        return all(map(operator.eq, tw.at_probes(a), tw.at_probes(b)))
     return a == b
 
 
 def _top_le(tw: Tower, a, b) -> bool:
     if isinstance(a, LazyMono) and isinstance(b, LazyMono):
-        return all(tw.leq(2, a.eval(w), b.eval(w)) for w in tw.stage2_probes())
+        return all(map(partial(tw.leq, 2), tw.at_probes(a), tw.at_probes(b)))
     return tw.leq(3, a, b)
 
 

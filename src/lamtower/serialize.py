@@ -61,15 +61,28 @@ def encode(obj):
 
 
 def decode(data):
+    """The value `data` encodes; ValueError when it is not an encoding (an
+    unknown tag or enum, or the wrong number of fields for its tag)."""
     if data is None or isinstance(data, (bool, int, str)):
         return data
     if isinstance(data, list):
         return tuple(decode(x) for x in data)
+    if not isinstance(data, dict):
+        raise ValueError(f"cannot decode a JSON {type(data).__name__}")
     if "$e" in data:
-        name, value = data["$e"]
-        return _ENUMS[name](value)
-    cls = _REGISTRY[data["$t"]]
-    return cls(*(decode(x) for x in data["f"]))
+        pair = data["$e"]
+        if not (isinstance(pair, list) and len(pair) == 2 and pair[0] in _ENUMS):
+            raise ValueError(f"unknown enum {pair!r}")
+        return _ENUMS[pair[0]](pair[1])
+    tag = data.get("$t")
+    cls = _REGISTRY.get(tag) if isinstance(tag, str) else None
+    if cls is None:
+        raise ValueError(f"unknown tag {tag!r}")
+    fields = data.get("f")
+    arity = len(dataclasses.fields(cls))
+    if not isinstance(fields, list) or len(fields) != arity:
+        raise ValueError(f"{cls.__name__} expects a list of {arity} fields")
+    return cls(*(decode(x) for x in fields))
 
 
 def dumps(obj, **kwargs) -> str:

@@ -3,10 +3,13 @@ import json
 
 import pytest
 
-from lamtower.cli import ParseError, main, parse_term, parse_witness
+from lamtower import serialize
+from lamtower.cells import seq_invert
+from lamtower.cli import (MAX_TOWER_DIM, ParseError, main, parse_term,
+                          parse_witness)
 from lamtower.gen import gen_term
 from lamtower.terms import App, Lam, Var, to_text
-from lamtower.witness import Comp, ReflM, ReflN, TBeta, TEta
+from lamtower.witness import Comp, ReflM, ReflN, TBeta, TEta, span_beta_seq
 
 
 def test_parse_named_span():
@@ -149,3 +152,76 @@ def test_cli_kinfty_stdout_pinned(capsys, base_size, digest):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _error(capsys, argv):
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == 2
+    return json.loads(out)["error"]
+
+
+def test_cli_missing_config_file_is_json(capsys, tmp_path):
+    missing = str(tmp_path / "absent.json")
+    assert "No such file" in _error(capsys, ["kinfty", "check", "--config", missing])
+
+
+def test_cli_missing_sequences_file_is_json(capsys, tmp_path):
+    missing = str(tmp_path / "absent.json")
+    assert "No such file" in _error(capsys, ["coherence", "assoc",
+                                             "--sequences", missing])
+
+
+@pytest.mark.parametrize("config", [{}, {"poles": 5}, {"poles": [1, 2]}, [1]])
+def test_cli_malformed_config_is_json(capsys, tmp_path, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert "poles" in _error(capsys, ["kinfty", "check", "--config", str(path)])
+
+
+def _sequences_error(capsys, tmp_path, data):
+    path = tmp_path / "seqs.json"
+    path.write_text(json.dumps(data))
+    return _error(capsys, ["coherence", "assoc", "--sequences", str(path)])
+
+
+def test_cli_sequences_unknown_tag_is_json(capsys, tmp_path):
+    entry = {"$t": "NoSuchCell", "f": []}
+    assert "unknown tag 'NoSuchCell'" in _sequences_error(capsys, tmp_path, [entry] * 4)
+
+
+def test_cli_sequences_wrong_field_count_is_json(capsys, tmp_path):
+    entry = {"$t": "Var", "f": [0, 1]}
+    assert "Var expects a list of 1 fields" in _sequences_error(capsys, tmp_path,
+                                                                [entry] * 4)
+
+
+@pytest.mark.parametrize("data", [[1, 2, 3, 4], {"a": 1}, 7,
+                                  [{"$t": "Var", "f": [0]}] * 4])
+def test_cli_sequences_not_sequences_is_json(capsys, tmp_path, data):
+    assert "four serialized sequences" in _sequences_error(capsys, tmp_path, data)
+
+
+def test_cli_sequences_file_roundtrip(capsys, tmp_path):
+    t = span_beta_seq()
+    path = tmp_path / "seqs.json"
+    path.write_text(json.dumps([serialize.encode(x)
+                                for x in (t, seq_invert(t), t, seq_invert(t))]))
+    from_file = _run(capsys, ["coherence", "assoc", "--sequences", str(path)])
+    from_span = _run(capsys, ["coherence", "assoc", "--span"])
+    assert from_file[0] == 0 and from_file[1]["result"] == from_span[1]["result"]
+
+
+def test_cli_tower_check_maxdim_cap(capsys):
+    error = _error(capsys, ["tower-check", "--maxdim", str(MAX_TOWER_DIM + 1)])
+    assert f"cap of {MAX_TOWER_DIM}" in error
+    # refused before any work: maxdim 40 used to run without end
+    assert f"cap of {MAX_TOWER_DIM}" in _error(capsys, ["tower-check", "--maxdim", "40"])
+
+
+def test_cli_tower_check_readme_fingerprint(capsys):
+    # the README's tower-check command is below the cap and unchanged
+    main(["tower-check", "--maxdim", "9", "--samples", "100", "--seed", "0"])
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "6f53fa23ca6a88810952e2cd01b88003cb76042b76dece5d0b65db4a4d5d1681")

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from lamtower.cli import _step_join_sample
 from lamtower.domains import (CapExceeded, FinPoset, Tower, check_law_budget,
                               check_projection_pair, enumerate_stage,
                               flat_base, flat_stage1_size, lub, step_map)
@@ -179,3 +180,49 @@ def test_towers_keep_their_own_tables():
         for a in t.stage1:
             for b in t.stage1:
                 assert t.leq(1, a, b) == all(_flat_leq(x, y) for x, y in zip(a, b))
+
+
+POLES = {3: ("sR1", "sL1"), 4: ("sR1", "sL1", "s2")}
+
+
+@pytest.mark.parametrize("base_size", [3, 4])
+def test_proj1_reads_constant_map_indices(base_size):
+    t = Tower(flat_base(POLES[base_size]))
+    n = len(t.base)
+    assert t._const1 == tuple(t.stage1.index((x,) * n) for x in range(n))
+    sample = _step_join_sample(t, random.Random(base_size), 100)
+    assert len(sample) == 100
+    for u in sample + [t.bottom(2)] + [t.emb(1, g) for g in t.stage1]:
+        reference = tuple(t.proj(0, t.apply(2, u, t.emb(0, x))) for x in range(n))
+        assert t.proj(1, u) == reference
+
+
+@pytest.mark.parametrize("base_size", [3, 4])
+def test_leq_shortcut_agrees_with_pointwise_order(base_size, rng):
+    t = Tower(flat_base(POLES[base_size]))
+
+    def below(a, b):  # stage 2, pointwise over the flat base
+        return all(_flat_leq(x, y) for f, g in zip(a, b) for x, y in zip(f, g))
+
+    tables = [t.emb(1, g) for g in t.stage1] + _step_join_sample(t, rng, 30)
+    for a in tables:
+        assert t.leq(2, a, a) and t.leq(2, a, tuple(list(a)))  # same and equal
+        for b in rng.sample(tables, 10):
+            assert t.leq(2, a, b) == below(a, b)
+    for g in t.stage1:
+        assert t.leq(1, g, g) and t.leq(1, g, tuple(list(g)))
+
+
+def test_make_mono_rejects_entries_outside_the_stage(tower):
+    # a constant table is monotone by leq's reflexive shortcut whatever its
+    # entry, so membership in the stage is checked first
+    for entry in (-1, 3):
+        with pytest.raises(ValueError, match="not a stage-0 element"):
+            tower.make_mono(0, (entry,) * 3)
+    outside = (SR1, BOT, BOT)  # not monotone, so not a stage-1 element
+    with pytest.raises(ValueError, match="not a stage-1 element"):
+        tower.make_mono(1, (outside,) * 11)
+    with pytest.raises(ValueError, match="not a stage-1 element"):
+        tower.make_mono(1, (tower.stage1[0],) * 10 + ((0, 0, 7),))
+    const = tower.make_mono(1, (tower.stage1[4],) * 11)
+    assert const.table == (tower.stage1[4],) * 11

@@ -4,7 +4,8 @@ import pytest
 from lamtower.cli import main
 from lamtower.domains import CapExceeded, Tower, flat_base
 from lamtower.kinfinity import (Constant, DepthTooSmall, FromThread, Identity,
-                                Tabulated, Thread, app, app_shadow,
+                                Tabulated, Thread, _top_eq, _top_le, app,
+                                app_shadow,
                                 bottom_thread, coherent, reify, restrict,
                                 stage_embed, thread_eq, thread_le, verify_laws)
 
@@ -214,3 +215,73 @@ def test_cli_base5_refused(capsys):
     out = capsys.readouterr().out
     assert code == 2
     assert "629 elements" in json.loads(out)["error"]
+
+
+def _probe_maps(t):
+    """Fresh stage-3 maps: emb(2, .) of some stage-2 tables and the stage-2
+    restrictions of three endomaps."""
+    maps = [t.emb(2, w) for w in [t.bottom(2)] + [t.emb(1, g) for g in t.stage1[::5]]]
+    gs = (Identity(), Constant(bottom_thread(t, 3)),
+          FromThread(stage_embed(t, 1, t.stage1[-1], 3)))
+    return maps + [restrict(g, 2, 3, t) for g in gs]
+
+
+def _below2(t, a, b):
+    """Stage-2 order, pointwise over the base order, with no shortcut."""
+    leq0 = t.base.leq
+    return all(leq0[x][y] for f, g in zip(a, b) for x, y in zip(f, g))
+
+
+@pytest.mark.parametrize("base_size", [3, 4])
+def test_probe_vectors_match_probe_by_probe_reference(base_size):
+    t = _tower(base_size)
+    probes = t.stage2_probes()
+    maps = _probe_maps(t)
+    refs = [[u.fn(w) for w in probes] for u in maps]
+    for a, ra in zip(maps, refs):
+        for b, rb in zip(maps, refs):
+            assert _top_eq(t, a, b) == (ra == rb)
+            assert _top_le(t, a, b) == all(_below2(t, x, y) for x, y in zip(ra, rb))
+    for u, ref in zip(maps, refs):
+        assert t.proj(2, u) == tuple(t.proj(1, v) for v in ref[1:])
+        assert u.probed == ref
+    assert any(ra != rb for ra in refs for rb in refs)
+
+
+def test_unequal_pair_stops_at_first_differing_probe(tower):
+    probes = tower.stage2_probes()
+    ident = restrict(Identity(), 2, 3, tower)
+    const = restrict(Constant(bottom_thread(tower, 3)), 2, 3, tower)
+    first = next(i for i, w in enumerate(probes) if ident.fn(w) != const.fn(w))
+    assert not _top_eq(tower, ident, const)
+    assert len(ident.probed) == len(const.probed) == first + 1 < len(probes)
+    # a map compared with itself reads its one vector twice, filling it once
+    assert _top_eq(tower, ident, ident) and _top_le(tower, ident, ident)
+    assert ident.probed == [ident.fn(w) for w in probes]
+
+
+def _law_report(checked, density_ok=True):
+    names = ("stagewise_application", "retract_reify_app",
+             "section_on_embedded_stages", "density_chain")
+    checks = [{"name": name, "pass": True, "checked": count, "detail": []}
+              for name, count in zip(names, checked)]
+    if not density_ok:
+        checks[-1].update({"pass": False, "detail": [
+            {"law": "density", "reason": "incoherent input"}]})
+    return {"depth": 3, "checks": checks, "ok": density_ok}
+
+
+@pytest.mark.parametrize("base_size, plain, sampled", [
+    (3, (154, 12, 70, 11), (154, 12, 84, 15)),
+    (4, (4757, 68, 355, 67), (4757, 68, 426, 71)),
+])
+def test_verify_laws_reports_pinned(base_size, plain, sampled):
+    # whole report dicts, with reified (non-embedded) sample threads whose
+    # top coordinates compare probe by probe, and one incoherent thread
+    t = _tower(base_size)
+    good = stage_embed(t, 0, SR1, 3)
+    bad = Thread(t, (SL1,) + good.coords[1:], check=False)
+    xs = [reify(Identity(), 3, t), reify(Constant(bottom_thread(t, 3)), 3, t),
+          reify(FromThread(stage_embed(t, 1, t.stage1[-1], 3)), 3, t), bad]
+    assert verify_laws(t, depth=3) == _law_report(plain)
+    assert verify_laws(t, depth=3, sample_threads=xs) == _law_report(sampled, False)

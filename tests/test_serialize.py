@@ -1,3 +1,7 @@
+import re
+
+import pytest
+
 from lamtower import serialize
 from lamtower.frontseed import boundary3_words, fs_assoc_compare, fs_pentagon
 from lamtower.gen import (gen_composable_seqs, gen_h2, gen_h3, gen_rtower_cell,
@@ -48,3 +52,18 @@ def test_witness_roundtrip():
 def test_deterministic_bytes(rng):
     cell = gen_h3(rng, depth=2)
     assert serialize.dumps(cell) == serialize.dumps(cell)
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"$t": "NoSuchCell", "f": []}, "unknown tag 'NoSuchCell'"),
+    ({"f": [0]}, "unknown tag None"),
+    ({"$t": "Var", "f": [0, 1]}, "Var expects a list of 1 fields"),
+    ({"$t": "App", "f": [{"$t": "Var", "f": [0]}]}, "App expects a list of 2 fields"),
+    ({"$t": "Var"}, "Var expects a list of 1 fields"),
+    ({"$e": ["NoSuchEnum", 1]}, "unknown enum"),
+    ({"$e": 3}, "unknown enum"),
+    (1.5, "cannot decode a JSON float"),
+])
+def test_decode_rejects_non_encodings(data, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        serialize.decode(data)
