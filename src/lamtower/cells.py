@@ -363,14 +363,7 @@ def boundary(cell):
     return boundary2(cell)
 
 
-_STRUCTURAL = {
-    "Refl": Refl, "Symm": Symm, "Trans": Trans, "WhiskerL": WhiskerL,
-    "WhiskerR": WhiskerR, "HComp": HComp, "Assoc": Assoc, "UnitL": UnitL,
-    "UnitR": UnitR, "StepCong": StepCong,
-    "Refl3": Refl3, "Symm3": Symm3, "Trans3": Trans3, "WhiskerL3": WhiskerL3,
-    "WhiskerR3": WhiskerR3, "HComp3": HComp3, "Interchange": Interchange,
-    "Pentagon": Pentagon, "Triangle": Triangle,
-}
+_STRUCTURAL = {cls.__name__: cls for cls in H2_CLASSES + H3_CLASSES}
 
 
 def mk_structural(name: str, *args):

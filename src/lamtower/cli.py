@@ -14,14 +14,14 @@ import sys
 
 from . import frontseed as F
 from . import gen, kinfinity, serialize, witness
-from .cells import Pentagon, RedSeq, globular_check
+from .cells import Pentagon, RedSeq, globular_check, validate_seq
 from .completion import (hd_map, pi0_equiv, realize_boundary_check)
 from .domains import (CapExceeded, Tower, check_law_budget,
                       check_projection_pair, flat_base, flat_stage1_size,
                       step_map)
 from .gen import gen_hd_tree, gen_rtower_cell
-from .terms import (App, FuelExhausted, Lam, Term, Var, apply_step, normalize,
-                    to_text)
+from .terms import (App, Dir, FuelExhausted, Lam, RedStep, StepKind, Term, Var,
+                    apply_step, normalize, to_text)
 
 
 class ParseError(ValueError):
@@ -390,6 +390,41 @@ def _step_join_sample(tower: Tower, rng: random.Random, n: int) -> list:
     return out
 
 
+def _is_term(t) -> bool:
+    """t is a de Bruijn term all the way down (iterative, so any depth)."""
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Var):
+            if type(node.index) is not int or node.index < 0:
+                return False
+        elif isinstance(node, App):
+            stack.append(node.fun)
+            stack.append(node.arg)
+        elif isinstance(node, Lam):
+            stack.append(node.body)
+        else:
+            return False
+    return True
+
+
+def _is_step(s) -> bool:
+    return (isinstance(s, RedStep) and isinstance(s.kind, StepKind)
+            and isinstance(s.path, tuple)
+            and all(isinstance(d, Dir) for d in s.path)
+            and isinstance(s.forward, bool)
+            and (s.redex is None or _is_term(s.redex)))
+
+
+def _is_replayable(p: RedSeq) -> bool:
+    """Well-formed terms and steps, and replaying the steps gives the terms.
+
+    The shapes are checked first: replay assumes them."""
+    return (isinstance(p.terms, tuple) and isinstance(p.steps, tuple)
+            and all(_is_term(t) for t in p.terms)
+            and all(_is_step(s) for s in p.steps) and validate_seq(p))
+
+
 def cmd_coherence(args) -> int:
     if args.sequences:
         with open(args.sequences) as fh:
@@ -397,6 +432,9 @@ def cmd_coherence(args) -> int:
         seqs = [serialize.decode(x) for x in data] if isinstance(data, list) else []
         if len(seqs) != 4 or not all(isinstance(x, RedSeq) for x in seqs):
             raise ParseError("expected exactly four serialized sequences", 0)
+        for i, seq in enumerate(seqs):
+            if not _is_replayable(seq):
+                raise ValueError(f"sequence {i} is not a replayable reduction sequence")
         p, q, r, s = seqs
     elif args.span:
         t_beta = witness.span_beta_seq()
@@ -501,10 +539,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError, FuelExhausted, RecursionError) as e:
+    except (ValueError, OSError, FuelExhausted, RecursionError, MemoryError) as e:
         # OSError: an unreadable --config or --sequences file.
         # RecursionError: an input nested deeper than the recursive parser
         # (or another recursive pass) can follow.
+        # MemoryError: an input whose work outgrows the address space.
         print(json.dumps({"error": str(e)}, sort_keys=True))
         print(f"[lamtower] error: {e}", file=sys.stderr)
         return 2

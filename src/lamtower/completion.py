@@ -1,7 +1,7 @@
 """Equality-generated higher derivations and the recursive tower above the
-explicit 3-cell core: functorial transport, the dimension 4-6 packaging maps,
-the realization map into the explicit tower, and the 0-truncation bridge back
-to plain beta/eta convertibility.
+explicit 3-cell core: functorial transport, the realization map into the
+explicit tower (the packaging maps are its dimension 4-6 part), and the
+0-truncation bridge back to plain beta/eta convertibility.
 """
 
 from __future__ import annotations
@@ -118,28 +118,16 @@ def explicit_cell(dim: int, payload) -> RTowerCell:
     return RTowerCell(dim, payload)
 
 
-def cell_source(c: RTowerCell) -> RTowerCell:
+def cell_boundary(c: RTowerCell) -> tuple[RTowerCell, RTowerCell]:
+    """The source and target cells of c."""
     if c.dim == 0:
         raise IllFormed("0-cells have no boundary")
     if c.dim == 1:
-        return RTowerCell(0, c.payload.source)
-    if c.dim == 2:
-        return RTowerCell(1, boundary2(c.payload)[0])
-    if c.dim == 3:
-        return RTowerCell(2, boundary3(c.payload)[0])
-    return c.payload[0]
-
-
-def cell_target(c: RTowerCell) -> RTowerCell:
-    if c.dim == 0:
-        raise IllFormed("0-cells have no boundary")
-    if c.dim == 1:
-        return RTowerCell(0, c.payload.target)
-    if c.dim == 2:
-        return RTowerCell(1, boundary2(c.payload)[1])
-    if c.dim == 3:
-        return RTowerCell(2, boundary3(c.payload)[1])
-    return c.payload[1]
+        return RTowerCell(0, c.payload.source), RTowerCell(0, c.payload.target)
+    if c.dim <= 3:
+        s, t = boundary2(c.payload) if c.dim == 2 else boundary3(c.payload)
+        return RTowerCell(c.dim - 1, s), RTowerCell(c.dim - 1, t)
+    return c.payload[0], c.payload[1]
 
 
 def parallel(x: RTowerCell, y: RTowerCell) -> bool:
@@ -148,8 +136,7 @@ def parallel(x: RTowerCell, y: RTowerCell) -> bool:
         return False
     if x.dim == 0:
         return True
-    return (cell_source(x) == cell_source(y)
-            and cell_target(x) == cell_target(y))
+    return cell_boundary(x) == cell_boundary(y)
 
 
 def triple_cell(x: RTowerCell, y: RTowerCell, h: HigherDeriv) -> RTowerCell:
@@ -163,66 +150,46 @@ def triple_cell(x: RTowerCell, y: RTowerCell, h: HigherDeriv) -> RTowerCell:
     return RTowerCell(x.dim + 1, (x, y, h))
 
 
-def sigma_source(c: SigmaCell) -> SigmaCell:
+def sigma_boundary(c: SigmaCell) -> tuple[SigmaCell, SigmaCell]:
+    """The source and target cells of c."""
     if c.dim <= 3:
-        rt = cell_source(RTowerCell(c.dim, c.payload))
-        return SigmaCell(rt.dim, rt.payload)
-    return c.payload.src
-
-
-def sigma_target(c: SigmaCell) -> SigmaCell:
-    if c.dim <= 3:
-        rt = cell_target(RTowerCell(c.dim, c.payload))
-        return SigmaCell(rt.dim, rt.payload)
-    return c.payload.tgt
-
-
-def _to_sigma_explicit(c: RTowerCell) -> SigmaCell:
-    return SigmaCell(c.dim, c.payload)
-
-
-def pack(d: int, cell: RTowerCell) -> SigmaCell:
-    """Package a dimension-4..6 triple as an explicit indexed derivation.
-
-    pack(4) re-indexes verbatim; pack(5) and pack(6) transport the derivation
-    datum along the previous packaging map.
-    """
-    if d not in (4, 5, 6):
-        raise IllFormed(f"pack is defined for dimensions 4..6, not {d}")
-    if cell.dim != d or not isinstance(cell.payload, tuple):
-        raise IllFormed(f"expected a dimension-{d} triple")
-    x, y, h = cell.payload
-    if not parallel(x, y):
-        raise ParallelismViolation("triple endpoints are not parallel")
-    if d == 4:
-        embed = _to_sigma_explicit
-    elif d == 5:
-        embed = lambda c: pack(4, c)
-    else:
-        embed = lambda c: pack(5, c)
-    return SigmaCell(d, hd_map(embed, h))
+        s, t = cell_boundary(RTowerCell(c.dim, c.payload))
+        return SigmaCell(s.dim, s.payload), SigmaCell(t.dim, t.payload)
+    return c.payload.src, c.payload.tgt
 
 
 def realize(n: int, cell: RTowerCell) -> SigmaCell:
-    """The realization map: identity through dimension 3, packaging through 6,
-    and the uniform derivation recursion above."""
+    """The realization map: identity through dimension 3, then the uniform
+    recursion that transports the derivation datum along realize(n - 1).
+
+    At dimensions 4..6 this is the packaging map pack(n)."""
     if cell.dim != n:
         raise IllFormed(f"cell has dimension {cell.dim}, not {n}")
     if n <= 3:
-        return _to_sigma_explicit(cell)
-    if n <= 6:
-        return pack(n, cell)
+        return SigmaCell(n, cell.payload)
+    if not isinstance(cell.payload, tuple):
+        raise IllFormed(f"expected a dimension-{n} triple")
     x, y, h = cell.payload
+    if not parallel(x, y):
+        raise ParallelismViolation("triple endpoints are not parallel")
     return SigmaCell(n, hd_map(lambda c: realize(n - 1, c), h))
+
+
+def pack(d: int, cell: RTowerCell) -> SigmaCell:
+    """Package a dimension-4..6 triple as an explicit indexed derivation:
+    the realization map at those dimensions."""
+    if d not in (4, 5, 6):
+        raise IllFormed(f"pack is defined for dimensions 4..6, not {d}")
+    return realize(d, cell)
 
 
 def realize_boundary_check(n: int, cell: RTowerCell) -> bool:
     """Does realization commute strictly with source and target?"""
     if n < 1:
         raise IllFormed("boundary checks need dimension >= 1")
-    image = realize(n, cell)
-    return (sigma_source(image) == realize(n - 1, cell_source(cell))
-            and sigma_target(image) == realize(n - 1, cell_target(cell)))
+    image_src, image_tgt = sigma_boundary(realize(n, cell))
+    src, tgt = cell_boundary(cell)
+    return image_src == realize(n - 1, src) and image_tgt == realize(n - 1, tgt)
 
 
 # ---------------------------------------------------------------------------

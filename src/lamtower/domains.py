@@ -125,9 +125,8 @@ class Tower:
 
     MAX_LEVEL = 3
 
-    def __init__(self, base: FinPoset, cap: int = 1):
+    def __init__(self, base: FinPoset):
         self.base = base
-        self.cap = cap
         self.stage1 = self._enumerate_stage1()
         self.stage1_index = {t: i for i, t in enumerate(self.stage1)}
         self._const1 = tuple(self.stage1_index[self.emb(0, x)]
@@ -299,9 +298,7 @@ class LazyMono:
 
 
 def enumerate_stage(tower: Tower, n: int) -> Stage:
-    """Fully enumerate stage n (subject to the enumeration cap)."""
-    if n > tower.cap:
-        raise CapExceeded(f"stage {n} exceeds the enumeration cap {tower.cap}")
+    """Fully enumerate stage 0 or 1; CapExceeded for any other stage."""
     if n == 0:
         return Stage(0, tuple(range(len(tower.base))), tower.base)
     if n == 1:

@@ -62,7 +62,8 @@ def encode(obj):
 
 def decode(data):
     """The value `data` encodes; ValueError when it is not an encoding (an
-    unknown tag or enum, or the wrong number of fields for its tag)."""
+    unknown tag or enum, the wrong number of fields for its tag, or fields
+    its constructor cannot take)."""
     if data is None or isinstance(data, (bool, int, str)):
         return data
     if isinstance(data, list):
@@ -82,7 +83,13 @@ def decode(data):
     arity = len(dataclasses.fields(cls))
     if not isinstance(fields, list) or len(fields) != arity:
         raise ValueError(f"{cls.__name__} expects a list of {arity} fields")
-    return cls(*(decode(x) for x in fields))
+    args = [decode(x) for x in fields]
+    try:
+        return cls(*args)
+    except (TypeError, AttributeError) as e:
+        # A constructor's own checks read its fields (RedSeq takes their
+        # lengths, HDTrans their endpoints) and fail on values of another type.
+        raise ValueError(f"{cls.__name__} cannot hold these fields: {e}") from e
 
 
 def dumps(obj, **kwargs) -> str:

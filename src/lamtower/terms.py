@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 
 class NegativeIndex(ValueError):
@@ -116,9 +116,10 @@ _POP_APP = object()
 _POP_LAM = object()
 
 
-def shift(d: int, cutoff: int, t: Term) -> Term:
-    """Add d to every free index >= cutoff."""
-    work: list = [(t, cutoff)]
+def _map_vars(t: Term, c: int, var: Callable[[Var, int], Term]) -> Term:
+    """Rebuild t with each Var node replaced by var(node, k), where k is c plus
+    the number of binders above the node."""
+    work: list = [(t, c)]
     out: list[Term] = []
     while work:
         item = work.pop()
@@ -129,70 +130,42 @@ def shift(d: int, cutoff: int, t: Term) -> Term:
         elif item is _POP_LAM:
             out.append(Lam(out.pop()))
         else:
-            node, c = item
+            node, k = item
             if isinstance(node, Var):
-                if node.index >= c:
-                    if node.index + d < 0:
-                        raise NegativeIndex(f"shift({d}) drops index {node.index} below zero")
-                    out.append(Var(node.index + d))
-                else:
-                    out.append(node)
+                out.append(var(node, k))
             elif isinstance(node, App):
                 work.append(_POP_APP)
-                work.append((node.arg, c))
-                work.append((node.fun, c))
+                work.append((node.arg, k))
+                work.append((node.fun, k))
             else:
                 work.append(_POP_LAM)
-                work.append((node.body, c + 1))
+                work.append((node.body, k + 1))
     return out[0]
+
+
+def shift(d: int, cutoff: int, t: Term) -> Term:
+    """Add d to every free index >= cutoff."""
+    def var(node: Var, c: int) -> Term:
+        if node.index < c:
+            return node
+        if node.index + d < 0:
+            raise NegativeIndex(f"shift({d}) drops index {node.index} below zero")
+        return Var(node.index + d)
+    return _map_vars(t, cutoff, var)
 
 
 def subst(m: Term, n: Term) -> Term:
     """Capture-free M[N]: replace index 0 in M by N, decrementing higher frees."""
-    work: list = [(m, 0)]
-    out: list[Term] = []
-    while work:
-        item = work.pop()
-        if item is _POP_APP:
-            arg = out.pop()
-            fun = out.pop()
-            out.append(App(fun, arg))
-        elif item is _POP_LAM:
-            out.append(Lam(out.pop()))
-        else:
-            node, j = item
-            if isinstance(node, Var):
-                if node.index == j:
-                    out.append(shift(j, 0, n))
-                elif node.index > j:
-                    out.append(Var(node.index - 1))
-                else:
-                    out.append(node)
-            elif isinstance(node, App):
-                work.append(_POP_APP)
-                work.append((node.arg, j))
-                work.append((node.fun, j))
-            else:
-                work.append(_POP_LAM)
-                work.append((node.body, j + 1))
-    return out[0]
+    def var(node: Var, j: int) -> Term:
+        if node.index == j:
+            return shift(j, 0, n)
+        return Var(node.index - 1) if node.index > j else node
+    return _map_vars(m, 0, var)
 
 
-def subterm(t: Term, path: Path) -> Term:
-    node = t
-    for d in path:
-        if d is Dir.FUN and isinstance(node, App):
-            node = node.fun
-        elif d is Dir.ARG and isinstance(node, App):
-            node = node.arg
-        elif d is Dir.BODY and isinstance(node, Lam):
-            node = node.body
-        else:
-            raise InvalidStep(f"path {render_path(path)} does not address a subterm")
-    return node
-
-
-def replace(t: Term, path: Path, new: Term) -> Term:
+def _walk(t: Term, path: Path) -> tuple[list[tuple[Term, Dir]], Term]:
+    """The nodes above the end of path, each with the way taken from it, and
+    the subterm path addresses; InvalidStep when path leaves t."""
     spine: list[tuple[Term, Dir]] = []
     node = t
     for d in path:
@@ -207,15 +180,11 @@ def replace(t: Term, path: Path, new: Term) -> Term:
             node = node.body
         else:
             raise InvalidStep(f"path {render_path(path)} does not address a subterm")
-    result = new
-    for parent, d in reversed(spine):
-        if d is Dir.FUN:
-            result = App(result, parent.arg)
-        elif d is Dir.ARG:
-            result = App(parent.fun, result)
-        else:
-            result = Lam(result)
-    return result
+    return spine, node
+
+
+def subterm(t: Term, path: Path) -> Term:
+    return _walk(t, path)[1]
 
 
 def render_path(path: Path) -> str:
@@ -239,7 +208,7 @@ def _eta_contract(node: Term) -> Term:
 
 def apply_step(t: Term, s: RedStep) -> Term:
     """Apply one oriented step to t, or raise InvalidStep."""
-    node = subterm(t, s.path)
+    spine, node = _walk(t, s.path)
     if s.forward:
         if s.kind is StepKind.BETA:
             new = _beta_contract(node)
@@ -255,7 +224,14 @@ def apply_step(t: Term, s: RedStep) -> Term:
         else:
             # Eta expansion is canonical: node -> lam ((shift 1 node) #0).
             new = Lam(App(shift(1, 0, node), Var(0)))
-    return replace(t, s.path, new)
+    for parent, d in reversed(spine):
+        if d is Dir.FUN:
+            new = App(new, parent.arg)
+        elif d is Dir.ARG:
+            new = App(parent.fun, new)
+        else:
+            new = Lam(new)
+    return new
 
 
 def invert_step(s: RedStep, source: Term) -> RedStep:

@@ -15,8 +15,7 @@ from lamtower.cells import Pentagon
 from lamtower.cli import main, parse_term
 from lamtower.completion import (HDRefl, explicit_cell, hd_map, pack,
                                  pi0_equiv, realize, realize_boundary_check,
-                                 cell_source, cell_target, sigma_source,
-                                 sigma_target, triple_cell)
+                                 cell_boundary, sigma_boundary, triple_cell)
 from lamtower.domains import Tower, flat_base, lub, step_map
 from lamtower.frontseed import (boundary3_words, fs_assoc_compare, fs_bridges,
                                 fs_pentagon, mixed_target_word, pentagon_words,
@@ -126,8 +125,8 @@ def test_criterion_4_realization():
         for d in (4, 5, 6):
             cell = triple_cell(cell, cell, HDRefl(cell))
             packed = pack(d, cell)
-            if (sigma_source(packed) != realize(d - 1, cell_source(cell))
-                    or sigma_target(packed) != realize(d - 1, cell_target(cell))):
+            if (sigma_boundary(packed)[0] != realize(d - 1, cell_boundary(cell)[0])
+                    or sigma_boundary(packed)[1] != realize(d - 1, cell_boundary(cell)[1])):
                 pack_bad += 1
     ok = bad == 0 and pack_bad == 0
     _report(4, "realization boundary compatibility", ok,

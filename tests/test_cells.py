@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from lamtower.cells import (Assoc, CLam, EndpointMismatch, HComp, Hole,
+from lamtower import cells
+from lamtower.cells import (Assoc, CLam, EndpointMismatch, HComp, Hole, IllFormed,
                             Pentagon, Refl, Refl3, StepCong, Symm, Trans,
                             WhiskerL, boundary, boundary2, boundary3,
                             empty_seq, globular_check, map_seq, mk_structural,
@@ -133,6 +134,19 @@ def test_interchange_noncomposable(rng):
     bad_d = Refl(seq_compose(p, seq_invert(p)))
     with pytest.raises(EndpointMismatch):
         mk_structural("Interchange", Refl(p), Refl(p), Refl(q), bad_d)
+
+
+def test_mk_structural_names(rng):
+    # the constructor table is the 2- and 3-cell classes, by class name
+    names = {"Refl", "Symm", "Trans", "WhiskerL", "WhiskerR", "HComp", "Assoc",
+             "UnitL", "UnitR", "StepCong", "Refl3", "Symm3", "Trans3",
+             "WhiskerL3", "WhiskerR3", "HComp3", "Interchange", "Pentagon",
+             "Triangle"}
+    assert cells._STRUCTURAL == {name: getattr(cells, name) for name in names}
+    p = gen_zigzag(rng, gen_term(rng, 6), 1)
+    assert mk_structural("Refl", p) == Refl(p)
+    with pytest.raises(IllFormed, match="unknown structural constructor"):
+        mk_structural("Boundary", p)
 
 
 def test_globular_examples(rng):

@@ -1,9 +1,10 @@
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
-from lamtower import serialize
+from lamtower import cli, serialize
 from lamtower.cells import seq_invert
 from lamtower.cli import (MAX_TOWER_DIM, ParseError, main, parse_term,
                           parse_witness)
@@ -202,11 +203,44 @@ def test_cli_sequences_not_sequences_is_json(capsys, tmp_path, data):
     assert "four serialized sequences" in _sequences_error(capsys, tmp_path, data)
 
 
-def test_cli_sequences_file_roundtrip(capsys, tmp_path):
+def _span_quadruple():
     t = span_beta_seq()
+    return [serialize.encode(x) for x in (t, seq_invert(t), t, seq_invert(t))]
+
+
+def _with_first_step_path(path):
+    quad = _span_quadruple()
+    quad[0]["f"][1][0]["f"][1] = path
+    return quad
+
+
+_NOT_REPLAYABLE = "sequence 0 is not a replayable reduction sequence"
+
+
+@pytest.mark.parametrize("data, message", [
+    ([{"$t": "RedSeq", "f": [[1], []]}] * 4, _NOT_REPLAYABLE),
+    (_with_first_step_path(5), _NOT_REPLAYABLE),
+    ([{"$t": "RedSeq", "f": [[{"$t": "Var", "f": ["x"]}], []]}] * 4, _NOT_REPLAYABLE),
+    ([{"$t": "RedSeq", "f": [[{"$t": "Var", "f": [-1]}], []]}] * 4, _NOT_REPLAYABLE),
+    # well-formed, but the path leaves the cached term: replay fails
+    (_with_first_step_path([{"$e": ["Dir", "f"]}]), _NOT_REPLAYABLE),
+    ([{"$t": "RedSeq", "f": [5, []]}] * 4, "RedSeq cannot hold these fields"),
+], ids=["int-term", "int-path", "var-x", "negative-index", "path-leaves-term",
+        "int-terms-field"])
+def test_cli_sequences_not_replayable_is_json(capsys, tmp_path, data, message):
+    assert message in _sequences_error(capsys, tmp_path, data)
+
+
+def test_cli_memory_error_is_json(capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError("out of memory")
+    monkeypatch.setattr(cli, "cmd_reduce", exhausted)
+    assert _error(capsys, ["reduce", "x"]) == "out of memory"
+
+
+def test_cli_sequences_file_roundtrip(capsys, tmp_path):
     path = tmp_path / "seqs.json"
-    path.write_text(json.dumps([serialize.encode(x)
-                                for x in (t, seq_invert(t), t, seq_invert(t))]))
+    path.write_text(json.dumps(_span_quadruple()))
     from_file = _run(capsys, ["coherence", "assoc", "--sequences", str(path)])
     from_span = _run(capsys, ["coherence", "assoc", "--span"])
     assert from_file[0] == 0 and from_file[1]["result"] == from_span[1]["result"]
@@ -225,3 +259,16 @@ def test_cli_tower_check_readme_fingerprint(capsys):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "6f53fa23ca6a88810952e2cd01b88003cb76042b76dece5d0b65db4a4d5d1681")
+
+
+_FINGERPRINTS = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "fingerprints.json").read_text())
+
+
+@pytest.mark.parametrize("entry", _FINGERPRINTS, ids=lambda e: " ".join(e["argv"]))
+def test_cli_readme_fingerprints(capsys, entry):
+    # every README command keeps its stored stdout digest and exit code
+    code = main(list(entry["argv"]))
+    out = capsys.readouterr().out
+    assert (hashlib.sha256(out.encode()).hexdigest(), code) == (entry["sha256"],
+                                                               entry["exit"])

@@ -2,13 +2,13 @@ import random
 
 import pytest
 
-from lamtower.cells import Pentagon, validate_seq
+from lamtower.cells import IllFormed, Pentagon, validate_seq
 from lamtower.completion import (HDRefl, HDSymm, HDTrans, ParallelismViolation,
-                                 RTowerCell, SigmaCell, cell_source,
-                                 cell_target, endpoints, explicit_cell, hd_map,
-                                 pack, parallel, pi0_equiv, realize,
-                                 realize_boundary_check, sigma_source,
-                                 sigma_target, triple_cell)
+                                 RTowerCell, SigmaCell, cell_boundary,
+                                 endpoints, explicit_cell, hd_map, pack,
+                                 parallel, pi0_equiv, realize,
+                                 realize_boundary_check, sigma_boundary,
+                                 triple_cell)
 from lamtower.gen import (gen_composable_seqs, gen_convertible_pair, gen_h3,
                           gen_hd_tree, gen_rtower_cell, gen_separated_pair,
                           gen_term)
@@ -54,8 +54,8 @@ def test_pack4_reflexive_triple(rng):
     c4 = triple_cell(eta, eta, HDRefl(eta))
     packed = pack(4, c4)
     assert packed.dim == 4
-    assert sigma_source(packed) == SigmaCell(3, eta.payload)
-    assert sigma_target(packed) == SigmaCell(3, eta.payload)
+    assert sigma_boundary(packed)[0] == SigmaCell(3, eta.payload)
+    assert sigma_boundary(packed)[1] == SigmaCell(3, eta.payload)
 
 
 def test_pack_boundary_commutes_up_to_6(rng):
@@ -65,8 +65,8 @@ def test_pack_boundary_commutes_up_to_6(rng):
     c6 = triple_cell(c5, c5, HDRefl(c5))
     for d, c in ((4, c4), (5, c5), (6, c6)):
         packed = pack(d, c)
-        assert sigma_source(packed) == realize(d - 1, cell_source(c))
-        assert sigma_target(packed) == realize(d - 1, cell_target(c))
+        assert sigma_boundary(packed)[0] == realize(d - 1, cell_boundary(c)[0])
+        assert sigma_boundary(packed)[1] == realize(d - 1, cell_boundary(c)[1])
 
 
 def test_pack_rejects_nonparallel(rng):
@@ -76,6 +76,29 @@ def test_pack_rejects_nonparallel(rng):
     bad = RTowerCell(4, (eta, other, HDRefl(eta)))
     with pytest.raises(ParallelismViolation):
         pack(4, bad)
+
+
+def test_pack_is_realize_on_4_to_6(rng):
+    eta = _cell3(rng)
+    c4 = triple_cell(eta, eta, HDRefl(eta))
+    c5 = triple_cell(c4, c4, HDTrans(HDRefl(c4), HDSymm(HDRefl(c4))))
+    c6 = triple_cell(c5, c5, HDSymm(HDRefl(c5)))
+    for d, c in ((4, c4), (5, c5), (6, c6)):
+        assert pack(d, c) == realize(d, c)
+    for d, c in ((3, eta), (7, triple_cell(c6, c6, HDRefl(c6)))):
+        with pytest.raises(IllFormed, match="pack is defined for dimensions 4..6"):
+            pack(d, c)
+
+
+def test_realize_rejects_nonparallel_above_6(rng):
+    # parallelism used to be rechecked only by the packaging maps at 4..6
+    x, y = _cell3(rng), _cell3(rng)
+    for _ in range(3):
+        x = triple_cell(x, x, HDRefl(x))
+        y = triple_cell(y, y, HDRefl(y))
+    assert x.dim == 6 and not parallel(x, y)
+    with pytest.raises(ParallelismViolation):
+        realize(7, RTowerCell(7, (x, y, HDRefl(x))))
 
 
 def test_triple_cell_validates(rng):
@@ -130,7 +153,7 @@ def test_realize_dim9_pentagon_tower(rng):
         cell = triple_cell(cell, cell, HDRefl(cell))
     assert realize_boundary_check(9, cell)
     image = realize(9, cell)
-    assert image.dim == 9 and sigma_source(image) == sigma_target(image)
+    assert image.dim == 9 and sigma_boundary(image)[0] == sigma_boundary(image)[1]
 
 
 def test_realize_boundary_detects_corruption(rng):

@@ -63,6 +63,8 @@ def test_deterministic_bytes(rng):
     ({"$e": ["NoSuchEnum", 1]}, "unknown enum"),
     ({"$e": 3}, "unknown enum"),
     (1.5, "cannot decode a JSON float"),
+    ({"$t": "RedSeq", "f": [5, []]}, "RedSeq cannot hold these fields"),
+    ({"$t": "HDTrans", "f": [1, 2]}, "HDTrans cannot hold these fields"),
 ])
 def test_decode_rejects_non_encodings(data, message):
     with pytest.raises(ValueError, match=re.escape(message)):

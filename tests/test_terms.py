@@ -110,6 +110,111 @@ def test_subst_after_shift_cancels(m, n):
     assert subst(shift(1, 0, m), n) == m
 
 
+# --- shift and subst against their separate loops --------------------------
+
+_POP_APP = object()
+_POP_LAM = object()
+
+
+def _shift_reference(d, cutoff, t):
+    """shift as its own rebuild loop, before it shared one with subst."""
+    work = [(t, cutoff)]
+    out = []
+    while work:
+        item = work.pop()
+        if item is _POP_APP:
+            arg = out.pop()
+            fun = out.pop()
+            out.append(App(fun, arg))
+        elif item is _POP_LAM:
+            out.append(Lam(out.pop()))
+        else:
+            node, c = item
+            if isinstance(node, Var):
+                if node.index >= c:
+                    if node.index + d < 0:
+                        raise NegativeIndex(f"shift({d}) drops index {node.index} below zero")
+                    out.append(Var(node.index + d))
+                else:
+                    out.append(node)
+            elif isinstance(node, App):
+                work.append(_POP_APP)
+                work.append((node.arg, c))
+                work.append((node.fun, c))
+            else:
+                work.append(_POP_LAM)
+                work.append((node.body, c + 1))
+    return out[0]
+
+
+def _subst_reference(m, n):
+    """subst as its own rebuild loop, before it shared one with shift."""
+    work = [(m, 0)]
+    out = []
+    while work:
+        item = work.pop()
+        if item is _POP_APP:
+            arg = out.pop()
+            fun = out.pop()
+            out.append(App(fun, arg))
+        elif item is _POP_LAM:
+            out.append(Lam(out.pop()))
+        else:
+            node, j = item
+            if isinstance(node, Var):
+                if node.index == j:
+                    out.append(_shift_reference(j, 0, n))
+                elif node.index > j:
+                    out.append(Var(node.index - 1))
+                else:
+                    out.append(node)
+            elif isinstance(node, App):
+                work.append(_POP_APP)
+                work.append((node.arg, j))
+                work.append((node.fun, j))
+            else:
+                work.append(_POP_LAM)
+                work.append((node.body, j + 1))
+    return out[0]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NegativeIndex as e:
+        return ("NegativeIndex", str(e))
+
+
+@given(st.one_of(terms_strategy, larger_terms), st.integers(-3, 3), st.integers(0, 4))
+@settings(max_examples=300)
+def test_shift_matches_separate_loop(t, d, cutoff):
+    assert _outcome(shift, d, cutoff, t) == _outcome(_shift_reference, d, cutoff, t)
+
+
+def test_shift_negative_index_matches_separate_loop():
+    t = Lam(App(Var(0), App(Var(2), Var(1))))
+    expected = ("NegativeIndex", "shift(-2) drops index 1 below zero")
+    assert _outcome(shift, -2, 0, t) == _outcome(_shift_reference, -2, 0, t) == expected
+
+
+@given(st.one_of(terms_strategy, larger_terms), terms_strategy)
+@settings(max_examples=300)
+def test_subst_matches_separate_loop(m, n):
+    assert subst(m, n) == _subst_reference(m, n)
+
+
+def test_shift_subst_deep_spine_match_separate_loops():
+    # 20 000 nodes deep, binders and applications mixed: both loops must be
+    # iterative.  Compared by text, as == on such a term recurses.
+    t = Var(0)
+    for i in range(20_000):
+        t = Lam(App(t, Var(i % 7))) if i % 3 else App(Var(i % 5), t)
+    n = App(Var(0), Lam(Var(2)))
+    for d, cutoff in ((1, 0), (3, 2), (-1, 40_000)):
+        assert to_text(shift(d, cutoff, t)) == to_text(_shift_reference(d, cutoff, t))
+    assert to_text(subst(t, n)) == to_text(_subst_reference(t, n))
+
+
 # --- apply_step -------------------------------------------------------------
 
 def test_beta_step_example():
@@ -142,6 +247,17 @@ def test_invalid_pattern():
         apply_step(Var(0), RedStep(StepKind.BETA, ()))
     with pytest.raises(InvalidStep):
         apply_step(Var(0), RedStep(StepKind.BETA, (Dir.FUN,)))
+
+
+def test_apply_step_path_leaving_term_is_invalid():
+    t = App(Lam(App(Var(1), Var(0))), Lam(Var(0)))
+    for path in ((Dir.BODY,), (Dir.ARG, Dir.FUN), (Dir.FUN, Dir.BODY, Dir.FUN, Dir.BODY),
+                 (Dir.FUN, Dir.BODY, Dir.ARG, Dir.ARG)):
+        for step in (RedStep(StepKind.BETA, path), RedStep(StepKind.ETA, path),
+                     RedStep(StepKind.ETA, path, forward=False),
+                     RedStep(StepKind.BETA, path, False, App(Lam(Var(0)), Var(0)))):
+            with pytest.raises(InvalidStep, match="does not address a subterm"):
+                apply_step(t, step)
 
 
 # --- find_redexes -----------------------------------------------------------
