@@ -59,10 +59,11 @@ def seq_from_steps(source: Term, steps) -> RedSeq:
 
 
 def validate_seq(p: RedSeq) -> bool:
-    """Replaying the steps reproduces exactly the cached intermediates."""
+    """Replaying the steps reproduces exactly the cached intermediates; False
+    also for a step that is not a well-typed RedStep."""
     try:
         return seq_from_steps(p.source, p.steps) == p
-    except ValueError:
+    except (ValueError, TypeError, AttributeError):
         return False
 
 

@@ -18,10 +18,11 @@ DEFAULT_POLES = ("sR1", "sL1")
 BOTTOM_LABEL = "bot"
 
 
-# Estimated stage-1 order lookups verify_laws may make (see check_law_budget).
-# It admits base 4 (67 stage-1 elements, about 3.0e5 lookups) and refuses
-# base 5 (629 elements, about 2.5e8), which does not finish in minutes.
-LAW_BUDGET = 10_000_000
+# Estimated stage-3 evaluations verify_laws may make (see check_law_budget),
+# at about 8 us each on a 2-core host.  It admits base 4 (67 stage-1
+# elements, 14 076 evaluations, 0.1 s) and refuses base 5 (629 elements,
+# 1 192 590 evaluations: 10 s of laws, 12 s for `kinfty check`).
+LAW_BUDGET = 1_000_000
 
 
 class CapExceeded(ValueError):
@@ -37,14 +38,21 @@ def flat_stage1_size(poles: int) -> int:
 def check_law_budget(stage1_size: int) -> None:
     """Refuse a law suite whose estimated work exceeds LAW_BUDGET.
 
-    The density chain compares stage-2 tables pointwise on every probe for
-    every stage-1 thread, so the work grows as the cube of the stage-1 size.
+    The work is counted in stage-3 evaluations, from the loop bounds of
+    kinfinity.verify_laws at depth 3.  With s stage-1 elements, each of its
+    stage-3 maps is evaluated once at each of the s + 1 probes, and it
+    fills the probe vectors of s embedded stage-1 elements (stagewise
+    application), s + 1 reified restrictions (retract), 5 reified endomaps
+    (section) and s embedded probes (density).  The density chain also
+    fills one map per base element, which this leaves out: it is under 2%
+    of the counted evaluations from base 4 on (14 348 at base 4, 1 195 740
+    at base 5).
     """
-    work = stage1_size ** 3
+    work = (stage1_size + 1) * (3 * stage1_size + 6)
     if work > LAW_BUDGET:
         raise CapExceeded(
             f"the law suite over a stage 1 of {stage1_size} elements needs an "
-            f"estimated {work} stage-1 order lookups, above the budget of "
+            f"estimated {work} stage-3 evaluations, above the budget of "
             f"{LAW_BUDGET}")
 
 
@@ -113,14 +121,18 @@ class Tower:
     Construction enumerates stage 1 and indexes it: `stage1_index` maps each
     table to its position and `_const1` holds the positions of the constant
     maps (x,)*n, one per base element x, which is all proj(1, .) reads.  The
-    tower also keeps three stage-1 tables, each built on first use and held
-    for the life of the instance:
+    tower also keeps these tables, each built on first use and held for the
+    life of the instance:
     - `_emb1`: emb(1, g) per stage-1 element g, filled one g at a time, so
       embedding a few poles over a large base stays cheap;
     - `_order1`: the stage-1 order as a set of pairs, built whole on the
       first leq(1, ...) or leq(2, ...), whose entries must therefore be
       stage-1 elements;
-    - `_probes`: the stage2_probes() family, built whole on first call.
+    - `_probes`: the stage2_probes() family, built whole on first call, with
+      `_probe_pos`, each probe's position keyed by its identity (sound
+      because the tower keeps its probes alive);
+    - `_threads`: the shared canonical threads of kinfinity.stage_embed, at
+      most one per depth and stage-0 element, stage-1 element or probe.
     """
 
     MAX_LEVEL = 3
@@ -134,6 +146,8 @@ class Tower:
         self._emb1: dict = {}
         self._order1: Optional[frozenset] = None
         self._probes: Optional[tuple] = None
+        self._probe_pos: dict = {}
+        self._threads: dict = {}
 
     def _enumerate_stage1(self) -> tuple[tuple[int, ...], ...]:
         n = len(self.base)
@@ -203,7 +217,14 @@ class Tower:
         if level == 2:
             return f[self.stage1_index[x]]
         if level == 3:
-            return f.eval(x)
+            i = self.probe_position(x)
+            if i is None:
+                return f.eval(x)
+            # at a probe, read and fill the vector at_probes keeps
+            probed = f.probed
+            while len(probed) <= i:
+                probed.append(f.fn(self._probes[len(probed)]))
+            return probed[i]
         raise CapExceeded(f"cannot apply a stage-{level} element")
 
     # -- projection pairs --------------------------------------------------
@@ -263,14 +284,21 @@ class Tower:
         if self._probes is None:
             self._probes = ((self.bottom(2),)
                             + tuple(self.emb(1, g) for g in self.stage1))
+            self._probe_pos = {id(w): i for i, w in enumerate(self._probes)}
         return self._probes
+
+    def probe_position(self, w) -> Optional[int]:
+        """The position of w in stage2_probes() when w is one of those very
+        tables; None for any other object, equal tables included."""
+        return self._probe_pos.get(id(w))
 
     def at_probes(self, u: "LazyMono"):
         """The values of the stage-3 element u at stage2_probes(), in order.
 
-        Each value is computed once per u and kept on it (`u.probed`); the
-        vector fills only as far as a caller reads, so a comparison that
-        stops at its first differing probe evaluates no further.
+        Each value is computed once per u and kept on it (`u.probed`), which
+        apply(3, u, w) at a probe w reads and fills too; the vector fills
+        only as far as a caller reads, so a comparison that stops at its
+        first differing probe evaluates no further.
         """
         probed = u.probed
         for i, w in enumerate(self.stage2_probes()):
@@ -282,7 +310,8 @@ class Tower:
 class LazyMono:
     """A stage-3 element backed by evaluation, memoized; carries an optional
     construction key so embedded elements compare exactly.  `probed` holds
-    its values at the probe family, filled by Tower.at_probes."""
+    its values at the probe family, a prefix filled by Tower.at_probes and
+    Tower.apply; `memo` holds its values at any other argument."""
 
     def __init__(self, fn: Callable, key=None):
         self.fn = fn

@@ -100,9 +100,33 @@ def thread_le(x: Thread, y: Thread) -> bool:
 
 
 def stage_embed(tower: Tower, n: int, u, depth: int) -> Thread:
-    """The canonical embedding of a stage-n element: project below, embed above."""
+    """The canonical embedding of a stage-n element: project below, embed above.
+
+    A stage-0 element, a stage-1 element or one of the tower's own probe
+    tables gets one thread per depth, shared through the tower's `_threads`
+    table, so the values its top coordinate caches are computed once.  Any
+    other input, a table equal to a probe included, gets a fresh thread.
+    """
     if n > depth:
         raise DepthTooSmall(f"cannot embed stage {n} at depth {depth}")
+    if n == 0 and type(u) is int and 0 <= u < len(tower.base):
+        pos = u
+    elif n == 1 and type(u) is tuple:
+        pos = tower.stage1_index.get(u)
+    elif n == 2:
+        pos = tower.probe_position(u)
+    else:
+        pos = None
+    if pos is None:
+        return _embed(tower, n, u, depth)
+    key = (n, pos, depth)
+    thread = tower._threads.get(key)
+    if thread is None:
+        thread = tower._threads[key] = _embed(tower, n, u, depth)
+    return thread
+
+
+def _embed(tower: Tower, n: int, u, depth: int) -> Thread:
     coords: list = [None] * (depth + 1)
     coords[n] = u
     down = u
@@ -222,6 +246,7 @@ def verify_laws(tower: Tower, depth: int = 3,
     if depth < 2:
         raise DepthTooSmall("the law suite needs depth >= 2")
     check_law_budget(len(tower.stage1))
+    tower.stage2_probes()  # so stage-3 application at a probe uses the probe vectors
     checks = []
     embeds1 = [stage_embed(tower, 1, u, depth) for u in tower.stage1]
 

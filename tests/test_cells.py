@@ -4,13 +4,13 @@ import pytest
 
 from lamtower import cells
 from lamtower.cells import (Assoc, CLam, EndpointMismatch, HComp, Hole, IllFormed,
-                            Pentagon, Refl, Refl3, StepCong, Symm, Trans,
+                            Pentagon, RedSeq, Refl, Refl3, StepCong, Symm, Trans,
                             WhiskerL, boundary, boundary2, boundary3,
                             empty_seq, globular_check, map_seq, mk_structural,
                             pentagon_sides, seq_compose, seq_invert,
                             validate_seq)
 from lamtower.gen import gen_composable_seqs, gen_h3, gen_term, gen_zigzag
-from lamtower.terms import App, Lam, Var
+from lamtower.terms import App, Lam, RedStep, StepKind, Var
 from lamtower.witness import span_beta_seq
 
 SPAN_M = App(Lam(App(Var(1), Var(0))), Var(1))
@@ -23,6 +23,17 @@ def test_redseq_replay_and_empty():
     assert validate_seq(p)
     e = empty_seq(SPAN_M)
     assert e.source == e.target == SPAN_M and len(e) == 0
+
+
+@pytest.mark.parametrize("step", [
+    RedStep(StepKind.BETA, 5),  # a path that is not a sequence
+    RedStep(StepKind.BETA, "ab"),  # a path of non-directions
+    RedStep(StepKind.BETA, (None,)),
+    5,  # not a step
+])
+def test_validate_seq_rejects_ill_typed_steps(step):
+    p = span_beta_seq()
+    assert validate_seq(RedSeq(p.terms, (step,))) is False
 
 
 def test_seq_compose_examples():

@@ -4,9 +4,10 @@ import random
 import pytest
 
 from lamtower.cli import _step_join_sample
-from lamtower.domains import (CapExceeded, FinPoset, Tower, check_law_budget,
-                              check_projection_pair, enumerate_stage,
-                              flat_base, flat_stage1_size, lub, step_map)
+from lamtower.domains import (CapExceeded, FinPoset, LazyMono, Tower,
+                              check_law_budget, check_projection_pair,
+                              enumerate_stage, flat_base, flat_stage1_size,
+                              lub, step_map)
 
 BOT, SR1, SL1 = 0, 1, 2
 
@@ -159,6 +160,7 @@ def test_construction_builds_no_stage1_table():
     t = Tower(flat_base(("sR1", "sL1", "s2", "s3", "s4")))
     assert len(t.base) == 6 and len(t.stage1) == 7781
     assert t._emb1 == {} and t._order1 is None and t._probes is None
+    assert t._probe_pos == {} and t._threads == {}
     # embedding a pole fills one entry, not the whole table
     t.emb(1, t.emb(0, 1))
     assert len(t._emb1) == 1 and t._order1 is None
@@ -226,3 +228,47 @@ def test_make_mono_rejects_entries_outside_the_stage(tower):
         tower.make_mono(1, (tower.stage1[0],) * 10 + ((0, 0, 7),))
     const = tower.make_mono(1, (tower.stage1[4],) * 11)
     assert const.table == (tower.stage1[4],) * 11
+
+
+def _stage3_maps(t):
+    """Fresh stage-3 maps: emb(2, .) of some stage-2 tables, and the identity
+    of stage 2, which has no construction key."""
+    ws = [t.bottom(2)] + [t.emb(1, g) for g in t.stage1[::7]]
+    return [t.emb(2, w) for w in ws] + [LazyMono(lambda w: w)]
+
+
+@pytest.mark.parametrize("base_size", [3, 4])
+def test_apply3_at_probes_out_of_order(base_size):
+    # apply(3, u, w) at probe i fills u.probed up to i, so probes read in any
+    # order give u.fn(w), and the vector stays the prefix at_probes reads
+    t = Tower(flat_base(POLES[base_size]))
+    probes = t.stage2_probes()
+    order = list(range(len(probes)))
+    random.Random(base_size).shuffle(order)
+    for u in _stage3_maps(t):
+        ref = [u.fn(w) for w in probes]
+        top = -1
+        for i in order:
+            assert t.apply(3, u, probes[i]) == ref[i]
+            top = max(top, i)
+            assert u.probed == ref[:top + 1]
+        assert list(t.at_probes(u)) == ref and u.memo == {}
+
+
+@pytest.mark.parametrize("base_size", [3, 4])
+def test_apply3_off_the_probes_uses_the_memo(base_size, rng):
+    # a table equal to a probe but not that object, and a step join, are not
+    # probes: apply(3, ...) evaluates them through the memo
+    t = Tower(flat_base(POLES[base_size]))
+    probes = t.stage2_probes()
+    joins = _step_join_sample(t, rng, 10)
+    for u in _stage3_maps(t):
+        for i, w in enumerate(probes):
+            copy = tuple(list(w))
+            assert copy is not w and t.probe_position(copy) is None
+            assert t.probe_position(w) == i
+            assert t.apply(3, u, copy) == t.apply(3, u, w) == u.fn(w)
+        for j in joins:
+            assert t.probe_position(j) is None
+            assert t.apply(3, u, j) == u.fn(j)
+        assert len(u.memo) == len(set(probes + tuple(joins)))

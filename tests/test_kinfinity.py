@@ -1,8 +1,11 @@
 import json
+import random
+from collections import Counter
 
 import pytest
-from lamtower.cli import main
-from lamtower.domains import CapExceeded, Tower, flat_base
+from lamtower.cli import _step_join_sample, main
+from lamtower.domains import (CapExceeded, LazyMono, Tower, check_law_budget,
+                              flat_base)
 from lamtower.kinfinity import (Constant, DepthTooSmall, FromThread, Identity,
                                 Tabulated, Thread, _top_eq, _top_le, app,
                                 app_shadow,
@@ -208,6 +211,7 @@ def test_verify_laws_base5_refused_before_tables():
     with pytest.raises(CapExceeded, match="629 elements"):
         verify_laws(tower, depth=3)
     assert tower._emb1 == {} and tower._order1 is None and tower._probes is None
+    assert tower._probe_pos == {} and tower._threads == {}
 
 
 def test_cli_base5_refused(capsys):
@@ -285,3 +289,107 @@ def test_verify_laws_reports_pinned(base_size, plain, sampled):
           reify(FromThread(stage_embed(t, 1, t.stage1[-1], 3)), 3, t), bad]
     assert verify_laws(t, depth=3) == _law_report(plain)
     assert verify_laws(t, depth=3, sample_threads=xs) == _law_report(sampled, False)
+
+
+def _fresh_coords(t, n, u, depth):
+    """A thread's coordinates built by hand: project below, embed above."""
+    coords = [None] * (depth + 1)
+    coords[n] = u
+    for m in range(n - 1, -1, -1):
+        coords[m] = t.proj(m, coords[m + 1])
+    for m in range(n + 1, depth + 1):
+        coords[m] = t.emb(m - 1, coords[m - 1])
+    return coords
+
+
+def _same_coords(t, shared, fresh):
+    """Coordinate by coordinate; a stage-3 coordinate by its key and by
+    apply(3, ., w) against a fresh map's fn at every probe."""
+    assert len(shared.coords) == len(fresh)
+    for n, (a, b) in enumerate(zip(shared.coords, fresh)):
+        if n < 3:
+            assert a == b
+        else:
+            assert a.key == b.key
+            assert [t.apply(3, a, w) for w in t.stage2_probes()] == \
+                [b.fn(w) for w in t.stage2_probes()]
+
+
+@pytest.mark.parametrize("base_size", [3, 4])
+def test_shared_threads_equal_fresh_ones(base_size):
+    t = _tower(base_size)
+    keys = [(0, x) for x in range(len(t.base))]
+    keys += [(1, u) for u in t.stage1]
+    keys += [(2, w) for w in t.stage2_probes()]
+    for depth in (1, 2, 3):
+        for n, u in keys:
+            if n > depth:
+                continue
+            shared = stage_embed(t, n, u, depth)
+            assert stage_embed(t, n, u, depth) is shared
+            _same_coords(t, shared, _fresh_coords(t, n, u, depth))
+    assert len(t._threads) == (len(t.base) * 3 + len(t.stage1) * 3
+                               + len(t.stage2_probes()) * 2)
+
+
+@pytest.mark.parametrize("base_size", [3, 4])
+def test_probe_copies_and_joins_get_fresh_threads(base_size):
+    t = _tower(base_size)
+    probes = t.stage2_probes()
+    joins = _step_join_sample(t, random.Random(base_size), 10)
+    maps = _probe_maps(t)
+    for w in list(probes[::5]) + joins:
+        copy = tuple(list(w))
+        threads = [stage_embed(t, 2, copy, 3) for _ in range(2)]
+        assert threads[0] is not threads[1]
+        assert stage_embed(t, 2, w, 3) is not threads[0]
+        for thread in threads:
+            _same_coords(t, thread, _fresh_coords(t, 2, w, 3))
+        for u in maps:
+            assert t.apply(3, u, copy) == t.apply(3, u, w) == u.fn(w)
+
+
+def _counted_suite(monkeypatch, t):
+    """Run verify_laws on t, counting stage-3 evaluations per (map, argument).
+
+    Every map and argument is kept alive, so identities are not reused."""
+    calls, kept = Counter(), []
+    init = LazyMono.__init__
+
+    def counting_init(self, fn, key=None):
+        def counted(w):
+            kept.append(w)
+            calls[id(self), id(w)] += 1
+            return fn(w)
+        kept.append(self)
+        init(self, counted, key)
+
+    monkeypatch.setattr(LazyMono, "__init__", counting_init)
+    report = verify_laws(t, depth=3)
+    monkeypatch.undo()
+    return report, calls
+
+
+def test_suite_evaluates_each_map_probe_pair_once(monkeypatch):
+    t = _tower(4)
+    report, calls = _counted_suite(monkeypatch, t)
+    assert report == _law_report((4757, 68, 355, 67))
+    probe_ids = {id(w) for w in t.stage2_probes()}
+    assert {w for _, w in calls} <= probe_ids  # every argument is a probe
+    assert max(calls.values()) == 1
+    # the thread table stays within one entry per stage-0 element, stage-1
+    # element and probe, at the one depth the suite uses
+    assert {depth for _, _, depth in t._threads} == {3}
+    assert len(t._threads) <= len(t.base) + len(t.stage1) + len(probe_ids)
+
+
+@pytest.mark.parametrize("base_size", [3, 4])
+def test_law_budget_estimate_matches_counted_evaluations(base_size, monkeypatch):
+    # the estimate leaves out one probe vector per base element
+    t = _tower(base_size)
+    _, calls = _counted_suite(monkeypatch, t)
+    s = len(t.stage1)
+    estimate = (s + 1) * (3 * s + 6)
+    assert sum(calls.values()) == estimate + len(t.base) * (s + 1)
+    check_law_budget(s)
+    assert estimate == {3: 468, 4: 14076}[base_size]
