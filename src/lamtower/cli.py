@@ -262,7 +262,16 @@ def cmd_classify(args) -> int:
                                                "detail": tag.value}]))
 
 
+def _check_bounds(flag: str, value: int, least=None, most=None) -> None:
+    """Refuse a numeric option outside its bounds, before any work."""
+    if least is not None and value < least:
+        raise ValueError(f"{flag} {value} is below the minimum of {least}")
+    if most is not None and value > most:
+        raise ValueError(f"{flag} {value} is above the maximum of {most}")
+
+
 def cmd_witness(args) -> int:
+    _check_bounds("--depth", args.depth, most=kinfinity.MAX_DEPTH)
     w = parse_witness(args.expr)
     poles = tuple(args.poles.split(",")) if args.poles else ("sR1", "sL1")
     tower = witness.default_tower(poles)
@@ -298,6 +307,7 @@ def cmd_tower_check(args) -> int:
     if args.maxdim > MAX_TOWER_DIM:
         raise CapExceeded(f"--maxdim {args.maxdim} is above the cap of "
                           f"{MAX_TOWER_DIM} dimensions")
+    _check_bounds("--samples", args.samples, least=0)
     rng = random.Random(args.seed)
     checks = []
 
@@ -346,14 +356,16 @@ def _configured_tower(args) -> Tower:
     if getattr(args, "poles", None):
         poles = tuple(args.poles.split(","))
     if poles is None:
-        n_extra = max(0, args.base_size - 3)
-        poles = ("sR1", "sL1") + tuple(f"s{i + 2}" for i in range(n_extra))
+        poles = ("sR1", "sL1") + tuple(f"s{i + 2}" for i in range(args.base_size - 3))
     base = flat_base(poles)
     check_law_budget(flat_stage1_size(len(poles)))
     return Tower(base)
 
 
 def cmd_kinfty(args) -> int:
+    _check_bounds("--base-size", args.base_size, least=3)
+    _check_bounds("--depth", args.depth, most=kinfinity.MAX_DEPTH)
+    _check_bounds("--samples", args.samples, least=0)
     tower = _configured_tower(args)
     rng = random.Random(args.seed)
     report = kinfinity.verify_laws(tower, depth=args.depth)

@@ -19,10 +19,12 @@ BOTTOM_LABEL = "bot"
 
 
 # Estimated stage-3 evaluations verify_laws may make (see check_law_budget),
-# at about 8 us each on a 2-core host.  It admits base 4 (67 stage-1
-# elements, 14 076 evaluations, 0.1 s) and refuses base 5 (629 elements,
-# 1 192 590 evaluations: 10 s of laws, 12 s for `kinfty check`).
-LAW_BUDGET = 1_000_000
+# at about 5 us each on a 2-core host, so about 7.5 s of laws, which leaves
+# the rest of `kinfty check` within 10 s.  It admits base 5 (629 stage-1
+# elements, 1 192 590 evaluations: 5-7 s of laws, 7-8 s and 70 MB for
+# `kinfty check`) and refuses base 6 (7 781 elements, 181 701 918
+# evaluations).
+LAW_BUDGET = 1_500_000
 
 
 class CapExceeded(ValueError):
@@ -130,7 +132,8 @@ class Tower:
       stage-1 elements;
     - `_probes`: the stage2_probes() family, built whole on first call, with
       `_probe_pos`, each probe's position keyed by its identity (sound
-      because the tower keeps its probes alive);
+      because the tower keeps its probes alive), and `_probe_proj1`, each
+      probe's proj(1, .) by position;
     - `_threads`: the shared canonical threads of kinfinity.stage_embed, at
       most one per depth and stage-0 element, stage-1 element or probe.
     """
@@ -147,6 +150,7 @@ class Tower:
         self._order1: Optional[frozenset] = None
         self._probes: Optional[tuple] = None
         self._probe_pos: dict = {}
+        self._probe_proj1: tuple = ()
         self._threads: dict = {}
 
     def _enumerate_stage1(self) -> tuple[tuple[int, ...], ...]:
@@ -217,7 +221,7 @@ class Tower:
         if level == 2:
             return f[self.stage1_index[x]]
         if level == 3:
-            i = self.probe_position(x)
+            i = self._probe_pos.get(id(x))
             if i is None:
                 return f.eval(x)
             # at a probe, read and fill the vector at_probes keeps
@@ -249,13 +253,19 @@ class Tower:
         if n == 0:
             return u[self.base.bottom]
         if n == 1:
+            i = self._probe_pos.get(id(u))
+            if i is not None:  # one of the probes
+                return self._probe_proj1[i]
             # u applied to the constant map at x, then evaluated at bottom
             bot = self.base.bottom
             return tuple(u[i][bot] for i in self._const1)
         if n == 2:
-            # u at emb(1, g) for each g: the probes after bottom(2)
-            return tuple(self.proj(1, v)
-                         for v in itertools.islice(self.at_probes(u), 1, None))
+            # u at emb(1, g) for each g: the probes after bottom(2); the
+            # probe lookup of proj(1, .) is inlined, as it runs per entry
+            values = self.at_probes(u)
+            pos, table = self._probe_pos.get, self._probe_proj1
+            return tuple(self.proj(1, v) if (i := pos(id(v))) is None else table[i]
+                         for v in itertools.islice(values, 1, None))
         raise CapExceeded(f"no projection representation to stage {n}")
 
     def emb_proj(self, n: int) -> tuple[Callable, Callable]:
@@ -284,6 +294,8 @@ class Tower:
         if self._probes is None:
             self._probes = ((self.bottom(2),)
                             + tuple(self.emb(1, g) for g in self.stage1))
+            # built while _probe_pos is still empty, so proj(1, .) computes
+            self._probe_proj1 = tuple(self.proj(1, w) for w in self._probes)
             self._probe_pos = {id(w): i for i, w in enumerate(self._probes)}
         return self._probes
 
@@ -296,12 +308,20 @@ class Tower:
         """The values of the stage-3 element u at stage2_probes(), in order.
 
         Each value is computed once per u and kept on it (`u.probed`), which
-        apply(3, u, w) at a probe w reads and fills too; the vector fills
-        only as far as a caller reads, so a comparison that stops at its
-        first differing probe evaluates no further.
+        apply(3, u, w) at a probe w reads and fills too.  A full vector is
+        returned as it is; a partial one fills only as far as a caller
+        reads, so a comparison that stops at its first differing probe
+        evaluates no further.
         """
+        probes = self.stage2_probes()
+        if len(u.probed) == len(probes):
+            return u.probed
+        return self._fill_probes(u, probes)
+
+    @staticmethod
+    def _fill_probes(u: "LazyMono", probes: tuple):
         probed = u.probed
-        for i, w in enumerate(self.stage2_probes()):
+        for i, w in enumerate(probes):
             if i == len(probed):
                 probed.append(u.fn(w))
             yield probed[i]

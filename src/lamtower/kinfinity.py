@@ -29,19 +29,16 @@ MAX_DEPTH = 3
 class Thread:
     """A coherent coordinate vector across stages 0..depth."""
 
-    __slots__ = ("tower", "coords")
+    __slots__ = ("tower", "coords", "depth")
 
     def __init__(self, tower: Tower, coords: tuple, check: bool = True):
         if len(coords) - 1 > MAX_DEPTH:
             raise DepthTooSmall(f"depths above {MAX_DEPTH} are not representable")
         self.tower = tower
         self.coords = tuple(coords)
+        self.depth = len(self.coords) - 1
         if check and not coherent(self):
             raise ValueError("incoherent thread: projections disagree with coordinates")
-
-    @property
-    def depth(self) -> int:
-        return len(self.coords) - 1
 
     def __eq__(self, other):
         return isinstance(other, Thread) and thread_eq(self, other)
@@ -114,7 +111,7 @@ def stage_embed(tower: Tower, n: int, u, depth: int) -> Thread:
     elif n == 1 and type(u) is tuple:
         pos = tower.stage1_index.get(u)
     elif n == 2:
-        pos = tower.probe_position(u)
+        pos = tower._probe_pos.get(id(u))
     else:
         pos = None
     if pos is None:

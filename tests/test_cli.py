@@ -9,6 +9,7 @@ from lamtower.cells import seq_invert
 from lamtower.cli import (MAX_TOWER_DIM, ParseError, main, parse_term,
                           parse_witness)
 from lamtower.gen import gen_term
+from lamtower.kinfinity import MAX_DEPTH
 from lamtower.terms import App, Lam, Var, to_text
 from lamtower.witness import Comp, ReflM, ReflN, TBeta, TEta, span_beta_seq
 
@@ -251,6 +252,40 @@ def test_cli_tower_check_maxdim_cap(capsys):
     assert f"cap of {MAX_TOWER_DIM}" in error
     # refused before any work: maxdim 40 used to run without end
     assert f"cap of {MAX_TOWER_DIM}" in _error(capsys, ["tower-check", "--maxdim", "40"])
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("the option should be refused before any work")
+
+
+@pytest.mark.parametrize("size", ["2", "0", "-4"])
+def test_cli_kinfty_base_size_below_three_refused(capsys, monkeypatch, size):
+    # it used to run the 3-element base and echo "basesize": 3
+    monkeypatch.setattr(cli, "flat_base", _no_work)
+    assert _error(capsys, ["kinfty", "check", "--base-size", size]) == \
+        f"--base-size {size} is below the minimum of 3"
+
+
+@pytest.mark.parametrize("argv, first_work", [
+    (["kinfty", "check"], (cli, "flat_base")),
+    (["tower-check"], (cli.gen, "gen_h3")),
+])
+def test_cli_negative_samples_refused(capsys, monkeypatch, argv, first_work):
+    monkeypatch.setattr(*first_work, _no_work)
+    assert _error(capsys, argv + ["--samples", "-3"]) == \
+        "--samples -3 is below the minimum of 0"
+
+
+@pytest.mark.parametrize("argv, first_work", [
+    (["kinfty", "check"], (cli, "flat_base")),
+    (["witness", "eta"], (cli.witness, "default_tower")),
+])
+def test_cli_depth_above_max_refused(capsys, monkeypatch, argv, first_work):
+    # it used to fail late with "no embedding representation from stage 3"
+    monkeypatch.setattr(*first_work, _no_work)
+    assert MAX_DEPTH == 3
+    assert _error(capsys, argv + ["--depth", "4"]) == \
+        "--depth 4 is above the maximum of 3"
 
 
 def test_cli_tower_check_readme_fingerprint(capsys):

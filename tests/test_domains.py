@@ -150,17 +150,18 @@ def test_flat_stage1_size_matches_enumeration():
         assert len(Tower(flat_base(poles)).stage1) == flat_stage1_size(k)
 
 
-def test_law_budget_admits_base4_refuses_base5():
+def test_law_budget_admits_base5_refuses_base6():
     check_law_budget(flat_stage1_size(3))
-    with pytest.raises(CapExceeded, match="629 elements"):
-        check_law_budget(flat_stage1_size(4))
+    check_law_budget(flat_stage1_size(4))
+    with pytest.raises(CapExceeded, match="7781 elements"):
+        check_law_budget(flat_stage1_size(5))
 
 
 def test_construction_builds_no_stage1_table():
     t = Tower(flat_base(("sR1", "sL1", "s2", "s3", "s4")))
     assert len(t.base) == 6 and len(t.stage1) == 7781
     assert t._emb1 == {} and t._order1 is None and t._probes is None
-    assert t._probe_pos == {} and t._threads == {}
+    assert t._probe_pos == {} and t._threads == {} and t._probe_proj1 == ()
     # embedding a pole fills one entry, not the whole table
     t.emb(1, t.emb(0, 1))
     assert len(t._emb1) == 1 and t._order1 is None

@@ -206,19 +206,20 @@ def test_verify_laws_repeat_matches_fresh_tower():
     assert verify_laws(used, depth=3) == first == verify_laws(_tower(4), depth=3)
 
 
-def test_verify_laws_base5_refused_before_tables():
-    tower = _tower(5)
-    with pytest.raises(CapExceeded, match="629 elements"):
+def test_verify_laws_base6_refused_before_tables():
+    tower = _tower(6)
+    with pytest.raises(CapExceeded, match="7781 elements"):
         verify_laws(tower, depth=3)
     assert tower._emb1 == {} and tower._order1 is None and tower._probes is None
     assert tower._probe_pos == {} and tower._threads == {}
+    assert tower._probe_proj1 == ()
 
 
-def test_cli_base5_refused(capsys):
-    code = main(["kinfty", "check", "--base-size", "5"])
+def test_cli_base6_refused(capsys):
+    code = main(["kinfty", "check", "--base-size", "6"])
     out = capsys.readouterr().out
     assert code == 2
-    assert "629 elements" in json.loads(out)["error"]
+    assert "7781 elements" in json.loads(out)["error"]
 
 
 def _probe_maps(t):
@@ -377,6 +378,7 @@ def test_suite_evaluates_each_map_probe_pair_once(monkeypatch):
     probe_ids = {id(w) for w in t.stage2_probes()}
     assert {w for _, w in calls} <= probe_ids  # every argument is a probe
     assert max(calls.values()) == 1
+    assert sum(calls.values()) == 14348
     # the thread table stays within one entry per stage-0 element, stage-1
     # element and probe, at the one depth the suite uses
     assert {depth for _, _, depth in t._threads} == {3}
@@ -393,3 +395,126 @@ def test_law_budget_estimate_matches_counted_evaluations(base_size, monkeypatch)
     assert sum(calls.values()) == estimate + len(t.base) * (s + 1)
     check_law_budget(s)
     assert estimate == {3: 468, 4: 14076}[base_size]
+
+
+# -- the probe fast paths are exact ------------------------------------------
+
+def _proj1_by_formula(t, v):
+    """proj(1, v) by its definition, with no probe table: v at the constant
+    map at x, evaluated at bottom."""
+    n, bot = len(t.base), t.base.bottom
+    return tuple(v[t.stage1_index[(x,) * n]][bot] for x in range(n))
+
+
+def _proj2_by_formula(t, fn):
+    """proj(2, .) of the stage-3 map fn, probe by probe, from fresh
+    evaluations."""
+    return tuple(_proj1_by_formula(t, fn(w)) for w in t.stage2_probes()[1:])
+
+
+@pytest.mark.parametrize("base_size", [3, 4])
+def test_proj1_of_a_probe_reads_the_table_exactly(base_size):
+    t = _tower(base_size)
+    probes = t.stage2_probes()
+    assert t._probe_proj1 == (t.bottom(1),) + t.stage1
+    for w in probes:
+        copy = tuple(list(w))
+        assert t.proj(1, w) == t.proj(1, copy) == _proj1_by_formula(t, w)
+
+
+@pytest.mark.parametrize("base_size", [3, 4])
+def test_proj2_matches_probe_by_probe_formula(base_size):
+    t = _tower(base_size)
+    verify_laws(t, depth=3)
+    keys = [(0, x) for x in range(len(t.base))]
+    keys += [(1, u) for u in t.stage1]
+    keys += [(2, w) for w in t.stage2_probes()]
+    tops = [stage_embed(t, n, u, 3).coords[3] for n, u in keys]
+    gs = [Identity(), Constant(bottom_thread(t, 3))]
+    gs += [FromThread(stage_embed(t, 1, u, 3)) for u in t.stage1]
+    restrictions = [reify(g, 3, t).coords[3] for g in gs]
+    for u in tops + restrictions:
+        assert t.proj(2, u) == _proj2_by_formula(t, u.fn)
+    # values equal to the probes but other objects take the proj(1, .) path
+    copies = LazyMono(lambda w: tuple(list(w)))
+    assert t.proj(2, copies) == _proj2_by_formula(t, copies.fn) == t.stage1
+    assert all(t.probe_position(v) is None for v in copies.probed)
+
+
+def _counted_map(fn):
+    """A fresh stage-3 map and the list its evaluations are logged to."""
+    log = []
+
+    def counted(w):
+        log.append(w)
+        return fn(w)
+    return LazyMono(counted), log
+
+
+def test_full_probe_vector_is_returned_as_is(tower):
+    probes = tower.stage2_probes()
+    fn = restrict(Identity(), 2, 3, tower).fn
+    u, log = _counted_map(fn)
+    values = tower.at_probes(u)
+    assert values is not u.probed and log == []  # a partial vector fills lazily
+    assert list(values) == [fn(w) for w in probes] and log == list(probes)
+    assert tower.at_probes(u) is u.probed
+    assert tower.proj(2, u) == _proj2_by_formula(tower, fn)
+    assert log == list(probes)  # read again, evaluated once
+
+
+@pytest.mark.parametrize("fill", ["ident", "const", "neither"])
+def test_unequal_comparison_reads_no_further_than_first_difference(tower, fill):
+    # as on a partial vector before the full one was returned as is: an
+    # unequal comparison evaluates each partial vector up to the first
+    # differing probe and no further
+    probes = tower.stage2_probes()
+    ident_fn = restrict(Identity(), 2, 3, tower).fn
+    const_fn = restrict(Constant(bottom_thread(tower, 3)), 2, 3, tower).fn
+    first = next(i for i, w in enumerate(probes) if ident_fn(w) != const_fn(w))
+    assert first + 1 < len(probes)
+    ident, ident_log = _counted_map(ident_fn)
+    const, const_log = _counted_map(const_fn)
+    full = {"ident": ident, "const": const}.get(fill)
+    if full is not None:
+        list(tower.at_probes(full))
+    for compare in (_top_eq, _top_le):
+        assert not compare(tower, ident, const)
+    for u, log in ((ident, ident_log), (const, const_log)):
+        read = len(probes) if u is full else first + 1
+        assert len(u.probed) == read
+        assert log == list(probes[:read])
+
+
+# -- base 5 is admitted: its whole law suite, once per session ---------------
+
+@pytest.fixture(scope="module")
+def base5_suite():
+    """One base-5 verify_laws with its stage-3 evaluations counted."""
+    evaluations = [0]
+    init = LazyMono.__init__
+
+    def counting_init(self, fn, key=None):
+        def counted(w):
+            evaluations[0] += 1
+            return fn(w)
+        init(self, counted, key)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(LazyMono, "__init__", counting_init)
+        t = _tower(5)
+        report = verify_laws(t, depth=3)
+    return report, evaluations[0], len(t.base), len(t.stage1)
+
+
+def test_verify_laws_base5_passes_every_law(base5_suite):
+    report, _, _, _ = base5_suite
+    assert report == _law_report((398786, 630, 3170, 629))
+
+
+def test_verify_laws_base5_evaluation_count(base5_suite):
+    # the budget estimate plus one probe vector per base element
+    _, evaluations, base, s = base5_suite
+    assert (base, s) == (5, 629)
+    assert evaluations == 1_195_740 == (s + 1) * (3 * s + 6) + base * (s + 1)
+    check_law_budget(s)
