@@ -1,8 +1,9 @@
 """The explicit low-dimensional conversion tower.
 
 1-cells are reduction sequences with cached intermediate terms, 2-cells and
-3-cells are inductive trees of structural constructors.  Boundaries are
-computed structurally per constructor; since step lists concatenate strictly,
+3-cells are inductive trees of one shared family of groupoid constructors
+over each dimension's own generators.  Boundaries are computed structurally
+per constructor; since step lists concatenate strictly,
 associator and unitor cells have definitionally equal endpoints but are kept
 as distinct proof-relevant cells.
 """
@@ -136,41 +137,81 @@ def map_seq(ctx: Context, p: RedSeq) -> RedSeq:
 
 
 # ---------------------------------------------------------------------------
-# 2-cells.
+# The groupoid constructors, shared by 2-cells, 3-cells and the front-seed
+# 3-cell expressions; a cell's dimension is that of its leaves.
 
 @dataclass(frozen=True, slots=True)
 class Refl:
-    seq: RedSeq
+    point: object  # a RedSeq, a 2-cell, or a word
 
 
 @dataclass(frozen=True, slots=True)
 class Symm:
-    cell: "Homotopy2"
+    cell: object
 
 
 @dataclass(frozen=True, slots=True)
 class Trans:
-    left: "Homotopy2"
-    right: "Homotopy2"
+    left: object
+    right: object
 
 
 @dataclass(frozen=True, slots=True)
 class WhiskerL:
     prefix: RedSeq
-    cell: "Homotopy2"
+    cell: object
 
 
 @dataclass(frozen=True, slots=True)
 class WhiskerR:
-    cell: "Homotopy2"
+    cell: object
     suffix: RedSeq
 
 
 @dataclass(frozen=True, slots=True)
 class HComp:
-    left: "Homotopy2"
-    right: "Homotopy2"
+    left: object
+    right: object
 
+
+GROUPOID_CLASSES = (Refl, Symm, Trans, WhiskerL, WhiskerR, HComp)
+Refl3, Symm3, Trans3, WhiskerL3, WhiskerR3, HComp3 = GROUPOID_CLASSES  # old names
+
+
+def groupoid_boundary(cell, boundary, check_point, whisker_l, whisker_r, hcomp):
+    """Source and target of a groupoid constructor, or None for any other cell.
+
+    `boundary` is the boundary map of the cell's own dimension, through which
+    the constructors recurse, and `check_point` rejects a Refl payload of
+    another dimension.  The compositions act on boundaries, one dimension
+    below; `hcomp` is None where horizontal composition is not defined."""
+    if isinstance(cell, Refl):
+        check_point(cell.point)
+        return cell.point, cell.point
+    if isinstance(cell, Symm):
+        s, t = boundary(cell.cell)
+        return t, s
+    if isinstance(cell, Trans):
+        s1, t1 = boundary(cell.left)
+        s2, t2 = boundary(cell.right)
+        if t1 != s2:
+            raise EndpointMismatch("Trans: middle boundaries differ")
+        return s1, t2
+    if isinstance(cell, WhiskerL):
+        s, t = boundary(cell.cell)
+        return whisker_l(cell.prefix, s), whisker_l(cell.prefix, t)
+    if isinstance(cell, WhiskerR):
+        s, t = boundary(cell.cell)
+        return whisker_r(s, cell.suffix), whisker_r(t, cell.suffix)
+    if isinstance(cell, HComp) and hcomp is not None:
+        s1, t1 = boundary(cell.left)
+        s2, t2 = boundary(cell.right)
+        return hcomp(s1, s2), hcomp(t1, t2)
+    return None
+
+
+# ---------------------------------------------------------------------------
+# 2-cells.
 
 @dataclass(frozen=True, slots=True)
 class Assoc:
@@ -195,33 +236,17 @@ class StepCong:
     cell: "Homotopy2"
 
 
-Homotopy2 = Union[Refl, Symm, Trans, WhiskerL, WhiskerR, HComp, Assoc,
-                  UnitL, UnitR, StepCong]
+H2_CLASSES = GROUPOID_CLASSES + (Assoc, UnitL, UnitR, StepCong)
+Homotopy2 = Union[H2_CLASSES]
+
+
+def _seq_point(x) -> None:
+    if not isinstance(x, RedSeq):
+        raise IllFormed(f"a 2-cell's Refl holds a RedSeq, not {type(x).__name__}")
 
 
 def boundary2(cell: Homotopy2) -> tuple[RedSeq, RedSeq]:
     """Source and target reduction sequences of a 2-cell."""
-    if isinstance(cell, Refl):
-        return cell.seq, cell.seq
-    if isinstance(cell, Symm):
-        s, t = boundary2(cell.cell)
-        return t, s
-    if isinstance(cell, Trans):
-        s1, t1 = boundary2(cell.left)
-        s2, t2 = boundary2(cell.right)
-        if t1 != s2:
-            raise EndpointMismatch("Trans: middle sequences differ")
-        return s1, t2
-    if isinstance(cell, WhiskerL):
-        s, t = boundary2(cell.cell)
-        return seq_compose(cell.prefix, s), seq_compose(cell.prefix, t)
-    if isinstance(cell, WhiskerR):
-        s, t = boundary2(cell.cell)
-        return seq_compose(s, cell.suffix), seq_compose(t, cell.suffix)
-    if isinstance(cell, HComp):
-        s1, t1 = boundary2(cell.left)
-        s2, t2 = boundary2(cell.right)
-        return seq_compose(s1, s2), seq_compose(t1, t2)
     if isinstance(cell, Assoc):
         left = seq_compose(seq_compose(cell.p, cell.q), cell.r)
         right = seq_compose(cell.p, seq_compose(cell.q, cell.r))
@@ -233,45 +258,15 @@ def boundary2(cell: Homotopy2) -> tuple[RedSeq, RedSeq]:
     if isinstance(cell, StepCong):
         s, t = boundary2(cell.cell)
         return map_seq(cell.ctx, s), map_seq(cell.ctx, t)
-    raise IllFormed(f"not a 2-cell: {cell!r}")
+    ends = groupoid_boundary(cell, boundary2, _seq_point,
+                             seq_compose, seq_compose, seq_compose)
+    if ends is None:
+        raise IllFormed(f"not a 2-cell: {cell!r}")
+    return ends
 
 
 # ---------------------------------------------------------------------------
 # 3-cells.
-
-@dataclass(frozen=True, slots=True)
-class Refl3:
-    cell: Homotopy2
-
-
-@dataclass(frozen=True, slots=True)
-class Symm3:
-    cell: "Homotopy3"
-
-
-@dataclass(frozen=True, slots=True)
-class Trans3:
-    left: "Homotopy3"
-    right: "Homotopy3"
-
-
-@dataclass(frozen=True, slots=True)
-class WhiskerL3:
-    prefix: RedSeq
-    cell: "Homotopy3"
-
-
-@dataclass(frozen=True, slots=True)
-class WhiskerR3:
-    cell: "Homotopy3"
-    suffix: RedSeq
-
-
-@dataclass(frozen=True, slots=True)
-class HComp3:
-    left: "Homotopy3"
-    right: "Homotopy3"
-
 
 @dataclass(frozen=True, slots=True)
 class Interchange:
@@ -297,13 +292,22 @@ class Triangle:
     q: RedSeq
 
 
-Homotopy3 = Union[Refl3, Symm3, Trans3, WhiskerL3, WhiskerR3, HComp3,
-                  Interchange, Pentagon, Triangle]
+H3_CLASSES = GROUPOID_CLASSES + (Interchange, Pentagon, Triangle)
+Homotopy3 = Union[H3_CLASSES]
 
-H2_CLASSES = (Refl, Symm, Trans, WhiskerL, WhiskerR, HComp, Assoc,
-              UnitL, UnitR, StepCong)
-H3_CLASSES = (Refl3, Symm3, Trans3, WhiskerL3, WhiskerR3, HComp3,
-              Interchange, Pentagon, Triangle)
+
+def cell_dim(cell) -> int | None:
+    """1, 2 or 3 for a cell of the explicit tower, read off its leftmost leaf
+    (boundary2 and boundary3 check the others); None for anything else."""
+    while isinstance(cell, (Symm, Trans, WhiskerL, WhiskerR, HComp)):
+        cell = cell.left if isinstance(cell, (Trans, HComp)) else cell.cell
+    if isinstance(cell, Refl):
+        below = cell_dim(cell.point)
+        return below + 1 if below in (1, 2) else None
+    for dim, classes in ((1, RedSeq), (2, H2_CLASSES), (3, H3_CLASSES)):
+        if isinstance(cell, classes):
+            return dim
+    return None
 
 
 def pentagon_sides(p: RedSeq, q: RedSeq, r: RedSeq, s: RedSeq) -> tuple[Homotopy2, Homotopy2]:
@@ -317,28 +321,6 @@ def pentagon_sides(p: RedSeq, q: RedSeq, r: RedSeq, s: RedSeq) -> tuple[Homotopy
 
 def boundary3(cell: Homotopy3) -> tuple[Homotopy2, Homotopy2]:
     """Source and target 2-cells of a 3-cell (parallel by construction)."""
-    if isinstance(cell, Refl3):
-        boundary2(cell.cell)
-        return cell.cell, cell.cell
-    if isinstance(cell, Symm3):
-        s, t = boundary3(cell.cell)
-        return t, s
-    if isinstance(cell, Trans3):
-        s1, t1 = boundary3(cell.left)
-        s2, t2 = boundary3(cell.right)
-        if t1 != s2:
-            raise EndpointMismatch("Trans3: middle 2-cells differ")
-        return s1, t2
-    if isinstance(cell, WhiskerL3):
-        s, t = boundary3(cell.cell)
-        return WhiskerL(cell.prefix, s), WhiskerL(cell.prefix, t)
-    if isinstance(cell, WhiskerR3):
-        s, t = boundary3(cell.cell)
-        return WhiskerR(s, cell.suffix), WhiskerR(t, cell.suffix)
-    if isinstance(cell, HComp3):
-        s1, t1 = boundary3(cell.left)
-        s2, t2 = boundary3(cell.right)
-        return HComp(s1, s2), HComp(t1, t2)
     if isinstance(cell, Interchange):
         one = HComp(Trans(cell.a, cell.b), Trans(cell.c, cell.d))
         other = Trans(HComp(cell.a, cell.c), HComp(cell.b, cell.d))
@@ -354,17 +336,20 @@ def boundary3(cell: Homotopy3) -> tuple[Homotopy2, Homotopy2]:
         right = WhiskerR(UnitR(cell.p), cell.q)
         boundary2(left), boundary2(right)
         return left, right
-    raise IllFormed(f"not a 3-cell: {cell!r}")
+    ends = groupoid_boundary(cell, boundary3, boundary2, WhiskerL, WhiskerR, HComp)
+    if ends is None:
+        raise IllFormed(f"not a 3-cell: {cell!r}")
+    return ends
 
 
 def boundary(cell):
     """Dispatching boundary: 2-cells land on sequences, 3-cells on 2-cells."""
-    if isinstance(cell, H3_CLASSES):
-        return boundary3(cell)
-    return boundary2(cell)
+    return boundary3(cell) if cell_dim(cell) == 3 else boundary2(cell)
 
 
+# By class name, and the groupoid constructors also by their 3-cell names.
 _STRUCTURAL = {cls.__name__: cls for cls in H2_CLASSES + H3_CLASSES}
+_STRUCTURAL.update((cls.__name__ + "3", cls) for cls in GROUPOID_CLASSES)
 
 
 def mk_structural(name: str, *args):

@@ -307,6 +307,8 @@ def cmd_tower_check(args) -> int:
     if args.maxdim > MAX_TOWER_DIM:
         raise CapExceeded(f"--maxdim {args.maxdim} is above the cap of "
                           f"{MAX_TOWER_DIM} dimensions")
+    # realization is checked from dimension 4, so a smaller cap checks nothing
+    _check_bounds("--maxdim", args.maxdim, least=4)
     _check_bounds("--samples", args.samples, least=0)
     rng = random.Random(args.seed)
     checks = []

@@ -105,10 +105,8 @@ class SigmaCell:
 
 
 def _check_explicit(dim: int, payload) -> None:
-    ok = ((dim == 0 and isinstance(payload, (Var, App, Lam)))
-          or (dim == 1 and isinstance(payload, RedSeq))
-          or (dim == 2 and isinstance(payload, cells.H2_CLASSES))
-          or (dim == 3 and isinstance(payload, cells.H3_CLASSES)))
+    ok = (isinstance(payload, (Var, App, Lam)) if dim == 0
+          else cells.cell_dim(payload) == dim)
     if not ok:
         raise IllFormed(f"dimension {dim} does not accept {type(payload).__name__}")
 

@@ -15,7 +15,9 @@ from dataclasses import dataclass
 from typing import Union
 
 from . import cells
-from .cells import Homotopy2, Homotopy3, RedSeq, boundary2, boundary3, seq_compose
+from .cells import (Homotopy2, Homotopy3, RedSeq, Refl, Symm, WhiskerL,
+                    WhiskerR, boundary2, boundary3, groupoid_boundary,
+                    seq_compose)
 
 
 class NonComposable(ValueError):
@@ -251,11 +253,6 @@ class HeadNorm:
 
 
 @dataclass(frozen=True, slots=True)
-class Refl3W:
-    word: Word
-
-
-@dataclass(frozen=True, slots=True)
 class VComp:
     left: "Cell3Expr"
     right: "Cell3Expr"
@@ -265,25 +262,6 @@ class VComp:
         mid_r = boundary3_words(self.right)[0]
         if not words_equal(mid_l, mid_r):
             raise NonComposable("VComp: middle boundary words differ after reduction")
-
-
-@dataclass(frozen=True, slots=True)
-class InvE:
-    inner: "Cell3Expr"
-
-
-@dataclass(frozen=True, slots=True)
-class WlCong3:
-    """Congruence: run a 3-cell inside a left-whiskering letter."""
-
-    edge: RedSeq
-    inner: "Cell3Expr"
-
-
-@dataclass(frozen=True, slots=True)
-class WrCong3:
-    inner: "Cell3Expr"
-    edge: RedSeq
 
 
 @dataclass(frozen=True, slots=True)
@@ -311,8 +289,17 @@ class FillerE:
     label: str = ""
 
 
-Cell3Expr = Union[FS1Seed, FS2Seed, HeadNorm, Refl3W, VComp, InvE,
-                  WlCong3, WrCong3, PasteL, PasteR, FillerE]
+# The groupoid constructors of cells serve here too: Refl of a word, Symm
+# (inverse), WhiskerL/WhiskerR (run a 3-cell inside a whiskering letter).
+Refl3W, InvE, WlCong3, WrCong3 = Refl, Symm, WhiskerL, WhiskerR  # old names
+
+Cell3Expr = Union[FS1Seed, FS2Seed, HeadNorm, Refl, VComp, Symm,
+                  WhiskerL, WhiskerR, PasteL, PasteR, FillerE]
+
+
+def _word_point(x) -> None:
+    if not isinstance(x, Word):
+        raise NonComposable(f"an expression's Refl holds a word, not {type(x).__name__}")
 
 
 def boundary3_words(e: Cell3Expr) -> tuple[Word, Word]:
@@ -330,21 +317,9 @@ def boundary3_words(e: Cell3Expr) -> tuple[Word, Word]:
         whole = seq_compose(e.head, e.rest)
         src = word_of([AssL(whole, e.q, e.r)])
         tgt = word_of([WlL(e.head, word_of([AssL(e.rest, e.q, e.r)]))])
-    elif isinstance(e, Refl3W):
-        src = tgt = e.word
     elif isinstance(e, VComp):
         src = boundary3_words(e.left)[0]
         tgt = boundary3_words(e.right)[1]
-    elif isinstance(e, InvE):
-        tgt, src = boundary3_words(e.inner)
-    elif isinstance(e, WlCong3):
-        s, t = boundary3_words(e.inner)
-        src = word_of([WlL(e.edge, s)])
-        tgt = word_of([WlL(e.edge, t)])
-    elif isinstance(e, WrCong3):
-        s, t = boundary3_words(e.inner)
-        src = word_of([WrL(s, e.edge)])
-        tgt = word_of([WrL(t, e.edge)])
     elif isinstance(e, PasteL):
         s, t = boundary3_words(e.inner)
         src = concat_words(e.word, s)
@@ -356,7 +331,12 @@ def boundary3_words(e: Cell3Expr) -> tuple[Word, Word]:
     elif isinstance(e, FillerE):
         src, tgt = e.src, e.tgt
     else:
-        raise NonComposable(f"not a 3-cell expression: {e!r}")
+        ends = groupoid_boundary(e, boundary3_words, _word_point,
+                                 lambda edge, w: word_of([WlL(edge, w)]),
+                                 lambda w, edge: word_of([WrL(w, edge)]), None)
+        if ends is None:
+            raise NonComposable(f"not a 3-cell expression: {e!r}")
+        src, tgt = ends
     return word_reduce(src), word_reduce(tgt)
 
 
@@ -376,11 +356,11 @@ def fs_assoc_compare(p: RedSeq, q: RedSeq, r: RedSeq) -> Cell3Expr:
     trivial equality comparison, by recursion on the steps of p."""
     _chain(p, q, r)
     if not p.steps:
-        return Refl3W(empty_word(seq_compose(q, r)))
+        return Refl(empty_word(seq_compose(q, r)))
     head = RedSeq(p.terms[:2], p.steps[:1])
     rest = RedSeq(p.terms[1:], p.steps[1:])
     tail = fs_assoc_compare(rest, q, r)
-    return VComp(HeadNorm(head, rest, q, r), WlCong3(head, tail))
+    return VComp(HeadNorm(head, rest, q, r), WhiskerL(head, tail))
 
 
 def shell_word(p: RedSeq, q: RedSeq, r: RedSeq) -> Word:
@@ -429,7 +409,7 @@ def assemble_pentagon_filler(p, q, r, s, fs2_face, wr_face, mid_face,
         raise HornGlueFailure("back faces do not assemble the left composite")
     if not words_equal(boundary3_words(kill_r)[0], right):
         raise HornGlueFailure("front faces do not assemble the right composite")
-    missing = VComp(kill_l, InvE(kill_r))
+    missing = VComp(kill_l, Symm(kill_r))
     return FillerE(faces=(fs2_face, wr_face, mid_face, *back_faces),
                    src=word_reduce(left), tgt=word_reduce(right),
                    missing=missing, label="structural-pentagon-horn")
@@ -441,7 +421,7 @@ def fs_pentagon(p: RedSeq, q: RedSeq, r: RedSeq, s: RedSeq) -> FillerE:
     _chain(p, q, r, s)
     back = [fs_assoc_compare(seq_compose(p, q), r, s),
             fs_assoc_compare(p, q, seq_compose(r, s))]
-    wr_face = WrCong3(fs_assoc_compare(p, q, r), s)
+    wr_face = WhiskerR(fs_assoc_compare(p, q, r), s)
     mid_face = fs_assoc_compare(p, seq_compose(q, r), s)
     fs2_face = FS2Seed(p, q, r, s)
     return assemble_pentagon_filler(p, q, r, s, fs2_face, wr_face, mid_face, back)
@@ -454,7 +434,9 @@ def fs_pentagon(p: RedSeq, q: RedSeq, r: RedSeq, s: RedSeq) -> FillerE:
 
 def interp_cell2(h: Homotopy2) -> Word:
     if isinstance(h, cells.Refl):
-        return empty_word(h.seq)
+        if not isinstance(h.point, RedSeq):
+            raise NonComposable(f"cannot interpret a Refl of {type(h.point).__name__}")
+        return empty_word(h.point)
     if isinstance(h, (cells.Assoc, cells.UnitL, cells.UnitR)):
         return empty_word(boundary2(h)[0])
     if isinstance(h, cells.Symm):
@@ -501,8 +483,8 @@ def fs_bridges(p: RedSeq, q: RedSeq, r: RedSeq, s: RedSeq,
     embedded_tgt = word_reduce(interp_cell2(syn_tgt))
     if embedded_src.letters or embedded_tgt.letters:
         raise NonComposable("interpreted syntactic pentagon boundary is not trivial")
-    embedded = Refl3W(embedded_src)
-    shell_bridge = VComp(source_bridge, VComp(embedded, InvE(target_bridge)))
+    embedded = Refl(embedded_src)
+    shell_bridge = VComp(source_bridge, VComp(embedded, Symm(target_bridge)))
     return source_bridge, target_bridge, shell_bridge
 
 

@@ -150,7 +150,7 @@ def gen_h3_at(rng: random.Random, start: Term, depth: int,
     if depth <= 0 or roll < 0.3:
         base = rng.random()
         if base < 0.3:
-            return C.Refl3(gen_h2_at(rng, start, 1, rooted))
+            return C.Refl(gen_h2_at(rng, start, 1, rooted))
         if base < 0.55:
             p, q, r = _rooted_triple(rng, start)
             s = gen_zigzag(rng, r.target, rng.randint(0, 2))
@@ -169,17 +169,17 @@ def gen_h3_at(rng: random.Random, start: Term, depth: int,
     s2, t2 = C.boundary3(inner)
     choice = rng.random()
     if choice < 0.25:
-        return C.Symm3(inner)
+        return C.Symm(inner)
     if choice < 0.5:
-        return C.Trans3(inner, C.Refl3(t2))
+        return C.Trans(inner, C.Refl(t2))
     if choice < 0.65 and not rooted:
         prefix = _seq_ending_at(rng, C.boundary2(s2)[0].source)
-        return C.WhiskerL3(prefix, inner)
+        return C.WhiskerL(prefix, inner)
     if choice < 0.8:
         suffix = gen_zigzag(rng, C.boundary2(s2)[0].target, rng.randint(0, 2))
-        return C.WhiskerR3(inner, suffix)
+        return C.WhiskerR(inner, suffix)
     partner = gen_h3_at(rng, C.boundary2(s2)[0].target, 0, rooted=True)
-    return C.HComp3(inner, partner)
+    return C.HComp(inner, partner)
 
 
 def gen_h3(rng: random.Random, depth: int = 2, size: int = 6) -> C.Homotopy3:

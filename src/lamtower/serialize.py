@@ -32,17 +32,19 @@ _register(
     cells.RedSeq, cells.Hole, cells.CAppFun, cells.CAppArg, cells.CLam,
     cells.Refl, cells.Symm, cells.Trans, cells.WhiskerL, cells.WhiskerR,
     cells.HComp, cells.Assoc, cells.UnitL, cells.UnitR, cells.StepCong,
-    cells.Refl3, cells.Symm3, cells.Trans3, cells.WhiskerL3, cells.WhiskerR3,
-    cells.HComp3, cells.Interchange, cells.Pentagon, cells.Triangle,
+    cells.Interchange, cells.Pentagon, cells.Triangle,
     completion.HDRefl, completion.HDSymm, completion.HDTrans,
     completion.RTowerCell, completion.SigmaCell,
     frontseed.AssL, frontseed.WlL, frontseed.WrL, frontseed.ReflL,
     frontseed.SeedL, frontseed.Word, frontseed.FS1Seed, frontseed.FS2Seed,
-    frontseed.HeadNorm, frontseed.Refl3W, frontseed.VComp, frontseed.InvE,
-    frontseed.WlCong3, frontseed.WrCong3, frontseed.PasteL, frontseed.PasteR,
+    frontseed.HeadNorm, frontseed.VComp, frontseed.PasteL, frontseed.PasteR,
     frontseed.FillerE,
     witness.TBeta, witness.TEta, witness.ReflM, witness.ReflN, witness.Comp,
 )
+# Older encodings tag the groupoid constructors by their 3-cell names.
+_REGISTRY.update((c.__name__ + "3", c) for c in cells.GROUPOID_CLASSES)
+_REGISTRY.update(Refl3W=cells.Refl, InvE=cells.Symm, WlCong3=cells.WhiskerL,
+                 WrCong3=cells.WhiskerR)
 _register_enum(terms.StepKind, terms.Dir, witness.SpanEndpoint, witness.Tag)
 
 

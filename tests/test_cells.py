@@ -9,6 +9,8 @@ from lamtower.cells import (Assoc, CLam, EndpointMismatch, HComp, Hole, IllForme
                             empty_seq, globular_check, map_seq, mk_structural,
                             pentagon_sides, seq_compose, seq_invert,
                             validate_seq)
+from lamtower.completion import explicit_cell
+from lamtower.frontseed import FS2Seed, Word
 from lamtower.gen import gen_composable_seqs, gen_h3, gen_term, gen_zigzag
 from lamtower.terms import App, Lam, RedStep, StepKind, Var
 from lamtower.witness import span_beta_seq
@@ -182,3 +184,76 @@ def test_boundary_stability(rng):
         from lamtower.cells import Symm3, Trans3
         assert boundary3(Symm3(cell)) == (t, s)
         assert boundary3(Trans3(cell, Refl3(t))) == (s, t)
+
+
+# --- one groupoid family, three dimensions ----------------------------------
+
+def test_old_3cell_names_are_the_shared_constructors():
+    assert (cells.Refl3, cells.Symm3, cells.Trans3, cells.WhiskerL3,
+            cells.WhiskerR3, cells.HComp3) == cells.GROUPOID_CLASSES
+    assert cells.GROUPOID_CLASSES == (Refl, Symm, Trans, WhiskerL, cells.WhiskerR, HComp)
+
+
+def test_boundary2_rejects_other_dimensions():
+    p = span_beta_seq()
+    three = Refl(Refl(p))
+    # Refl used to take any payload, so this 3-cell passed as a 2-cell
+    with pytest.raises(IllFormed, match="Refl holds a RedSeq, not Refl"):
+        boundary2(Symm(three))
+    for bad in (three, Trans(Refl(p), three), WhiskerL(p, three),
+                HComp(Refl(p), three), Refl(SPAN_M),
+                Refl(Word(p, p, ())), Pentagon(p, empty_seq(SPAN_N),
+                                               empty_seq(SPAN_N), empty_seq(SPAN_N))):
+        with pytest.raises(IllFormed):
+            boundary2(bad)
+
+
+def test_boundary3_rejects_other_dimensions(rng):
+    p, q, r = gen_composable_seqs(rng, 3)
+    two = Refl(p)
+    for bad in (two, Symm(two), Trans(Refl(two), two), HComp(Refl(two), two),
+                Assoc(p, q, r), Refl(p.source),
+                # front-seed expressions
+                Refl(Word(p, p, ())), Symm(Refl(Word(p, p, ()))),
+                FS2Seed(p, q, r, empty_seq(r.target))):
+        with pytest.raises(IllFormed):
+            boundary3(bad)
+    assert boundary3(Refl(two)) == (two, two)
+
+
+def test_cell_dim(rng):
+    p, q, r, s = gen_composable_seqs(rng, 4)
+    two, three = Refl(p), Pentagon(p, q, r, s)
+    assert cells.cell_dim(p) == 1
+    for cell in (two, Assoc(p, q, r), Symm(Trans(two, two)), WhiskerL(p, two),
+                 HComp(StepCong(CLam(Hole()), two), two)):
+        assert cells.cell_dim(cell) == 2
+    for cell in (three, Refl(two), Symm(Trans(Refl(two), three)),
+                 cells.WhiskerR(HComp(three, three), s)):
+        assert cells.cell_dim(cell) == 3
+    # terms, words, front-seed expressions and a Refl above dimension 3
+    for other in (p.source, Word(p, p, ()), Refl(Word(p, p, ())),
+                  Symm(FS2Seed(p, q, r, s)), Refl(three), Refl(Refl(three))):
+        assert cells.cell_dim(other) is None
+
+
+def test_boundary_dispatches_by_dimension(rng):
+    p = gen_zigzag(rng, gen_term(rng, 6), 1)
+    assert boundary(Refl(Refl(p))) == (Refl(p), Refl(p))
+    assert boundary(Symm(Refl(p))) == (p, p)
+    cell = mk_structural("Refl3", Refl(p))
+    assert cell == mk_structural("Refl", Refl(p)) == Refl(Refl(p))
+    with pytest.raises(IllFormed):
+        mk_structural("Symm3", Refl(Word(p, p, ())))
+
+
+def test_explicit_cell_checks_dimension(rng):
+    p = gen_zigzag(rng, gen_term(rng, 6), 1)
+    two, three = Refl(p), Refl(Refl(p))
+    assert explicit_cell(2, Symm(two)).payload == Symm(two)
+    assert explicit_cell(3, Symm(three)).payload == Symm(three)
+    # a 3-cell of shared constructors used to be accepted at dimension 2
+    for dim, bad in ((2, three), (2, Symm(three)), (3, two), (3, Trans(two, two)),
+                     (2, p), (1, two), (3, Refl(Word(p, p, ()))), (0, two)):
+        with pytest.raises(IllFormed, match=f"dimension {dim} does not accept"):
+            explicit_cell(dim, bad)

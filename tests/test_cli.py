@@ -288,6 +288,14 @@ def test_cli_depth_above_max_refused(capsys, monkeypatch, argv, first_work):
         "--depth 4 is above the maximum of 3"
 
 
+@pytest.mark.parametrize("maxdim", ["3", "2", "-1"])
+def test_cli_tower_check_maxdim_below_four_refused(capsys, monkeypatch, maxdim):
+    # it used to check no dimension, report "dimensions": [] and pass
+    monkeypatch.setattr(cli.gen, "gen_h3", _no_work)
+    assert _error(capsys, ["tower-check", "--maxdim", maxdim]) == \
+        f"--maxdim {maxdim} is below the minimum of 4"
+
+
 def test_cli_tower_check_readme_fingerprint(capsys):
     # the README's tower-check command is below the cap and unchanged
     main(["tower-check", "--maxdim", "9", "--samples", "100", "--seed", "0"])

@@ -2,12 +2,14 @@ import random
 
 import pytest
 
+from lamtower import cells
 from lamtower.cells import Pentagon, empty_seq, seq_compose, seq_invert
-from lamtower.frontseed import (AssL, FS1Seed, FS2Seed, HornGlueFailure,
-                                NonComposable, Refl3W, ReflL, SeedL, WlL,
-                                WrL, assemble_pentagon_filler, boundary3_words,
-                                empty_word, fs_assoc_compare, fs_bridges,
-                                fs_pentagon, inv_word, letter_inv,
+from lamtower.frontseed import (AssL, FS1Seed, FS2Seed, HornGlueFailure, InvE,
+                                NonComposable, Refl3W, ReflL, SeedL, WlCong3,
+                                WlL, WrCong3, WrL, assemble_pentagon_filler,
+                                boundary3_words, empty_word, fs_assoc_compare,
+                                fs_bridges, fs_pentagon, interp_cell2,
+                                inv_word, letter_inv,
                                 mixed_target_word, pentagon_words, seed_cell,
                                 shell_word, word_of, word_reduce, words_equal)
 from lamtower.gen import (gen_composable_seqs, gen_term, gen_word, gen_zigzag,
@@ -126,7 +128,7 @@ def test_assoc_compare_boundary(steps):
     probe = cell
     while hasattr(probe, "left"):
         layers += 1
-        probe = probe.right.inner
+        probe = probe.right.cell
     assert layers == steps
 
 
@@ -218,3 +220,52 @@ def test_bridges_random():
         mixed = mixed_target_word(p, q, r, s)
         assert words_equal(boundary3_words(shell_b)[0], left)
         assert words_equal(boundary3_words(shell_b)[1], mixed)
+
+
+# --- the shared groupoid constructors ---------------------------------------
+
+def test_old_expression_names_are_the_shared_constructors():
+    assert (Refl3W, InvE, WlCong3, WrCong3) == (cells.Refl, cells.Symm,
+                                                cells.WhiskerL, cells.WhiskerR)
+
+
+def test_boundary3_words_rejects_cells_of_the_tower():
+    p, q, r, s = _span_quad()
+    two = cells.Refl(p)
+    for bad in (cells.Refl(two), two, cells.Symm(cells.Refl(two)),
+                cells.WhiskerL(p, cells.Triangle(q, r)), Pentagon(p, q, r, s),
+                cells.Symm(cells.Triangle(p, q)), cells.Refl(p)):
+        with pytest.raises(NonComposable):
+            boundary3_words(bad)
+    # no horizontal composition of expressions
+    fs2 = FS2Seed(p, q, r, s)
+    with pytest.raises(NonComposable):
+        boundary3_words(cells.HComp(fs2, cells.Refl(empty_word(empty_seq(s.target)))))
+
+
+def test_shared_constructors_on_expressions():
+    p, q, r, s = _span_quad()
+    fs2 = FS2Seed(p, q, r, s)
+    src, tgt = boundary3_words(fs2)
+    assert boundary3_words(cells.Symm(fs2)) == (tgt, src)
+    assert boundary3_words(cells.Trans(fs2, cells.Refl(tgt))) == (src, tgt)
+    assert boundary3_words(cells.Trans(fs2, cells.Symm(fs2))) == (src, src)
+    with pytest.raises(cells.EndpointMismatch):
+        boundary3_words(cells.Trans(fs2, fs2))
+    edge = s  # ends where the seed's edges start
+    wl_src, wl_tgt = boundary3_words(cells.WhiskerL(edge, cells.Symm(fs2)))
+    assert (wl_src, wl_tgt) == (word_reduce(word_of([WlL(edge, tgt)])),
+                                word_reduce(word_of([WlL(edge, src)])))
+
+
+def test_interp_cell2_rejects_3cells():
+    p, q, r, s = _span_quad()
+    three = cells.Refl(cells.Refl(p))
+    # a Refl of a 2-cell used to interpret as an empty word over that 2-cell
+    with pytest.raises(NonComposable, match="cannot interpret a Refl of Refl"):
+        interp_cell2(three)
+    for bad in (cells.Symm(three), cells.Trans(three, three), Pentagon(p, q, r, s),
+                cells.Refl(word_of([AssL(p, q, r)]))):
+        with pytest.raises(ValueError):
+            interp_cell2(bad)
+    assert interp_cell2(cells.Refl(p)) == empty_word(p)

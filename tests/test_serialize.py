@@ -1,12 +1,17 @@
+import hashlib
+import random
 import re
 
 import pytest
 
 from lamtower import serialize
-from lamtower.frontseed import boundary3_words, fs_assoc_compare, fs_pentagon
+from lamtower.cells import (HComp, Pentagon, Refl, Symm, Trans, Triangle,
+                            WhiskerL, WhiskerR, boundary3, empty_seq, seq_invert)
+from lamtower.frontseed import (FS2Seed, boundary3_words, empty_word,
+                                fs_assoc_compare, fs_bridges, fs_pentagon)
 from lamtower.gen import (gen_composable_seqs, gen_h2, gen_h3, gen_rtower_cell,
                           gen_term, gen_zigzag)
-from lamtower.witness import Comp, ReflM, TBeta, pad
+from lamtower.witness import Comp, ReflM, TBeta, pad, span_beta_seq
 
 
 def _roundtrip(obj):
@@ -69,3 +74,96 @@ def test_deterministic_bytes(rng):
 def test_decode_rejects_non_encodings(data, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         serialize.decode(data)
+
+
+# --- encodings made before the groupoid constructors were shared -------------
+#
+# Each dimension used to have its own copy of refl/symm/trans/whiskering, with
+# its own tag.  The samples below were written by that code (span_beta_seq
+# and its inverse, with empty sequences at either end); each must decode to
+# the value the shared constructors build and keep its boundary, pinned as the
+# sha256 of its serialized boundary at that code.
+
+_FRAGMENTS = {
+    "P": '{"$t": "RedSeq", "f": [[{"$t": "App", "f": [{"$t": "Lam", "f": [{"$t": "App", "f": [{"$t": "Var", "f": [1]}, {"$t": "Var", "f": [0]}]}]}, {"$t": "Var", "f": [1]}]}, {"$t": "App", "f": [{"$t": "Var", "f": [0]}, {"$t": "Var", "f": [1]}]}], [{"$t": "RedStep", "f": [{"$e": ["StepKind", "beta"]}, [], true, null]}]]}',
+    "PI": '{"$t": "RedSeq", "f": [[{"$t": "App", "f": [{"$t": "Var", "f": [0]}, {"$t": "Var", "f": [1]}]}, {"$t": "App", "f": [{"$t": "Lam", "f": [{"$t": "App", "f": [{"$t": "Var", "f": [1]}, {"$t": "Var", "f": [0]}]}]}, {"$t": "Var", "f": [1]}]}], [{"$t": "RedStep", "f": [{"$e": ["StepKind", "beta"]}, [], false, {"$t": "App", "f": [{"$t": "Lam", "f": [{"$t": "App", "f": [{"$t": "Var", "f": [1]}, {"$t": "Var", "f": [0]}]}]}, {"$t": "Var", "f": [1]}]}]}]]}',
+    "EM": '{"$t": "RedSeq", "f": [[{"$t": "App", "f": [{"$t": "Lam", "f": [{"$t": "App", "f": [{"$t": "Var", "f": [1]}, {"$t": "Var", "f": [0]}]}]}, {"$t": "Var", "f": [1]}]}], []]}',
+    "EN": '{"$t": "RedSeq", "f": [[{"$t": "App", "f": [{"$t": "Var", "f": [0]}, {"$t": "Var", "f": [1]}]}], []]}',
+}
+_FRAGMENTS["TRI"] = '{"$t": "Triangle", "f": [%(P)s, %(EN)s]}' % _FRAGMENTS
+
+_OLD_JSON = {
+    "Refl3": '{"$t": "Refl3", "f": [{"$t": "Refl", "f": [%(P)s]}]}',
+    "Symm3": '{"$t": "Symm3", "f": [%(TRI)s]}',
+    "Trans3": '{"$t": "Trans3", "f": [%(TRI)s, {"$t": "Symm3", "f": [%(TRI)s]}]}',
+    "WhiskerL3": '{"$t": "WhiskerL3", "f": [%(PI)s, %(TRI)s]}',
+    "WhiskerR3": '{"$t": "WhiskerR3", "f": [%(TRI)s, %(PI)s]}',
+    "HComp3": '{"$t": "HComp3", "f": [%(TRI)s, {"$t": "Triangle", "f": [%(PI)s, %(EM)s]}]}',
+    "Refl3W": '{"$t": "Refl3W", "f": [{"$t": "Word", "f": [%(P)s, %(P)s, []]}]}',
+    "InvE": '{"$t": "InvE", "f": [{"$t": "FS2Seed", "f": [%(P)s, %(PI)s, %(P)s, %(PI)s]}]}',
+    "WlCong3": '{"$t": "WlCong3", "f": [%(P)s, {"$t": "FS2Seed", "f": [%(PI)s, %(P)s, %(PI)s, %(P)s]}]}',
+    "WrCong3": '{"$t": "WrCong3", "f": [{"$t": "FS2Seed", "f": [%(P)s, %(PI)s, %(P)s, %(PI)s]}, %(P)s]}',
+}
+
+_OLD_BOUNDARY_SHA = {
+    "Refl3": "e634579fba9255b896469378d52555b6a88ec4d6a2b4d75565686017b496347e",
+    "Symm3": "0b292e025d943faa807e0211b59d4c9cb8a16a160fe6362d5ac66b159f608844",
+    "Trans3": "437f3a63e809da6cee13a08d605a1759b970255da4a2f531171980201db5708b",
+    "WhiskerL3": "7ce00a92be5ce22d15ebb7a01c69a41c9e9c6efeefaf85593c716d239548d09d",
+    "WhiskerR3": "ef5559460595ec8b077e930436a0076ebd3dbb5c61c8623b3b1b32790c1ba300",
+    "HComp3": "983ffe8144d1cedd4471e67eec8637814e315aaab595e96ee3721af6c0439b49",
+    "Refl3W": "827ab4454b9bdf65ccea5f6a620ecd57adb9d11654b79634f75ee18eb0fa4eef",
+    "InvE": "b0d71b19ab90f3afd148676077944abfe78703aef043197e6a42241c46daa24d",
+    "WlCong3": "7d1307fdaa4e4eff05924e23276bbf2b2be162cf18261d4fed40e19a83ff745e",
+    "WrCong3": "efda642230bda74c53207e457ce6527e7cae96e1ba7ed8979ddb08ace034bffa",
+}
+
+
+def _shared_values():
+    p = span_beta_seq()
+    pi, em, en = seq_invert(p), empty_seq(p.source), empty_seq(p.target)
+    tri = Triangle(p, en)
+    return {
+        "Refl3": Refl(Refl(p)),
+        "Symm3": Symm(tri),
+        "Trans3": Trans(tri, Symm(tri)),
+        "WhiskerL3": WhiskerL(pi, tri),
+        "WhiskerR3": WhiskerR(tri, pi),
+        "HComp3": HComp(tri, Triangle(pi, em)),
+        "Refl3W": Refl(empty_word(p)),
+        "InvE": Symm(FS2Seed(p, pi, p, pi)),
+        "WlCong3": WhiskerL(p, FS2Seed(pi, p, pi, p)),
+        "WrCong3": WhiskerR(FS2Seed(p, pi, p, pi), p),
+    }
+
+
+def _sha(obj) -> str:
+    return hashlib.sha256(serialize.dumps(obj).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("tag", sorted(_OLD_JSON))
+def test_old_tags_decode_to_shared_constructors(tag):
+    expected = _shared_values()[tag]
+    old = serialize.loads(_OLD_JSON[tag] % _FRAGMENTS)
+    assert old == expected
+    words = tag in ("Refl3W", "InvE", "WlCong3", "WrCong3")
+    ends = boundary3_words(old) if words else boundary3(old)
+    assert _sha(ends) == _OLD_BOUNDARY_SHA[tag]
+    # encoding emits the shared tag, which decodes to the same value
+    text = serialize.dumps(old)
+    assert f'"$t": "{type(expected).__name__}"' in text and tag not in text
+    assert serialize.loads(text) == expected
+
+
+def test_generated_boundaries_pinned():
+    # boundary3 over generated 3-cells and boundary3_words over pentagon
+    # fillers and bridges, serialized; pinned when each dimension still had
+    # its own groupoid constructors
+    rng = random.Random(2024)
+    cells3 = [gen_h3(rng, depth=2) for _ in range(40)]
+    quads = [gen_composable_seqs(rng, 4, max_steps=3) for _ in range(4)]
+    out = [boundary3(c) for c in cells3]
+    out += [boundary3_words(fs_pentagon(*q)) for q in quads]
+    out += [boundary3_words(b) for q in quads for b in fs_bridges(*q, Pentagon(*q))]
+    assert _sha(tuple(out)) == (
+        "88280aa95a41a9cc9e2f5644f31da0b931375e4284049aa17b989be723f1552f")

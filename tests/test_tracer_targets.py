@@ -7,10 +7,11 @@ perfbench/tracer.py is loaded from its file, unedited.
 import importlib
 import importlib.util
 import inspect
+import random
 import sys
 from pathlib import Path
 
-from lamtower import kinfinity
+from lamtower import cells, completion, frontseed, gen, kinfinity
 from lamtower.domains import LazyMono, Tower, flat_base
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -75,3 +76,34 @@ def test_tracer_install_counts_and_uninstall_restores():
     after = _snapshot()
     assert after.keys() == before.keys()
     assert all(after[k] is before[k] for k in before)
+
+
+def test_tracer_counts_boundary_recursion():
+    # Each boundary function recurses through its own traced name, so the
+    # per-layer call counts count every sub-cell; the numbers were counted
+    # when each dimension still had its own groupoid constructors.
+    tracer = _load_tracer()
+    rng = random.Random(11)
+    cells3 = [gen.gen_h3(rng, depth=2) for _ in range(30)]
+    high = [(d, gen.gen_rtower_cell(rng, d)) for d in (4, 5, 6) for _ in range(4)]
+    quads = [gen.gen_composable_seqs(rng, 4, max_steps=3) for _ in range(3)]
+    t = tracer.Tracer()
+    t.install()
+    try:
+        assert all(cells.globular_check(c) for c in cells3)
+        t.end_item("globular", 0, 0)
+        assert all(completion.realize_boundary_check(d, c) for d, c in high)
+        t.end_item("realize", 0, 0)
+        for q in quads:
+            frontseed.fs_pentagon(*q)
+        t.end_item("fs_pentagon", 0, 0)
+        for q in quads:
+            frontseed.fs_bridges(*q, cells.Pentagon(*q))
+        t.end_item("fs_bridges", 0, 0)
+    finally:
+        t.uninstall()
+    names = ("cells.boundary2", "cells.boundary3", "frontseed.boundary3_words")
+    counts = {span["kind"]: tuple(span["functions"].get(n, [0])[0] for n in names)
+              for span in t.spans}
+    assert counts == {"globular": (742, 91, 0), "realize": (792, 206, 0),
+                      "fs_pentagon": (0, 0, 372), "fs_bridges": (45, 3, 189)}
