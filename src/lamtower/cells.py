@@ -319,6 +319,18 @@ def pentagon_sides(p: RedSeq, q: RedSeq, r: RedSeq, s: RedSeq) -> tuple[Homotopy
     return left, right
 
 
+def _checked2(make):
+    """A 2-cell constructor that validates what it builds through boundary2."""
+    def build(*args):
+        cell = make(*args)
+        boundary2(cell)
+        return cell
+    return build
+
+
+_whisker_l2, _whisker_r2, _hcomp2 = map(_checked2, (WhiskerL, WhiskerR, HComp))
+
+
 def boundary3(cell: Homotopy3) -> tuple[Homotopy2, Homotopy2]:
     """Source and target 2-cells of a 3-cell (parallel by construction)."""
     if isinstance(cell, Interchange):
@@ -336,7 +348,8 @@ def boundary3(cell: Homotopy3) -> tuple[Homotopy2, Homotopy2]:
         right = WhiskerR(UnitR(cell.p), cell.q)
         boundary2(left), boundary2(right)
         return left, right
-    ends = groupoid_boundary(cell, boundary3, boundary2, WhiskerL, WhiskerR, HComp)
+    ends = groupoid_boundary(cell, boundary3, boundary2,
+                             _whisker_l2, _whisker_r2, _hcomp2)
     if ends is None:
         raise IllFormed(f"not a 3-cell: {cell!r}")
     return ends

@@ -297,8 +297,9 @@ def cmd_witness(args) -> int:
 
 
 # Largest --maxdim tower-check accepts.  Realization cost per cell grows
-# steeply with dimension: with the default --samples 100, maxdim 15 finished
-# in 3.1-7.7 s over seeds 0-9 (2-core host) and 16 took up to 10.5 s, past
+# steeply with dimension and with the seed's random derivation trees: with
+# the default --samples 100, maxdim 15 finished in 0.8-2.7 s over seeds 0-9
+# (2-core host), but 16 took 50 s on seed 6 (1.1-6.8 s on the others), past
 # the 10 s budget; 24 took minutes at --samples 5 and 40 never finished.
 MAX_TOWER_DIM = 15
 
@@ -364,10 +365,19 @@ def _configured_tower(args) -> Tower:
     return Tower(base)
 
 
+# Largest --samples kinfty check accepts.  The step-join sample makes up to
+# 40 attempts per join and keeps only distinct joins; base size 3 has 3 331 of
+# them, so past about 3 000 the attempts run out (6 000 took 13 s).  At 1 000,
+# sampling plus the stage-1 projection-pair check took 0.2 s at base size 3
+# and 0.6 s at 4 (2-core host); at 5 a join costs about 5 ms, so the default
+# 200 already takes 1.0-1.8 s there and 1 000 about 5 s.
+MAX_JOIN_SAMPLES = 1000
+
+
 def cmd_kinfty(args) -> int:
     _check_bounds("--base-size", args.base_size, least=3)
     _check_bounds("--depth", args.depth, most=kinfinity.MAX_DEPTH)
-    _check_bounds("--samples", args.samples, least=0)
+    _check_bounds("--samples", args.samples, least=0, most=MAX_JOIN_SAMPLES)
     tower = _configured_tower(args)
     rng = random.Random(args.seed)
     report = kinfinity.verify_laws(tower, depth=args.depth)

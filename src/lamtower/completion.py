@@ -129,10 +129,16 @@ def cell_boundary(c: RTowerCell) -> tuple[RTowerCell, RTowerCell]:
 
 
 def parallel(x: RTowerCell, y: RTowerCell) -> bool:
-    """Equal boundaries, recomputed structurally (never trusted from caches)."""
+    """Equal boundaries, computed structurally on every call (never cached).
+
+    A cell is parallel to itself once its boundary computes, so for x is y
+    the boundary is computed once, to validate x, and not compared."""
     if x.dim != y.dim:
         return False
     if x.dim == 0:
+        return True
+    if x is y:
+        cell_boundary(x)
         return True
     return cell_boundary(x) == cell_boundary(y)
 
@@ -182,12 +188,16 @@ def pack(d: int, cell: RTowerCell) -> SigmaCell:
 
 
 def realize_boundary_check(n: int, cell: RTowerCell) -> bool:
-    """Does realization commute strictly with source and target?"""
+    """Does realization commute strictly with source and target?
+
+    A reflexive cell's two ends are one object, realized once."""
     if n < 1:
         raise IllFormed("boundary checks need dimension >= 1")
     image_src, image_tgt = sigma_boundary(realize(n, cell))
     src, tgt = cell_boundary(cell)
-    return image_src == realize(n - 1, src) and image_tgt == realize(n - 1, tgt)
+    src_image = realize(n - 1, src)
+    return image_src == src_image and image_tgt == (
+        src_image if tgt is src else realize(n - 1, tgt))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from lamtower import cells
 from lamtower.cells import (Assoc, CLam, EndpointMismatch, HComp, Hole, IllFormed,
                             Pentagon, RedSeq, Refl, Refl3, StepCong, Symm, Trans,
-                            WhiskerL, boundary, boundary2, boundary3,
+                            Triangle, WhiskerL, boundary, boundary2, boundary3,
                             empty_seq, globular_check, map_seq, mk_structural,
                             pentagon_sides, seq_compose, seq_invert,
                             validate_seq)
@@ -219,6 +219,28 @@ def test_boundary3_rejects_other_dimensions(rng):
         with pytest.raises(IllFormed):
             boundary3(bad)
     assert boundary3(Refl(two)) == (two, two)
+
+
+@pytest.mark.parametrize("name, args", [
+    ("HComp3", lambda p, e: (Triangle(p, e), Triangle(p, e))),
+    ("WhiskerL3", lambda p, e: (p, Triangle(p, e))),
+    ("WhiskerR3", lambda p, e: (Triangle(p, e), p)),
+])
+def test_boundary3_validates_the_2cells_it_builds(name, args):
+    # Triangle(p, e) runs from p's source to p's target, so none of these
+    # compose; they used to be accepted, and globular_check on them raised
+    p = span_beta_seq()
+    e = empty_seq(p.target)
+    with pytest.raises(EndpointMismatch):
+        mk_structural(name, *args(p, e))
+
+
+def test_boundary3_accepts_composable_whiskers_and_hcomp(rng):
+    p, q, r, s = gen_composable_seqs(rng, 4)
+    for cell in (mk_structural("HComp3", Triangle(p, q), Triangle(r, s)),
+                 mk_structural("WhiskerL3", p, Triangle(q, r)),
+                 mk_structural("WhiskerR3", Triangle(p, q), r)):
+        assert globular_check(cell)
 
 
 def test_cell_dim(rng):

@@ -6,8 +6,8 @@ import pytest
 
 from lamtower import cli, serialize
 from lamtower.cells import seq_invert
-from lamtower.cli import (MAX_TOWER_DIM, ParseError, main, parse_term,
-                          parse_witness)
+from lamtower.cli import (MAX_JOIN_SAMPLES, MAX_TOWER_DIM, ParseError, main,
+                          parse_term, parse_witness)
 from lamtower.gen import gen_term
 from lamtower.kinfinity import MAX_DEPTH
 from lamtower.terms import App, Lam, Var, to_text
@@ -274,6 +274,20 @@ def test_cli_negative_samples_refused(capsys, monkeypatch, argv, first_work):
     monkeypatch.setattr(*first_work, _no_work)
     assert _error(capsys, argv + ["--samples", "-3"]) == \
         "--samples -3 is below the minimum of 0"
+
+
+@pytest.mark.parametrize("samples", [str(MAX_JOIN_SAMPLES + 1), "6000"])
+def test_cli_kinfty_samples_above_cap_refused(capsys, monkeypatch, samples):
+    # --samples 6000 used to run 13 s at base size 3, whose 3 331 distinct
+    # step joins the sampler ran out of
+    monkeypatch.setattr(cli, "flat_base", _no_work)
+    assert _error(capsys, ["kinfty", "check", "--samples", samples]) == \
+        f"--samples {samples} is above the maximum of {MAX_JOIN_SAMPLES}"
+
+
+def test_cli_kinfty_samples_at_cap_runs(capsys):
+    code, report = _run(capsys, ["kinfty", "check", "--samples", str(MAX_JOIN_SAMPLES)])
+    assert code == 0 and report["command"]["samples"] == MAX_JOIN_SAMPLES
 
 
 @pytest.mark.parametrize("argv, first_work", [

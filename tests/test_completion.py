@@ -1,8 +1,10 @@
+import hashlib
 import random
 
 import pytest
 
-from lamtower.cells import IllFormed, Pentagon, validate_seq
+from lamtower import serialize
+from lamtower.cells import EndpointMismatch, IllFormed, Pentagon, validate_seq
 from lamtower.completion import (HDRefl, HDSymm, HDTrans, ParallelismViolation,
                                  RTowerCell, SigmaCell, cell_boundary,
                                  endpoints, explicit_cell, hd_map, pack,
@@ -13,7 +15,7 @@ from lamtower.gen import (gen_composable_seqs, gen_convertible_pair, gen_h3,
                           gen_hd_tree, gen_rtower_cell, gen_separated_pair,
                           gen_term)
 from lamtower.terms import App, FuelExhausted, Lam, Var, apply_step
-from lamtower.witness import SPAN_SOURCE, SPAN_TARGET
+from lamtower.witness import SPAN_SOURCE, SPAN_TARGET, span_beta_seq
 
 SPAN_NF = App(Var(0), Var(1))
 
@@ -163,6 +165,63 @@ def test_realize_boundary_detects_corruption(rng):
     # cached endpoint x disagrees with the derivation datum
     corrupted = RTowerCell(5, (c4, c4, HDRefl(other)))
     assert not realize_boundary_check(5, corrupted)
+
+
+def test_reflexive_shortcut_still_validates():
+    # a cell parallel to itself is still checked: its boundary must compute
+    p = span_beta_seq()  # p does not compose with itself
+    x = RTowerCell(3, Pentagon(p, p, p, p))
+    with pytest.raises(EndpointMismatch):
+        parallel(x, x)
+    with pytest.raises(EndpointMismatch):
+        triple_cell(x, x, HDRefl(x))
+    with pytest.raises(EndpointMismatch):
+        realize(4, RTowerCell(4, (x, x, HDRefl(x))))
+
+
+def _copy(c):
+    return serialize.loads(serialize.dumps(c))
+
+
+def test_equal_but_distinct_ends_realize_the_same():
+    rng = random.Random(5)
+    for dim in range(4, 10):
+        for _ in range(2):
+            cell = gen_rtower_cell(rng, dim)
+            x, _, h = cell.payload
+            y = _copy(x)
+            assert y == x and y is not x
+            copied = triple_cell(x, y, h)
+            assert realize(dim, copied) == realize(dim, cell)
+            assert realize_boundary_check(dim, copied) is realize_boundary_check(dim, cell)
+
+
+def test_boundary_check_compares_each_end(rng):
+    eta = _cell3(rng)
+    c4 = triple_cell(eta, eta, HDRefl(eta))
+    other = triple_cell(eta, eta, HDSymm(HDRefl(eta)))
+    # the cached ends disagree with the derivation datum at both ends, at the
+    # source only or at the target only; an equal copy of an end changes nothing
+    for x, y in ((c4, c4), (c4, _copy(c4)), (c4, other), (other, c4)):
+        assert not realize_boundary_check(5, RTowerCell(5, (x, y, HDRefl(other))))
+    assert realize_boundary_check(5, RTowerCell(5, (other, _copy(other), HDRefl(other))))
+
+
+def test_realization_pin():
+    # serialized realizations and boundary verdicts of generated cells, pinned
+    # to the value computed before the reflexive-triple shortcuts
+    rng = random.Random(4242)
+    digest = hashlib.sha256()
+    verdicts = []
+    for dim in range(4, 11):
+        for _ in range(5):
+            cell = gen_rtower_cell(rng, dim)
+            digest.update(serialize.dumps(realize(dim, cell)).encode())
+            verdicts.append(realize_boundary_check(dim, cell))
+            digest.update(b"1" if verdicts[-1] else b"0")
+    assert all(verdicts) and len(verdicts) == 35
+    assert digest.hexdigest() == (
+        "e3859a34965af566c0447eb12b2be7daa31cff9f4c26f3ddc118057a0197f920")
 
 
 # --- 0-truncation -----------------------------------------------------------
