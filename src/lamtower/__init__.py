@@ -15,7 +15,7 @@ from .frontseed import (FS1Seed, FS2Seed, HornGlueFailure, NonComposable,
                         fs_pentagon, seed_cell, word_reduce)
 from .domains import (CapExceeded, FinPoset, MonoMap, Tower,
                       check_projection_pair, enumerate_stage, flat_base, lub,
-                      step_map)
+                      step_join_sample, step_map)
 from .kinfinity import (Constant, DepthTooSmall, FromThread, Identity, Thread,
                         app, app_shadow, reify, restrict, stage_embed,
                         verify_laws)

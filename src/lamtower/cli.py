@@ -18,7 +18,7 @@ from .cells import Pentagon, RedSeq, globular_check, validate_seq
 from .completion import (hd_map, pi0_equiv, realize_boundary_check)
 from .domains import (CapExceeded, Tower, check_law_budget,
                       check_projection_pair, flat_base, flat_stage1_size,
-                      step_map)
+                      step_join_sample)
 from .gen import gen_hd_tree, gen_rtower_cell
 from .terms import (App, Dir, FuelExhausted, Lam, RedStep, StepKind, Term, Var,
                     apply_step, normalize, to_text)
@@ -367,10 +367,11 @@ def _configured_tower(args) -> Tower:
 
 # Largest --samples kinfty check accepts.  The step-join sample makes up to
 # 40 attempts per join and keeps only distinct joins; base size 3 has 3 331 of
-# them, so past about 3 000 the attempts run out (6 000 took 13 s).  At 1 000,
-# sampling plus the stage-1 projection-pair check took 0.2 s at base size 3
-# and 0.6 s at 4 (2-core host); at 5 a join costs about 5 ms, so the default
-# 200 already takes 1.0-1.8 s there and 1 000 about 5 s.
+# them, so past about 3 000 the attempts run out, however fast a join is.  At
+# 1 000, sampling plus the stage-1 projection-pair check took 0.02 s at base
+# size 3 and 0.04 s at 4 (2-core host); at 5 a join with its two step maps
+# costs about 0.2 ms, so the default 200 takes about 0.07 s there and 1 000
+# about 0.3 s.
 MAX_JOIN_SAMPLES = 1000
 
 
@@ -383,7 +384,7 @@ def cmd_kinfty(args) -> int:
     report = kinfinity.verify_laws(tower, depth=args.depth)
     checks = list(report["checks"])
 
-    sample = _step_join_sample(tower, rng, args.samples)
+    sample = step_join_sample(tower, rng, args.samples)
     for n in (0, 1):
         pp = check_projection_pair(tower, n, sample if n == 1 else ())
         checks.append({"name": f"projection_pair_stage{n}", "pass": pp["ok"],
@@ -395,23 +396,6 @@ def cmd_kinfty(args) -> int:
                           "basesize": len(tower.base.labels),
                           "samples": args.samples, "seed": args.seed},
                          result, checks))
-
-
-def _step_join_sample(tower: Tower, rng: random.Random, n: int) -> list:
-    from .domains import lub
-    out = []
-    elems = tower.stage1
-    seen = set()
-    attempts = 0
-    while len(out) < n and attempts < 40 * n:
-        attempts += 1
-        a, b = rng.choice(elems), rng.choice(elems)
-        c, d = rng.choice(elems), rng.choice(elems)
-        j = lub(tower, 2, [step_map(tower, 1, a, b), step_map(tower, 1, c, d)])
-        if j is not None and j not in seen:
-            seen.add(j)
-            out.append(j)
-    return out
 
 
 def _is_term(t) -> bool:

@@ -11,6 +11,7 @@ functorially.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -21,8 +22,9 @@ BOTTOM_LABEL = "bot"
 # Estimated stage-3 evaluations verify_laws may make (see check_law_budget),
 # at about 5 us each on a 2-core host, so about 7.5 s of laws, which leaves
 # the rest of `kinfty check` within 10 s.  It admits base 5 (629 stage-1
-# elements, 1 192 590 evaluations: 5-7 s of laws, 7-8 s and 70 MB for
-# `kinfty check`) and refuses base 6 (7 781 elements, 181 701 918
+# elements, 1 192 590 evaluations: 4-5.5 s and 31 MB for `kinfty check`,
+# nearly all of it the laws, as the stage-1 order and the step-join sample
+# take under 0.1 s) and refuses base 6 (7 781 elements, 181 701 918
 # evaluations).
 LAW_BUDGET = 1_500_000
 
@@ -126,10 +128,12 @@ class Tower:
     tower also keeps these tables, each built on first use and held for the
     life of the instance:
     - `_emb1`: emb(1, g) per stage-1 element g, filled one g at a time, so
-      embedding a few poles over a large base stays cheap;
-    - `_order1`: the stage-1 order as a set of pairs, built whole on the
-      first leq(1, ...) or leq(2, ...), whose entries must therefore be
-      stage-1 elements;
+      embedding a few poles over a large base stays cheap; its entries are
+      the canonical constant maps of `stage1`, not copies;
+    - `_up1`: the stage-1 order as one up-set row per stage-1 element (the
+      frozenset of the elements above it), built whole on first use by
+      leq(1, ...), leq(2, ...) or up_set(1, ...), whose arguments and
+      entries must therefore be stage-1 elements;
     - `_probes`: the stage2_probes() family, built whole on first call, with
       `_probe_pos`, each probe's position keyed by its identity (sound
       because the tower keeps its probes alive), and `_probe_proj1`, each
@@ -147,7 +151,7 @@ class Tower:
         self._const1 = tuple(self.stage1_index[self.emb(0, x)]
                              for x in range(len(base)))
         self._emb1: dict = {}
-        self._order1: Optional[frozenset] = None
+        self._up1: Optional[dict] = None
         self._probes: Optional[tuple] = None
         self._probe_pos: dict = {}
         self._probe_proj1: tuple = ()
@@ -182,32 +186,55 @@ class Tower:
         """a <= b in stage `level`, for a and b elements of that stage.
 
         Above stage 0 an element is reflexively below itself without a
-        lookup (`a is b`), and otherwise the answer is looked up in the
-        stage-1 order.  Both are exact only for stage elements: a table
-        that is not one may compare as below itself.
+        lookup (`a is b`), and otherwise the answer is read from the up-set
+        rows of the stage-1 order.  Both are exact only for stage elements:
+        a table that is not one may compare as below itself, and a stage-1
+        argument of leq(1, ...) or entry of leq(2, ...) that is not a
+        stage-1 element raises KeyError.
         """
         if level == 0:
             return self.base.leq[a][b]
         if level == 1:
-            return a is b or (a, b) in self._stage1_order()
+            return a is b or b in (self._up1 or self._stage1_up())[a]
         if level == 2:
-            return a is b or all(map(self._stage1_order().__contains__, zip(a, b)))
+            if a is b:
+                return True
+            rows = self._up1 or self._stage1_up()
+            return all(map(frozenset.__contains__, map(rows.__getitem__, a), b))
         raise CapExceeded("no order comparison above stage 2")
 
-    def _stage1_order(self) -> frozenset:
-        """The stage-1 order as the set of its pairs (a, b) with a <= b."""
-        if self._order1 is None:
-            leq0 = self.base.leq
-            self._order1 = frozenset(
-                (a, b) for a in self.stage1 for b in self.stage1
-                if all(leq0[x][y] for x, y in zip(a, b)))
-        return self._order1
+    def up_set(self, level: int, a):
+        """The elements of stage `level` (0 or 1) above a, as a container."""
+        if level == 0:
+            return frozenset(y for y in range(len(self.base)) if self.base.leq[a][y])
+        if level == 1:
+            return (self._up1 or self._stage1_up())[a]
+        raise CapExceeded(f"no up-sets in stage {level}")
+
+    def _stage1_up(self) -> dict:
+        """The stage-1 order as up-set rows: each element maps to the
+        frozenset of the elements above it.
+
+        g is above f when f(x) <= g(x) at every position x, so f's row is
+        the intersection over x of the elements whose value at x is above
+        f(x): one per-position value set per (x, f(x)), smallest first.
+        """
+        if self._up1 is None:
+            n, leq0, elems = len(self.base), self.base.leq, self.stage1
+            above = [[frozenset(g for g in elems if leq0[v][g[x]]) for v in range(n)]
+                     for x in range(n)]
+            rows = {}
+            for f in elems:
+                sets = sorted((above[x][v] for x, v in enumerate(f)), key=len)
+                rows[f] = sets[0].intersection(*sets[1:])
+            self._up1 = rows
+        return self._up1
 
     def bottom(self, level: int):
         if level == 0:
             return self.base.bottom
-        if level == 1:
-            return (self.base.bottom,) * len(self.base)
+        if level == 1:  # the canonical stage-1 element, so `is` finds it
+            return self.stage1[self._const1[self.base.bottom]]
         if level == 2:
             return (self.bottom(1),) * len(self.stage1)
         raise CapExceeded("no bottom representation above stage 2")
@@ -240,7 +267,11 @@ class Tower:
         if n == 1:
             table = self._emb1.get(x)
             if table is None:
-                table = tuple(self.emb(0, x[u[self.base.bottom]]) for u in self.stage1)
+                # the constant maps as canonical stage-1 elements, shared by
+                # every table, so the order's lookups find them by identity
+                const = [self.stage1[i] for i in self._const1]
+                bot = self.base.bottom
+                table = tuple(const[x[u[bot]]] for u in self.stage1)
                 self._emb1[x] = table
             return table
         if n == 2:
@@ -361,32 +392,72 @@ def enumerate_stage(tower: Tower, n: int) -> Stage:
 
 def step_map(tower: Tower, level: int, a, b):
     """The compact step map at `level`: x maps to b when a <= x, else bottom."""
-    dom = tower.domain(level)
+    above = tower.up_set(level, a)
     bot = tower.bottom(level)
-    return tuple(b if tower.leq(level, a, x) else bot for x in dom)
+    return tuple(b if x in above else bot for x in tower.domain(level))
 
 
 def lub(tower: Tower, level: int, xs) -> Optional[object]:
     """Least upper bound of finitely many stage elements, or None when the
-    set has no upper bound.  Pointwise above stage 0."""
-    xs = list(xs)
-    if not xs:
+    set has no upper bound: a fold of the two-argument join."""
+    xs = iter(xs)
+    out = next(xs, None)
+    if out is None:
         return tower.bottom(level)
-    if level == 0:
-        out = tower.base.bottom
-        for x in xs:
-            if out == tower.base.bottom:
-                out = x
-            elif x != tower.base.bottom and x != out:
-                return None
-        return out
-    slots = []
-    for i in range(len(xs[0])):
-        s = lub(tower, level - 1, [x[i] for x in xs])
-        if s is None:
+    for x in xs:
+        out = _join(tower, level, out, x)
+        if out is None:
             return None
-        slots.append(s)
-    return tuple(slots)
+    return out
+
+
+def _join(tower: Tower, level: int, x, y):
+    """x join y, or None when they have no upper bound.  Pointwise above
+    stage 0; a stage-1 join it computes is the canonical stage-1 element."""
+    if x is y:
+        return x
+    if level == 0:
+        bot = tower.base.bottom
+        if x == bot or x == y:
+            return y
+        return x if y == bot else None
+    if level == 1:
+        bot = tower.bottom(1)
+        if x is bot:
+            return y
+        if y is bot:
+            return x
+    slots = []
+    for s, t in zip(x, y):
+        j = _join(tower, level - 1, s, t)
+        if j is None:
+            return None
+        slots.append(j)
+    table = tuple(slots)
+    if level == 1:
+        i = tower.stage1_index.get(table)
+        if i is not None:
+            return tower.stage1[i]
+    return table
+
+
+def step_join_sample(tower: Tower, rng: random.Random, n: int) -> list:
+    """Up to n distinct joins of two stage-2 step maps between random
+    stage-1 elements, drawn a, b, c, d per attempt, in at most 40 n
+    attempts; the stage-2 sample of `kinfty check`."""
+    out = []
+    elems = tower.stage1
+    seen = set()
+    attempts = 0
+    while len(out) < n and attempts < 40 * n:
+        attempts += 1
+        a, b = rng.choice(elems), rng.choice(elems)
+        c, d = rng.choice(elems), rng.choice(elems)
+        j = lub(tower, 2, [step_map(tower, 1, a, b), step_map(tower, 1, c, d)])
+        if j is not None and j not in seen:
+            seen.add(j)
+            out.append(j)
+    return out
 
 
 def check_projection_pair(tower: Tower, n: int, sample=()) -> dict:

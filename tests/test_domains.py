@@ -1,13 +1,13 @@
+import hashlib
 import itertools
 import random
 
 import pytest
 
-from lamtower.cli import _step_join_sample
 from lamtower.domains import (CapExceeded, FinPoset, LazyMono, Tower,
                               check_law_budget, check_projection_pair,
                               enumerate_stage, flat_base, flat_stage1_size,
-                              lub, step_map)
+                              lub, step_join_sample, step_map)
 
 BOT, SR1, SL1 = 0, 1, 2
 
@@ -116,12 +116,40 @@ def test_lub_agrees_with_brute_force(tower, rng):
     for _ in range(60):
         xs = [rng.choice(tower.stage1) for _ in range(rng.randint(1, 3))]
         assert lub(tower, 1, xs) == _brute_lub(tower, 1, xs, tower.stage1)
+    # level 2, on joins of two level-1 step maps: the stage-2 order is
+    # pointwise, so the brute-force join takes the brute-force level-1 lub
+    # slot by slot; every pair at base size 3, a seeded sample at 4
+    t4 = Tower(flat_base(POLES[4]))
+    for t, pairs in ((tower, None), (t4, 400)):
+        steps = sorted({step_map(t, 1, a, b) for a in t.stage1 for b in t.stage1})
+        if pairs is None:
+            joined = list(itertools.combinations_with_replacement(steps, 2))
+        else:
+            joined = [(rng.choice(steps), rng.choice(steps)) for _ in range(pairs)]
+        slot_lub = {}
+        for f, g in joined:
+            slots = []
+            for s, u in zip(f, g):
+                if (s, u) not in slot_lub:
+                    slot_lub[s, u] = _brute_lub(t, 1, (s, u), t.stage1)
+                slots.append(slot_lub[s, u])
+            expected = None if None in slots else tuple(slots)
+            got = lub(t, 2, [f, g])
+            assert got == expected
+            if got is not None:  # canonical slots
+                assert all(s is t.stage1[t.stage1_index[s]] for s in got)
 
 
 def test_step_map_examples(tower):
     assert step_map(tower, 0, BOT, SL1) == (SL1, SL1, SL1)
     sm = step_map(tower, 0, SR1, SL1)
     assert sm[SR1] == SL1 and sm[SL1] == BOT and sm[BOT] == BOT
+    # level 1, every (a, b), against the flat-base pointwise order
+    for a in tower.stage1:
+        for b in tower.stage1:
+            expected = tuple(b if all(_flat_leq(x, y) for x, y in zip(a, g))
+                             else (BOT,) * 3 for g in tower.stage1)
+            assert step_map(tower, 1, a, b) == expected
 
 
 def test_stage1_algebraicity_proxy(tower):
@@ -160,11 +188,11 @@ def test_law_budget_admits_base5_refuses_base6():
 def test_construction_builds_no_stage1_table():
     t = Tower(flat_base(("sR1", "sL1", "s2", "s3", "s4")))
     assert len(t.base) == 6 and len(t.stage1) == 7781
-    assert t._emb1 == {} and t._order1 is None and t._probes is None
+    assert t._emb1 == {} and t._up1 is None and t._probes is None
     assert t._probe_pos == {} and t._threads == {} and t._probe_proj1 == ()
     # embedding a pole fills one entry, not the whole table
     t.emb(1, t.emb(0, 1))
-    assert len(t._emb1) == 1 and t._order1 is None
+    assert len(t._emb1) == 1 and t._up1 is None
 
 
 def test_towers_keep_their_own_tables():
@@ -172,9 +200,9 @@ def test_towers_keep_their_own_tables():
     t4 = Tower(flat_base(("sR1", "sL1", "s2")))
     for t in (t3, t4):
         t.stage2_probes()
-        t.leq(1, t.bottom(1), t.bottom(1))
-    assert t3._emb1 is not t4._emb1 and t3._order1 is not t4._order1
-    assert len(t3._emb1) == 11 and len(t4._emb1) == 67
+        t.leq(1, t.bottom(1), t.stage1[-1])
+    assert t3._emb1 is not t4._emb1 and t3._up1 is not t4._up1
+    assert len(t3._emb1) == len(t3._up1) == 11 and len(t4._emb1) == len(t4._up1) == 67
     assert len(t3.stage2_probes()) == 12 and len(t4.stage2_probes()) == 68
     for t in (t3, t4):
         n = len(t.base)
@@ -183,9 +211,32 @@ def test_towers_keep_their_own_tables():
         for a in t.stage1:
             for b in t.stage1:
                 assert t.leq(1, a, b) == all(_flat_leq(x, y) for x, y in zip(a, b))
+            assert t._up1[a] == {b for b in t.stage1 if t.leq(1, a, b)}
 
 
 POLES = {3: ("sR1", "sL1"), 4: ("sR1", "sL1", "s2")}
+
+
+# sha256 of repr(step_join_sample(tower, random.Random(seed), 200)), pinned
+# when the sampler moved from the CLI into domains: the same rng draws and
+# the same joins in the same order
+STEP_JOIN_PINS = {
+    (3, 0): "a7de0055a1a8692287ea7b356471368b5dc3cf4da20077a76365590fae078409",
+    (3, 1): "db86a80e5f319e54ebf71c0b8682cad930d82bb2318b0d43796e29e8cc667591",
+    (3, 2): "bf2450bb816f132644c7ef953794a9c5eb92558730ff65118f2350b7027ab450",
+    (4, 0): "aa6045cfeb7b27bff8f7378224ce7b020ea24a8e4b8512bbb5eaf37d1370f5d4",
+    (4, 1): "f132c23ca478252a1b91a9e8526261b885a6e66d95e59da9adef2cfd91bdbb0e",
+    (4, 2): "7be45a74e0f9b04046121a2ce1993a213ede7c9aa01d4d747b0fa23e3a3bccf7",
+}
+
+
+@pytest.mark.parametrize("base_size", [3, 4])
+def test_step_join_sample_pinned(base_size):
+    t = Tower(flat_base(POLES[base_size]))
+    for seed in (0, 1, 2):
+        sample = step_join_sample(t, random.Random(seed), 200)
+        digest = hashlib.sha256(repr(sample).encode()).hexdigest()
+        assert len(sample) == 200 and digest == STEP_JOIN_PINS[base_size, seed]
 
 
 @pytest.mark.parametrize("base_size", [3, 4])
@@ -193,7 +244,7 @@ def test_proj1_reads_constant_map_indices(base_size):
     t = Tower(flat_base(POLES[base_size]))
     n = len(t.base)
     assert t._const1 == tuple(t.stage1.index((x,) * n) for x in range(n))
-    sample = _step_join_sample(t, random.Random(base_size), 100)
+    sample = step_join_sample(t, random.Random(base_size), 100)
     assert len(sample) == 100
     for u in sample + [t.bottom(2)] + [t.emb(1, g) for g in t.stage1]:
         reference = tuple(t.proj(0, t.apply(2, u, t.emb(0, x))) for x in range(n))
@@ -207,7 +258,7 @@ def test_leq_shortcut_agrees_with_pointwise_order(base_size, rng):
     def below(a, b):  # stage 2, pointwise over the flat base
         return all(_flat_leq(x, y) for f, g in zip(a, b) for x, y in zip(f, g))
 
-    tables = [t.emb(1, g) for g in t.stage1] + _step_join_sample(t, rng, 30)
+    tables = [t.emb(1, g) for g in t.stage1] + step_join_sample(t, rng, 30)
     for a in tables:
         assert t.leq(2, a, a) and t.leq(2, a, tuple(list(a)))  # same and equal
         for b in rng.sample(tables, 10):
@@ -262,7 +313,7 @@ def test_apply3_off_the_probes_uses_the_memo(base_size, rng):
     # probes: apply(3, ...) evaluates them through the memo
     t = Tower(flat_base(POLES[base_size]))
     probes = t.stage2_probes()
-    joins = _step_join_sample(t, rng, 10)
+    joins = step_join_sample(t, rng, 10)
     for u in _stage3_maps(t):
         for i, w in enumerate(probes):
             copy = tuple(list(w))

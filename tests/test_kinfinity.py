@@ -3,9 +3,10 @@ import random
 from collections import Counter
 
 import pytest
-from lamtower.cli import _step_join_sample, main
+from lamtower.cli import main
 from lamtower.domains import (CapExceeded, LazyMono, Tower, check_law_budget,
-                              flat_base)
+                              check_projection_pair, enumerate_stage,
+                              flat_base, step_join_sample)
 from lamtower.kinfinity import (Constant, DepthTooSmall, FromThread, Identity,
                                 Tabulated, Thread, _top_eq, _top_le, app,
                                 app_shadow,
@@ -210,9 +211,24 @@ def test_verify_laws_base6_refused_before_tables():
     tower = _tower(6)
     with pytest.raises(CapExceeded, match="7781 elements"):
         verify_laws(tower, depth=3)
-    assert tower._emb1 == {} and tower._order1 is None and tower._probes is None
+    assert tower._emb1 == {} and tower._up1 is None and tower._probes is None
     assert tower._probe_pos == {} and tower._threads == {}
     assert tower._probe_proj1 == ()
+
+
+def test_tower_tables_are_set_in_init():
+    # every table a Tower fills lazily exists from __init__ on: an attribute
+    # added later would un-share the instance dict's key layout
+    t = _tower(3)
+    keys = set(vars(t))
+    verify_laws(t, depth=3)
+    step_join_sample(t, random.Random(0), 50)
+    for n in (0, 1):
+        check_projection_pair(t, n, step_join_sample(t, random.Random(1), 20))
+    enumerate_stage(t, 0)
+    enumerate_stage(t, 1)
+    assert t._up1 is not None and t._probes is not None and t._threads
+    assert set(vars(t)) == keys
 
 
 def test_cli_base6_refused(capsys):
@@ -337,7 +353,7 @@ def test_shared_threads_equal_fresh_ones(base_size):
 def test_probe_copies_and_joins_get_fresh_threads(base_size):
     t = _tower(base_size)
     probes = t.stage2_probes()
-    joins = _step_join_sample(t, random.Random(base_size), 10)
+    joins = step_join_sample(t, random.Random(base_size), 10)
     maps = _probe_maps(t)
     for w in list(probes[::5]) + joins:
         copy = tuple(list(w))
