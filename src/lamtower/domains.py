@@ -19,13 +19,12 @@ DEFAULT_POLES = ("sR1", "sL1")
 BOTTOM_LABEL = "bot"
 
 
-# Estimated stage-3 evaluations verify_laws may make (see check_law_budget),
-# at about 5 us each on a 2-core host, so about 7.5 s of laws, which leaves
-# the rest of `kinfty check` within 10 s.  It admits base 5 (629 stage-1
-# elements, 1 192 590 evaluations: 4-5.5 s and 31 MB for `kinfty check`,
-# nearly all of it the laws, as the stage-1 order and the step-join sample
-# take under 0.1 s) and refuses base 6 (7 781 elements, 181 701 918
-# evaluations).
+# Stage-3 evaluations verify_laws may make (see check_law_budget), at about
+# 5 us each on a 2-core host, so about 7.5 s of laws, which leaves the rest
+# of `kinfty check` within 10 s.  It admits base 5 (629 stage-1 elements,
+# 796 950 evaluations: 3.6-4.8 s and 25 MB for `kinfty check`, nearly all
+# of it the laws, as the stage-1 order and the step-join sample take under
+# 0.1 s) and refuses base 6 (7 781 elements, 121 157 958 evaluations).
 LAW_BUDGET = 1_500_000
 
 
@@ -40,19 +39,21 @@ def flat_stage1_size(poles: int) -> int:
 
 
 def check_law_budget(stage1_size: int) -> None:
-    """Refuse a law suite whose estimated work exceeds LAW_BUDGET.
+    """Refuse a law suite whose work exceeds LAW_BUDGET.
 
     The work is counted in stage-3 evaluations, from the loop bounds of
-    kinfinity.verify_laws at depth 3.  With s stage-1 elements, each of its
-    stage-3 maps is evaluated once at each of the s + 1 probes, and it
-    fills the probe vectors of s embedded stage-1 elements (stagewise
-    application), s + 1 reified restrictions (retract), 5 reified endomaps
-    (section) and s embedded probes (density).  The density chain also
-    fills one map per base element, which this leaves out: it is under 2%
-    of the counted evaluations from base 4 on (14 348 at base 4, 1 195 740
-    at base 5).
+    kinfinity.verify_laws at depth 3 with no sample threads, and the count
+    is exact on a fresh Tower (on one whose shared threads already hold
+    their probe values the suite makes fewer).  With s stage-1 elements, each stage-3 map the suite reads is
+    evaluated once at each of the s + 1 probes: the tops of the s embedded
+    stage-1 elements and of the bottom thread (read by their
+    reifications), the s + 1 reified restrictions of the stagewise and
+    retract laws, and the 5 reified endomaps of the section law.  The
+    density chain fills no further map, since it orders tops with one
+    construction key by the key.  That is (s + 1)(2s + 7): 348 at base 3,
+    9 588 at base 4 and 796 950 at base 5.
     """
-    work = (stage1_size + 1) * (3 * stage1_size + 6)
+    work = (stage1_size + 1) * (2 * stage1_size + 7)
     if work > LAW_BUDGET:
         raise CapExceeded(
             f"the law suite over a stage 1 of {stage1_size} elements needs an "
@@ -67,18 +68,21 @@ class FinPoset:
     bottom: int = 0
 
     def __post_init__(self):
-        n = len(self.labels)
-        for i in range(n):
-            if not self.leq[i][i]:
-                raise ValueError("order must be reflexive")
-            if not self.leq[self.bottom][i]:
-                raise ValueError("bottom must be below every element")
-            for j in range(n):
-                if i != j and self.leq[i][j] and self.leq[j][i]:
+        # row i as an int bitset of the elements above i; the order is
+        # transitive iff row j is inside row i whenever i <= j
+        positions = range(len(self.leq))
+        rows = [sum(map((1).__lshift__, itertools.compress(positions, row)))
+                for row in self.leq]
+        if any(not row >> i & 1 for i, row in enumerate(rows)):
+            raise ValueError("order must be reflexive")
+        if rows and rows[self.bottom] != (1 << len(rows)) - 1:
+            raise ValueError("bottom must be below every element")
+        for i, (row, flags) in enumerate(zip(rows, self.leq)):
+            for j in itertools.compress(positions, flags):
+                if j != i and rows[j] >> i & 1:
                     raise ValueError("order must be antisymmetric")
-                for k in range(n):
-                    if self.leq[i][j] and self.leq[j][k] and not self.leq[i][k]:
-                        raise ValueError("order must be transitive")
+                if rows[j] & ~row:
+                    raise ValueError("order must be transitive")
 
     def __len__(self) -> int:
         return len(self.labels)

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import time
 
 import pytest
 
@@ -34,6 +35,69 @@ def test_poset_axioms_rejected():
     bad = ((True, True), (True, True))  # not antisymmetric
     with pytest.raises(ValueError):
         FinPoset(("a", "b"), bad, 0)
+
+
+def _order(n, pairs):
+    """The n x n relation holding exactly at the given (i, j) pairs."""
+    return tuple(tuple((i, j) in pairs for j in range(n)) for i in range(n))
+
+
+_DIAG4 = {(i, i) for i in range(4)} | {(0, j) for j in range(4)}
+
+
+@pytest.mark.parametrize("leq, message", [
+    (_order(3, {(0, 0), (0, 1), (0, 2), (1, 1)}), "reflexive"),
+    (_order(3, {(0, 0), (0, 1), (1, 1), (2, 2)}), "bottom"),
+    (_order(4, _DIAG4 | {(1, 2), (2, 1)}), "antisymmetric"),
+    (_order(4, _DIAG4 | {(1, 2), (2, 3)}), "transitive"),  # 1 <= 2 <= 3, not 1 <= 3
+])
+def test_poset_each_axiom_rejected(leq, message):
+    with pytest.raises(ValueError, match=message):
+        FinPoset(tuple("abcd"[:len(leq)]), leq, 0)
+
+
+def _violations(leq, bottom):
+    """The axioms the relation breaks, by the direct s^3 definition."""
+    n, out = len(leq), set()
+    for i in range(n):
+        if not leq[i][i]:
+            out.add("reflexive")
+        if not leq[bottom][i]:
+            out.add("bottom")
+        for j in range(n):
+            if i != j and leq[i][j] and leq[j][i]:
+                out.add("antisymmetric")
+            for k in range(n):
+                if leq[i][j] and leq[j][k] and not leq[i][k]:
+                    out.add("transitive")
+    return out
+
+
+def test_poset_check_agrees_with_definition(rng):
+    # random relations, most of them reflexive with bottom 0, so that
+    # antisymmetry and transitivity are reached
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        leq = tuple(tuple(i == j or i == 0 or rng.random() < 0.3 for j in range(n))
+                    if rng.random() < 0.9 else
+                    tuple(rng.random() < 0.5 for j in range(n))
+                    for i in range(n))
+        broken = _violations(leq, 0)
+        try:
+            FinPoset(tuple(map(str, range(n))), leq, 0)
+        except ValueError as err:
+            assert any(name in str(err) for name in broken)
+        else:
+            assert not broken
+
+
+def test_enumerate_stage1_at_base5_is_fast():
+    t = Tower(flat_base(("sR1", "sL1", "s2", "s3")))
+    start = time.perf_counter()
+    stage = enumerate_stage(t, 1)
+    assert time.perf_counter() - start < 1.0
+    assert len(stage.elements) == 629
+    assert stage.poset.bottom == stage.elements.index((0,) * 5)
 
 
 def _flat_leq(i, j):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from collections import Counter
@@ -276,7 +277,8 @@ def test_unequal_pair_stops_at_first_differing_probe(tower):
     first = next(i for i, w in enumerate(probes) if ident.fn(w) != const.fn(w))
     assert not _top_eq(tower, ident, const)
     assert len(ident.probed) == len(const.probed) == first + 1 < len(probes)
-    # a map compared with itself reads its one vector twice, filling it once
+    # _top_eq reads a map compared with itself twice, filling it once;
+    # _top_le answers by identity
     assert _top_eq(tower, ident, ident) and _top_le(tower, ident, ident)
     assert ident.probed == [ident.fn(w) for w in probes]
 
@@ -394,7 +396,7 @@ def test_suite_evaluates_each_map_probe_pair_once(monkeypatch):
     probe_ids = {id(w) for w in t.stage2_probes()}
     assert {w for _, w in calls} <= probe_ids  # every argument is a probe
     assert max(calls.values()) == 1
-    assert sum(calls.values()) == 14348
+    assert sum(calls.values()) == 9588
     # the thread table stays within one entry per stage-0 element, stage-1
     # element and probe, at the one depth the suite uses
     assert {depth for _, _, depth in t._threads} == {3}
@@ -403,14 +405,53 @@ def test_suite_evaluates_each_map_probe_pair_once(monkeypatch):
 
 @pytest.mark.parametrize("base_size", [3, 4])
 def test_law_budget_estimate_matches_counted_evaluations(base_size, monkeypatch):
-    # the estimate leaves out one probe vector per base element
+    # the estimate is the exact count
     t = _tower(base_size)
     _, calls = _counted_suite(monkeypatch, t)
     s = len(t.stage1)
-    estimate = (s + 1) * (3 * s + 6)
-    assert sum(calls.values()) == estimate + len(t.base) * (s + 1)
+    estimate = (s + 1) * (2 * s + 7)
+    assert sum(calls.values()) == estimate
     check_law_budget(s)
-    assert estimate == {3: 468, 4: 14076}[base_size]
+    assert estimate == {3: 348, 4: 9588}[base_size]
+
+
+# -- faults in application: the reports under each are pinned --------------
+
+def _faulty_apply(level):
+    """Tower.apply with one wrong value at `level`, a pure function of its
+    arguments: at base 3, apply(1, ID1, sR1) gives sL1, apply(2, emb(1, ID1),
+    ID1) gives bottom(1), and apply(3, u, w) gives the first probe for a map
+    u keyed ("emb2", emb(1, ID1)) at the last probe w."""
+    apply = Tower.apply
+
+    def faulty(self, lvl, f, x):
+        if lvl == level == 1 and (f, x) == (ID1, SR1):
+            return SL1
+        if lvl == level == 2 and (f, x) == (self.emb(1, ID1), ID1):
+            return self.bottom(1)
+        if (lvl == level == 3 and f.key == ("emb2", self.emb(1, ID1))
+                and x == self.stage2_probes()[-1]):
+            return self.stage2_probes()[0]
+        return apply(self, lvl, f, x)
+    return faulty
+
+
+@pytest.mark.parametrize("level, ok, digest", [
+    (1, False,
+     "cb76409eb30958fa255eb72c1bdccf0e6551870b22607d278552b43d3a620909"),
+    # stage-3 maps evaluate through the same apply(2, .) the stagewise law
+    # compares with, so both sides move together and the suite passes
+    (2, True,
+     "33023aeef89eda497014f1bece4efb1e98e720ca0ad36169f44a012381ecb7e2"),
+    (3, False,
+     "a8f61006cda109c59004195903a157bc260bcb64157dc319f2f4e6f0cd9ee4be"),
+])
+def test_reports_under_a_faulty_apply_are_pinned(level, ok, digest, monkeypatch):
+    monkeypatch.setattr(Tower, "apply", _faulty_apply(level))
+    report = verify_laws(_tower(3), depth=3)
+    assert report["ok"] is ok
+    text = json.dumps(report, sort_keys=True, default=str)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 # -- the probe fast paths are exact ------------------------------------------
@@ -529,8 +570,8 @@ def test_verify_laws_base5_passes_every_law(base5_suite):
 
 
 def test_verify_laws_base5_evaluation_count(base5_suite):
-    # the budget estimate plus one probe vector per base element
+    # exactly the budget estimate
     _, evaluations, base, s = base5_suite
     assert (base, s) == (5, 629)
-    assert evaluations == 1_195_740 == (s + 1) * (3 * s + 6) + base * (s + 1)
+    assert evaluations == 796_950 == (s + 1) * (2 * s + 7)
     check_law_budget(s)
