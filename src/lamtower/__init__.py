@@ -5,8 +5,8 @@ from .terms import (App, Dir, FuelExhausted, Lam, RedStep, StepKind, Term,
                     Var, apply_step, find_redexes, normalize, shift, subst)
 from .cells import (Assoc, EndpointMismatch, Homotopy2, Homotopy3, IllFormed,
                     Pentagon, RedSeq, Refl, Triangle, boundary, boundary2,
-                    boundary3, empty_seq, globular_check, mk_structural,
-                    seq_compose, seq_from_steps, seq_invert)
+                    boundary3, boundary3_ends, empty_seq, globular_check,
+                    mk_structural, seq_compose, seq_from_steps, seq_invert)
 from .completion import (HDRefl, HDSymm, HDTrans, ParallelismViolation,
                          RTowerCell, SigmaCell, hd_map, pack, pi0_equiv,
                          realize, realize_boundary_check, triple_cell)

@@ -3,9 +3,10 @@
 1-cells are reduction sequences with cached intermediate terms, 2-cells and
 3-cells are inductive trees of one shared family of groupoid constructors
 over each dimension's own generators.  Boundaries are computed structurally
-per constructor; since step lists concatenate strictly,
-associator and unitor cells have definitionally equal endpoints but are kept
-as distinct proof-relevant cells.
+per constructor, once each: a 3-cell's boundary 2-cells carry their own
+source and target sequences (boundary3_ends), which is globularity.  Since
+step lists concatenate strictly, associator and unitor cells have
+definitionally equal endpoints but are kept as distinct proof-relevant cells.
 """
 
 from __future__ import annotations
@@ -182,12 +183,14 @@ def groupoid_boundary(cell, boundary, check_point, whisker_l, whisker_r, hcomp):
     """Source and target of a groupoid constructor, or None for any other cell.
 
     `boundary` is the boundary map of the cell's own dimension, through which
-    the constructors recurse, and `check_point` rejects a Refl payload of
-    another dimension.  The compositions act on boundaries, one dimension
-    below; `hcomp` is None where horizontal composition is not defined."""
+    the constructors recurse.  `check_point` rejects a Refl payload of
+    another dimension and returns what the Refl has as both ends, in the
+    form `boundary` returns them.  The compositions act on those ends, one
+    dimension below; `hcomp` is None where horizontal composition is not
+    defined."""
     if isinstance(cell, Refl):
-        check_point(cell.point)
-        return cell.point, cell.point
+        point = check_point(cell.point)
+        return point, point
     if isinstance(cell, Symm):
         s, t = boundary(cell.cell)
         return t, s
@@ -240,9 +243,10 @@ H2_CLASSES = GROUPOID_CLASSES + (Assoc, UnitL, UnitR, StepCong)
 Homotopy2 = Union[H2_CLASSES]
 
 
-def _seq_point(x) -> None:
+def _seq_point(x) -> RedSeq:
     if not isinstance(x, RedSeq):
         raise IllFormed(f"a 2-cell's Refl holds a RedSeq, not {type(x).__name__}")
+    return x
 
 
 def boundary2(cell: Homotopy2) -> tuple[RedSeq, RedSeq]:
@@ -319,40 +323,48 @@ def pentagon_sides(p: RedSeq, q: RedSeq, r: RedSeq, s: RedSeq) -> tuple[Homotopy
     return left, right
 
 
-def _checked2(make):
-    """A 2-cell constructor that validates what it builds through boundary2."""
-    def build(*args):
-        cell = make(*args)
-        boundary2(cell)
-        return cell
+def _on_ends(make):
+    """A 2-cell constructor lifted to (2-cell, (source, target)) pairs, a RedSeq
+    standing for itself at both ends; seq_compose checks the joints it builds."""
+    def build(x, y):
+        (a, (sa, ta)), (b, (sb, tb)) = ((z, (z, z)) if isinstance(z, RedSeq) else z
+                                        for z in (x, y))
+        return make(a, b), (seq_compose(sa, sb), seq_compose(ta, tb))
     return build
 
 
-_whisker_l2, _whisker_r2, _hcomp2 = map(_checked2, (WhiskerL, WhiskerR, HComp))
+_ON_ENDS = tuple(map(_on_ends, (WhiskerL, WhiskerR, HComp)))
 
 
-def boundary3(cell: Homotopy3) -> tuple[Homotopy2, Homotopy2]:
-    """Source and target 2-cells of a 3-cell (parallel by construction)."""
+def _with_ends(cell: Homotopy2):
+    return cell, boundary2(cell)
+
+
+def boundary3_ends(cell: Homotopy3):
+    """The source and target 2-cells of a 3-cell, each paired with its own
+    (source, target) sequences; each boundary is computed once, and the
+    carried ends of a composite are composed, not recomputed."""
     if isinstance(cell, Interchange):
-        one = HComp(Trans(cell.a, cell.b), Trans(cell.c, cell.d))
-        other = Trans(HComp(cell.a, cell.c), HComp(cell.b, cell.d))
-        boundary2(one), boundary2(other)
-        return one, other
-    if isinstance(cell, Pentagon):
+        left = HComp(Trans(cell.a, cell.b), Trans(cell.c, cell.d))
+        right = Trans(HComp(cell.a, cell.c), HComp(cell.b, cell.d))
+    elif isinstance(cell, Pentagon):
         left, right = pentagon_sides(cell.p, cell.q, cell.r, cell.s)
-        boundary2(left), boundary2(right)
-        return left, right
-    if isinstance(cell, Triangle):
+    elif isinstance(cell, Triangle):
         mid = empty_seq(cell.p.target)
         left = Trans(Assoc(cell.p, mid, cell.q), WhiskerL(cell.p, UnitL(cell.q)))
         right = WhiskerR(UnitR(cell.p), cell.q)
-        boundary2(left), boundary2(right)
-        return left, right
-    ends = groupoid_boundary(cell, boundary3, boundary2,
-                             _whisker_l2, _whisker_r2, _hcomp2)
-    if ends is None:
-        raise IllFormed(f"not a 3-cell: {cell!r}")
-    return ends
+    else:
+        ends = groupoid_boundary(cell, boundary3_ends, _with_ends, *_ON_ENDS)
+        if ends is None:
+            raise IllFormed(f"not a 3-cell: {cell!r}")
+        return ends
+    return _with_ends(left), _with_ends(right)
+
+
+def boundary3(cell: Homotopy3) -> tuple[Homotopy2, Homotopy2]:
+    """Source and target 2-cells of a 3-cell: boundary3_ends without the ends."""
+    (s, _), (t, _) = boundary3_ends(cell)
+    return s, t
 
 
 def boundary(cell):
@@ -375,8 +387,6 @@ def mk_structural(name: str, *args):
 
 
 def globular_check(cell: Homotopy3) -> bool:
-    """s(s(c)) = s(t(c)) and t(s(c)) = t(t(c)), as reduction sequences."""
-    s, t = boundary3(cell)
-    ss, st = boundary2(s)
-    ts, tt = boundary2(t)
+    """s(s(c)) = s(t(c)) and t(s(c)) = t(t(c)), on the carried ends."""
+    (_, (ss, st)), (_, (ts, tt)) = boundary3_ends(cell)
     return ss == ts and st == tt

@@ -298,9 +298,10 @@ def cmd_witness(args) -> int:
 
 # Largest --maxdim tower-check accepts.  Realization cost per cell grows
 # steeply with dimension and with the seed's random derivation trees: with
-# the default --samples 100, maxdim 15 finished in 0.8-2.7 s over seeds 0-9
-# (2-core host), but 16 took 50 s on seed 6 (1.1-6.8 s on the others), past
-# the 10 s budget; 24 took minutes at --samples 5 and 40 never finished.
+# the default --samples 100, maxdim 15 finished in 0.9-1.8 s over seeds 0-9
+# (2-core host, in-process), but 16 took 32 s on seed 6 (1.1-6.6 s on the
+# others), past the 10 s budget; 24 took minutes at --samples 5 and 40 never
+# finished.
 MAX_TOWER_DIM = 15
 
 

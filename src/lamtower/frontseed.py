@@ -297,9 +297,10 @@ Cell3Expr = Union[FS1Seed, FS2Seed, HeadNorm, Refl, VComp, Symm,
                   WhiskerL, WhiskerR, PasteL, PasteR, FillerE]
 
 
-def _word_point(x) -> None:
+def _word_point(x) -> Word:
     if not isinstance(x, Word):
         raise NonComposable(f"an expression's Refl holds a word, not {type(x).__name__}")
+    return x
 
 
 def boundary3_words(e: Cell3Expr) -> tuple[Word, Word]:

@@ -166,19 +166,19 @@ def gen_h3_at(rng: random.Random, start: Term, depth: int,
         d = C.Refl(C.boundary2(c)[1])
         return C.Interchange(a, b, c, d)
     inner = gen_h3_at(rng, start, depth - 1, rooted)
-    s2, t2 = C.boundary3(inner)
+    (_, (ss, _)), (t2, _) = C.boundary3_ends(inner)
     choice = rng.random()
     if choice < 0.25:
         return C.Symm(inner)
     if choice < 0.5:
         return C.Trans(inner, C.Refl(t2))
     if choice < 0.65 and not rooted:
-        prefix = _seq_ending_at(rng, C.boundary2(s2)[0].source)
+        prefix = _seq_ending_at(rng, ss.source)
         return C.WhiskerL(prefix, inner)
     if choice < 0.8:
-        suffix = gen_zigzag(rng, C.boundary2(s2)[0].target, rng.randint(0, 2))
+        suffix = gen_zigzag(rng, ss.target, rng.randint(0, 2))
         return C.WhiskerR(inner, suffix)
-    partner = gen_h3_at(rng, C.boundary2(s2)[0].target, 0, rooted=True)
+    partner = gen_h3_at(rng, ss.target, 0, rooted=True)
     return C.HComp(inner, partner)
 
 

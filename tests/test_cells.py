@@ -1,8 +1,9 @@
+import hashlib
 import random
 
 import pytest
 
-from lamtower import cells
+from lamtower import cells, serialize
 from lamtower.cells import (Assoc, CLam, EndpointMismatch, HComp, Hole, IllFormed,
                             Pentagon, RedSeq, Refl, Refl3, StepCong, Symm, Trans,
                             Triangle, WhiskerL, boundary, boundary2, boundary3,
@@ -175,6 +176,30 @@ def test_globular_on_generated_cells():
     for _ in range(120):
         cell = gen_h3(rng, depth=2)
         assert globular_check(cell)
+
+
+@pytest.fixture(scope="module")
+def pinned_h3_cells():
+    rngs = [random.Random(1000 + depth) for depth in range(4)]
+    return [gen_h3(rng, depth) for depth, rng in enumerate(rngs) for _ in range(150)]
+
+
+def test_boundary3_and_globularity_of_generated_cells_are_pinned(pinned_h3_cells):
+    # sha256 computed before boundary3 carried the ends of its 2-cells
+    h = hashlib.sha256()
+    for c in pinned_h3_cells:
+        h.update(serialize.dumps((c, boundary3(c), globular_check(c))).encode())
+        h.update(b"\n")
+    assert h.hexdigest() == ("0431a046bef0083008ea465d9f55afe9"
+                             "91a764e17482c42169091cb5c648905f")
+
+
+def test_carried_ends_are_the_boundaries_of_their_2cells(pinned_h3_cells):
+    for c in pinned_h3_cells:
+        ends = cells.boundary3_ends(c)
+        assert tuple(cell for cell, _ in ends) == boundary3(c)
+        for cell, carried in ends:
+            assert carried == boundary2(cell)
 
 
 def test_boundary_stability(rng):

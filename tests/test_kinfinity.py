@@ -420,7 +420,7 @@ def test_law_budget_estimate_matches_counted_evaluations(base_size, monkeypatch)
 def _faulty_apply(level):
     """Tower.apply with one wrong value at `level`, a pure function of its
     arguments: at base 3, apply(1, ID1, sR1) gives sL1, apply(2, emb(1, ID1),
-    ID1) gives bottom(1), and apply(3, u, w) gives the first probe for a map
+    ID1) gives emb(0, sL1), and apply(3, u, w) gives the first probe for a map
     u keyed ("emb2", emb(1, ID1)) at the last probe w."""
     apply = Tower.apply
 
@@ -428,7 +428,7 @@ def _faulty_apply(level):
         if lvl == level == 1 and (f, x) == (ID1, SR1):
             return SL1
         if lvl == level == 2 and (f, x) == (self.emb(1, ID1), ID1):
-            return self.bottom(1)
+            return self.emb(0, SL1)
         if (lvl == level == 3 and f.key == ("emb2", self.emb(1, ID1))
                 and x == self.stage2_probes()[-1]):
             return self.stage2_probes()[0]
@@ -436,13 +436,21 @@ def _faulty_apply(level):
     return faulty
 
 
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_each_fault_changes_the_value_it_patches(level):
+    t = _tower(3)
+    f, x = {1: (ID1, SR1), 2: (t.emb(1, ID1), ID1),
+            3: (t.emb(2, t.emb(1, ID1)), t.stage2_probes()[-1])}[level]
+    assert _faulty_apply(level)(t, level, f, x) != Tower.apply(t, level, f, x)
+
+
 @pytest.mark.parametrize("level, ok, digest", [
     (1, False,
      "cb76409eb30958fa255eb72c1bdccf0e6551870b22607d278552b43d3a620909"),
     # stage-3 maps evaluate through the same apply(2, .) the stagewise law
-    # compares with, so both sides move together and the suite passes
-    (2, True,
-     "33023aeef89eda497014f1bece4efb1e98e720ca0ad36169f44a012381ecb7e2"),
+    # compares with, so that law passes; the retract and density laws fail
+    (2, False,
+     "f9e008b610a455b33e94ecb39cca77440801adf070013b04b2cbc6dc085970fc"),
     (3, False,
      "a8f61006cda109c59004195903a157bc260bcb64157dc319f2f4e6f0cd9ee4be"),
 ])
