@@ -138,17 +138,21 @@ def map_seq(ctx: Context, p: RedSeq) -> RedSeq:
 
 
 # ---------------------------------------------------------------------------
-# The groupoid constructors, shared by 2-cells, 3-cells and the front-seed
-# 3-cell expressions; a cell's dimension is that of its leaves.
+# The groupoid constructors, shared by 2-cells, 3-cells, front-seed 3-cell
+# expressions and higher derivations; a cell's dimension is that of its leaves.
 
 @dataclass(frozen=True, slots=True)
 class Refl:
-    point: object  # a RedSeq, a 2-cell, or a word
+    point: object  # a RedSeq, a 2-cell, a word, or a tower cell
 
 
 @dataclass(frozen=True, slots=True)
 class Symm:
     cell: object
+
+    # Read-only old HDSymm field name, read by the frozen
+    # perfbench/workloads.py; goes away with ROADMAP item 1.
+    inner = property(lambda self: self.cell)
 
 
 @dataclass(frozen=True, slots=True)
@@ -186,8 +190,8 @@ def groupoid_boundary(cell, boundary, check_point, whisker_l, whisker_r, hcomp):
     the constructors recurse.  `check_point` rejects a Refl payload of
     another dimension and returns what the Refl has as both ends, in the
     form `boundary` returns them.  The compositions act on those ends, one
-    dimension below; `hcomp` is None where horizontal composition is not
-    defined."""
+    dimension below; a composition map is None where that constructor is
+    not defined (higher derivations have none)."""
     if isinstance(cell, Refl):
         point = check_point(cell.point)
         return point, point
@@ -200,10 +204,10 @@ def groupoid_boundary(cell, boundary, check_point, whisker_l, whisker_r, hcomp):
         if t1 != s2:
             raise EndpointMismatch("Trans: middle boundaries differ")
         return s1, t2
-    if isinstance(cell, WhiskerL):
+    if isinstance(cell, WhiskerL) and whisker_l is not None:
         s, t = boundary(cell.cell)
         return whisker_l(cell.prefix, s), whisker_l(cell.prefix, t)
-    if isinstance(cell, WhiskerR):
+    if isinstance(cell, WhiskerR) and whisker_r is not None:
         s, t = boundary(cell.cell)
         return whisker_r(s, cell.suffix), whisker_r(t, cell.suffix)
     if isinstance(cell, HComp) and hcomp is not None:

@@ -212,6 +212,7 @@ def _render_letter(l: F.Letter) -> str:
 # Subcommands.
 
 def cmd_reduce(args) -> int:
+    _check_bounds("--fuel", args.fuel, least=0)
     t = parse_term(args.term)
     checks = []
     try:
@@ -230,6 +231,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_pi0(args) -> int:
+    _check_bounds("--fuel", args.fuel, least=0)
     t1, t2 = parse_term_pair(args.term1, args.term2)
     checks = []
     try:

@@ -1,7 +1,8 @@
-"""Equality-generated higher derivations and the recursive tower above the
-explicit 3-cell core: functorial transport, the realization map into the
-explicit tower (the packaging maps are its dimension 4-6 part), and the
-0-truncation bridge back to plain beta/eta convertibility.
+"""Equality-generated higher derivations, trees of the shared Refl/Symm/Trans
+whose ends and Trans joints are checked where they are read, and the recursive
+tower above the explicit 3-cell core: functorial transport, the realization map
+into the explicit tower (the packaging maps are its dimension 4-6 part), and
+the 0-truncation bridge back to plain beta/eta convertibility.
 """
 
 from __future__ import annotations
@@ -10,8 +11,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 from . import cells
-from .cells import (EndpointMismatch, IllFormed, RedSeq, boundary2,
-                    boundary3, seq_compose, seq_from_steps, seq_invert)
+from .cells import (EndpointMismatch, IllFormed, RedSeq, Refl, Symm, Trans,
+                    boundary2, boundary3, groupoid_boundary, seq_compose,
+                    seq_from_steps, seq_invert)
 from .terms import App, Lam, Term, Var, normalize
 
 
@@ -20,68 +22,36 @@ class ParallelismViolation(IllFormed):
 
 
 # ---------------------------------------------------------------------------
-# Higher derivations: the refl/symm/trans closure of equality on a carrier.
-# A derivation between x and y can only exist when x equals y, but distinct
-# derivation trees between the same endpoints stay distinct.
+# Higher derivations: the shared Refl/Symm/Trans closure of equality on a
+# carrier.  A derivation between x and y exists only when x equals y, but
+# distinct derivation trees between the same endpoints stay distinct.
 
-@dataclass(frozen=True, slots=True)
-class HDRefl:
-    point: object
-
-    @property
-    def src(self):
-        return self.point
-
-    @property
-    def tgt(self):
-        return self.point
+HDRefl, HDSymm, HDTrans = Refl, Symm, Trans  # old names
+HigherDeriv = Union[Refl, Symm, Trans]
 
 
-@dataclass(frozen=True, slots=True)
-class HDSymm:
-    inner: "HigherDeriv"
-
-    @property
-    def src(self):
-        return self.inner.tgt
-
-    @property
-    def tgt(self):
-        return self.inner.src
-
-
-@dataclass(frozen=True, slots=True)
-class HDTrans:
-    left: "HigherDeriv"
-    right: "HigherDeriv"
-
-    def __post_init__(self):
-        if self.left.tgt != self.right.src:
-            raise EndpointMismatch("HDTrans: middle endpoints differ")
-
-    @property
-    def src(self):
-        return self.left.src
-
-    @property
-    def tgt(self):
-        return self.right.tgt
-
-
-HigherDeriv = Union[HDRefl, HDSymm, HDTrans]
+def _leaf(x):
+    return x
 
 
 def endpoints(h: HigherDeriv) -> tuple[object, object]:
-    return h.src, h.tgt
+    """Source and target of a derivation; EndpointMismatch at a Trans whose
+    middle ends differ, IllFormed at any node but Refl/Symm/Trans."""
+    ends = groupoid_boundary(h, endpoints, _leaf, None, None, None)
+    if ends is None:
+        raise IllFormed(f"not a higher derivation: {type(h).__name__}")
+    return ends
 
 
 def hd_map(f: Callable[[object], object], h: HigherDeriv) -> HigherDeriv:
     """Transport a derivation along an endpoint map, constructor by constructor."""
-    if isinstance(h, HDRefl):
-        return HDRefl(f(h.point))
-    if isinstance(h, HDSymm):
-        return HDSymm(hd_map(f, h.inner))
-    return HDTrans(hd_map(f, h.left), hd_map(f, h.right))
+    if isinstance(h, Refl):
+        return Refl(f(h.point))
+    if isinstance(h, Symm):
+        return Symm(hd_map(f, h.cell))
+    if isinstance(h, Trans):
+        return Trans(hd_map(f, h.left), hd_map(f, h.right))
+    raise IllFormed(f"not a higher derivation: {type(h).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -104,15 +74,11 @@ class SigmaCell:
     payload: object
 
 
-def _check_explicit(dim: int, payload) -> None:
+def explicit_cell(dim: int, payload) -> RTowerCell:
     ok = (isinstance(payload, (Var, App, Lam)) if dim == 0
           else cells.cell_dim(payload) == dim)
     if not ok:
         raise IllFormed(f"dimension {dim} does not accept {type(payload).__name__}")
-
-
-def explicit_cell(dim: int, payload) -> RTowerCell:
-    _check_explicit(dim, payload)
     return RTowerCell(dim, payload)
 
 
@@ -159,7 +125,7 @@ def sigma_boundary(c: SigmaCell) -> tuple[SigmaCell, SigmaCell]:
     if c.dim <= 3:
         s, t = cell_boundary(RTowerCell(c.dim, c.payload))
         return SigmaCell(s.dim, s.payload), SigmaCell(t.dim, t.payload)
-    return c.payload.src, c.payload.tgt
+    return endpoints(c.payload)
 
 
 def realize(n: int, cell: RTowerCell) -> SigmaCell:

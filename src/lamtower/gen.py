@@ -191,11 +191,11 @@ def gen_h3(rng: random.Random, depth: int = 2, size: int = 6) -> C.Homotopy3:
 
 def gen_hd_tree(rng: random.Random, x, depth: int) -> R.HigherDeriv:
     if depth <= 0 or rng.random() < 0.3:
-        return R.HDRefl(x)
+        return C.Refl(x)
     if rng.random() < 0.45:
-        return R.HDSymm(gen_hd_tree(rng, x, depth - 1))
-    return R.HDTrans(gen_hd_tree(rng, x, depth - 1),
-                     gen_hd_tree(rng, x, depth - 1))
+        return C.Symm(gen_hd_tree(rng, x, depth - 1))
+    return C.Trans(gen_hd_tree(rng, x, depth - 1),
+                   gen_hd_tree(rng, x, depth - 1))
 
 
 def gen_rtower_cell(rng: random.Random, dim: int, h3_depth: int = 1) -> R.RTowerCell:

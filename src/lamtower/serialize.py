@@ -33,7 +33,6 @@ _register(
     cells.Refl, cells.Symm, cells.Trans, cells.WhiskerL, cells.WhiskerR,
     cells.HComp, cells.Assoc, cells.UnitL, cells.UnitR, cells.StepCong,
     cells.Interchange, cells.Pentagon, cells.Triangle,
-    completion.HDRefl, completion.HDSymm, completion.HDTrans,
     completion.RTowerCell, completion.SigmaCell,
     frontseed.AssL, frontseed.WlL, frontseed.WrL, frontseed.ReflL,
     frontseed.SeedL, frontseed.Word, frontseed.FS1Seed, frontseed.FS2Seed,
@@ -41,8 +40,10 @@ _register(
     frontseed.FillerE,
     witness.TBeta, witness.TEta, witness.ReflM, witness.ReflN, witness.Comp,
 )
-# Older encodings tag the groupoid constructors by their 3-cell names.
+# Older encodings tag the groupoid constructors by their 3-cell names, and
+# higher derivations by their own.
 _REGISTRY.update((c.__name__ + "3", c) for c in cells.GROUPOID_CLASSES)
+_REGISTRY.update(HDRefl=cells.Refl, HDSymm=cells.Symm, HDTrans=cells.Trans)
 _REGISTRY.update(Refl3W=cells.Refl, InvE=cells.Symm, WlCong3=cells.WhiskerL,
                  WrCong3=cells.WhiskerR)
 _register_enum(terms.StepKind, terms.Dir, witness.SpanEndpoint, witness.Tag)
@@ -90,7 +91,8 @@ def decode(data):
         return cls(*args)
     except (TypeError, AttributeError) as e:
         # A constructor's own checks read its fields (RedSeq takes their
-        # lengths, HDTrans their endpoints) and fail on values of another type.
+        # lengths, witness.Comp their endpoints) and fail on values of
+        # another type.
         raise ValueError(f"{cls.__name__} cannot hold these fields: {e}") from e
 
 

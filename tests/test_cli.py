@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from lamtower import cli, serialize
+from lamtower import cli, completion, serialize
 from lamtower.cells import seq_invert
 from lamtower.cli import (MAX_JOIN_SAMPLES, MAX_TOWER_DIM, ParseError, main,
                           parse_term, parse_witness)
@@ -300,6 +300,15 @@ def test_cli_depth_above_max_refused(capsys, monkeypatch, argv, first_work):
     assert MAX_DEPTH == 3
     assert _error(capsys, argv + ["--depth", "4"]) == \
         "--depth 4 is above the maximum of 3"
+
+
+@pytest.mark.parametrize("argv", [["reduce", "x"], ["pi0", "x", "x"]])
+def test_cli_negative_fuel_refused(capsys, monkeypatch, argv):
+    # it used to echo "fuel": -1 and run as fuel 0
+    monkeypatch.setattr(cli, "normalize", _no_work)
+    monkeypatch.setattr(completion, "normalize", _no_work)
+    assert _error(capsys, argv + ["--fuel", "-1"]) == \
+        "--fuel -1 is below the minimum of 0"
 
 
 @pytest.mark.parametrize("maxdim", ["3", "2", "-1"])

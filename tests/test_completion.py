@@ -4,7 +4,8 @@ import random
 import pytest
 
 from lamtower import serialize
-from lamtower.cells import EndpointMismatch, IllFormed, Pentagon, validate_seq
+from lamtower.cells import (EndpointMismatch, HComp, IllFormed, Pentagon, Refl,
+                            Symm, Trans, WhiskerL, WhiskerR, validate_seq)
 from lamtower.completion import (HDRefl, HDSymm, HDTrans, ParallelismViolation,
                                  RTowerCell, SigmaCell, cell_boundary,
                                  endpoints, explicit_cell, hd_map, pack,
@@ -28,8 +29,30 @@ def test_hd_endpoints():
     assert endpoints(HDSymm(h)) == ("x", "x")
     t = HDTrans(h, HDSymm(h))
     assert endpoints(t) == ("x", "x")
-    with pytest.raises(Exception):
-        HDTrans(HDRefl("x"), HDRefl("y"))
+    # the joint is checked where the ends are read, not at construction
+    with pytest.raises(EndpointMismatch):
+        endpoints(HDTrans(HDRefl("x"), HDRefl("y")))
+
+
+def test_hd_names_are_the_shared_constructors():
+    assert (HDRefl, HDSymm, HDTrans) == (Refl, Symm, Trans)
+    assert HDRefl is Refl and HDSymm is Symm and HDTrans is Trans
+    assert Symm("x").inner == "x"  # the old field name, read-only
+
+
+@pytest.mark.parametrize("node", [
+    WhiskerL(span_beta_seq(), Refl("x")),
+    HComp(Refl("x"), Refl("x")),
+    RTowerCell(0, Var(0)),
+    Symm(WhiskerR(Refl("x"), span_beta_seq())),
+], ids=["WhiskerL", "HComp", "RTowerCell", "nested-WhiskerR"])
+def test_derivations_are_refl_symm_trans_only(node):
+    # the shared constructors also whisker and compose horizontally; a
+    # derivation does neither, and a bare cell is not a derivation
+    with pytest.raises(IllFormed, match="not a higher derivation"):
+        endpoints(node)
+    with pytest.raises(IllFormed, match="not a higher derivation"):
+        hd_map(lambda v: v, node)
 
 
 def test_hd_map_base_clause():
@@ -101,6 +124,29 @@ def test_realize_rejects_nonparallel_above_6(rng):
     assert x.dim == 6 and not parallel(x, y)
     with pytest.raises(ParallelismViolation):
         realize(7, RTowerCell(7, (x, y, HDRefl(x))))
+
+
+def _mismatched_joint(a, b):
+    # ends (a, a) if the inner joints went unchecked; both inner joints differ
+    return Trans(Trans(Refl(a), Refl(b)), Trans(Refl(b), Refl(a)))
+
+
+def test_triple_cell_checks_inner_joints(rng):
+    eta = _cell3(rng)
+    c4 = triple_cell(eta, eta, HDRefl(eta))
+    other = triple_cell(eta, eta, HDSymm(HDRefl(eta)))
+    h = _mismatched_joint(c4, other)  # builds: no check at construction
+    with pytest.raises(EndpointMismatch):
+        triple_cell(c4, c4, h)
+
+
+def test_sigma_boundary_checks_inner_joints(rng):
+    eta = _cell3(rng)
+    c4 = triple_cell(eta, eta, HDRefl(eta))
+    other = triple_cell(eta, eta, HDSymm(HDRefl(eta)))
+    bad = SigmaCell(5, _mismatched_joint(realize(4, c4), realize(4, other)))
+    with pytest.raises(EndpointMismatch):
+        sigma_boundary(bad)
 
 
 def test_triple_cell_validates(rng):
@@ -209,7 +255,8 @@ def test_boundary_check_compares_each_end(rng):
 
 def test_realization_pin():
     # serialized realizations and boundary verdicts of generated cells, pinned
-    # to the value computed before the reflexive-triple shortcuts
+    # to the value computed before the reflexive-triple shortcuts, with the
+    # derivation tags HDRefl/HDSymm/HDTrans renamed to Refl/Symm/Trans
     rng = random.Random(4242)
     digest = hashlib.sha256()
     verdicts = []
@@ -221,7 +268,7 @@ def test_realization_pin():
             digest.update(b"1" if verdicts[-1] else b"0")
     assert all(verdicts) and len(verdicts) == 35
     assert digest.hexdigest() == (
-        "e3859a34965af566c0447eb12b2be7daa31cff9f4c26f3ddc118057a0197f920")
+        "40a3b0abc260053efb3ade5cea5e5266960e4b4d73f56acdcf5dd9d882f8e007")
 
 
 # --- 0-truncation -----------------------------------------------------------

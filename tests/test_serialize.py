@@ -7,6 +7,8 @@ import pytest
 from lamtower import serialize
 from lamtower.cells import (HComp, Pentagon, Refl, Symm, Trans, Triangle,
                             WhiskerL, WhiskerR, boundary3, empty_seq, seq_invert)
+from lamtower.completion import (explicit_cell, realize, realize_boundary_check,
+                                 triple_cell)
 from lamtower.frontseed import (FS2Seed, boundary3_words, empty_word,
                                 fs_assoc_compare, fs_bridges, fs_pentagon)
 from lamtower.gen import (gen_composable_seqs, gen_h2, gen_h3, gen_rtower_cell,
@@ -69,7 +71,7 @@ def test_deterministic_bytes(rng):
     ({"$e": 3}, "unknown enum"),
     (1.5, "cannot decode a JSON float"),
     ({"$t": "RedSeq", "f": [5, []]}, "RedSeq cannot hold these fields"),
-    ({"$t": "HDTrans", "f": [1, 2]}, "HDTrans cannot hold these fields"),
+    ({"$t": "Comp", "f": [1, 2]}, "Comp cannot hold these fields"),
 ])
 def test_decode_rejects_non_encodings(data, message):
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -167,3 +169,46 @@ def test_generated_boundaries_pinned():
     out += [boundary3_words(b) for q in quads for b in fs_bridges(*q, Pentagon(*q))]
     assert _sha(tuple(out)) == (
         "88280aa95a41a9cc9e2f5644f31da0b931375e4284049aa17b989be723f1552f")
+
+
+# --- encodings made before higher derivations were the shared constructors ---
+#
+# A dimension-5 tower cell over a triangle 3-cell and its realization, as
+# serialize.dumps wrote them when derivations had their own HDRefl/HDSymm/
+# HDTrans classes (sha256 of the expanded text pinned below).
+
+_HD_FRAGMENTS = {
+    "ETA": '{"$t": "RTowerCell", "f": [3, %(TRI)s]}',
+    "C4": '{"$t": "RTowerCell", "f": [4, [%(ETA)s, %(ETA)s, {"$t": "HDSymm", "f": [{"$t": "HDRefl", "f": [%(ETA)s]}]}]]}',
+    "C5": '{"$t": "RTowerCell", "f": [5, [%(C4)s, %(C4)s, {"$t": "HDTrans", "f": [{"$t": "HDRefl", "f": [%(C4)s]}, {"$t": "HDSymm", "f": [{"$t": "HDRefl", "f": [%(C4)s]}]}]}]]}',
+    "S3": '{"$t": "SigmaCell", "f": [3, %(TRI)s]}',
+    "S4": '{"$t": "SigmaCell", "f": [4, {"$t": "HDSymm", "f": [{"$t": "HDRefl", "f": [%(S3)s]}]}]}',
+    "S5": '{"$t": "SigmaCell", "f": [5, {"$t": "HDTrans", "f": [{"$t": "HDRefl", "f": [%(S4)s]}, {"$t": "HDSymm", "f": [{"$t": "HDRefl", "f": [%(S4)s]}]}]}]}',
+}
+
+
+def _old_hd_json():
+    texts = dict(_FRAGMENTS)
+    for key, template in _HD_FRAGMENTS.items():  # in dependency order
+        texts[key] = template % texts
+    return texts["C5"], texts["S5"]
+
+
+def test_old_derivation_tags_decode_to_shared_constructors():
+    old_cell, old_image = _old_hd_json()
+    assert hashlib.sha256(old_cell.encode()).hexdigest() == (
+        "5872271c957573bdc9c26f96c92c61350239939dd32930086c7598172d046dd7")
+    assert hashlib.sha256(old_image.encode()).hexdigest() == (
+        "2a721afcdff088999a4159b546dbb94a07e08470b38018771e8f5258d35cbadb")
+    p = span_beta_seq()
+    eta = explicit_cell(3, Triangle(p, empty_seq(p.target)))
+    c4 = triple_cell(eta, eta, Symm(Refl(eta)))
+    c5 = triple_cell(c4, c4, Trans(Refl(c4), Symm(Refl(c4))))
+    assert serialize.loads(old_cell) == c5
+    assert serialize.loads(old_image) == realize(5, c5)
+    assert realize_boundary_check(5, serialize.loads(old_cell))
+    for value, old in ((c5, old_cell), (realize(5, c5), old_image)):
+        text = serialize.dumps(value)
+        assert '"HD' not in text
+        assert text == re.sub(r'"\$t": "HD(Refl|Symm|Trans)"', r'"$t": "\1"', old)
+        assert serialize.loads(text) == value
