@@ -180,7 +180,6 @@ class HComp:
 
 
 GROUPOID_CLASSES = (Refl, Symm, Trans, WhiskerL, WhiskerR, HComp)
-Refl3, Symm3, Trans3, WhiskerL3, WhiskerR3, HComp3 = GROUPOID_CLASSES  # old names
 
 
 def groupoid_boundary(cell, boundary, check_point, whisker_l, whisker_r, hcomp):
@@ -374,20 +373,6 @@ def boundary3(cell: Homotopy3) -> tuple[Homotopy2, Homotopy2]:
 def boundary(cell):
     """Dispatching boundary: 2-cells land on sequences, 3-cells on 2-cells."""
     return boundary3(cell) if cell_dim(cell) == 3 else boundary2(cell)
-
-
-# By class name, and the groupoid constructors also by their 3-cell names.
-_STRUCTURAL = {cls.__name__: cls for cls in H2_CLASSES + H3_CLASSES}
-_STRUCTURAL.update((cls.__name__ + "3", cls) for cls in GROUPOID_CLASSES)
-
-
-def mk_structural(name: str, *args):
-    """Build a structural cell and eagerly validate its boundary."""
-    if name not in _STRUCTURAL:
-        raise IllFormed(f"unknown structural constructor {name!r}")
-    cell = _STRUCTURAL[name](*args)
-    boundary(cell)
-    return cell
 
 
 def globular_check(cell: Homotopy3) -> bool:

@@ -272,11 +272,29 @@ def _check_bounds(flag: str, value: int, least=None, most=None) -> None:
         raise ValueError(f"{flag} {value} is above the maximum of {most}")
 
 
+# Largest --base-size witness and kinfty check accept.  Building a Tower
+# tests all n^n tables over a base of n elements: witness, as a CLI process,
+# took 0.15-0.21 s at base sizes 3-5, 0.36-0.39 s at 6 and 2.6-2.9 s at 7
+# (823 543 tables, 40 MB; 2-core host); 8 would test 8^8 = 16 777 216
+# tables, 20 times as many.  kinfty check refuses 6 and 7 by its law budget;
+# above the cap its exact counts grow past what Python prints (base size
+# 1 000) and the base's order matrix alone past memory.
+MAX_BASE_SIZE = 7
+
+
+def _base_poles(base_size: int) -> tuple[str, ...]:
+    """The poles of a flat base of `base_size` elements, bottom included:
+    sR1 and sL1, the two the models read by name, then s2, s3, ...; a size
+    out of bounds is refused before any work."""
+    _check_bounds("--base-size", base_size, least=3, most=MAX_BASE_SIZE)
+    return ("sR1", "sL1") + tuple(f"s{i}" for i in range(2, base_size - 1))
+
+
 def cmd_witness(args) -> int:
     _check_bounds("--depth", args.depth, most=kinfinity.MAX_DEPTH)
+    poles = _base_poles(args.base_size)
     w = parse_witness(args.expr)
-    poles = tuple(args.poles.split(",")) if args.poles else ("sR1", "sL1")
-    tower = witness.default_tower(poles)
+    tower = Tower(flat_base(poles))
     interp = witness.interpret(w, args.depth, tower)
     vs_beta = witness.separation_report(w, witness.TBeta(), args.depth, tower)
     vs_eta = witness.separation_report(w, witness.TEta(), args.depth, tower)
@@ -350,24 +368,6 @@ def cmd_tower_check(args) -> int:
                          {"dimensions": list(range(4, args.maxdim + 1))}, checks))
 
 
-def _configured_tower(args) -> Tower:
-    poles = None
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            config = json.load(fh)
-        labels = config.get("poles") if isinstance(config, dict) else None
-        if not (isinstance(labels, list) and all(isinstance(p, str) for p in labels)):
-            raise ValueError(f"{args.config}: expected {{\"poles\": [label, ...]}}")
-        poles = tuple(labels)
-    if getattr(args, "poles", None):
-        poles = tuple(args.poles.split(","))
-    if poles is None:
-        poles = ("sR1", "sL1") + tuple(f"s{i + 2}" for i in range(args.base_size - 3))
-    base = flat_base(poles)
-    check_law_budget(flat_stage1_size(len(poles)))
-    return Tower(base)
-
-
 # Largest --samples kinfty check accepts.  The step-join sample makes up to
 # 40 attempts per join and keeps only distinct joins; base size 3 has 3 331 of
 # them, so past about 3 000 the attempts run out, however fast a join is.  At
@@ -379,10 +379,11 @@ MAX_JOIN_SAMPLES = 1000
 
 
 def cmd_kinfty(args) -> int:
-    _check_bounds("--base-size", args.base_size, least=3)
+    poles = _base_poles(args.base_size)
     _check_bounds("--depth", args.depth, most=kinfinity.MAX_DEPTH)
     _check_bounds("--samples", args.samples, least=0, most=MAX_JOIN_SAMPLES)
-    tower = _configured_tower(args)
+    check_law_budget(flat_stage1_size(len(poles)))
+    tower = Tower(flat_base(poles))
     rng = random.Random(args.seed)
     report = kinfinity.verify_laws(tower, depth=args.depth)
     checks = list(report["checks"])
@@ -514,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("witness", help="interpret a fixed-span witness")
     p.add_argument("expr")
     p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--poles", default=None)
+    p.add_argument("--base-size", type=int, default=3, dest="base_size")
     p.set_defaults(fn=cmd_witness)
 
     p = sub.add_parser("tower-check", help="globularity, functor, realization checks")
@@ -530,8 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--base-size", type=int, default=3, dest="base_size")
     k.add_argument("--samples", type=int, default=200)
     k.add_argument("--seed", type=int, default=0)
-    k.add_argument("--poles", default=None)
-    k.add_argument("--config", default=None)
     k.set_defaults(fn=cmd_kinfty)
 
     p = sub.add_parser("coherence", help="front-seed boundary checks")
@@ -551,7 +550,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (ValueError, OSError, FuelExhausted, RecursionError, MemoryError) as e:
-        # OSError: an unreadable --config or --sequences file.
+        # OSError: an unreadable --sequences file.
         # RecursionError: an input nested deeper than the recursive parser
         # (or another recursive pass) can follow.
         # MemoryError: an input whose work outgrows the address space.

@@ -26,7 +26,8 @@ class ParallelismViolation(IllFormed):
 # carrier.  A derivation between x and y exists only when x equals y, but
 # distinct derivation trees between the same endpoints stay distinct.
 
-HDRefl, HDSymm, HDTrans = Refl, Symm, Trans  # old names
+# Old names, read by the frozen perfbench/workloads.py (ROADMAP item 1).
+HDRefl, HDSymm, HDTrans = Refl, Symm, Trans
 HigherDeriv = Union[Refl, Symm, Trans]
 
 

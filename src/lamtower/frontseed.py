@@ -126,12 +126,10 @@ class Word:
     letters: tuple[Letter, ...] = ()
 
 
-def word_of(letters, anchor: RedSeq | None = None) -> Word:
+def word_of(letters) -> Word:
     letters = tuple(letters)
     if not letters:
-        if anchor is None:
-            raise NonComposable("an empty word needs an anchor edge")
-        return Word(anchor, anchor, ())
+        raise NonComposable("an empty word needs an edge: use empty_word")
     prev_s, prev_t = letter_edges(letters[0])
     for l in letters[1:]:
         s, t = letter_edges(l)
@@ -265,14 +263,6 @@ class VComp:
 
 
 @dataclass(frozen=True, slots=True)
-class PasteL:
-    """Congruence: run a 3-cell to the right of a fixed word."""
-
-    word: Word
-    inner: "Cell3Expr"
-
-
-@dataclass(frozen=True, slots=True)
 class PasteR:
     inner: "Cell3Expr"
     word: Word
@@ -291,10 +281,8 @@ class FillerE:
 
 # The groupoid constructors of cells serve here too: Refl of a word, Symm
 # (inverse), WhiskerL/WhiskerR (run a 3-cell inside a whiskering letter).
-Refl3W, InvE, WlCong3, WrCong3 = Refl, Symm, WhiskerL, WhiskerR  # old names
-
 Cell3Expr = Union[FS1Seed, FS2Seed, HeadNorm, Refl, VComp, Symm,
-                  WhiskerL, WhiskerR, PasteL, PasteR, FillerE]
+                  WhiskerL, WhiskerR, PasteR, FillerE]
 
 
 def _word_point(x) -> Word:
@@ -321,10 +309,6 @@ def boundary3_words(e: Cell3Expr) -> tuple[Word, Word]:
     elif isinstance(e, VComp):
         src = boundary3_words(e.left)[0]
         tgt = boundary3_words(e.right)[1]
-    elif isinstance(e, PasteL):
-        s, t = boundary3_words(e.inner)
-        src = concat_words(e.word, s)
-        tgt = concat_words(e.word, t)
     elif isinstance(e, PasteR):
         s, t = boundary3_words(e.inner)
         src = concat_words(s, e.word)
@@ -339,14 +323,6 @@ def boundary3_words(e: Cell3Expr) -> tuple[Word, Word]:
             raise NonComposable(f"not a 3-cell expression: {e!r}")
         src, tgt = ends
     return word_reduce(src), word_reduce(tgt)
-
-
-def seed_cell(which: str, *args) -> Cell3Expr:
-    if which == "FS1":
-        return FS1Seed(*args)
-    if which == "FS2":
-        return FS2Seed(*args)
-    raise NonComposable(f"unknown seed {which!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -372,13 +348,11 @@ def shell_word(p: RedSeq, q: RedSeq, r: RedSeq) -> Word:
 
 def pentagon_words(p: RedSeq, q: RedSeq, r: RedSeq, s: RedSeq) -> tuple[Word, Word]:
     """The two structural pentagon boundary composites L and R (unreduced)."""
-    edge = _chain(p, q, r, s)
     left = word_of([AssL(seq_compose(p, q), r, s),
-                    AssL(p, q, seq_compose(r, s))], anchor=edge)
-    right = word_of([WrL(word_of([AssL(p, q, r)], anchor=_chain(p, q, r)), s),
+                    AssL(p, q, seq_compose(r, s))])
+    right = word_of([WrL(word_of([AssL(p, q, r)]), s),
                      AssL(p, seq_compose(q, r), s),
-                     WlL(p, word_of([AssL(q, r, s)], anchor=_chain(q, r, s)))],
-                    anchor=edge)
+                     WlL(p, word_of([AssL(q, r, s)]))])
     return left, right
 
 

@@ -36,8 +36,7 @@ _register(
     completion.RTowerCell, completion.SigmaCell,
     frontseed.AssL, frontseed.WlL, frontseed.WrL, frontseed.ReflL,
     frontseed.SeedL, frontseed.Word, frontseed.FS1Seed, frontseed.FS2Seed,
-    frontseed.HeadNorm, frontseed.VComp, frontseed.PasteL, frontseed.PasteR,
-    frontseed.FillerE,
+    frontseed.HeadNorm, frontseed.VComp, frontseed.PasteR, frontseed.FillerE,
     witness.TBeta, witness.TEta, witness.ReflM, witness.ReflN, witness.Comp,
 )
 # Older encodings tag the groupoid constructors by their 3-cell names, and
@@ -88,12 +87,26 @@ def decode(data):
         raise ValueError(f"{cls.__name__} expects a list of {arity} fields")
     args = [decode(x) for x in fields]
     try:
-        return cls(*args)
+        value = cls(*args)
+        return _validated_tower_cell(value) if cls is completion.RTowerCell else value
     except (TypeError, AttributeError) as e:
         # A constructor's own checks read its fields (RedSeq takes their
-        # lengths, witness.Comp their endpoints) and fail on values of
-        # another type.
+        # lengths, witness.Comp their endpoints, a tower cell its triple) and
+        # fail on values of another type.
         raise ValueError(f"{cls.__name__} cannot hold these fields: {e}") from e
+
+
+def _validated_tower_cell(cell):
+    """A decoded tower cell rebuilt by its checking constructor, so that a
+    cell no constructor would build fails here and not at a later read; its
+    lower cells were validated as they were decoded."""
+    if cell.dim <= 3:
+        return completion.explicit_cell(cell.dim, cell.payload)
+    x, y, h = cell.payload
+    if x.dim + 1 != cell.dim:
+        raise cells.IllFormed(
+            f"a dimension-{cell.dim} cell holds a triple of dimension-{x.dim} cells")
+    return completion.triple_cell(x, y, h)
 
 
 def dumps(obj, **kwargs) -> str:

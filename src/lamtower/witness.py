@@ -123,8 +123,8 @@ def pad(w: Witness, left: int, right: int) -> Witness:
     return w
 
 
-def default_tower(poles: tuple[str, ...] = ("sR1", "sL1")) -> Tower:
-    return Tower(flat_base(poles))
+def default_tower() -> Tower:
+    return Tower(flat_base())
 
 
 def pole_index(tower: Tower, label: str) -> int:

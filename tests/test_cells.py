@@ -5,9 +5,9 @@ import pytest
 
 from lamtower import cells, serialize
 from lamtower.cells import (Assoc, CLam, EndpointMismatch, HComp, Hole, IllFormed,
-                            Pentagon, RedSeq, Refl, Refl3, StepCong, Symm, Trans,
-                            Triangle, WhiskerL, boundary, boundary2, boundary3,
-                            empty_seq, globular_check, map_seq, mk_structural,
+                            Interchange, Pentagon, RedSeq, Refl, StepCong, Symm, Trans,
+                            Triangle, UnitL, UnitR, WhiskerL, WhiskerR, boundary,
+                            boundary2, boundary3, empty_seq, globular_check, map_seq,
                             pentagon_sides, seq_compose, seq_invert,
                             validate_seq)
 from lamtower.completion import explicit_cell
@@ -93,11 +93,10 @@ def test_whisker_preserves_identities(rng):
 
 def test_unitors():
     p = span_beta_seq()
-    cell = mk_structural("UnitL", p)
-    src, tgt = boundary(cell)
+    src, tgt = boundary2(UnitL(p))
     assert src == seq_compose(empty_seq(p.source), p) == p
     assert tgt == p
-    src, tgt = boundary(mk_structural("UnitR", p))
+    src, tgt = boundary2(UnitR(p))
     assert src == tgt == p
 
 
@@ -123,8 +122,7 @@ def test_pentagon_boundary(rng):
 
 def test_triangle_boundary(rng):
     p, q = gen_composable_seqs(rng, 2)
-    cell = mk_structural("Triangle", p, q)
-    src, tgt = boundary3(cell)
+    src, tgt = boundary3(Triangle(p, q))
     for side in (src, tgt):
         assert boundary2(side) == (seq_compose(p, q), seq_compose(p, q))
 
@@ -136,8 +134,7 @@ def test_interchange_example(rng):
     u = gen_zigzag(rng, p.target, 1)
     c = Refl(u)
     d = Refl(u)
-    cell = mk_structural("Interchange", a, b, c, d)
-    src, tgt = boundary3(cell)
+    src, tgt = boundary3(Interchange(a, b, c, d))
     assert isinstance(src, HComp) and isinstance(tgt, Trans)
     assert boundary2(src) == boundary2(tgt)
 
@@ -147,25 +144,12 @@ def test_interchange_noncomposable(rng):
     q = gen_zigzag(rng, gen_term(rng, 6), 1)
     bad_d = Refl(seq_compose(p, seq_invert(p)))
     with pytest.raises(EndpointMismatch):
-        mk_structural("Interchange", Refl(p), Refl(p), Refl(q), bad_d)
-
-
-def test_mk_structural_names(rng):
-    # the constructor table is the 2- and 3-cell classes, by class name
-    names = {"Refl", "Symm", "Trans", "WhiskerL", "WhiskerR", "HComp", "Assoc",
-             "UnitL", "UnitR", "StepCong", "Refl3", "Symm3", "Trans3",
-             "WhiskerL3", "WhiskerR3", "HComp3", "Interchange", "Pentagon",
-             "Triangle"}
-    assert cells._STRUCTURAL == {name: getattr(cells, name) for name in names}
-    p = gen_zigzag(rng, gen_term(rng, 6), 1)
-    assert mk_structural("Refl", p) == Refl(p)
-    with pytest.raises(IllFormed, match="unknown structural constructor"):
-        mk_structural("Boundary", p)
+        boundary3(Interchange(Refl(p), Refl(p), Refl(q), bad_d))
 
 
 def test_globular_examples(rng):
     a = Refl(gen_zigzag(rng, gen_term(rng, 6), 1))
-    assert globular_check(Refl3(a))
+    assert globular_check(Refl(a))
     for _ in range(10):
         p, q, r, s = gen_composable_seqs(rng, 4)
         assert globular_check(Pentagon(p, q, r, s))
@@ -206,18 +190,11 @@ def test_boundary_stability(rng):
     for _ in range(30):
         cell = gen_h3(rng, depth=2)
         s, t = boundary3(cell)
-        from lamtower.cells import Symm3, Trans3
-        assert boundary3(Symm3(cell)) == (t, s)
-        assert boundary3(Trans3(cell, Refl3(t))) == (s, t)
+        assert boundary3(Symm(cell)) == (t, s)
+        assert boundary3(Trans(cell, Refl(t))) == (s, t)
 
 
 # --- one groupoid family, three dimensions ----------------------------------
-
-def test_old_3cell_names_are_the_shared_constructors():
-    assert (cells.Refl3, cells.Symm3, cells.Trans3, cells.WhiskerL3,
-            cells.WhiskerR3, cells.HComp3) == cells.GROUPOID_CLASSES
-    assert cells.GROUPOID_CLASSES == (Refl, Symm, Trans, WhiskerL, cells.WhiskerR, HComp)
-
 
 def test_boundary2_rejects_other_dimensions():
     p = span_beta_seq()
@@ -246,25 +223,25 @@ def test_boundary3_rejects_other_dimensions(rng):
     assert boundary3(Refl(two)) == (two, two)
 
 
-@pytest.mark.parametrize("name, args", [
-    ("HComp3", lambda p, e: (Triangle(p, e), Triangle(p, e))),
-    ("WhiskerL3", lambda p, e: (p, Triangle(p, e))),
-    ("WhiskerR3", lambda p, e: (Triangle(p, e), p)),
+@pytest.mark.parametrize("name, make", [
+    ("HComp3", lambda p, e: HComp(Triangle(p, e), Triangle(p, e))),
+    ("WhiskerL3", lambda p, e: WhiskerL(p, Triangle(p, e))),
+    ("WhiskerR3", lambda p, e: WhiskerR(Triangle(p, e), p)),
 ])
-def test_boundary3_validates_the_2cells_it_builds(name, args):
-    # Triangle(p, e) runs from p's source to p's target, so none of these
-    # compose; they used to be accepted, and globular_check on them raised
+def test_boundary3_validates_the_2cells_it_builds(name, make):
+    # the 3-cell HComp and whiskers: Triangle(p, e) runs from p's source to
+    # p's target, so none of these compose; they used to be accepted, and
+    # globular_check on them raised
     p = span_beta_seq()
     e = empty_seq(p.target)
     with pytest.raises(EndpointMismatch):
-        mk_structural(name, *args(p, e))
+        boundary3(make(p, e))
 
 
 def test_boundary3_accepts_composable_whiskers_and_hcomp(rng):
     p, q, r, s = gen_composable_seqs(rng, 4)
-    for cell in (mk_structural("HComp3", Triangle(p, q), Triangle(r, s)),
-                 mk_structural("WhiskerL3", p, Triangle(q, r)),
-                 mk_structural("WhiskerR3", Triangle(p, q), r)):
+    for cell in (HComp(Triangle(p, q), Triangle(r, s)), WhiskerL(p, Triangle(q, r)),
+                 WhiskerR(Triangle(p, q), r)):
         assert globular_check(cell)
 
 
@@ -276,7 +253,7 @@ def test_cell_dim(rng):
                  HComp(StepCong(CLam(Hole()), two), two)):
         assert cells.cell_dim(cell) == 2
     for cell in (three, Refl(two), Symm(Trans(Refl(two), three)),
-                 cells.WhiskerR(HComp(three, three), s)):
+                 WhiskerR(HComp(three, three), s)):
         assert cells.cell_dim(cell) == 3
     # terms, words, front-seed expressions and a Refl above dimension 3
     for other in (p.source, Word(p, p, ()), Refl(Word(p, p, ())),
@@ -288,10 +265,8 @@ def test_boundary_dispatches_by_dimension(rng):
     p = gen_zigzag(rng, gen_term(rng, 6), 1)
     assert boundary(Refl(Refl(p))) == (Refl(p), Refl(p))
     assert boundary(Symm(Refl(p))) == (p, p)
-    cell = mk_structural("Refl3", Refl(p))
-    assert cell == mk_structural("Refl", Refl(p)) == Refl(Refl(p))
     with pytest.raises(IllFormed):
-        mk_structural("Symm3", Refl(Word(p, p, ())))
+        boundary(Symm(Refl(Word(p, p, ()))))
 
 
 def test_explicit_cell_checks_dimension(rng):

@@ -6,8 +6,8 @@ import pytest
 
 from lamtower import cli, completion, serialize
 from lamtower.cells import seq_invert
-from lamtower.cli import (MAX_JOIN_SAMPLES, MAX_TOWER_DIM, ParseError, main,
-                          parse_term, parse_witness)
+from lamtower.cli import (MAX_JOIN_SAMPLES, MAX_TOWER_DIM, MAX_BASE_SIZE,
+                          ParseError, main, parse_term, parse_witness)
 from lamtower.gen import gen_term
 from lamtower.kinfinity import MAX_DEPTH
 from lamtower.terms import App, Lam, Var, to_text
@@ -156,6 +156,24 @@ def test_cli_kinfty_stdout_pinned(capsys, base_size, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv, digest", [
+    # shell_word and word_of run on the assoc path, pentagon_words on the
+    # pentagon one
+    (["coherence", "assoc", "--seed", "0"],
+     "aaa3943be60c5d6928bb83c18d5df833e7a267ba9317d98eba87175d588c992a"),
+    (["coherence", "assoc", "--span"],
+     "a4d6ea7111c5c5702ffea0ede8aee55556c4928e4596cb7ed1aa0ca9deaab82e"),
+    (["coherence", "pentagon", "--seed", "3"],
+     "aaabe50ba379a02f5a2cee2da02ed75e6298dad35060b828811e7e5d6eba3bc4"),
+    (["witness", "beta", "--depth", "2"],
+     "9ad820377cfb5de433e1076cf30a42a45aec34647b314a0bc0853278b24d9cad"),
+], ids=" ".join)
+def test_cli_stdout_pinned(capsys, argv, digest):
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert (hashlib.sha256(out.encode()).hexdigest(), code) == (digest, 0)
+
+
 def _error(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
@@ -163,22 +181,10 @@ def _error(capsys, argv):
     return json.loads(out)["error"]
 
 
-def test_cli_missing_config_file_is_json(capsys, tmp_path):
-    missing = str(tmp_path / "absent.json")
-    assert "No such file" in _error(capsys, ["kinfty", "check", "--config", missing])
-
-
 def test_cli_missing_sequences_file_is_json(capsys, tmp_path):
     missing = str(tmp_path / "absent.json")
     assert "No such file" in _error(capsys, ["coherence", "assoc",
                                              "--sequences", missing])
-
-
-@pytest.mark.parametrize("config", [{}, {"poles": 5}, {"poles": [1, 2]}, [1]])
-def test_cli_malformed_config_is_json(capsys, tmp_path, config):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
-    assert "poles" in _error(capsys, ["kinfty", "check", "--config", str(path)])
 
 
 def _sequences_error(capsys, tmp_path, data):
@@ -266,6 +272,26 @@ def test_cli_kinfty_base_size_below_three_refused(capsys, monkeypatch, size):
         f"--base-size {size} is below the minimum of 3"
 
 
+@pytest.mark.parametrize("size", ["2", "-1"])
+def test_cli_witness_base_size_below_three_refused(capsys, monkeypatch, size):
+    monkeypatch.setattr(cli, "flat_base", _no_work)
+    assert _error(capsys, ["witness", "eta", "--base-size", size]) == \
+        f"--base-size {size} is below the minimum of 3"
+
+
+@pytest.mark.parametrize("command", [["witness", "eta"], ["kinfty", "check"]])
+@pytest.mark.parametrize("size", [str(MAX_BASE_SIZE + 1), "1000", "3000"])
+def test_cli_base_size_above_cap_refused(capsys, monkeypatch, command, size):
+    # witness --poles, which this option replaced, had no bound: 7 poles
+    # (base size 8) would have tested 8^8 stage-1 tables.  kinfty check
+    # reported an int-to-string error at 1 000 and built a 3 000 x 3 000
+    # order (1.65 s, 86 MB) before refusing 3 000
+    monkeypatch.setattr(cli, "flat_base", _no_work)
+    monkeypatch.setattr(cli, "flat_stage1_size", _no_work)
+    assert _error(capsys, command + ["--base-size", size]) == \
+        f"--base-size {size} is above the maximum of {MAX_BASE_SIZE}"
+
+
 @pytest.mark.parametrize("argv, first_work", [
     (["kinfty", "check"], (cli, "flat_base")),
     (["tower-check"], (cli.gen, "gen_h3")),
@@ -292,7 +318,7 @@ def test_cli_kinfty_samples_at_cap_runs(capsys):
 
 @pytest.mark.parametrize("argv, first_work", [
     (["kinfty", "check"], (cli, "flat_base")),
-    (["witness", "eta"], (cli.witness, "default_tower")),
+    (["witness", "eta"], (cli, "flat_base")),
 ])
 def test_cli_depth_above_max_refused(capsys, monkeypatch, argv, first_work):
     # it used to fail late with "no embedding representation from stage 3"

@@ -4,13 +4,13 @@ import pytest
 
 from lamtower import cells
 from lamtower.cells import Pentagon, empty_seq, seq_compose, seq_invert
-from lamtower.frontseed import (AssL, FS1Seed, FS2Seed, HornGlueFailure, InvE,
-                                NonComposable, Refl3W, ReflL, SeedL, WlCong3,
-                                WlL, WrCong3, WrL, assemble_pentagon_filler,
+from lamtower.frontseed import (AssL, FS1Seed, FS2Seed, HornGlueFailure,
+                                NonComposable, ReflL, SeedL, WlL, WrL,
+                                assemble_pentagon_filler,
                                 boundary3_words, empty_word, fs_assoc_compare,
                                 fs_bridges, fs_pentagon, interp_cell2,
                                 inv_word, letter_inv,
-                                mixed_target_word, pentagon_words, seed_cell,
+                                mixed_target_word, pentagon_words,
                                 shell_word, word_of, word_reduce, words_equal)
 from lamtower.gen import (gen_composable_seqs, gen_term, gen_word, gen_zigzag,
                           insert_cancelling_pairs)
@@ -72,7 +72,7 @@ def test_fs1_display(rng):
     alpha, beta, delta = gen_composable_seqs(rng, 3, allow_empty=False)
     gamma = beta  # a parallel edge
     eta = word_of([SeedL("eta", beta, gamma)])
-    cell = seed_cell("FS1", alpha, eta, delta)
+    cell = FS1Seed(alpha, eta, delta)
     src, tgt = boundary3_words(cell)
     assert len(src.letters) == 1
     assert isinstance(src.letters[0], WrL)
@@ -92,7 +92,7 @@ def test_fs1_noncomposable(rng):
 
 def test_fs2_display(rng):
     p, q, r, s = gen_composable_seqs(rng, 4, allow_empty=False)
-    cell = seed_cell("FS2", p, q, r, s)
+    cell = FS2Seed(p, q, r, s)
     src, tgt = boundary3_words(cell)
     assert tgt.letters == ()
     assert len(src.letters) == 1
@@ -107,7 +107,7 @@ def test_assoc_compare_empty_first(rng):
     q, r = gen_composable_seqs(rng, 2)
     p = empty_seq(q.source)
     cell = fs_assoc_compare(p, q, r)
-    assert isinstance(cell, Refl3W)
+    assert isinstance(cell, cells.Refl)
     src, tgt = boundary3_words(cell)
     assert src.letters == () and tgt.letters == ()
 
@@ -173,7 +173,7 @@ def test_pentagon_corrupted_face():
     p, q, r, s = _span_quad()
     good_back = [fs_assoc_compare(seq_compose(p, q), r, s),
                  fs_assoc_compare(p, q, seq_compose(r, s))]
-    wrong = Refl3W(empty_word(seq_compose(seq_compose(seq_compose(p, q), r), s)))
+    wrong = cells.Refl(empty_word(seq_compose(seq_compose(seq_compose(p, q), r), s)))
     with pytest.raises(HornGlueFailure):
         assemble_pentagon_filler(p, q, r, s, FS2Seed(p, q, r, s), wrong,
                                  fs_assoc_compare(p, seq_compose(q, r), s),
@@ -223,11 +223,6 @@ def test_bridges_random():
 
 
 # --- the shared groupoid constructors ---------------------------------------
-
-def test_old_expression_names_are_the_shared_constructors():
-    assert (Refl3W, InvE, WlCong3, WrCong3) == (cells.Refl, cells.Symm,
-                                                cells.WhiskerL, cells.WhiskerR)
-
 
 def test_boundary3_words_rejects_cells_of_the_tower():
     p, q, r, s = _span_quad()

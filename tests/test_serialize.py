@@ -7,8 +7,8 @@ import pytest
 from lamtower import serialize
 from lamtower.cells import (HComp, Pentagon, Refl, Symm, Trans, Triangle,
                             WhiskerL, WhiskerR, boundary3, empty_seq, seq_invert)
-from lamtower.completion import (explicit_cell, realize, realize_boundary_check,
-                                 triple_cell)
+from lamtower.completion import (RTowerCell, explicit_cell, realize,
+                                 realize_boundary_check, triple_cell)
 from lamtower.frontseed import (FS2Seed, boundary3_words, empty_word,
                                 fs_assoc_compare, fs_bridges, fs_pentagon)
 from lamtower.gen import (gen_composable_seqs, gen_h2, gen_h3, gen_rtower_cell,
@@ -37,7 +37,7 @@ def test_cell_roundtrip(rng):
 
 
 def test_tower_cell_roundtrip(rng):
-    for dim in (4, 6, 8):
+    for dim in (0, 1, 2, 3, 4, 6, 8):
         cell = gen_rtower_cell(rng, dim)
         assert _roundtrip(cell)
         from lamtower.completion import realize
@@ -212,3 +212,27 @@ def test_old_derivation_tags_decode_to_shared_constructors():
         assert '"HD' not in text
         assert text == re.sub(r'"\$t": "HD(Refl|Symm|Trans)"', r'"$t": "\1"', old)
         assert serialize.loads(text) == value
+
+
+# --- decoded tower cells are checked as their constructors check them -------
+
+def test_loads_refuses_ill_formed_tower_cells():
+    p = span_beta_seq()
+    eta = explicit_cell(3, Triangle(p, empty_seq(p.target)))
+    c4 = triple_cell(eta, eta, Refl(eta))
+    other = triple_cell(eta, eta, Symm(Refl(eta)))
+    for cell, message in (
+            # a Trans joint between c4 and other: realize used to accept this
+            # cell, and only realize_boundary_check raised
+            (RTowerCell(5, (c4, c4, Trans(Trans(Refl(c4), Refl(other)), Refl(c4)))),
+             "Trans: middle boundaries differ"),
+            (RTowerCell(5, (c4, other, Refl(c4))), "derivation endpoints do not match"),
+            (RTowerCell(6, (c4, c4, Refl(c4))), "holds a triple of dimension-4 cells"),
+            (RTowerCell(4, (eta, RTowerCell(3, Refl(Refl(p))), Refl(eta))), "not parallel"),
+            (RTowerCell(2, Refl(Refl(p))), "dimension 2 does not accept Refl"),
+            (RTowerCell(0, p), "dimension 0 does not accept RedSeq"),
+            (RTowerCell(5, (c4, c4)), "not enough values to unpack"),
+            (RTowerCell(5, 7), "RTowerCell cannot hold these fields")):
+        text = serialize.dumps(cell)
+        with pytest.raises(ValueError, match=message):
+            serialize.loads(text)
