@@ -272,13 +272,10 @@ def _check_bounds(flag: str, value: int, least=None, most=None) -> None:
         raise ValueError(f"{flag} {value} is above the maximum of {most}")
 
 
-# Largest --base-size witness and kinfty check accept.  Building a Tower
-# tests all n^n tables over a base of n elements: witness, as a CLI process,
-# took 0.15-0.21 s at base sizes 3-5, 0.36-0.39 s at 6 and 2.6-2.9 s at 7
-# (823 543 tables, 40 MB; 2-core host); 8 would test 8^8 = 16 777 216
-# tables, 20 times as many.  kinfty check refuses 6 and 7 by its law budget;
-# above the cap its exact counts grow past what Python prints (base size
-# 1 000) and the base's order matrix alone past memory.
+# Largest --base-size kinfty check accepts.  Sizes 6 and 7 pass the cap and
+# are refused by check_law_budget with their exact law counts (stage 1 of
+# 7 781 and 117 655 elements); a larger size is refused here, before those
+# counts are computed: at 1 000 they grow past what Python prints.
 MAX_BASE_SIZE = 7
 
 
@@ -292,9 +289,8 @@ def _base_poles(base_size: int) -> tuple[str, ...]:
 
 def cmd_witness(args) -> int:
     _check_bounds("--depth", args.depth, most=kinfinity.MAX_DEPTH)
-    poles = _base_poles(args.base_size)
     w = parse_witness(args.expr)
-    tower = Tower(flat_base(poles))
+    tower = witness.default_tower()
     interp = witness.interpret(w, args.depth, tower)
     vs_beta = witness.separation_report(w, witness.TBeta(), args.depth, tower)
     vs_eta = witness.separation_report(w, witness.TEta(), args.depth, tower)
@@ -515,7 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("witness", help="interpret a fixed-span witness")
     p.add_argument("expr")
     p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--base-size", type=int, default=3, dest="base_size")
     p.set_defaults(fn=cmd_witness)
 
     p = sub.add_parser("tower-check", help="globularity, functor, realization checks")

@@ -272,24 +272,28 @@ def test_cli_kinfty_base_size_below_three_refused(capsys, monkeypatch, size):
         f"--base-size {size} is below the minimum of 3"
 
 
-@pytest.mark.parametrize("size", ["2", "-1"])
-def test_cli_witness_base_size_below_three_refused(capsys, monkeypatch, size):
-    monkeypatch.setattr(cli, "flat_base", _no_work)
-    assert _error(capsys, ["witness", "eta", "--base-size", size]) == \
-        f"--base-size {size} is below the minimum of 3"
-
-
-@pytest.mark.parametrize("command", [["witness", "eta"], ["kinfty", "check"]])
 @pytest.mark.parametrize("size", [str(MAX_BASE_SIZE + 1), "1000", "3000"])
-def test_cli_base_size_above_cap_refused(capsys, monkeypatch, command, size):
-    # witness --poles, which this option replaced, had no bound: 7 poles
-    # (base size 8) would have tested 8^8 stage-1 tables.  kinfty check
-    # reported an int-to-string error at 1 000 and built a 3 000 x 3 000
+def test_cli_kinfty_base_size_above_cap_refused(capsys, monkeypatch, size):
+    # it reported an int-to-string error at 1 000 and built a 3 000 x 3 000
     # order (1.65 s, 86 MB) before refusing 3 000
     monkeypatch.setattr(cli, "flat_base", _no_work)
     monkeypatch.setattr(cli, "flat_stage1_size", _no_work)
-    assert _error(capsys, command + ["--base-size", size]) == \
+    assert _error(capsys, ["kinfty", "check", "--base-size", size]) == \
         f"--base-size {size} is above the maximum of {MAX_BASE_SIZE}"
+
+
+@pytest.mark.parametrize("argv", [
+    ["witness", "eta", "--base-size", "3"],
+    ["witness", "eta", "--poles", "sR1,sL1"],
+    ["kinfty", "check", "--poles", "sR1,sL1"],
+    ["kinfty", "check", "--config", "base.json"],
+])
+def test_cli_base_options_beyond_base_size_unknown(capsys, argv):
+    # witness runs only the sR1,sL1 base; kinfty check takes only --base-size
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, first_work", [
@@ -318,7 +322,7 @@ def test_cli_kinfty_samples_at_cap_runs(capsys):
 
 @pytest.mark.parametrize("argv, first_work", [
     (["kinfty", "check"], (cli, "flat_base")),
-    (["witness", "eta"], (cli, "flat_base")),
+    (["witness", "eta"], (cli.witness, "default_tower")),
 ])
 def test_cli_depth_above_max_refused(capsys, monkeypatch, argv, first_work):
     # it used to fail late with "no embedding representation from stage 3"
