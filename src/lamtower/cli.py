@@ -376,7 +376,7 @@ MAX_JOIN_SAMPLES = 1000
 
 def cmd_kinfty(args) -> int:
     poles = _base_poles(args.base_size)
-    _check_bounds("--depth", args.depth, most=kinfinity.MAX_DEPTH)
+    _check_bounds("--depth", args.depth, least=2, most=kinfinity.MAX_DEPTH)
     _check_bounds("--samples", args.samples, least=0, most=MAX_JOIN_SAMPLES)
     check_law_budget(flat_stage1_size(len(poles)))
     tower = Tower(flat_base(poles))
@@ -434,6 +434,9 @@ def _is_replayable(p: RedSeq) -> bool:
 
 
 def cmd_coherence(args) -> int:
+    if args.sequences and args.span:
+        raise ValueError("--sequences and --span each choose the four sequences; "
+                         "give one of them")
     if args.sequences:
         with open(args.sequences) as fh:
             data = json.load(fh)

@@ -11,8 +11,10 @@ functorially.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 DEFAULT_POLES = ("sR1", "sL1")
@@ -124,7 +126,8 @@ class Tower:
     Element representations: stage 0 is an index into the base; stage 1 is a
     table over base indices; stage 2 is a table over the canonical stage-1
     enumeration whose entries are stage-1 tables; stage 3 is a LazyMono
-    evaluated at stage-2 tables on demand.
+    evaluated at stage-2 tables on demand.  Only the tower reads them: other
+    code builds, applies, orders and compares elements through its methods.
 
     Construction enumerates stage 1 and indexes it: `stage1_index` maps each
     table to its position and `_const1` holds the positions of the constant
@@ -145,8 +148,6 @@ class Tower:
     - `_threads`: the shared canonical threads of kinfinity.stage_embed, at
       most one per depth and stage-0 element, stage-1 element or probe.
     """
-
-    MAX_LEVEL = 3
 
     def __init__(self, base: FinPoset):
         self.base = base
@@ -189,12 +190,18 @@ class Tower:
     def leq(self, level: int, a, b) -> bool:
         """a <= b in stage `level`, for a and b elements of that stage.
 
-        Above stage 0 an element is reflexively below itself without a
+        In stages 1 and 2 an element is reflexively below itself without a
         lookup (`a is b`), and otherwise the answer is read from the up-set
         rows of the stage-1 order.  Both are exact only for stage elements:
         a table that is not one may compare as below itself, and a stage-1
         argument of leq(1, ...) or entry of leq(2, ...) that is not a
         stage-1 element raises KeyError.
+
+        At stage 3 it decides less than the order of maps: one map, or two
+        with equal construction keys (both emb(2, w) for one w), are below;
+        others are compared pointwise at the s + 1 probes {bottom(2)} and
+        e_1(D_1) only, s the size of stage 1.  Maps that agree on the probes
+        but differ elsewhere in stage 2 compare below each other.
         """
         if level == 0:
             return self.base.leq[a][b]
@@ -205,7 +212,22 @@ class Tower:
                 return True
             rows = self._up1 or self._stage1_up()
             return all(map(frozenset.__contains__, map(rows.__getitem__, a), b))
-        raise CapExceeded("no order comparison above stage 2")
+        if level == 3:
+            if a is b or (a.key is not None and a.key == b.key):
+                return True
+            return all(map(partial(self.leq, 2), self.at_probes(a), self.at_probes(b)))
+        raise CapExceeded("no order comparison above stage 3")
+
+    def eq(self, level: int, a, b) -> bool:
+        """a == b in stage `level`; at stage 3, equal construction keys or
+        agreement at every probe, with the caveat of leq(3, ...)."""
+        if level < 3:
+            return a == b
+        if level == 3:
+            if a.key is not None and a.key == b.key:
+                return True
+            return all(map(operator.eq, self.at_probes(a), self.at_probes(b)))
+        raise CapExceeded("no equality test above stage 3")
 
     def up_set(self, level: int, a):
         """The elements of stage `level` (0 or 1) above a, as a container."""
@@ -305,6 +327,16 @@ class Tower:
 
     def emb_proj(self, n: int) -> tuple[Callable, Callable]:
         return (lambda x: self.emb(n, x)), (lambda u: self.proj(n, u))
+
+    def tabulate(self, n: int, fn: Callable):
+        """The stage-(n+1) element x |-> fn(x), for fn monotone on stage n:
+        a table over domain(n) for n <= 1, and at n = 2 a LazyMono that
+        evaluates fn only when applied or compared."""
+        if n <= 1:
+            return tuple(map(fn, self.domain(n)))
+        if n == 2:
+            return LazyMono(fn)
+        raise CapExceeded(f"no tabulation over stage {n}")
 
     def make_mono(self, level: int, table) -> MonoMap:
         """A validated monotone self-map table over stage `level`."""

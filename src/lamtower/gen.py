@@ -198,17 +198,21 @@ def gen_hd_tree(rng: random.Random, x, depth: int) -> R.HigherDeriv:
                    gen_hd_tree(rng, x, depth - 1))
 
 
-def gen_rtower_cell(rng: random.Random, dim: int, h3_depth: int = 1) -> R.RTowerCell:
+# The derivation depth of every 3-cell gen_rtower_cell generates.
+RTOWER_H3_DEPTH = 1
+
+
+def gen_rtower_cell(rng: random.Random, dim: int) -> R.RTowerCell:
     """A well-formed cell of the recursive completion at any dimension."""
     if dim == 3:
-        return R.explicit_cell(3, gen_h3(rng, h3_depth))
+        return R.explicit_cell(3, gen_h3(rng, RTOWER_H3_DEPTH))
     if dim == 2:
         return R.explicit_cell(2, gen_h2(rng))
     if dim == 1:
         return R.explicit_cell(1, gen_zigzag(rng, gen_term(rng, 6), 2))
     if dim == 0:
         return R.explicit_cell(0, gen_term(rng, 6))
-    below = gen_rtower_cell(rng, dim - 1, h3_depth)
+    below = gen_rtower_cell(rng, dim - 1)
     h = gen_hd_tree(rng, below, rng.randint(0, 3))
     return R.triple_cell(below, below, h)
 

@@ -3,25 +3,16 @@ application laws.
 
 A thread holds one coordinate per stage up to the truncation depth, coherent
 under the stage projections.  Application is the top shadow of the monotone
-shadow chain; reify tabulates stage restrictions of an endomap.
-
-The top coordinate at depth 3 is an evaluation-backed stage-3 map, and a
-comparison of two tops decides less than equality of stage-3 maps.  Two
-tops with equal construction keys (both emb(2, w) for one table w) are
-equal.  Otherwise they are compared on the s + 1 probes {bottom(2)} and
-e_1(D_1) only, where s is the size of stage 1: equal when they agree at
-every probe, below when they are pointwise below there.  Two maps that
-agree on the probes but differ elsewhere in stage 2 compare equal.
+shadow chain; reify tabulates stage restrictions of an endomap.  Threads
+compare coordinatewise by Tower.eq/Tower.leq (at stage 3 on probes only).
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional
 
-from .domains import LazyMono, Tower, check_law_budget
+from .domains import Tower, check_law_budget
 
 
 class DepthTooSmall(ValueError):
@@ -48,9 +39,6 @@ class Thread:
     def __eq__(self, other):
         return isinstance(other, Thread) and thread_eq(self, other)
 
-    def __hash__(self):  # pragma: no cover - threads are not dict keys
-        return hash((id(self.tower), self.coords[: min(self.depth, 2) + 1]))
-
     def __repr__(self):
         return f"Thread(depth={self.depth}, base={self.tower.base.labels[self.coords[0]]})"
 
@@ -64,52 +52,18 @@ def coherent(t: Thread) -> bool:
     return True
 
 
-def _top_eq(tw: Tower, a, b) -> bool:
-    """a == b for depth-3 top coordinates: True for equal construction keys,
-    otherwise agreement at every probe.  Not equality of stage-3 maps: two
-    maps that agree on the probes compare equal."""
-    if isinstance(a, LazyMono) and isinstance(b, LazyMono):
-        if a.key is not None and a.key == b.key:
-            return True
-        return all(map(operator.eq, tw.at_probes(a), tw.at_probes(b)))
-    return a == b
-
-
-def _top_le(tw: Tower, a, b) -> bool:
-    """a <= b for depth-3 top coordinates: True for one map or equal
-    construction keys, otherwise pointwise order at every probe."""
-    if isinstance(a, LazyMono) and isinstance(b, LazyMono):
-        if a is b or (a.key is not None and a.key == b.key):
-            return True
-        return all(map(partial(tw.leq, 2), tw.at_probes(a), tw.at_probes(b)))
-    return tw.leq(3, a, b)
-
-
 def thread_eq(x: Thread, y: Thread) -> bool:
-    """Equal depths and coordinates; at depth 3 the top coordinates compare
-    as _top_eq does, by construction key or on the probes only."""
+    """Equal depths and coordinatewise Tower.eq, stage 0 first."""
     if x.depth != y.depth:
         return False
-    for n in range(min(x.depth, 2) + 1):
-        if x.coords[n] != y.coords[n]:
-            return False
-    if x.depth >= 3:
-        return _top_eq(x.tower, x.coords[3], y.coords[3])
-    return True
+    return all(map(x.tower.eq, range(x.depth + 1), x.coords, y.coords))
 
 
 def thread_le(x: Thread, y: Thread) -> bool:
-    """Coordinatewise order; at depth 3 the top coordinates compare as
-    _top_le does, by identity or construction key or on the probes only."""
+    """Coordinatewise Tower.leq, stage 0 first."""
     if x.depth != y.depth:
         raise DepthTooSmall("cannot compare threads of different depths")
-    tw = x.tower
-    for n in range(min(x.depth, 2) + 1):
-        if not tw.leq(n, x.coords[n], y.coords[n]):
-            return False
-    if x.depth >= 3:
-        return _top_le(tw, x.coords[3], y.coords[3])
-    return True
+    return all(map(x.tower.leq, range(x.depth + 1), x.coords, y.coords))
 
 
 def stage_embed(tower: Tower, n: int, u, depth: int) -> Thread:
@@ -222,14 +176,7 @@ def restrict(g: EndoMap, n: int, depth: int, tower: Tower):
     """The stage-n restriction of an endomap: project, apply, embed."""
     if n > depth - 1:
         raise DepthTooSmall(f"restriction to stage {n} needs depth > {n}")
-    if n <= 1:
-        return tuple(g.apply(stage_embed(tower, n, u, depth)).coords[n]
-                     for u in tower.domain(n))
-    if n == 2:
-        return LazyMono(
-            lambda w: g.apply(stage_embed(tower, 2, w, depth)).coords[2],
-            key=None)
-    raise DepthTooSmall(f"no restriction representation at stage {n}")
+    return tower.tabulate(n, lambda u: g.apply(stage_embed(tower, n, u, depth)).coords[n])
 
 
 def reify(g: EndoMap, depth: int, tower: Tower) -> Thread:

@@ -279,3 +279,19 @@ def test_explicit_cell_checks_dimension(rng):
                      (2, p), (1, two), (3, Refl(Word(p, p, ()))), (0, two)):
         with pytest.raises(IllFormed, match=f"dimension {dim} does not accept"):
             explicit_cell(dim, bad)
+
+
+def test_explicit_cell_checks_its_payload():
+    # only the leftmost leaf used to be read: a sequence that does not
+    # replay was accepted (and realize_boundary_check passed it), and a
+    # Trans of unequal 2-cells failed only at a later boundary read
+    p = span_beta_seq()
+    q = seq_invert(p)
+    with pytest.raises(IllFormed, match="must replay its steps"):
+        explicit_cell(1, RedSeq(q.terms, p.steps))
+    with pytest.raises(EndpointMismatch, match="middle boundaries differ"):
+        explicit_cell(2, Trans(Refl(p), Refl(q)))
+    with pytest.raises(EndpointMismatch, match="middle boundaries differ"):
+        explicit_cell(3, Trans(Refl(Refl(p)), Refl(Refl(q))))
+    for dim, good in ((1, p), (2, Trans(Refl(p), Refl(p))), (3, Refl(Refl(q)))):
+        assert explicit_cell(dim, good).payload == good

@@ -167,6 +167,12 @@ def test_cli_kinfty_stdout_pinned(capsys, base_size, digest):
      "aaabe50ba379a02f5a2cee2da02ed75e6298dad35060b828811e7e5d6eba3bc4"),
     (["witness", "beta", "--depth", "2"],
      "9ad820377cfb5de433e1076cf30a42a45aec34647b314a0bc0853278b24d9cad"),
+    # thread comparisons below the top stage: a depth-2 law suite and the
+    # depth-1 witness separation
+    (["kinfty", "check", "--depth", "2", "--base-size", "4", "--seed", "5"],
+     "b84c7a6af0ea1d13420d9ec044acaf4e296b0bedb8c8a3971a922bbbad7033b3"),
+    (["witness", "eta", "--depth", "1"],
+     "81468c262c60d2a7cbfb01b229255c79998e547b955e31e05d4a064e26d96ff9"),
 ], ids=" ".join)
 def test_cli_stdout_pinned(capsys, argv, digest):
     code = main(argv)
@@ -185,6 +191,15 @@ def test_cli_missing_sequences_file_is_json(capsys, tmp_path):
     missing = str(tmp_path / "absent.json")
     assert "No such file" in _error(capsys, ["coherence", "assoc",
                                              "--sequences", missing])
+
+
+def test_cli_sequences_with_span_refused(capsys, tmp_path):
+    # the file used to win silently, and the report echoed "span": true;
+    # refused before the file is read, so a missing one is not reported
+    missing = str(tmp_path / "absent.json")
+    for which in ("assoc", "pentagon", "bridges"):
+        assert "give one of them" in _error(
+            capsys, ["coherence", which, "--sequences", missing, "--span"])
 
 
 def _sequences_error(capsys, tmp_path, data):
@@ -330,6 +345,12 @@ def test_cli_depth_above_max_refused(capsys, monkeypatch, argv, first_work):
     assert MAX_DEPTH == 3
     assert _error(capsys, argv + ["--depth", "4"]) == \
         "--depth 4 is above the maximum of 3"
+    if argv[0] == "kinfty":
+        # the law suite needs depth 2: depth 1 used to build the Tower and
+        # fail inside verify_laws
+        for depth in ("1", "0", "-2"):
+            assert _error(capsys, argv + ["--depth", depth]) == \
+                f"--depth {depth} is below the minimum of 2"
 
 
 @pytest.mark.parametrize("argv", [["reduce", "x"], ["pi0", "x", "x"]])

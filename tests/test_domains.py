@@ -388,3 +388,21 @@ def test_apply3_off_the_probes_uses_the_memo(base_size, rng):
             assert t.probe_position(j) is None
             assert t.apply(3, u, j) == u.fn(j)
         assert len(u.memo) == len(set(probes + tuple(joins)))
+
+
+def test_tabulate_builds_each_stage(tower):
+    # stages 1 and 2 are tables over the enumerated domain; stage 3 is a map
+    # that evaluates nothing when it is built, and then once per probe
+    assert tower.tabulate(0, lambda x: x) == tuple(range(len(tower.base)))
+    assert tower.tabulate(1, lambda g: g) == tower.stage1
+    log = []
+    u = tower.tabulate(2, lambda w: log.append(w) or w)
+    assert isinstance(u, LazyMono) and log == [] and u.probed == [] and u.memo == {}
+    probes = tower.stage2_probes()
+    assert [tower.apply(3, u, w) for w in probes] == list(probes) == log
+    assert tower.eq(3, u, tower.tabulate(2, lambda w: w)) and tower.leq(3, u, u)
+    with pytest.raises(CapExceeded):
+        tower.tabulate(3, lambda u: u)
+    for compare in (tower.leq, tower.eq):
+        with pytest.raises(CapExceeded, match="above stage 3"):
+            compare(4, u, u)

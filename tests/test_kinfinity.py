@@ -9,8 +9,7 @@ from lamtower.domains import (CapExceeded, LazyMono, Tower, check_law_budget,
                               check_projection_pair, enumerate_stage,
                               flat_base, step_join_sample)
 from lamtower.kinfinity import (Constant, DepthTooSmall, FromThread, Identity,
-                                Tabulated, Thread, _top_eq, _top_le, app,
-                                app_shadow,
+                                Tabulated, Thread, app, app_shadow,
                                 bottom_thread, coherent, reify, restrict,
                                 stage_embed, thread_eq, thread_le, verify_laws)
 
@@ -262,8 +261,8 @@ def test_probe_vectors_match_probe_by_probe_reference(base_size):
     refs = [[u.fn(w) for w in probes] for u in maps]
     for a, ra in zip(maps, refs):
         for b, rb in zip(maps, refs):
-            assert _top_eq(t, a, b) == (ra == rb)
-            assert _top_le(t, a, b) == all(_below2(t, x, y) for x, y in zip(ra, rb))
+            assert t.eq(3, a, b) == (ra == rb)
+            assert t.leq(3, a, b) == all(_below2(t, x, y) for x, y in zip(ra, rb))
     for u, ref in zip(maps, refs):
         assert t.proj(2, u) == tuple(t.proj(1, v) for v in ref[1:])
         assert u.probed == ref
@@ -275,11 +274,11 @@ def test_unequal_pair_stops_at_first_differing_probe(tower):
     ident = restrict(Identity(), 2, 3, tower)
     const = restrict(Constant(bottom_thread(tower, 3)), 2, 3, tower)
     first = next(i for i, w in enumerate(probes) if ident.fn(w) != const.fn(w))
-    assert not _top_eq(tower, ident, const)
+    assert not tower.eq(3, ident, const)
     assert len(ident.probed) == len(const.probed) == first + 1 < len(probes)
-    # _top_eq reads a map compared with itself twice, filling it once;
-    # _top_le answers by identity
-    assert _top_eq(tower, ident, ident) and _top_le(tower, ident, ident)
+    # eq(3, ...) reads a map compared with itself twice, filling it once;
+    # leq(3, ...) answers by identity
+    assert tower.eq(3, ident, ident) and tower.leq(3, ident, ident)
     assert ident.probed == [ident.fn(w) for w in probes]
 
 
@@ -543,8 +542,8 @@ def test_unequal_comparison_reads_no_further_than_first_difference(tower, fill):
     full = {"ident": ident, "const": const}.get(fill)
     if full is not None:
         list(tower.at_probes(full))
-    for compare in (_top_eq, _top_le):
-        assert not compare(tower, ident, const)
+    for compare in (tower.eq, tower.leq):
+        assert not compare(3, ident, const)
     for u, log in ((ident, ident_log), (const, const_log)):
         read = len(probes) if u is full else first + 1
         assert len(u.probed) == read

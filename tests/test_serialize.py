@@ -5,7 +5,7 @@ import re
 import pytest
 
 from lamtower import serialize
-from lamtower.cells import (HComp, Pentagon, Refl, Symm, Trans, Triangle,
+from lamtower.cells import (HComp, Pentagon, RedSeq, Refl, Symm, Trans, Triangle,
                             WhiskerL, WhiskerR, boundary3, empty_seq, seq_invert)
 from lamtower.completion import (RTowerCell, explicit_cell, realize,
                                  realize_boundary_check, triple_cell)
@@ -231,6 +231,9 @@ def test_loads_refuses_ill_formed_tower_cells():
             (RTowerCell(4, (eta, RTowerCell(3, Refl(Refl(p))), Refl(eta))), "not parallel"),
             (RTowerCell(2, Refl(Refl(p))), "dimension 2 does not accept Refl"),
             (RTowerCell(0, p), "dimension 0 does not accept RedSeq"),
+            # payloads that only their leftmost leaf used to check
+            (RTowerCell(1, RedSeq(seq_invert(p).terms, p.steps)), "must replay its steps"),
+            (RTowerCell(2, Trans(Refl(p), Refl(seq_invert(p)))), "middle boundaries differ"),
             (RTowerCell(5, (c4, c4)), "not enough values to unpack"),
             (RTowerCell(5, 7), "RTowerCell cannot hold these fields")):
         text = serialize.dumps(cell)
