@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .terms import (Dir, RedStep, Term, App, Lam, apply_step, invert_step)
+from .terms import (Dir, InvalidStep, RedStep, Term, App, Lam, apply_step,
+                    invert_step, is_step, is_term)
 
 
 class IllFormed(ValueError):
@@ -61,11 +62,15 @@ def seq_from_steps(source: Term, steps) -> RedSeq:
 
 
 def validate_seq(p: RedSeq) -> bool:
-    """Replaying the steps reproduces exactly the cached intermediates; False
-    also for a step that is not a well-typed RedStep."""
+    """Every cached term is a term and every step a RedStep, and replaying
+    the steps reproduces exactly the cached terms.  The shapes are checked
+    first: replay assumes them, and then fails only by InvalidStep."""
+    if not (isinstance(p.terms, tuple) and isinstance(p.steps, tuple)
+            and all(map(is_term, p.terms)) and all(map(is_step, p.steps))):
+        return False
     try:
         return seq_from_steps(p.source, p.steps) == p
-    except (ValueError, TypeError, AttributeError):
+    except InvalidStep:
         return False
 
 

@@ -20,8 +20,8 @@ from .domains import (CapExceeded, Tower, check_law_budget,
                       check_projection_pair, flat_base, flat_stage1_size,
                       step_join_sample)
 from .gen import gen_hd_tree, gen_rtower_cell
-from .terms import (App, Dir, FuelExhausted, Lam, RedStep, StepKind, Term, Var,
-                    apply_step, normalize, to_text)
+from .terms import (App, FuelExhausted, Lam, Term, Var, apply_step, normalize,
+                    to_text)
 
 
 class ParseError(ValueError):
@@ -314,10 +314,10 @@ def cmd_witness(args) -> int:
 
 # Largest --maxdim tower-check accepts.  Realization cost per cell grows
 # steeply with dimension and with the seed's random derivation trees: with
-# the default --samples 100, maxdim 15 finished in 0.9-1.8 s over seeds 0-9
-# (2-core host, in-process), but 16 took 32 s on seed 6 (1.1-6.6 s on the
-# others), past the 10 s budget; 24 took minutes at --samples 5 and 40 never
-# finished.
+# the default --samples 100, maxdim 15 finished in 0.55-1.3 s over seeds 0-9
+# (2-core shared Xeon host, Python 3.11, in-process), but 16 took 31 s on
+# seed 6 (1.1-5.5 s on the others), past the 10 s budget; 24 took minutes at
+# --samples 5 and 40 never finished.
 MAX_TOWER_DIM = 15
 
 
@@ -398,41 +398,6 @@ def cmd_kinfty(args) -> int:
                          result, checks))
 
 
-def _is_term(t) -> bool:
-    """t is a de Bruijn term all the way down (iterative, so any depth)."""
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Var):
-            if type(node.index) is not int or node.index < 0:
-                return False
-        elif isinstance(node, App):
-            stack.append(node.fun)
-            stack.append(node.arg)
-        elif isinstance(node, Lam):
-            stack.append(node.body)
-        else:
-            return False
-    return True
-
-
-def _is_step(s) -> bool:
-    return (isinstance(s, RedStep) and isinstance(s.kind, StepKind)
-            and isinstance(s.path, tuple)
-            and all(isinstance(d, Dir) for d in s.path)
-            and isinstance(s.forward, bool)
-            and (s.redex is None or _is_term(s.redex)))
-
-
-def _is_replayable(p: RedSeq) -> bool:
-    """Well-formed terms and steps, and replaying the steps gives the terms.
-
-    The shapes are checked first: replay assumes them."""
-    return (isinstance(p.terms, tuple) and isinstance(p.steps, tuple)
-            and all(_is_term(t) for t in p.terms)
-            and all(_is_step(s) for s in p.steps) and validate_seq(p))
-
-
 def cmd_coherence(args) -> int:
     if args.sequences and args.span:
         raise ValueError("--sequences and --span each choose the four sequences; "
@@ -444,7 +409,7 @@ def cmd_coherence(args) -> int:
         if len(seqs) != 4 or not all(isinstance(x, RedSeq) for x in seqs):
             raise ParseError("expected exactly four serialized sequences", 0)
         for i, seq in enumerate(seqs):
-            if not _is_replayable(seq):
+            if not validate_seq(seq):
                 raise ValueError(f"sequence {i} is not a replayable reduction sequence")
         p, q, r, s = seqs
     elif args.span:

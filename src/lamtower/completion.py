@@ -14,7 +14,7 @@ from . import cells
 from .cells import (EndpointMismatch, IllFormed, RedSeq, Refl, Symm, Trans,
                     boundary2, boundary3, groupoid_boundary, seq_compose,
                     seq_from_steps, seq_invert, validate_seq)
-from .terms import App, Lam, Term, Var, normalize
+from .terms import Term, is_term, normalize
 
 
 class ParallelismViolation(IllFormed):
@@ -76,11 +76,11 @@ class SigmaCell:
 
 
 def explicit_cell(dim: int, payload) -> RTowerCell:
-    """A checked cell of dimension 0-3: a term, a sequence whose steps
-    replay, or a 2- or 3-cell whose boundary computes, which checks every
-    joint and not only the leftmost leaf that gives its dimension."""
-    ok = (isinstance(payload, (Var, App, Lam)) if dim == 0
-          else cells.cell_dim(payload) == dim)
+    """A checked cell of dimension 0-3: a term all the way down, a sequence
+    that validate_seq accepts, or a 2- or 3-cell whose boundary computes,
+    which checks every joint and not only the leftmost leaf that gives its
+    dimension."""
+    ok = is_term(payload) if dim == 0 else cells.cell_dim(payload) == dim
     if not ok:
         raise IllFormed(f"dimension {dim} does not accept {type(payload).__name__}")
     if dim == 1 and not validate_seq(payload):

@@ -81,7 +81,7 @@ def stage_embed(tower: Tower, n: int, u, depth: int) -> Thread:
     elif n == 1 and type(u) is tuple:
         pos = tower.stage1_index.get(u)
     elif n == 2:
-        pos = tower._probe_pos.get(id(u))
+        pos = tower.probe_position(u)
     else:
         pos = None
     if pos is None:
@@ -156,20 +156,7 @@ class FromThread:
         return app(self.point, y)
 
 
-class Tabulated:
-    """A finite sample table on embedded finite-stage elements."""
-
-    def __init__(self, pairs):
-        self.pairs = tuple(pairs)
-
-    def apply(self, y: Thread) -> Thread:
-        for k, v in self.pairs:
-            if thread_eq(k, y):
-                return v
-        raise ValueError("argument outside the tabulated domain")
-
-
-EndoMap = Identity | Constant | FromThread | Tabulated
+EndoMap = Identity | Constant | FromThread
 
 
 def restrict(g: EndoMap, n: int, depth: int, tower: Tower):

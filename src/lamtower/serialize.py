@@ -1,8 +1,9 @@
 """JSON trees for terms, steps, cells, tower cells, words, and witnesses.
 
-Every registered value encodes to {"$t": <tag>, "f": [children]}; enums
-encode by value, tuples as lists (no registered type carries a raw list
-field, so decoding restores tuples).  Round-tripping is the identity.
+Every registered value encodes to {"$t": <its class name>, "f": [children]},
+and a tag decodes only to the class of that name; enums encode by value,
+tuples as lists (no registered type carries a raw list field, so decoding
+restores tuples).  Round-tripping is the identity.
 """
 
 from __future__ import annotations
@@ -39,12 +40,6 @@ _register(
     frontseed.HeadNorm, frontseed.VComp, frontseed.PasteR, frontseed.FillerE,
     witness.TBeta, witness.TEta, witness.ReflM, witness.ReflN, witness.Comp,
 )
-# Older encodings tag the groupoid constructors by their 3-cell names, and
-# higher derivations by their own.
-_REGISTRY.update((c.__name__ + "3", c) for c in cells.GROUPOID_CLASSES)
-_REGISTRY.update(HDRefl=cells.Refl, HDSymm=cells.Symm, HDTrans=cells.Trans)
-_REGISTRY.update(Refl3W=cells.Refl, InvE=cells.Symm, WlCong3=cells.WhiskerL,
-                 WrCong3=cells.WhiskerR)
 _register_enum(terms.StepKind, terms.Dir, witness.SpanEndpoint, witness.Tag)
 
 

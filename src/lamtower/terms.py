@@ -78,6 +78,33 @@ class RedStep:
     redex: Optional[Term] = None
 
 
+def is_term(t) -> bool:
+    """t is a de Bruijn term all the way down (iterative, so any depth)."""
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Var):
+            if type(node.index) is not int or node.index < 0:
+                return False
+        elif isinstance(node, App):
+            stack.append(node.fun)
+            stack.append(node.arg)
+        elif isinstance(node, Lam):
+            stack.append(node.body)
+        else:
+            return False
+    return True
+
+
+def is_step(s) -> bool:
+    """s is a RedStep whose fields all have their declared types."""
+    return (isinstance(s, RedStep) and isinstance(s.kind, StepKind)
+            and isinstance(s.path, tuple)
+            and all(isinstance(d, Dir) for d in s.path)
+            and isinstance(s.forward, bool)
+            and (s.redex is None or is_term(s.redex)))
+
+
 def term_size(t: Term) -> int:
     n = 0
     stack = [t]

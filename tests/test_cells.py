@@ -293,5 +293,11 @@ def test_explicit_cell_checks_its_payload():
         explicit_cell(2, Trans(Refl(p), Refl(q)))
     with pytest.raises(EndpointMismatch, match="middle boundaries differ"):
         explicit_cell(3, Trans(Refl(Refl(p)), Refl(Refl(q))))
-    for dim, good in ((1, p), (2, Trans(Refl(p), Refl(p))), (3, Refl(Refl(q)))):
+    # a 20 000-deep term: the shape checks are iterative
+    deep = Var(0)
+    for i in range(20_000):
+        deep = Lam(deep) if i % 2 else App(deep, Var(i % 3))
+    assert validate_seq(empty_seq(deep))
+    for dim, good in ((0, deep), (1, empty_seq(deep)), (1, p),
+                      (2, Trans(Refl(p), Refl(p))), (3, Refl(Refl(q)))):
         assert explicit_cell(dim, good).payload == good

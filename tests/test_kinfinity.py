@@ -9,9 +9,9 @@ from lamtower.domains import (CapExceeded, LazyMono, Tower, check_law_budget,
                               check_projection_pair, enumerate_stage,
                               flat_base, step_join_sample)
 from lamtower.kinfinity import (Constant, DepthTooSmall, FromThread, Identity,
-                                Tabulated, Thread, app, app_shadow,
-                                bottom_thread, coherent, reify, restrict,
-                                stage_embed, thread_eq, thread_le, verify_laws)
+                                Thread, app, app_shadow, bottom_thread,
+                                coherent, reify, restrict, stage_embed,
+                                thread_eq, thread_le, verify_laws)
 
 BOT, SR1, SL1 = 0, 1, 2
 ID1 = (0, 1, 2)
@@ -130,15 +130,6 @@ def test_reify_constant_bottom(tower):
     t = reify(Constant(bottom_thread(tower, 3)), 3, tower)
     assert t.coords[0] == BOT
     assert thread_eq(t, bottom_thread(tower, 3))
-
-
-def test_tabulated_endomap(tower):
-    x = stage_embed(tower, 0, SR1, 3)
-    y = stage_embed(tower, 0, SL1, 3)
-    g = Tabulated([(x, y)])
-    assert thread_eq(g.apply(x), y)
-    with pytest.raises(ValueError):
-        g.apply(y)
 
 
 def test_incoherent_thread_rejected(tower):

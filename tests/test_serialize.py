@@ -13,6 +13,7 @@ from lamtower.frontseed import (FS2Seed, boundary3_words, empty_word,
                                 fs_assoc_compare, fs_bridges, fs_pentagon)
 from lamtower.gen import (gen_composable_seqs, gen_h2, gen_h3, gen_rtower_cell,
                           gen_term, gen_zigzag)
+from lamtower.terms import Var
 from lamtower.witness import Comp, ReflM, TBeta, pad, span_beta_seq
 
 
@@ -82,9 +83,10 @@ def test_decode_rejects_non_encodings(data, message):
 #
 # Each dimension used to have its own copy of refl/symm/trans/whiskering, with
 # its own tag.  The samples below were written by that code (span_beta_seq
-# and its inverse, with empty sequences at either end); each must decode to
-# the value the shared constructors build and keep its boundary, pinned as the
-# sha256 of its serialized boundary at that code.
+# and its inverse, with empty sequences at either end).  Each class now has
+# one tag, its name, so loads refuses them; the value the shared constructors
+# build in their place keeps the boundary pinned as the sha256 of its
+# serialized boundary at that code.
 
 _FRAGMENTS = {
     "P": '{"$t": "RedSeq", "f": [[{"$t": "App", "f": [{"$t": "Lam", "f": [{"$t": "App", "f": [{"$t": "Var", "f": [1]}, {"$t": "Var", "f": [0]}]}]}, {"$t": "Var", "f": [1]}]}, {"$t": "App", "f": [{"$t": "Var", "f": [0]}, {"$t": "Var", "f": [1]}]}], [{"$t": "RedStep", "f": [{"$e": ["StepKind", "beta"]}, [], true, null]}]]}',
@@ -143,18 +145,22 @@ def _sha(obj) -> str:
     return hashlib.sha256(serialize.dumps(obj).encode()).hexdigest()
 
 
+def _refuses_tag(text, tag):
+    with pytest.raises(ValueError, match=re.escape(f"unknown tag {tag!r}")):
+        serialize.loads(text)
+
+
 @pytest.mark.parametrize("tag", sorted(_OLD_JSON))
 def test_old_tags_decode_to_shared_constructors(tag):
-    expected = _shared_values()[tag]
-    old = serialize.loads(_OLD_JSON[tag] % _FRAGMENTS)
-    assert old == expected
+    _refuses_tag(_OLD_JSON[tag] % _FRAGMENTS, tag)
+    value = _shared_values()[tag]
     words = tag in ("Refl3W", "InvE", "WlCong3", "WrCong3")
-    ends = boundary3_words(old) if words else boundary3(old)
+    ends = boundary3_words(value) if words else boundary3(value)
     assert _sha(ends) == _OLD_BOUNDARY_SHA[tag]
     # encoding emits the shared tag, which decodes to the same value
-    text = serialize.dumps(old)
-    assert f'"$t": "{type(expected).__name__}"' in text and tag not in text
-    assert serialize.loads(text) == expected
+    text = serialize.dumps(value)
+    assert f'"$t": "{type(value).__name__}"' in text and tag not in text
+    assert serialize.loads(text) == value
 
 
 def test_generated_boundaries_pinned():
@@ -175,7 +181,8 @@ def test_generated_boundaries_pinned():
 #
 # A dimension-5 tower cell over a triangle 3-cell and its realization, as
 # serialize.dumps wrote them when derivations had their own HDRefl/HDSymm/
-# HDTrans classes (sha256 of the expanded text pinned below).
+# HDTrans classes (sha256 of the expanded text pinned below).  loads refuses
+# those tags; dumps of the same values writes that text without the HD.
 
 _HD_FRAGMENTS = {
     "ETA": '{"$t": "RTowerCell", "f": [3, %(TRI)s]}',
@@ -204,14 +211,17 @@ def test_old_derivation_tags_decode_to_shared_constructors():
     eta = explicit_cell(3, Triangle(p, empty_seq(p.target)))
     c4 = triple_cell(eta, eta, Symm(Refl(eta)))
     c5 = triple_cell(c4, c4, Trans(Refl(c4), Symm(Refl(c4))))
-    assert serialize.loads(old_cell) == c5
-    assert serialize.loads(old_image) == realize(5, c5)
-    assert realize_boundary_check(5, serialize.loads(old_cell))
+    _refuses_tag(old_cell, "HDSymm")  # C4's derivation is decoded first
+    _refuses_tag(old_image, "HDTrans")
+    eta_text = _HD_FRAGMENTS["ETA"] % _FRAGMENTS
+    for tag in ("HDRefl", "HDSymm", "HDTrans"):
+        _refuses_tag('{"$t": "%s", "f": [%s]}' % (tag, eta_text), tag)
     for value, old in ((c5, old_cell), (realize(5, c5), old_image)):
         text = serialize.dumps(value)
         assert '"HD' not in text
         assert text == re.sub(r'"\$t": "HD(Refl|Symm|Trans)"', r'"$t": "\1"', old)
         assert serialize.loads(text) == value
+    assert realize_boundary_check(5, serialize.loads(serialize.dumps(c5)))
 
 
 # --- decoded tower cells are checked as their constructors check them -------
@@ -235,7 +245,17 @@ def test_loads_refuses_ill_formed_tower_cells():
             (RTowerCell(1, RedSeq(seq_invert(p).terms, p.steps)), "must replay its steps"),
             (RTowerCell(2, Trans(Refl(p), Refl(seq_invert(p)))), "middle boundaries differ"),
             (RTowerCell(5, (c4, c4)), "not enough values to unpack"),
-            (RTowerCell(5, 7), "RTowerCell cannot hold these fields")):
+            (RTowerCell(5, 7), "RTowerCell cannot hold these fields"),
+            # terms that are not terms all the way down
+            (RTowerCell(1, RedSeq((1,), ())), "must replay its steps"),
+            (RTowerCell(0, Var("x")), "dimension 0 does not accept Var"),
+            (RTowerCell(0, Var(-1)), "dimension 0 does not accept Var")):
         text = serialize.dumps(cell)
         with pytest.raises(ValueError, match=message):
             serialize.loads(text)
+
+
+def test_each_tag_names_its_class():
+    # one tag per class: an alias tag would decode to a class of another name
+    for table in (serialize._REGISTRY, serialize._ENUMS):
+        assert all(cls.__name__ == tag for tag, cls in table.items())
