@@ -155,7 +155,7 @@ class Refl:
 class Symm:
     cell: object
 
-    # Read-only old HDSymm field name, read by the frozen
+    # The old field name, read-only, read by the frozen
     # perfbench/workloads.py; goes away with ROADMAP item 1.
     inner = property(lambda self: self.cell)
 

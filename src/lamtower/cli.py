@@ -14,7 +14,7 @@ import sys
 
 from . import frontseed as F
 from . import gen, kinfinity, serialize, witness
-from .cells import Pentagon, RedSeq, globular_check, validate_seq
+from .cells import Pentagon, RedSeq, globular_check, seq_invert, validate_seq
 from .completion import (hd_map, pi0_equiv, realize_boundary_check)
 from .domains import (CapExceeded, Tower, check_law_budget,
                       check_projection_pair, flat_base, flat_stage1_size,
@@ -288,7 +288,7 @@ def _base_poles(base_size: int) -> tuple[str, ...]:
 
 
 def cmd_witness(args) -> int:
-    _check_bounds("--depth", args.depth, most=kinfinity.MAX_DEPTH)
+    _check_bounds("--depth", args.depth, least=1, most=kinfinity.MAX_DEPTH)
     w = parse_witness(args.expr)
     tower = witness.default_tower()
     interp = witness.interpret(w, args.depth, tower)
@@ -405,7 +405,13 @@ def cmd_coherence(args) -> int:
     if args.sequences:
         with open(args.sequences) as fh:
             data = json.load(fh)
-        seqs = [serialize.decode(x) for x in data] if isinstance(data, list) else []
+        seqs = []
+        for i, x in enumerate(data if isinstance(data, list) else ()):
+            try:
+                seqs.append(serialize.decode(x))
+            except ValueError as e:
+                raise ValueError(f"sequence {i} is not a replayable reduction "
+                                 f"sequence: {e}") from e
         if len(seqs) != 4 or not all(isinstance(x, RedSeq) for x in seqs):
             raise ParseError("expected exactly four serialized sequences", 0)
         for i, seq in enumerate(seqs):
@@ -414,7 +420,6 @@ def cmd_coherence(args) -> int:
         p, q, r, s = seqs
     elif args.span:
         t_beta = witness.span_beta_seq()
-        from .cells import seq_invert
         p, q, r, s = t_beta, seq_invert(t_beta), t_beta, seq_invert(t_beta)
     else:
         rng = random.Random(args.seed)

@@ -27,7 +27,7 @@ class ParallelismViolation(IllFormed):
 # distinct derivation trees between the same endpoints stay distinct.
 
 # Old names, read by the frozen perfbench/workloads.py (ROADMAP item 1).
-HDRefl, HDSymm, HDTrans = Refl, Symm, Trans
+HDRefl, HDSymm = Refl, Symm
 HigherDeriv = Union[Refl, Symm, Trans]
 
 

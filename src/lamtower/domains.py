@@ -24,7 +24,7 @@ BOTTOM_LABEL = "bot"
 # Stage-3 evaluations verify_laws may make (see check_law_budget), at about
 # 5 us each on a 2-core host, so about 7.5 s of laws, which leaves the rest
 # of `kinfty check` within 10 s.  It admits base 5 (629 stage-1 elements,
-# 796 950 evaluations: 3.6-4.8 s and 25 MB for `kinfty check`, nearly all
+# 796 950 evaluations: 3.7-4.6 s and 25 MB for `kinfty check`, nearly all
 # of it the laws, as the stage-1 order and the step-join sample take under
 # 0.1 s) and refuses base 6 (7 781 elements, 121 157 958 evaluations).
 LAW_BUDGET = 1_500_000
@@ -325,9 +325,6 @@ class Tower:
                          for v in itertools.islice(values, 1, None))
         raise CapExceeded(f"no projection representation to stage {n}")
 
-    def emb_proj(self, n: int) -> tuple[Callable, Callable]:
-        return (lambda x: self.emb(n, x)), (lambda u: self.proj(n, u))
-
     def tabulate(self, n: int, fn: Callable):
         """The stage-(n+1) element x |-> fn(x), for fn monotone on stage n:
         a table over domain(n) for n <= 1, and at n = 2 a LazyMono that
@@ -499,13 +496,14 @@ def step_join_sample(tower: Tower, rng: random.Random, n: int) -> list:
 def check_projection_pair(tower: Tower, n: int, sample=()) -> dict:
     """Retract law on all of stage n; section inequality on stage n+1
     (enumerated when possible, otherwise on the sample)."""
-    emb, proj = tower.emb_proj(n)
-    retract_failures = [x for x in tower.domain(n) if proj(emb(x)) != x]
+    retract_failures = [x for x in tower.domain(n)
+                        if tower.proj(n, tower.emb(n, x)) != x]
     if n == 0:
         uppers = tower.stage1
     else:
         uppers = tuple(sample)
-    section_failures = [u for u in uppers if not tower.leq(n + 1, emb(proj(u)), u)]
+    section_failures = [u for u in uppers
+                        if not tower.leq(n + 1, tower.emb(n, tower.proj(n, u)), u)]
     return {
         "stage": n,
         "retract_checked": len(tower.domain(n)),

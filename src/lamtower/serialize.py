@@ -42,6 +42,19 @@ _register(
 )
 _register_enum(terms.StepKind, terms.Dir, witness.SpanEndpoint, witness.Tag)
 
+# The shape of a decoded term, step or sequence, read off its own fields,
+# since each child was checked as it was decoded; replay is validate_seq's.
+_TERM = (terms.Var, terms.App, terms.Lam)
+_WELL_FORMED = {
+    terms.Var: lambda v: type(v.index) is int and v.index >= 0,
+    terms.App: lambda v: isinstance(v.fun, _TERM) and isinstance(v.arg, _TERM),
+    terms.Lam: lambda v: isinstance(v.body, _TERM),
+    terms.RedStep: terms.is_step,
+    cells.RedSeq: lambda v: (isinstance(v.terms, tuple) and isinstance(v.steps, tuple)
+                             and all(isinstance(t, _TERM) for t in v.terms)
+                             and all(isinstance(s, terms.RedStep) for s in v.steps)),
+}
+
 
 def encode(obj):
     if obj is None or isinstance(obj, (bool, int, str)):
@@ -59,8 +72,8 @@ def encode(obj):
 
 def decode(data):
     """The value `data` encodes; ValueError when it is not an encoding (an
-    unknown tag or enum, the wrong number of fields for its tag, or fields
-    its constructor cannot take)."""
+    unknown tag or enum, the wrong number of fields for its tag, fields its
+    constructor cannot take, or an ill-shaped term, step or sequence)."""
     if data is None or isinstance(data, (bool, int, str)):
         return data
     if isinstance(data, list):
@@ -83,12 +96,16 @@ def decode(data):
     args = [decode(x) for x in fields]
     try:
         value = cls(*args)
-        return _validated_tower_cell(value) if cls is completion.RTowerCell else value
+        if cls is completion.RTowerCell:
+            return _validated_tower_cell(value)
     except (TypeError, AttributeError) as e:
         # A constructor's own checks read its fields (RedSeq takes their
         # lengths, witness.Comp their endpoints, a tower cell its triple) and
         # fail on values of another type.
         raise ValueError(f"{cls.__name__} cannot hold these fields: {e}") from e
+    if cls in _WELL_FORMED and not _WELL_FORMED[cls](value):
+        raise ValueError(f"{cls.__name__} cannot hold these fields: ill-shaped")
+    return value
 
 
 def _validated_tower_cell(cell):

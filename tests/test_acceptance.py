@@ -11,10 +11,10 @@ import json
 import random
 import time
 
-from lamtower.cells import Pentagon
+from lamtower.cells import Pentagon, Refl
 from lamtower.cli import main, parse_term
-from lamtower.completion import (HDRefl, explicit_cell, hd_map, pack,
-                                 pi0_equiv, realize, realize_boundary_check,
+from lamtower.completion import (explicit_cell, hd_map, pack, pi0_equiv,
+                                 realize, realize_boundary_check,
                                  cell_boundary, sigma_boundary, triple_cell)
 from lamtower.domains import Tower, flat_base, lub, step_map
 from lamtower.frontseed import (boundary3_words, fs_assoc_compare, fs_bridges,
@@ -123,7 +123,7 @@ def test_criterion_4_realization():
     for theta in corpus:
         cell = theta
         for d in (4, 5, 6):
-            cell = triple_cell(cell, cell, HDRefl(cell))
+            cell = triple_cell(cell, cell, Refl(cell))
             packed = pack(d, cell)
             if (sigma_boundary(packed)[0] != realize(d - 1, cell_boundary(cell)[0])
                     or sigma_boundary(packed)[1] != realize(d - 1, cell_boundary(cell)[1])):
@@ -216,16 +216,15 @@ def test_criterion_7_projection_pairs():
     count_ok = len(brute) == 11 and set(brute) == set(tower.stage1)
 
     retract_bad = 0
-    emb0, proj0 = tower.emb_proj(0)
     for x in range(3):
-        if proj0(emb0(x)) != x:
+        if tower.proj(0, tower.emb(0, x)) != x:
             retract_bad += 1
-    emb1, proj1 = tower.emb_proj(1)
     for g in tower.stage1:
-        if proj1(emb1(g)) != g:
+        if tower.proj(1, tower.emb(1, g)) != g:
             retract_bad += 1
 
-    section_bad = sum(not tower.leq(1, emb0(proj0(g)), g) for g in tower.stage1)
+    section_bad = sum(not tower.leq(1, tower.emb(0, tower.proj(0, g)), g)
+                      for g in tower.stage1)
 
     rng = random.Random(707)
     joins = set()
@@ -235,7 +234,8 @@ def test_criterion_7_projection_pairs():
         j = lub(tower, 2, [step_map(tower, 1, a, b), step_map(tower, 1, c, d)])
         if j is not None:
             joins.add(j)
-    section2_bad = sum(not tower.leq(2, emb1(proj1(u)), u) for u in joins)
+    section2_bad = sum(not tower.leq(2, tower.emb(1, tower.proj(1, u)), u)
+                       for u in joins)
 
     ok = count_ok and retract_bad == 0 and section_bad == 0 and section2_bad == 0
     _report(7, "projection pairs", ok,

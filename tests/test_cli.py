@@ -351,6 +351,12 @@ def test_cli_depth_above_max_refused(capsys, monkeypatch, argv, first_work):
         for depth in ("1", "0", "-2"):
             assert _error(capsys, argv + ["--depth", depth]) == \
                 f"--depth {depth} is below the minimum of 2"
+    else:
+        # interpretation needs depth 1: depth 0 used to build the Tower and
+        # fail inside interpret
+        for depth in ("0", "-2"):
+            assert _error(capsys, argv + ["--depth", depth]) == \
+                f"--depth {depth} is below the minimum of 1"
 
 
 @pytest.mark.parametrize("argv", [["reduce", "x"], ["pi0", "x", "x"]])

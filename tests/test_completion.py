@@ -3,13 +3,12 @@ import random
 
 import pytest
 
-from lamtower import serialize
+from lamtower import completion, serialize
 from lamtower.cells import (EndpointMismatch, HComp, IllFormed, Pentagon, Refl,
                             Symm, Trans, WhiskerL, WhiskerR, validate_seq)
-from lamtower.completion import (HDRefl, HDSymm, HDTrans, ParallelismViolation,
-                                 RTowerCell, SigmaCell, cell_boundary,
-                                 endpoints, explicit_cell, hd_map, pack,
-                                 parallel, pi0_equiv, realize,
+from lamtower.completion import (ParallelismViolation, RTowerCell, SigmaCell,
+                                 cell_boundary, endpoints, explicit_cell,
+                                 hd_map, pack, parallel, pi0_equiv, realize,
                                  realize_boundary_check, sigma_boundary,
                                  triple_cell)
 from lamtower.gen import (gen_composable_seqs, gen_convertible_pair, gen_h3,
@@ -24,19 +23,19 @@ SPAN_NF = App(Var(0), Var(1))
 # --- higher derivations -----------------------------------------------------
 
 def test_hd_endpoints():
-    h = HDRefl("x")
+    h = Refl("x")
     assert endpoints(h) == ("x", "x")
-    assert endpoints(HDSymm(h)) == ("x", "x")
-    t = HDTrans(h, HDSymm(h))
+    assert endpoints(Symm(h)) == ("x", "x")
+    t = Trans(h, Symm(h))
     assert endpoints(t) == ("x", "x")
     # the joint is checked where the ends are read, not at construction
     with pytest.raises(EndpointMismatch):
-        endpoints(HDTrans(HDRefl("x"), HDRefl("y")))
+        endpoints(Trans(Refl("x"), Refl("y")))
 
 
 def test_hd_names_are_the_shared_constructors():
-    assert (HDRefl, HDSymm, HDTrans) == (Refl, Symm, Trans)
-    assert HDRefl is Refl and HDSymm is Symm and HDTrans is Trans
+    # the old names the frozen benchmark workloads still read
+    assert completion.HDRefl is Refl and completion.HDSymm is Symm
     assert Symm("x").inner == "x"  # the old field name, read-only
 
 
@@ -56,7 +55,7 @@ def test_derivations_are_refl_symm_trans_only(node):
 
 
 def test_hd_map_base_clause():
-    assert hd_map(lambda v: ("f", v), HDRefl("x")) == HDRefl(("f", "x"))
+    assert hd_map(lambda v: ("f", v), Refl("x")) == Refl(("f", "x"))
 
 
 def test_hd_map_identity_and_composition(rng):
@@ -76,7 +75,7 @@ def _cell3(rng):
 
 def test_pack4_reflexive_triple(rng):
     eta = _cell3(rng)
-    c4 = triple_cell(eta, eta, HDRefl(eta))
+    c4 = triple_cell(eta, eta, Refl(eta))
     packed = pack(4, c4)
     assert packed.dim == 4
     assert sigma_boundary(packed)[0] == SigmaCell(3, eta.payload)
@@ -85,9 +84,9 @@ def test_pack4_reflexive_triple(rng):
 
 def test_pack_boundary_commutes_up_to_6(rng):
     eta = _cell3(rng)
-    c4 = triple_cell(eta, eta, HDRefl(eta))
-    c5 = triple_cell(c4, c4, HDTrans(HDRefl(c4), HDSymm(HDRefl(c4))))
-    c6 = triple_cell(c5, c5, HDRefl(c5))
+    c4 = triple_cell(eta, eta, Refl(eta))
+    c5 = triple_cell(c4, c4, Trans(Refl(c4), Symm(Refl(c4))))
+    c6 = triple_cell(c5, c5, Refl(c5))
     for d, c in ((4, c4), (5, c5), (6, c6)):
         packed = pack(d, c)
         assert sigma_boundary(packed)[0] == realize(d - 1, cell_boundary(c)[0])
@@ -98,19 +97,19 @@ def test_pack_rejects_nonparallel(rng):
     eta = _cell3(rng)
     other = _cell3(rng)
     assert not parallel(eta, other)  # distinct random roots
-    bad = RTowerCell(4, (eta, other, HDRefl(eta)))
+    bad = RTowerCell(4, (eta, other, Refl(eta)))
     with pytest.raises(ParallelismViolation):
         pack(4, bad)
 
 
 def test_pack_is_realize_on_4_to_6(rng):
     eta = _cell3(rng)
-    c4 = triple_cell(eta, eta, HDRefl(eta))
-    c5 = triple_cell(c4, c4, HDTrans(HDRefl(c4), HDSymm(HDRefl(c4))))
-    c6 = triple_cell(c5, c5, HDSymm(HDRefl(c5)))
+    c4 = triple_cell(eta, eta, Refl(eta))
+    c5 = triple_cell(c4, c4, Trans(Refl(c4), Symm(Refl(c4))))
+    c6 = triple_cell(c5, c5, Symm(Refl(c5)))
     for d, c in ((4, c4), (5, c5), (6, c6)):
         assert pack(d, c) == realize(d, c)
-    for d, c in ((3, eta), (7, triple_cell(c6, c6, HDRefl(c6)))):
+    for d, c in ((3, eta), (7, triple_cell(c6, c6, Refl(c6)))):
         with pytest.raises(IllFormed, match="pack is defined for dimensions 4..6"):
             pack(d, c)
 
@@ -119,11 +118,11 @@ def test_realize_rejects_nonparallel_above_6(rng):
     # parallelism used to be rechecked only by the packaging maps at 4..6
     x, y = _cell3(rng), _cell3(rng)
     for _ in range(3):
-        x = triple_cell(x, x, HDRefl(x))
-        y = triple_cell(y, y, HDRefl(y))
+        x = triple_cell(x, x, Refl(x))
+        y = triple_cell(y, y, Refl(y))
     assert x.dim == 6 and not parallel(x, y)
     with pytest.raises(ParallelismViolation):
-        realize(7, RTowerCell(7, (x, y, HDRefl(x))))
+        realize(7, RTowerCell(7, (x, y, Refl(x))))
 
 
 def _mismatched_joint(a, b):
@@ -133,8 +132,8 @@ def _mismatched_joint(a, b):
 
 def test_triple_cell_checks_inner_joints(rng):
     eta = _cell3(rng)
-    c4 = triple_cell(eta, eta, HDRefl(eta))
-    other = triple_cell(eta, eta, HDSymm(HDRefl(eta)))
+    c4 = triple_cell(eta, eta, Refl(eta))
+    other = triple_cell(eta, eta, Symm(Refl(eta)))
     h = _mismatched_joint(c4, other)  # builds: no check at construction
     with pytest.raises(EndpointMismatch):
         triple_cell(c4, c4, h)
@@ -142,8 +141,8 @@ def test_triple_cell_checks_inner_joints(rng):
 
 def test_sigma_boundary_checks_inner_joints(rng):
     eta = _cell3(rng)
-    c4 = triple_cell(eta, eta, HDRefl(eta))
-    other = triple_cell(eta, eta, HDSymm(HDRefl(eta)))
+    c4 = triple_cell(eta, eta, Refl(eta))
+    other = triple_cell(eta, eta, Symm(Refl(eta)))
     bad = SigmaCell(5, _mismatched_joint(realize(4, c4), realize(4, other)))
     with pytest.raises(EndpointMismatch):
         sigma_boundary(bad)
@@ -152,7 +151,7 @@ def test_sigma_boundary_checks_inner_joints(rng):
 def test_triple_cell_validates(rng):
     eta = _cell3(rng)
     with pytest.raises(Exception):
-        triple_cell(eta, eta, HDRefl(_cell3(rng)))
+        triple_cell(eta, eta, Refl(_cell3(rng)))
 
 
 # --- realization ------------------------------------------------------------
@@ -169,11 +168,11 @@ def test_realize_unfolds_one_layer(rng):
     base = _cell3(rng)
     u = base
     for _ in range(3):  # lift to dimension 6
-        u = triple_cell(u, u, HDRefl(u))
+        u = triple_cell(u, u, Refl(u))
     h = gen_hd_tree(rng, u, 3)
-    c7 = triple_cell(u, u, HDTrans(HDRefl(u), h))
+    c7 = triple_cell(u, u, Trans(Refl(u), h))
     image = realize(7, c7)
-    expected = SigmaCell(7, HDTrans(HDRefl(realize(6, u)),
+    expected = SigmaCell(7, Trans(Refl(realize(6, u)),
                                     hd_map(lambda c: realize(6, c), h)))
     assert image == expected
 
@@ -189,7 +188,7 @@ def test_realize_boundary_random_cells():
 def test_realize_boundary_reflexive_to_dim_10(rng):
     cell = _cell3(rng)
     for dim in range(4, 11):
-        cell = triple_cell(cell, cell, HDRefl(cell))
+        cell = triple_cell(cell, cell, Refl(cell))
         assert realize_boundary_check(dim, cell)
 
 
@@ -198,7 +197,7 @@ def test_realize_dim9_pentagon_tower(rng):
     p, q, r, s = gen_composable_seqs(rng, 4, allow_empty=False)
     cell = explicit_cell(3, Pentagon(p, q, r, s))
     for dim in range(4, 10):
-        cell = triple_cell(cell, cell, HDRefl(cell))
+        cell = triple_cell(cell, cell, Refl(cell))
     assert realize_boundary_check(9, cell)
     image = realize(9, cell)
     assert image.dim == 9 and sigma_boundary(image)[0] == sigma_boundary(image)[1]
@@ -206,10 +205,10 @@ def test_realize_dim9_pentagon_tower(rng):
 
 def test_realize_boundary_detects_corruption(rng):
     eta = _cell3(rng)
-    c4 = triple_cell(eta, eta, HDRefl(eta))
-    other = triple_cell(eta, eta, HDSymm(HDRefl(eta)))
+    c4 = triple_cell(eta, eta, Refl(eta))
+    other = triple_cell(eta, eta, Symm(Refl(eta)))
     # cached endpoint x disagrees with the derivation datum
-    corrupted = RTowerCell(5, (c4, c4, HDRefl(other)))
+    corrupted = RTowerCell(5, (c4, c4, Refl(other)))
     assert not realize_boundary_check(5, corrupted)
 
 
@@ -220,9 +219,9 @@ def test_reflexive_shortcut_still_validates():
     with pytest.raises(EndpointMismatch):
         parallel(x, x)
     with pytest.raises(EndpointMismatch):
-        triple_cell(x, x, HDRefl(x))
+        triple_cell(x, x, Refl(x))
     with pytest.raises(EndpointMismatch):
-        realize(4, RTowerCell(4, (x, x, HDRefl(x))))
+        realize(4, RTowerCell(4, (x, x, Refl(x))))
 
 
 def _copy(c):
@@ -244,19 +243,19 @@ def test_equal_but_distinct_ends_realize_the_same():
 
 def test_boundary_check_compares_each_end(rng):
     eta = _cell3(rng)
-    c4 = triple_cell(eta, eta, HDRefl(eta))
-    other = triple_cell(eta, eta, HDSymm(HDRefl(eta)))
+    c4 = triple_cell(eta, eta, Refl(eta))
+    other = triple_cell(eta, eta, Symm(Refl(eta)))
     # the cached ends disagree with the derivation datum at both ends, at the
     # source only or at the target only; an equal copy of an end changes nothing
     for x, y in ((c4, c4), (c4, _copy(c4)), (c4, other), (other, c4)):
-        assert not realize_boundary_check(5, RTowerCell(5, (x, y, HDRefl(other))))
-    assert realize_boundary_check(5, RTowerCell(5, (other, _copy(other), HDRefl(other))))
+        assert not realize_boundary_check(5, RTowerCell(5, (x, y, Refl(other))))
+    assert realize_boundary_check(5, RTowerCell(5, (other, _copy(other), Refl(other))))
 
 
 def test_realization_pin():
     # serialized realizations and boundary verdicts of generated cells, pinned
     # to the value computed before the reflexive-triple shortcuts, with the
-    # derivation tags HDRefl/HDSymm/HDTrans renamed to Refl/Symm/Trans
+    # derivation tags renamed to those of the shared Refl/Symm/Trans
     rng = random.Random(4242)
     digest = hashlib.sha256()
     verdicts = []

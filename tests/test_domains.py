@@ -127,19 +127,17 @@ def test_enumerate_stage(tower):
 
 
 def test_projection_pair_stage0(tower):
-    emb, proj = tower.emb_proj(0)
-    assert proj(emb(SR1)) == SR1
+    assert tower.proj(0, tower.emb(0, SR1)) == SR1
     for x in range(3):
-        assert proj(emb(x)) == x
+        assert tower.proj(0, tower.emb(0, x)) == x
     # section: forced by monotonicity g(bot) <= g(y)
     for g in tower.stage1:
-        assert tower.leq(1, emb(proj(g)), g)
+        assert tower.leq(1, tower.emb(0, tower.proj(0, g)), g)
 
 
 def test_projection_pair_stage1(tower):
-    emb, proj = tower.emb_proj(1)
     for g in tower.stage1:
-        assert proj(emb(g)) == g
+        assert tower.proj(1, tower.emb(1, g)) == g
 
 
 def test_projection_pair_report(tower, rng):

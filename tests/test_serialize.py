@@ -73,6 +73,14 @@ def test_deterministic_bytes(rng):
     (1.5, "cannot decode a JSON float"),
     ({"$t": "RedSeq", "f": [5, []]}, "RedSeq cannot hold these fields"),
     ({"$t": "Comp", "f": [1, 2]}, "Comp cannot hold these fields"),
+    # ill-shaped terms, steps and sequences, refused as they are decoded
+    ({"$t": "Var", "f": ["x"]}, "Var cannot hold these fields: ill-shaped"),
+    ({"$t": "Var", "f": [-1]}, "Var cannot hold these fields: ill-shaped"),
+    ({"$t": "App", "f": [{"$t": "Var", "f": [0]}, 1]}, "App cannot hold these fields: ill-shaped"),
+    ({"$t": "Lam", "f": [[]]}, "Lam cannot hold these fields: ill-shaped"),
+    ({"$t": "RedStep", "f": [{"$e": ["StepKind", "beta"]}, 5, True, None]},
+     "RedStep cannot hold these fields: ill-shaped"),
+    ({"$t": "RedSeq", "f": [[1], []]}, "RedSeq cannot hold these fields: ill-shaped"),
 ])
 def test_decode_rejects_non_encodings(data, message):
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -246,10 +254,11 @@ def test_loads_refuses_ill_formed_tower_cells():
             (RTowerCell(2, Trans(Refl(p), Refl(seq_invert(p)))), "middle boundaries differ"),
             (RTowerCell(5, (c4, c4)), "not enough values to unpack"),
             (RTowerCell(5, 7), "RTowerCell cannot hold these fields"),
-            # terms that are not terms all the way down
-            (RTowerCell(1, RedSeq((1,), ())), "must replay its steps"),
-            (RTowerCell(0, Var("x")), "dimension 0 does not accept Var"),
-            (RTowerCell(0, Var(-1)), "dimension 0 does not accept Var")):
+            # terms that are not terms all the way down, refused as the
+            # sequence or the term is decoded, before the tower cell
+            (RTowerCell(1, RedSeq((1,), ())), "RedSeq cannot hold these fields: ill-shaped"),
+            (RTowerCell(0, Var("x")), "Var cannot hold these fields: ill-shaped"),
+            (RTowerCell(0, Var(-1)), "Var cannot hold these fields: ill-shaped")):
         text = serialize.dumps(cell)
         with pytest.raises(ValueError, match=message):
             serialize.loads(text)
