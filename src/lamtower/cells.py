@@ -11,9 +11,9 @@ definitionally equal endpoints but are kept as distinct proof-relevant cells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
+from .record import record
 from .terms import (Dir, InvalidStep, RedStep, Term, App, Lam, apply_step,
                     invert_step, is_step, is_term)
 
@@ -26,7 +26,7 @@ class EndpointMismatch(IllFormed):
     """Cells or sequences do not share the endpoints composition requires."""
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class RedSeq:
     """A zigzag of oriented steps with every intermediate term cached."""
 
@@ -89,24 +89,24 @@ def seq_invert(p: RedSeq) -> RedSeq:
 # ---------------------------------------------------------------------------
 # One-hole term contexts, for congruence 2-cells.
 
-@dataclass(frozen=True, slots=True)
+@record
 class Hole:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class CAppFun:
     ctx: "Context"
     arg: Term
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class CAppArg:
     fun: Term
     ctx: "Context"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class CLam:
     ctx: "Context"
 
@@ -146,12 +146,12 @@ def map_seq(ctx: Context, p: RedSeq) -> RedSeq:
 # The groupoid constructors, shared by 2-cells, 3-cells, front-seed 3-cell
 # expressions and higher derivations; a cell's dimension is that of its leaves.
 
-@dataclass(frozen=True, slots=True)
+@record
 class Refl:
     point: object  # a RedSeq, a 2-cell, a word, or a tower cell
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Symm:
     cell: object
 
@@ -160,25 +160,25 @@ class Symm:
     inner = property(lambda self: self.cell)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Trans:
     left: object
     right: object
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class WhiskerL:
     prefix: RedSeq
     cell: object
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class WhiskerR:
     cell: object
     suffix: RedSeq
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class HComp:
     left: object
     right: object
@@ -224,24 +224,24 @@ def groupoid_boundary(cell, boundary, check_point, whisker_l, whisker_r, hcomp):
 # ---------------------------------------------------------------------------
 # 2-cells.
 
-@dataclass(frozen=True, slots=True)
+@record
 class Assoc:
     p: RedSeq
     q: RedSeq
     r: RedSeq
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class UnitL:
     seq: RedSeq
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class UnitR:
     seq: RedSeq
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class StepCong:
     ctx: Context
     cell: "Homotopy2"
@@ -280,7 +280,7 @@ def boundary2(cell: Homotopy2) -> tuple[RedSeq, RedSeq]:
 # ---------------------------------------------------------------------------
 # 3-cells.
 
-@dataclass(frozen=True, slots=True)
+@record
 class Interchange:
     """Both parenthesizations of horizontally composing two vertical pairs."""
 
@@ -290,7 +290,7 @@ class Interchange:
     d: Homotopy2
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Pentagon:
     p: RedSeq
     q: RedSeq
@@ -298,7 +298,7 @@ class Pentagon:
     s: RedSeq
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Triangle:
     p: RedSeq
     q: RedSeq

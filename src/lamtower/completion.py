@@ -7,13 +7,13 @@ the 0-truncation bridge back to plain beta/eta convertibility.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 from . import cells
 from .cells import (EndpointMismatch, IllFormed, RedSeq, Refl, Symm, Trans,
                     boundary2, boundary3, groupoid_boundary, seq_compose,
                     seq_from_steps, seq_invert, validate_seq)
+from .record import record
 from .terms import Term, is_term, normalize
 
 
@@ -63,13 +63,13 @@ def hd_map(f: Callable[[object], object], h: HigherDeriv) -> HigherDeriv:
 # parallel lower cells plus a derivation between them, while a SigmaCell is
 # the derivation alone, indexed by its endpoints.
 
-@dataclass(frozen=True, slots=True)
+@record
 class RTowerCell:
     dim: int
     payload: object
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class SigmaCell:
     dim: int
     payload: object

@@ -13,9 +13,10 @@ from __future__ import annotations
 import itertools
 import operator
 import random
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
+
+from .record import record
 
 DEFAULT_POLES = ("sR1", "sL1")
 BOTTOM_LABEL = "bot"
@@ -63,7 +64,7 @@ def check_law_budget(stage1_size: int) -> None:
             f"{LAW_BUDGET}")
 
 
-@dataclass(frozen=True)
+@record
 class FinPoset:
     labels: tuple[str, ...]
     leq: tuple[tuple[bool, ...], ...]
@@ -102,14 +103,14 @@ def flat_base(poles: tuple[str, ...] = DEFAULT_POLES) -> FinPoset:
     return FinPoset(labels, leq, 0)
 
 
-@dataclass(frozen=True)
+@record
 class Stage:
     level: int
     elements: tuple
     poset: FinPoset
 
 
-@dataclass(frozen=True)
+@record
 class MonoMap:
     """A monotone self-map of an enumerated stage, as an explicit table.
 

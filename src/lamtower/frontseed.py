@@ -11,13 +11,13 @@ definitionally equal composites, so their reduced content is empty.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 from . import cells
 from .cells import (Homotopy2, Homotopy3, RedSeq, Refl, Symm, WhiskerL,
                     WhiskerR, boundary2, boundary3, groupoid_boundary,
                     seq_compose)
+from .record import record
 
 
 class NonComposable(ValueError):
@@ -31,7 +31,7 @@ class HornGlueFailure(ValueError):
 # ---------------------------------------------------------------------------
 # Letters and words.
 
-@dataclass(frozen=True, slots=True)
+@record
 class AssL:
     """Structural associator generator on a composable edge triple."""
 
@@ -42,7 +42,7 @@ class AssL:
     eq: bool = False
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class WlL:
     """Left whiskering of an inner word by an edge."""
 
@@ -52,7 +52,7 @@ class WlL:
     eq: bool = False
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class WrL:
     """Right whiskering of an inner word by an edge."""
 
@@ -62,12 +62,12 @@ class WrL:
     eq: bool = False
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ReflL:
     edge: RedSeq
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class SeedL:
     """An opaque named 2-cell generator with declared boundary edges."""
 
@@ -117,7 +117,7 @@ def letter_inv(l: Letter) -> Letter:
     return SeedL(l.name, l.src, l.tgt, not l.inv, l.eq)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Word:
     """A composable chain of letters; empty words carry their anchor edge."""
 
@@ -205,7 +205,7 @@ def words_equal(w1: Word, w2: Word) -> bool:
 # ---------------------------------------------------------------------------
 # 3-cell expressions over words.
 
-@dataclass(frozen=True, slots=True)
+@record
 class FS1Seed:
     """WLWR comparison: right-whiskering a left-whiskered cell rebrackets
     through the two flanking associators."""
@@ -221,7 +221,7 @@ class FS1Seed:
             raise NonComposable("FS1: delta must start where eta's edges end")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class FS2Seed:
     """Contraction of the whiskered inner-right-front pentagon face."""
 
@@ -234,7 +234,7 @@ class FS2Seed:
         _chain(self.p, self.q, self.r, self.s)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class HeadNorm:
     """Head-step normalization: the associator on a step-headed first
     sequence unfolds to the tail associator whiskered under that step."""
@@ -250,7 +250,7 @@ class HeadNorm:
         _chain(self.head, self.rest, self.q, self.r)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class VComp:
     left: "Cell3Expr"
     right: "Cell3Expr"
@@ -262,13 +262,13 @@ class VComp:
             raise NonComposable("VComp: middle boundary words differ after reduction")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class PasteR:
     inner: "Cell3Expr"
     word: Word
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class FillerE:
     """A horn record: prescribed faces plus the verified missing face."""
 

@@ -9,10 +9,10 @@ compare coordinatewise by Tower.eq/Tower.leq (at stage 3 on probes only).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .domains import Tower, check_law_budget
+from .record import record
 
 
 class DepthTooSmall(ValueError):
@@ -134,13 +134,13 @@ def app(x: Thread, y: Thread) -> Thread:
 # ---------------------------------------------------------------------------
 # Endomaps: a closed datatype, so the section law is checkable by enumeration.
 
-@dataclass(frozen=True)
+@record
 class Identity:
     def apply(self, y: Thread) -> Thread:
         return y
 
 
-@dataclass(frozen=True)
+@record
 class Constant:
     value: Thread
 
@@ -148,7 +148,7 @@ class Constant:
         return self.value
 
 
-@dataclass(frozen=True)
+@record
 class FromThread:
     point: Thread
 

@@ -8,7 +8,6 @@ restores tuples).  Round-tripping is the identity.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from enum import Enum
 
@@ -42,9 +41,28 @@ _register(
 )
 _register_enum(terms.StepKind, terms.Dir, witness.SpanEndpoint, witness.Tag)
 
-# The shape of a decoded term, step or sequence, read off its own fields,
-# since each child was checked as it was decoded; replay is validate_seq's.
+# The shape of a decoded term, step, sequence, context, letter or word,
+# read off its own fields, since each child was checked as it was decoded;
+# replay is validate_seq's.  Refl/Symm/Trans stay unchecked: what they may
+# hold depends on the dimension their caller expects.
 _TERM = (terms.Var, terms.App, terms.Lam)
+_CONTEXT = (cells.Hole, cells.CAppFun, cells.CAppArg, cells.CLam)
+_LETTER = (frontseed.AssL, frontseed.WlL, frontseed.WrL, frontseed.ReflL,
+           frontseed.SeedL)
+
+
+def _seqs(*xs) -> bool:
+    return all(isinstance(x, cells.RedSeq) for x in xs)
+
+
+def _flags(v) -> bool:
+    return isinstance(v.inv, bool) and isinstance(v.eq, bool)
+
+
+def _whiskering(v) -> bool:
+    return _seqs(v.edge) and isinstance(v.inner, frontseed.Word) and _flags(v)
+
+
 _WELL_FORMED = {
     terms.Var: lambda v: type(v.index) is int and v.index >= 0,
     terms.App: lambda v: isinstance(v.fun, _TERM) and isinstance(v.arg, _TERM),
@@ -53,6 +71,17 @@ _WELL_FORMED = {
     cells.RedSeq: lambda v: (isinstance(v.terms, tuple) and isinstance(v.steps, tuple)
                              and all(isinstance(t, _TERM) for t in v.terms)
                              and all(isinstance(s, terms.RedStep) for s in v.steps)),
+    cells.CAppFun: lambda v: isinstance(v.ctx, _CONTEXT) and isinstance(v.arg, _TERM),
+    cells.CAppArg: lambda v: isinstance(v.fun, _TERM) and isinstance(v.ctx, _CONTEXT),
+    cells.CLam: lambda v: isinstance(v.ctx, _CONTEXT),
+    frontseed.AssL: lambda v: _seqs(v.a, v.b, v.c) and _flags(v),
+    frontseed.WlL: _whiskering,
+    frontseed.WrL: _whiskering,
+    frontseed.ReflL: lambda v: _seqs(v.edge),
+    frontseed.SeedL: lambda v: (isinstance(v.name, str) and _seqs(v.src, v.tgt)
+                                and _flags(v)),
+    frontseed.Word: lambda v: (_seqs(v.src, v.tgt) and isinstance(v.letters, tuple)
+                               and all(isinstance(l, _LETTER) for l in v.letters)),
 }
 
 
@@ -63,9 +92,10 @@ def encode(obj):
         return {"$e": [type(obj).__name__, obj.value]}
     if isinstance(obj, tuple):
         return [encode(x) for x in obj]
-    name = type(obj).__name__
-    if name in _REGISTRY and dataclasses.is_dataclass(obj):
-        fields = [encode(getattr(obj, f.name)) for f in dataclasses.fields(obj)]
+    cls = type(obj)
+    name = cls.__name__
+    if _REGISTRY.get(name) is cls:
+        fields = [encode(getattr(obj, f)) for f in cls.__match_args__]
         return {"$t": name, "f": fields}
     raise TypeError(f"cannot encode {name}")
 
@@ -73,7 +103,8 @@ def encode(obj):
 def decode(data):
     """The value `data` encodes; ValueError when it is not an encoding (an
     unknown tag or enum, the wrong number of fields for its tag, fields its
-    constructor cannot take, or an ill-shaped term, step or sequence)."""
+    constructor cannot take, or an ill-shaped term, step, sequence, context,
+    letter or word)."""
     if data is None or isinstance(data, (bool, int, str)):
         return data
     if isinstance(data, list):
@@ -90,7 +121,7 @@ def decode(data):
     if cls is None:
         raise ValueError(f"unknown tag {tag!r}")
     fields = data.get("f")
-    arity = len(dataclasses.fields(cls))
+    arity = len(cls.__match_args__)
     if not isinstance(fields, list) or len(fields) != arity:
         raise ValueError(f"{cls.__name__} expects a list of {arity} fields")
     args = [decode(x) for x in fields]

@@ -7,9 +7,10 @@ the full redex term so that replay is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator, Optional, Union
+
+from .record import record
 
 
 class NegativeIndex(ValueError):
@@ -33,18 +34,18 @@ class FuelExhausted(Exception):
         self.trace = trace
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Var:
     index: int
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class App:
     fun: "Term"
     arg: "Term"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Lam:
     body: "Term"
 
@@ -68,7 +69,7 @@ class Dir(Enum):
 Path = tuple[Dir, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class RedStep:
     kind: StepKind
     path: Path = ()

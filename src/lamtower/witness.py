@@ -9,13 +9,13 @@ witnesses, the two reflexivities, and composition; there is no inverse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
 from .cells import RedSeq, seq_from_steps
 from .domains import Tower, flat_base
 from .kinfinity import Thread, stage_embed, thread_eq
+from .record import record
 from .terms import App, Dir, Lam, RedStep, StepKind, Term, Var, normalize
 
 SPAN_SOURCE: Term = App(Lam(App(Var(1), Var(0))), Var(1))
@@ -35,31 +35,31 @@ class Tag(Enum):
     ETA = "eta"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class TBeta:
     src = SpanEndpoint.M
     tgt = SpanEndpoint.N
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class TEta:
     src = SpanEndpoint.M
     tgt = SpanEndpoint.N
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ReflM:
     src = SpanEndpoint.M
     tgt = SpanEndpoint.M
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ReflN:
     src = SpanEndpoint.N
     tgt = SpanEndpoint.N
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Comp:
     left: "Witness"
     right: "Witness"
@@ -131,7 +131,7 @@ def pole_index(tower: Tower, label: str) -> int:
     return tower.base.labels.index(label)
 
 
-@dataclass(frozen=True)
+@record
 class WitnessInterp:
     tag: Tag
     epsilon: dict

@@ -1,7 +1,9 @@
 """Each module loads only the layers it imports: the word calculus sits on
 the explicit tower (terms -> cells -> completion/frontseed), the K-infinity
 formulas on the finite stages (domains -> kinfinity), witness on both, and
-gen, serialize and cli on top.  The package itself imports nothing."""
+gen, serialize and cli on top.  Every layer's value types are records, so
+each module but the package itself loads the leaf `record`; the package
+imports nothing."""
 
 import ast
 import os
@@ -13,16 +15,17 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-TOWER = {"terms", "cells"}
-STAGES = {"domains", "kinfinity"}
+TOWER = {"record", "terms", "cells"}
+STAGES = {"record", "domains", "kinfinity"}
 WITNESS = TOWER | STAGES | {"witness"}
 LOADS = {
     "lamtower": set(),
-    "lamtower.terms": {"terms"},
+    "lamtower.record": {"record"},
+    "lamtower.terms": {"record", "terms"},
     "lamtower.cells": TOWER,
     "lamtower.completion": TOWER | {"completion"},
     "lamtower.frontseed": TOWER | {"frontseed"},
-    "lamtower.domains": {"domains"},
+    "lamtower.domains": {"record", "domains"},
     "lamtower.kinfinity": STAGES,
     "lamtower.witness": WITNESS,
     "lamtower.gen": TOWER | {"completion", "frontseed", "gen"},
@@ -51,3 +54,15 @@ def test_package_imports_no_submodule():
     # every module is pinned above
     modules = {f"lamtower.{p.stem}" for p in package.glob("*.py")}
     assert modules - {"lamtower.__init__"} | {"lamtower"} == set(LOADS)
+
+
+def test_cli_loads_no_dataclass_machinery():
+    # the value types are records, which need neither dataclasses nor the
+    # inspect module it imports; building them that way took about half of
+    # the package's import time
+    probe = ("import sys, lamtower.cli; "
+             "print(' '.join(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == []

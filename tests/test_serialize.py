@@ -5,12 +5,14 @@ import re
 import pytest
 
 from lamtower import serialize
-from lamtower.cells import (HComp, Pentagon, RedSeq, Refl, Symm, Trans, Triangle,
-                            WhiskerL, WhiskerR, boundary3, empty_seq, seq_invert)
+from lamtower.cells import (CAppArg, CAppFun, CLam, HComp, Hole, Pentagon, RedSeq,
+                            Refl, Symm, Trans, Triangle, WhiskerL, WhiskerR,
+                            boundary3, empty_seq, seq_invert)
 from lamtower.completion import (RTowerCell, explicit_cell, realize,
                                  realize_boundary_check, triple_cell)
-from lamtower.frontseed import (FS2Seed, boundary3_words, empty_word,
-                                fs_assoc_compare, fs_bridges, fs_pentagon)
+from lamtower.frontseed import (AssL, FS2Seed, ReflL, SeedL, WlL, Word, WrL,
+                                boundary3_words, empty_word, fs_assoc_compare,
+                                fs_bridges, fs_pentagon)
 from lamtower.gen import (gen_composable_seqs, gen_h2, gen_h3, gen_rtower_cell,
                           gen_term, gen_zigzag)
 from lamtower.terms import Var
@@ -81,9 +83,43 @@ def test_deterministic_bytes(rng):
     ({"$t": "RedStep", "f": [{"$e": ["StepKind", "beta"]}, 5, True, None]},
      "RedStep cannot hold these fields: ill-shaped"),
     ({"$t": "RedSeq", "f": [[1], []]}, "RedSeq cannot hold these fields: ill-shaped"),
+    # words, letters and contexts, likewise
+    ({"$t": "Word", "f": [1, 2, []]}, "Word cannot hold these fields: ill-shaped"),
+    ({"$t": "CLam", "f": [5]}, "CLam cannot hold these fields: ill-shaped"),
 ])
 def test_decode_rejects_non_encodings(data, message):
     with pytest.raises(ValueError, match=re.escape(message)):
+        serialize.decode(data)
+
+
+def test_decode_checks_every_field_of_words_letters_and_contexts():
+    p = span_beta_seq()
+    e, t = empty_seq(p.target), p.source
+    inner = Word(p, p, (ReflL(p),))
+    values = [
+        Word(p, p, (ReflL(p), SeedL("s", p, p, True))),
+        AssL(p, e, e), AssL(p, e, e, True, True), WlL(p, inner), WrL(inner, p, True),
+        ReflL(p), SeedL("s", p, e, False, True),
+        CAppFun(Hole(), t), CAppArg(t, CLam(Hole())), CLam(CAppFun(Hole(), t)),
+    ]
+    for value in values:
+        assert _roundtrip(value)
+        good = serialize.encode(value)
+        # any field of the wrong kind: an int where a sequence, word, flag,
+        # name, letter tuple, context or term belongs
+        for i in range(len(good["f"])):
+            data = dict(good, f=good["f"][:i] + [5] + good["f"][i + 1:])
+            with pytest.raises(ValueError, match="ill-shaped"):
+                serialize.decode(data)
+    word = serialize.encode(inner)
+    for letters in ([5], [serialize.encode(p)]):
+        data = dict(word, f=word["f"][:2] + [letters])
+        with pytest.raises(ValueError, match="Word cannot hold these fields: ill-shaped"):
+            serialize.decode(data)
+    # a whiskering letter's inner is a word, not a sequence
+    data = serialize.encode(WlL(p, inner))
+    data["f"][1] = serialize.encode(p)
+    with pytest.raises(ValueError, match="WlL cannot hold these fields: ill-shaped"):
         serialize.decode(data)
 
 
