@@ -43,8 +43,9 @@ _register_enum(terms.StepKind, terms.Dir, witness.SpanEndpoint, witness.Tag)
 
 # The shape of a decoded term, step, sequence, context, letter or word,
 # read off its own fields, since each child was checked as it was decoded;
-# replay is validate_seq's.  Refl/Symm/Trans stay unchecked: what they may
-# hold depends on the dimension their caller expects.
+# replay is validate_seq's, and a word's letters must chain end to end.
+# Refl/Symm/Trans stay unchecked: what they may hold depends on the
+# dimension their caller expects.
 _TERM = (terms.Var, terms.App, terms.Lam)
 _CONTEXT = (cells.Hole, cells.CAppFun, cells.CAppArg, cells.CLam)
 _LETTER = (frontseed.AssL, frontseed.WlL, frontseed.WrL, frontseed.ReflL,
@@ -81,8 +82,21 @@ _WELL_FORMED = {
     frontseed.SeedL: lambda v: (isinstance(v.name, str) and _seqs(v.src, v.tgt)
                                 and _flags(v)),
     frontseed.Word: lambda v: (_seqs(v.src, v.tgt) and isinstance(v.letters, tuple)
-                               and all(isinstance(l, _LETTER) for l in v.letters)),
+                               and all(isinstance(l, _LETTER) for l in v.letters)
+                               and _chains(v)),
 }
+
+
+def _chains(w) -> bool:
+    """The letters of w lead from w.src to w.tgt, as frontseed.word_of
+    chains them; an empty word starts where it ends."""
+    if not w.letters:
+        return w.src == w.tgt
+    try:
+        chained = frontseed.word_of(w.letters)
+    except ValueError:  # adjacent letters, or a letter's own edges, do not compose
+        return False
+    return chained.src == w.src and chained.tgt == w.tgt
 
 
 def encode(obj):

@@ -19,6 +19,9 @@ from lamtower.terms import Var
 from lamtower.witness import Comp, ReflM, TBeta, pad, span_beta_seq
 
 
+_P = span_beta_seq()
+
+
 def _roundtrip(obj):
     return serialize.loads(serialize.dumps(obj)) == obj
 
@@ -86,6 +89,15 @@ def test_deterministic_bytes(rng):
     # words, letters and contexts, likewise
     ({"$t": "Word", "f": [1, 2, []]}, "Word cannot hold these fields: ill-shaped"),
     ({"$t": "CLam", "f": [5]}, "CLam cannot hold these fields: ill-shaped"),
+    # words whose letters do not chain from src to tgt: two reflexive
+    # letters that word_reduce would drop, so the word loaded equal to the
+    # empty word on p; an empty word between different edges; and a chained
+    # word that ends somewhere else than its tgt
+    (serialize.encode(Word(_P, _P, (ReflL(seq_invert(_P)), ReflL(empty_seq(_P.source))))),
+     "Word cannot hold these fields: ill-shaped"),
+    (serialize.encode(Word(_P, seq_invert(_P), ())), "Word cannot hold these fields: ill-shaped"),
+    (serialize.encode(Word(_P, seq_invert(_P), (ReflL(_P),))),
+     "Word cannot hold these fields: ill-shaped"),
 ])
 def test_decode_rejects_non_encodings(data, message):
     with pytest.raises(ValueError, match=re.escape(message)):

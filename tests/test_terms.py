@@ -80,6 +80,19 @@ def test_shift_negative_index():
         shift(-1, 0, Var(0))
 
 
+@given(st.one_of(terms_strategy, larger_terms), st.integers(0, 4))
+def test_shift_by_zero_is_the_term_itself(t, cutoff):
+    # terms are immutable, so there is nothing to copy
+    assert shift(0, cutoff, t) is t
+
+
+def test_subst_shares_the_argument_under_no_binder():
+    n = Lam(App(Var(0), Var(3)))
+    assert subst(Var(0), n) is n
+    out = subst(App(Var(0), Lam(Var(1))), n)
+    assert out.fun is n and out.arg.body == shift(1, 0, n)
+
+
 @given(terms_strategy, st.integers(1, 3))
 def test_shift_preserves_named_view(t, d):
     # free index a becomes a+d; reading the result with offset -d undoes it
@@ -349,6 +362,56 @@ def test_normalize_looping_spine():
     for i, s in enumerate(trace):
         assert s == RedStep(StepKind.BETA, (Dir.FUN,) * i)
     assert term_size(exc.value.term) == 7 * 300 + 13
+
+
+def _normalize_reference(t, fuel):
+    """normalize as one first_redex search and one apply_step per step."""
+    trace = []
+    while True:
+        s = first_redex(t)
+        if s is None:
+            return "normal", t, tuple(trace)
+        if fuel <= 0:
+            return "exhausted", t, tuple(trace)
+        fuel -= 1
+        t = apply_step(t, s)
+        trace.append(s)
+
+
+def _normalize_outcome(t, fuel):
+    try:
+        nf, trace = normalize(t, fuel)
+    except FuelExhausted as e:
+        return "exhausted", e.term, e.trace
+    return "normal", nf, trace
+
+
+@given(st.one_of(terms_strategy, larger_terms))
+@settings(max_examples=200)
+def test_normalize_matches_search_and_apply_loop(t):
+    for fuel in (0, 1, 5, 200):
+        assert _normalize_outcome(t, fuel) == _normalize_reference(t, fuel)
+
+
+def test_normalize_deep_normal_term_is_itself():
+    # 20 000 levels of binders and variable-headed applications, no redex
+    t = Var(0)
+    for i in range(20_000):
+        t = Lam(t) if i % 2 else App(Var(i % 3), t)
+    assert find_redexes(t) == []
+    nf, trace = normalize(t, 10)
+    assert nf is t and trace == ()
+
+
+def test_normalize_redex_under_deep_binders():
+    depth = 20_000
+    t = App(Lam(Var(0)), Var(5))
+    for _ in range(depth):
+        t = Lam(t)
+    nf, trace = normalize(t, 10)
+    assert trace == (RedStep(StepKind.BETA, (Dir.BODY,) * depth),)
+    # compared by text, as == on such a term recurses
+    assert to_text(nf) == "\\ . " * depth + "#5"
 
 
 def test_normalize_trace_replays():
