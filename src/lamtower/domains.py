@@ -25,9 +25,9 @@ BOTTOM_LABEL = "bot"
 # Stage-3 evaluations verify_laws may make (see check_law_budget), at about
 # 5 us each on a 2-core host, so about 7.5 s of laws, which leaves the rest
 # of `kinfty check` within 10 s.  It admits base 5 (629 stage-1 elements,
-# 796 950 evaluations: 3.7-4.6 s and 25 MB for `kinfty check`, nearly all
+# 795 685 evaluations: 3.7-4.6 s and 25 MB for `kinfty check`, nearly all
 # of it the laws, as the stage-1 order and the step-join sample take under
-# 0.1 s) and refuses base 6 (7 781 elements, 121 157 958 evaluations).
+# 0.1 s) and refuses base 6 (7 781 elements, 121 142 389 evaluations).
 LAW_BUDGET = 1_500_000
 
 
@@ -47,16 +47,16 @@ def check_law_budget(stage1_size: int) -> None:
     The work is counted in stage-3 evaluations, from the loop bounds of
     kinfinity.verify_laws at depth 3 with no sample threads, and the count
     is exact on a fresh Tower (on one whose shared threads already hold
-    their probe values the suite makes fewer).  With s stage-1 elements, each stage-3 map the suite reads is
-    evaluated once at each of the s + 1 probes: the tops of the s embedded
-    stage-1 elements and of the bottom thread (read by their
-    reifications), the s + 1 reified restrictions of the stagewise and
-    retract laws, and the 5 reified endomaps of the section law.  The
-    density chain fills no further map, since it orders tops with one
-    construction key by the key.  That is (s + 1)(2s + 7): 348 at base 3,
-    9 588 at base 4 and 796 950 at base 5.
+    their probe values the suite makes fewer).  With s stage-1 elements, each
+    stage-3 map the suite reads is evaluated once at each of the s probes
+    e_1(D_1): the tops of the s embedded stage-1 elements and of the bottom
+    thread (read by their reifications), the s + 1 reified restrictions of
+    the stagewise and retract laws, and the 5 reified endomaps of the
+    section law.  The density chain fills no further map, since it orders
+    tops with one construction key by the key.  That is s(2s + 7): 319 at
+    base 3, 9 447 at base 4 and 795 685 at base 5.
     """
-    work = (stage1_size + 1) * (2 * stage1_size + 7)
+    work = stage1_size * (2 * stage1_size + 7)
     if work > LAW_BUDGET:
         raise CapExceeded(
             f"the law suite over a stage 1 of {stage1_size} elements needs an "
@@ -142,7 +142,8 @@ class Tower:
       frozenset of the elements above it), built whole on first use by
       leq(1, ...), leq(2, ...) or up_set(1, ...), whose arguments and
       entries must therefore be stage-1 elements;
-    - `_probes`: the stage2_probes() family, built whole on first call, with
+    - `_probes`: the stage2_probes() family e_1(D_1), built whole on first
+      call, one probe per stage-1 element in stage-1 order, with
       `_probe_pos`, each probe's position keyed by its identity (sound
       because the tower keeps its probes alive), and `_probe_proj1`, each
       probe's proj(1, .) by position;
@@ -165,11 +166,8 @@ class Tower:
 
     def _enumerate_stage1(self) -> tuple[tuple[int, ...], ...]:
         n = len(self.base)
-        maps = []
-        for table in itertools.product(range(n), repeat=n):
-            if self._monotone_table(0, table):
-                maps.append(table)
-        return tuple(sorted(maps))
+        tables = itertools.product(range(n), repeat=n)
+        return tuple(sorted(filter(partial(self._monotone_table, 0), tables)))
 
     def _monotone_table(self, level: int, table) -> bool:
         dom = self.domain(level)
@@ -200,9 +198,10 @@ class Tower:
 
         At stage 3 it decides less than the order of maps: one map, or two
         with equal construction keys (both emb(2, w) for one w), are below;
-        others are compared pointwise at the s + 1 probes {bottom(2)} and
-        e_1(D_1) only, s the size of stage 1.  Maps that agree on the probes
-        but differ elsewhere in stage 2 compare below each other.
+        others are compared pointwise at the s probes e_1(D_1) only, s the
+        size of stage 1 (bottom(2) is e_1(bottom(1)), one of them).  Maps
+        that agree on the probes but differ elsewhere in stage 2 compare
+        below each other.
         """
         if level == 0:
             return self.base.leq[a][b]
@@ -221,7 +220,8 @@ class Tower:
 
     def eq(self, level: int, a, b) -> bool:
         """a == b in stage `level`; at stage 3, equal construction keys or
-        agreement at every probe, with the caveat of leq(3, ...)."""
+        agreement at each of the s probes e_1(D_1), with the caveat of
+        leq(3, ...)."""
         if level < 3:
             return a == b
         if level == 3:
@@ -318,12 +318,11 @@ class Tower:
             bot = self.base.bottom
             return tuple(u[i][bot] for i in self._const1)
         if n == 2:
-            # u at emb(1, g) for each g: the probes after bottom(2); the
-            # probe lookup of proj(1, .) is inlined, as it runs per entry
-            values = self.at_probes(u)
+            # u at emb(1, g) for each g, which are the probes; the probe
+            # lookup of proj(1, .) is inlined, as it runs per entry
             pos, table = self._probe_pos.get, self._probe_proj1
             return tuple(self.proj(1, v) if (i := pos(id(v))) is None else table[i]
-                         for v in itertools.islice(values, 1, None))
+                         for v in self.at_probes(u))
         raise CapExceeded(f"no projection representation to stage {n}")
 
     def tabulate(self, n: int, fn: Callable):
@@ -355,10 +354,11 @@ class Tower:
     # -- probes for the lazy top stage ------------------------------------
 
     def stage2_probes(self) -> tuple:
-        """Canonical finite probe family for comparing stage-3 elements."""
+        """The probe family for comparing stage-3 elements: e_1(D_1), the
+        table emb(1, g) of each stage-1 element g in stage-1 order, so a
+        stage-3 map's probe vector is indexed as a stage-2 table is."""
         if self._probes is None:
-            self._probes = ((self.bottom(2),)
-                            + tuple(self.emb(1, g) for g in self.stage1))
+            self._probes = tuple(self.emb(1, g) for g in self.stage1)
             # built while _probe_pos is still empty, so proj(1, .) computes
             self._probe_proj1 = tuple(self.proj(1, w) for w in self._probes)
             self._probe_pos = {id(w): i for i, w in enumerate(self._probes)}
@@ -479,14 +479,11 @@ def step_join_sample(tower: Tower, rng: random.Random, n: int) -> list:
     """Up to n distinct joins of two stage-2 step maps between random
     stage-1 elements, drawn a, b, c, d per attempt, in at most 40 n
     attempts; the stage-2 sample of `kinfty check`."""
-    out = []
-    elems = tower.stage1
-    seen = set()
-    attempts = 0
-    while len(out) < n and attempts < 40 * n:
-        attempts += 1
-        a, b = rng.choice(elems), rng.choice(elems)
-        c, d = rng.choice(elems), rng.choice(elems)
+    out, seen, elems = [], set(), tower.stage1
+    for _ in range(40 * n):
+        if len(out) == n:
+            break
+        a, b, c, d = (rng.choice(elems) for _ in range(4))
         j = lub(tower, 2, [step_map(tower, 1, a, b), step_map(tower, 1, c, d)])
         if j is not None and j not in seen:
             seen.add(j)
@@ -499,10 +496,7 @@ def check_projection_pair(tower: Tower, n: int, sample=()) -> dict:
     (enumerated when possible, otherwise on the sample)."""
     retract_failures = [x for x in tower.domain(n)
                         if tower.proj(n, tower.emb(n, x)) != x]
-    if n == 0:
-        uppers = tower.stage1
-    else:
-        uppers = tuple(sample)
+    uppers = tower.stage1 if n == 0 else tuple(sample)
     section_failures = [u for u in uppers
                         if not tower.leq(n + 1, tower.emb(n, tower.proj(n, u)), u)]
     return {

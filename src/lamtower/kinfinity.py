@@ -4,7 +4,8 @@ application laws.
 A thread holds one coordinate per stage up to the truncation depth, coherent
 under the stage projections.  Application is the top shadow of the monotone
 shadow chain; reify tabulates stage restrictions of an endomap.  Threads
-compare coordinatewise by Tower.eq/Tower.leq (at stage 3 on probes only).
+compare coordinatewise by Tower.eq/Tower.leq, at stage 3 only on the s
+probes e_1(D_1), s the size of stage 1.
 """
 
 from __future__ import annotations
@@ -45,11 +46,7 @@ class Thread:
 
 def coherent(t: Thread) -> bool:
     """proj_n(coords[n+1]) == coords[n] for every covered n."""
-    tw = t.tower
-    for n in range(t.depth):
-        if tw.proj(n, t.coords[n + 1]) != t.coords[n]:
-            return False
-    return True
+    return all(t.tower.proj(n, t.coords[n + 1]) == t.coords[n] for n in range(t.depth))
 
 
 def thread_eq(x: Thread, y: Thread) -> bool:
@@ -167,12 +164,12 @@ def restrict(g: EndoMap, n: int, depth: int, tower: Tower):
 
 
 def reify(g: EndoMap, depth: int, tower: Tower) -> Thread:
-    """The thread of stage restrictions: coords[0] from the bottom of r_0,
+    """The thread of stage restrictions: coords[0] = proj(0, r_0),
     coords[n+1] = r_n."""
     if depth < 1:
         raise DepthTooSmall("reify needs depth >= 1")
     r0 = restrict(g, 0, depth, tower)
-    coords: list = [r0[tower.base.bottom], r0]
+    coords: list = [tower.proj(0, r0), r0]
     for n in range(1, depth):
         coords.append(restrict(g, n, depth, tower))
     return Thread(tower, tuple(coords))
@@ -241,9 +238,7 @@ def verify_laws(tower: Tower, depth: int = 3,
     checks.append(_check("section_on_embedded_stages", failures, count))
 
     failures = []
-    xs = list(embeds1)
-    if sample_threads:
-        xs += list(sample_threads)
+    xs = embeds1 + list(sample_threads or ())
     for x in xs:
         if not coherent(x):
             failures.append({"law": "density", "reason": "incoherent input"})

@@ -13,21 +13,7 @@ from enum import Enum
 
 from . import cells, completion, frontseed, terms, witness
 
-_REGISTRY: dict[str, type] = {}
-_ENUMS: dict[str, type] = {}
-
-
-def _register(*classes):
-    for c in classes:
-        _REGISTRY[c.__name__] = c
-
-
-def _register_enum(*classes):
-    for c in classes:
-        _ENUMS[c.__name__] = c
-
-
-_register(
+_REGISTRY: dict[str, type] = {c.__name__: c for c in (
     terms.Var, terms.App, terms.Lam, terms.RedStep,
     cells.RedSeq, cells.Hole, cells.CAppFun, cells.CAppArg, cells.CLam,
     cells.Refl, cells.Symm, cells.Trans, cells.WhiskerL, cells.WhiskerR,
@@ -38,22 +24,34 @@ _register(
     frontseed.SeedL, frontseed.Word, frontseed.FS1Seed, frontseed.FS2Seed,
     frontseed.HeadNorm, frontseed.VComp, frontseed.PasteR, frontseed.FillerE,
     witness.TBeta, witness.TEta, witness.ReflM, witness.ReflN, witness.Comp,
-)
-_register_enum(terms.StepKind, terms.Dir, witness.SpanEndpoint, witness.Tag)
+)}
+_ENUMS: dict[str, type] = {c.__name__: c for c in (
+    terms.StepKind, terms.Dir, witness.SpanEndpoint, witness.Tag)}
 
-# The shape of a decoded term, step, sequence, context, letter or word,
-# read off its own fields, since each child was checked as it was decoded;
-# replay is validate_seq's, and a word's letters must chain end to end.
-# Refl/Symm/Trans stay unchecked: what they may hold depends on the
-# dimension their caller expects.
+# The shape of a decoded value, read off its own fields, since each child
+# was checked as it was decoded; replay is validate_seq's, and a word's
+# letters must chain end to end.  The payloads of Refl/Symm/Trans/HComp and
+# the cells of the whiskerings stay unchecked: what they may hold depends on
+# the dimension their caller expects.
 _TERM = (terms.Var, terms.App, terms.Lam)
 _CONTEXT = (cells.Hole, cells.CAppFun, cells.CAppArg, cells.CLam)
 _LETTER = (frontseed.AssL, frontseed.WlL, frontseed.WrL, frontseed.ReflL,
            frontseed.SeedL)
+# what a SigmaCell of dimension 0, 1, 2, 3, and 4 or more holds
+_SIGMA_PAYLOAD = (_TERM, cells.RedSeq, cells.H2_CLASSES, cells.H3_CLASSES,
+                  (cells.Refl, cells.Symm, cells.Trans))
+
+
+def _are(kind, *xs) -> bool:
+    return all(isinstance(x, kind) for x in xs)
 
 
 def _seqs(*xs) -> bool:
-    return all(isinstance(x, cells.RedSeq) for x in xs)
+    return _are(cells.RedSeq, *xs)
+
+
+def _seq_fields(v) -> bool:
+    return _seqs(*(getattr(v, f) for f in v.__match_args__))
 
 
 def _flags(v) -> bool:
@@ -70,11 +68,19 @@ _WELL_FORMED = {
     terms.Lam: lambda v: isinstance(v.body, _TERM),
     terms.RedStep: terms.is_step,
     cells.RedSeq: lambda v: (isinstance(v.terms, tuple) and isinstance(v.steps, tuple)
-                             and all(isinstance(t, _TERM) for t in v.terms)
-                             and all(isinstance(s, terms.RedStep) for s in v.steps)),
+                             and _are(_TERM, *v.terms) and _are(terms.RedStep, *v.steps)),
     cells.CAppFun: lambda v: isinstance(v.ctx, _CONTEXT) and isinstance(v.arg, _TERM),
     cells.CAppArg: lambda v: isinstance(v.fun, _TERM) and isinstance(v.ctx, _CONTEXT),
     cells.CLam: lambda v: isinstance(v.ctx, _CONTEXT),
+    cells.WhiskerL: lambda v: _seqs(v.prefix),
+    cells.WhiskerR: lambda v: _seqs(v.suffix),
+    **dict.fromkeys((cells.Assoc, cells.UnitL, cells.UnitR, cells.Pentagon,
+                     cells.Triangle), _seq_fields),
+    cells.StepCong: lambda v: (isinstance(v.ctx, _CONTEXT)
+                               and isinstance(v.cell, cells.H2_CLASSES)),
+    cells.Interchange: lambda v: _are(cells.H2_CLASSES, v.a, v.b, v.c, v.d),
+    completion.SigmaCell: lambda v: (type(v.dim) is int and v.dim >= 0 and isinstance(
+        v.payload, _SIGMA_PAYLOAD[min(v.dim, 4)])),
     frontseed.AssL: lambda v: _seqs(v.a, v.b, v.c) and _flags(v),
     frontseed.WlL: _whiskering,
     frontseed.WrL: _whiskering,
@@ -82,8 +88,10 @@ _WELL_FORMED = {
     frontseed.SeedL: lambda v: (isinstance(v.name, str) and _seqs(v.src, v.tgt)
                                 and _flags(v)),
     frontseed.Word: lambda v: (_seqs(v.src, v.tgt) and isinstance(v.letters, tuple)
-                               and all(isinstance(l, _LETTER) for l in v.letters)
-                               and _chains(v)),
+                               and _are(_LETTER, *v.letters) and _chains(v)),
+    frontseed.PasteR: lambda v: isinstance(v.word, frontseed.Word),
+    frontseed.FillerE: lambda v: (isinstance(v.faces, tuple) and isinstance(v.label, str)
+                                  and _are(frontseed.Word, v.src, v.tgt)),
 }
 
 
@@ -117,8 +125,8 @@ def encode(obj):
 def decode(data):
     """The value `data` encodes; ValueError when it is not an encoding (an
     unknown tag or enum, the wrong number of fields for its tag, fields its
-    constructor cannot take, or an ill-shaped term, step, sequence, context,
-    letter or word)."""
+    constructor cannot take, or fields of the wrong kind for the class, as
+    _WELL_FORMED reads them)."""
     if data is None or isinstance(data, (bool, int, str)):
         return data
     if isinstance(data, list):

@@ -9,6 +9,7 @@ from lamtower.domains import (CapExceeded, FinPoset, LazyMono, Tower,
                               check_law_budget, check_projection_pair,
                               enumerate_stage, flat_base, flat_stage1_size,
                               lub, step_join_sample, step_map)
+from lamtower.kinfinity import verify_laws
 
 BOT, SR1, SL1 = 0, 1, 2
 
@@ -265,7 +266,7 @@ def test_towers_keep_their_own_tables():
         t.leq(1, t.bottom(1), t.stage1[-1])
     assert t3._emb1 is not t4._emb1 and t3._up1 is not t4._up1
     assert len(t3._emb1) == len(t3._up1) == 11 and len(t4._emb1) == len(t4._up1) == 67
-    assert len(t3.stage2_probes()) == 12 and len(t4.stage2_probes()) == 68
+    assert len(t3.stage2_probes()) == 11 and len(t4.stage2_probes()) == 67
     for t in (t3, t4):
         n = len(t.base)
         for g in t.stage1:
@@ -386,6 +387,36 @@ def test_apply3_off_the_probes_uses_the_memo(base_size, rng):
             assert t.probe_position(j) is None
             assert t.apply(3, u, j) == u.fn(j)
         assert len(u.memo) == len(set(probes + tuple(joins)))
+
+
+@pytest.mark.parametrize("base_size", [3, 4])
+def test_probes_are_the_embedded_stage1(base_size):
+    # one probe per stage-1 element, in stage-1 order, and no two equal:
+    # bottom(2) is e_1(bottom(1)), the first of them, and not a probe again
+    t = Tower(flat_base(POLES[base_size]))
+    probes = t.stage2_probes()
+    assert list(probes) == [t.emb(1, g) for g in t.stage1]
+    assert len(set(probes)) == len(probes) == len(t.stage1)
+    assert t.bottom(2) == probes[0]
+
+
+def test_suite_maps_at_bottom2_are_read_at_the_first_probe(monkeypatch):
+    # nothing was lost with the separate bottom(2) probe: every stage-3 map
+    # a base-3 law suite builds has its value at bottom(2) at probe 0
+    maps = []
+    init = LazyMono.__init__
+
+    def recording_init(self, fn, key=None):
+        init(self, fn, key)
+        maps.append(self)
+
+    monkeypatch.setattr(LazyMono, "__init__", recording_init)
+    t = Tower(flat_base())
+    assert verify_laws(t, depth=3)["ok"]
+    monkeypatch.undo()
+    assert maps
+    for u in maps:
+        assert u.fn(t.bottom(2)) == next(iter(t.at_probes(u)))
 
 
 def test_tabulate_builds_each_stage(tower):

@@ -255,7 +255,7 @@ def test_probe_vectors_match_probe_by_probe_reference(base_size):
             assert t.eq(3, a, b) == (ra == rb)
             assert t.leq(3, a, b) == all(_below2(t, x, y) for x, y in zip(ra, rb))
     for u, ref in zip(maps, refs):
-        assert t.proj(2, u) == tuple(t.proj(1, v) for v in ref[1:])
+        assert t.proj(2, u) == tuple(t.proj(1, v) for v in ref)
         assert u.probed == ref
     assert any(ra != rb for ra in refs for rb in refs)
 
@@ -386,7 +386,7 @@ def test_suite_evaluates_each_map_probe_pair_once(monkeypatch):
     probe_ids = {id(w) for w in t.stage2_probes()}
     assert {w for _, w in calls} <= probe_ids  # every argument is a probe
     assert max(calls.values()) == 1
-    assert sum(calls.values()) == 9588
+    assert sum(calls.values()) == 9447
     # the thread table stays within one entry per stage-0 element, stage-1
     # element and probe, at the one depth the suite uses
     assert {depth for _, _, depth in t._threads} == {3}
@@ -399,10 +399,10 @@ def test_law_budget_estimate_matches_counted_evaluations(base_size, monkeypatch)
     t = _tower(base_size)
     _, calls = _counted_suite(monkeypatch, t)
     s = len(t.stage1)
-    estimate = (s + 1) * (2 * s + 7)
+    estimate = s * (2 * s + 7)
     assert sum(calls.values()) == estimate
     check_law_budget(s)
-    assert estimate == {3: 348, 4: 9588}[base_size]
+    assert estimate == {3: 319, 4: 9447}[base_size]
 
 
 # -- faults in application: the reports under each are pinned --------------
@@ -464,14 +464,14 @@ def _proj1_by_formula(t, v):
 def _proj2_by_formula(t, fn):
     """proj(2, .) of the stage-3 map fn, probe by probe, from fresh
     evaluations."""
-    return tuple(_proj1_by_formula(t, fn(w)) for w in t.stage2_probes()[1:])
+    return tuple(_proj1_by_formula(t, fn(w)) for w in t.stage2_probes())
 
 
 @pytest.mark.parametrize("base_size", [3, 4])
 def test_proj1_of_a_probe_reads_the_table_exactly(base_size):
     t = _tower(base_size)
     probes = t.stage2_probes()
-    assert t._probe_proj1 == (t.bottom(1),) + t.stage1
+    assert t._probe_proj1 == t.stage1
     for w in probes:
         copy = tuple(list(w))
         assert t.proj(1, w) == t.proj(1, copy) == _proj1_by_formula(t, w)
@@ -571,5 +571,5 @@ def test_verify_laws_base5_evaluation_count(base5_suite):
     # exactly the budget estimate
     _, evaluations, base, s = base5_suite
     assert (base, s) == (5, 629)
-    assert evaluations == 796_950 == (s + 1) * (2 * s + 7)
+    assert evaluations == 795_685 == s * (2 * s + 7)
     check_law_budget(s)

@@ -1,13 +1,14 @@
 import hashlib
+import json
 import random
 import re
 
 import pytest
 
 from lamtower import serialize
-from lamtower.cells import (CAppArg, CAppFun, CLam, HComp, Hole, Pentagon, RedSeq,
-                            Refl, Symm, Trans, Triangle, WhiskerL, WhiskerR,
-                            boundary3, empty_seq, seq_invert)
+from lamtower.cells import (CAppArg, CAppFun, CLam, HComp, Hole, Interchange,
+                            Pentagon, RedSeq, Refl, Symm, Trans, Triangle,
+                            WhiskerL, WhiskerR, boundary3, empty_seq, seq_invert)
 from lamtower.completion import (RTowerCell, explicit_cell, realize,
                                  realize_boundary_check, triple_cell)
 from lamtower.frontseed import (AssL, FS2Seed, ReflL, SeedL, WlL, Word, WrL,
@@ -20,6 +21,7 @@ from lamtower.witness import Comp, ReflM, TBeta, pad, span_beta_seq
 
 
 _P = span_beta_seq()
+_E = serialize.encode
 
 
 def _roundtrip(obj):
@@ -102,6 +104,39 @@ def test_deterministic_bytes(rng):
 def test_decode_rejects_non_encodings(data, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         serialize.decode(data)
+
+
+_W = _E(empty_word(_P))
+
+
+@pytest.mark.parametrize("data", [
+    # sequences where a 2-cell, an int or a term stands
+    {"$t": "Assoc", "f": [1, 2, 3]},
+    {"$t": "UnitL", "f": [_E(Refl(_P))]},
+    {"$t": "UnitR", "f": [5]},
+    {"$t": "Pentagon", "f": [1, 2, 3, 4]},
+    {"$t": "Triangle", "f": [_E(_P), 2]},
+    {"$t": "WhiskerL", "f": [5, _E(Refl(_P))]},
+    {"$t": "WhiskerR", "f": [_E(Refl(_P)), _E(Var(0))]},
+    # a context and a 2-cell; four 2-cells
+    {"$t": "StepCong", "f": [5, _E(Refl(_P))]},
+    {"$t": "StepCong", "f": [_E(Hole()), _E(_P)]},
+    _E(Interchange(Refl(_P), Refl(_P), Refl(_P), _P)),
+    # a dimension that is an int >= 0, and a payload of that dimension
+    {"$t": "SigmaCell", "f": [9, 1]},
+    {"$t": "SigmaCell", "f": [True, _E(Var(0))]},
+    {"$t": "SigmaCell", "f": [-1, _E(Var(0))]},
+    {"$t": "SigmaCell", "f": [2, _E(_P)]},
+    # a word to paste; a face tuple, two words and a label
+    {"$t": "PasteR", "f": [_E(Refl(_P)), _E(_P)]},
+    {"$t": "FillerE", "f": [[], 1, 2, 3, "x"]},
+    {"$t": "FillerE", "f": [5, _W, _W, 3, "x"]},
+    {"$t": "FillerE", "f": [[], _W, _W, 3, 7]},
+])
+def test_loads_refuses_cells_with_fields_of_the_wrong_kind(data):
+    message = f"{data['$t']} cannot hold these fields: ill-shaped"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        serialize.loads(json.dumps(data))
 
 
 def test_decode_checks_every_field_of_words_letters_and_contexts():
