@@ -1,10 +1,11 @@
-"""Finite poset stages for the function-space tower over a flat base.
+"""Finite poset stages for the function-space tower over a finite pointed base.
 
-Stage 0 is a flat poset with labeled poles; stage n+1 consists of monotone
-self-maps of stage n under the pointwise order.  Stages 0 and 1 are fully
-enumerated; stage 2 elements are explicit tables over the stage-1 enumeration;
-stage 3 elements are evaluation-backed maps (no global enumeration exists at
-that size).  Projection pairs are the constant/evaluate-at-bottom seeds lifted
+Stage 0 is any finite poset with a bottom (the CLI builds the flat one, with
+labeled poles); stage n+1 consists of monotone self-maps of stage n under the
+pointwise order.  Stages 0 and 1 are fully enumerated; stage 2 elements are
+explicit tables over the stage-1 enumeration; stage 3 elements are
+evaluation-backed maps (no global enumeration exists at that size).
+Projection pairs are the constant/evaluate-at-bottom seeds lifted
 functorially.
 """
 
@@ -25,9 +26,10 @@ BOTTOM_LABEL = "bot"
 # Stage-3 evaluations verify_laws may make (see check_law_budget), at about
 # 5 us each on a 2-core host, so about 7.5 s of laws, which leaves the rest
 # of `kinfty check` within 10 s.  It admits base 5 (629 stage-1 elements,
-# 795 685 evaluations: 3.7-4.6 s and 25 MB for `kinfty check`, nearly all
-# of it the laws, as the stage-1 order and the step-join sample take under
-# 0.1 s) and refuses base 6 (7 781 elements, 121 142 389 evaluations).
+# 795 685 evaluations: 4.2-5.0 s and 24 MB for `kinfty check` on a 2-core
+# shared host whose speed varies, 2.6-3.2 s there at a quieter time; nearly
+# all of it the laws, as the stage-1 order and the step-join sample take
+# under 0.1 s) and refuses base 6 (7 781 elements, 121 142 389 evaluations).
 LAW_BUDGET = 1_500_000
 
 
@@ -103,6 +105,12 @@ def flat_base(poles: tuple[str, ...] = DEFAULT_POLES) -> FinPoset:
     return FinPoset(labels, leq, 0)
 
 
+def _least_above(leq, x, y) -> Optional[int]:
+    """The least element above both x and y in the order leq, or None."""
+    ubs = [z for z in range(len(leq)) if leq[x][z] and leq[y][z]]
+    return next((z for z in ubs if all(leq[z][u] for u in ubs)), None)
+
+
 @record
 class Stage:
     level: int
@@ -122,7 +130,7 @@ class MonoMap:
 
 
 class Tower:
-    """The stage tower over one flat base, with projection pairs.
+    """The stage tower over one finite pointed base, with projection pairs.
 
     Element representations: stage 0 is an index into the base; stage 1 is a
     table over base indices; stage 2 is a table over the canonical stage-1
@@ -132,8 +140,10 @@ class Tower:
 
     Construction enumerates stage 1 and indexes it: `stage1_index` maps each
     table to its position and `_const1` holds the positions of the constant
-    maps (x,)*n, one per base element x, which is all proj(1, .) reads.  The
-    tower also keeps these tables, each built on first use and held for the
+    maps (x,)*n, one per base element x, which is all proj(1, .) reads.
+    `_join0[x][y]` is the stage-0 join, read from the base order: the least
+    element above both x and y, or None when there is none.  The tower also
+    keeps these tables, each built on first use and held for the
     life of the instance:
     - `_emb1`: emb(1, g) per stage-1 element g, filled one g at a time, so
       embedding a few poles over a large base stays cheap; its entries are
@@ -157,6 +167,8 @@ class Tower:
         self.stage1_index = {t: i for i, t in enumerate(self.stage1)}
         self._const1 = tuple(self.stage1_index[self.emb(0, x)]
                              for x in range(len(base)))
+        self._join0 = tuple(tuple(_least_above(base.leq, x, y) for y in range(len(base)))
+                            for x in range(len(base)))
         self._emb1: dict = {}
         self._up1: Optional[dict] = None
         self._probes: Optional[tuple] = None
@@ -433,7 +445,7 @@ def step_map(tower: Tower, level: int, a, b):
 
 def lub(tower: Tower, level: int, xs) -> Optional[object]:
     """Least upper bound of finitely many stage elements, or None when the
-    set has no upper bound: a fold of the two-argument join."""
+    set has none: a fold of the two-argument join."""
     xs = iter(xs)
     out = next(xs, None)
     if out is None:
@@ -446,15 +458,13 @@ def lub(tower: Tower, level: int, xs) -> Optional[object]:
 
 
 def _join(tower: Tower, level: int, x, y):
-    """x join y, or None when they have no upper bound.  Pointwise above
-    stage 0; a stage-1 join it computes is the canonical stage-1 element."""
+    """x join y, or None when they have no least upper bound.  One lookup in
+    the tower's join table at stage 0, pointwise above it; a stage-1 join it
+    computes is the canonical stage-1 element."""
     if x is y:
         return x
     if level == 0:
-        bot = tower.base.bottom
-        if x == bot or x == y:
-            return y
-        return x if y == bot else None
+        return tower._join0[x][y]
     if level == 1:
         bot = tower.bottom(1)
         if x is bot:

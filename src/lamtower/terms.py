@@ -206,11 +206,11 @@ def _walk(t: Term, path: Path) -> tuple[list[Term], Term]:
     node = t
     for d in path:
         parents.append(node)
-        if d is Dir.FUN and isinstance(node, App):
+        if d is _FUN and isinstance(node, App):
             node = node.fun
-        elif d is Dir.ARG and isinstance(node, App):
+        elif d is _ARG and isinstance(node, App):
             node = node.arg
-        elif d is Dir.BODY and isinstance(node, Lam):
+        elif d is _BODY and isinstance(node, Lam):
             node = node.body
         else:
             raise InvalidStep(f"path {render_path(path)} does not address a subterm")
@@ -287,41 +287,50 @@ def invert_step(s: RedStep, source: Term) -> RedStep:
 def _scan(t: Term, first: bool):
     """The leftmost-outermost (preorder) search for forward redexes in t.
 
-    One walk, no recursion: the path and the node at each level of it
-    (parents) are live lists, cut back to a node's depth when the walk
-    reaches it, so visiting a node costs O(1) however deep it sits.  With
-    first, returns (kind, node, path, parents) for the first redex, or None;
-    otherwise the list of every redex as a RedStep.
+    One walk down the leftmost spine, no recursion: the path and the node at
+    each level of it (parents) are live lists.  An App records only its
+    depth as pending and the walk goes into its function; a Lam goes into
+    its body.  At a Var the walk resumes at the deepest pending App: path
+    and parents are cut back to it, its selector turns from FUN to ARG, and
+    the walk goes into its argument.  So visiting a node costs O(1) however
+    deep it sits.  With first, returns (kind, node, path, parents) for the
+    first redex, or None; otherwise the list of every redex as a RedStep.
     """
     path: list[Dir] = []
     parents: list[Term] = []
+    pending: list[int] = []  # depths of the Apps whose argument is unvisited
     found: list[RedStep] = []
-    stack: list = [(t, 0, None, None)]  # (node, depth, parent, way from parent)
-    while stack:
-        node, depth, parent, d = stack.pop()
-        del path[depth:]
-        del parents[depth:]
-        if parent is not None:
-            parents.append(parent)
-            path.append(d)
-            depth += 1
+    node = t
+    while True:
         kind = None
         if isinstance(node, App):
-            if isinstance(node.fun, Lam):
+            child = node.fun
+            if isinstance(child, Lam):
                 kind = _BETA
-            stack.append((node.arg, depth, node, _ARG))
-            stack.append((node.fun, depth, node, _FUN))
+            pending.append(len(path))
+            way = _FUN
         elif isinstance(node, Lam):
-            body = node.body
-            if (isinstance(body, App) and body.arg.__class__ is Var
-                    and body.arg.index == 0 and not free_in(body.fun, 0)):
+            child = node.body
+            if (isinstance(child, App) and child.arg.__class__ is Var
+                    and child.arg.index == 0 and not free_in(child.fun, 0)):
                 kind = _ETA
-            stack.append((body, depth, node, _BODY))
+            way = _BODY
+        else:
+            if not pending:
+                return None if first else found
+            depth = pending.pop()
+            del path[depth + 1:]
+            del parents[depth + 1:]
+            path[depth] = _ARG
+            node = parents[depth].arg
+            continue
         if kind is not None:
             if first:
                 return kind, node, path, parents
             found.append(RedStep(kind, tuple(path)))
-    return None if first else found
+        path.append(way)
+        parents.append(node)
+        node = child
 
 
 def find_redexes(t: Term) -> list[RedStep]:

@@ -4,16 +4,16 @@ import random
 import pytest
 
 from lamtower import cells, serialize
-from lamtower.cells import (Assoc, CLam, EndpointMismatch, HComp, Hole, IllFormed,
-                            Interchange, Pentagon, RedSeq, Refl, StepCong, Symm, Trans,
-                            Triangle, UnitL, UnitR, WhiskerL, WhiskerR, boundary,
-                            boundary2, boundary3, empty_seq, globular_check, map_seq,
-                            pentagon_sides, seq_compose, seq_invert,
-                            validate_seq)
+from lamtower.cells import (Assoc, CAppArg, CAppFun, CLam, EndpointMismatch, HComp,
+                            Hole, IllFormed, Interchange, Pentagon, RedSeq, Refl,
+                            StepCong, Symm, Trans, Triangle, UnitL, UnitR, WhiskerL,
+                            WhiskerR, boundary, boundary2, boundary3, empty_seq,
+                            globular_check, hole_path, map_seq, pentagon_sides, plug,
+                            seq_compose, seq_invert, validate_seq)
 from lamtower.completion import explicit_cell
 from lamtower.frontseed import FS2Seed, Word
 from lamtower.gen import gen_composable_seqs, gen_h3, gen_term, gen_zigzag
-from lamtower.terms import App, Lam, RedStep, StepKind, Var
+from lamtower.terms import App, Lam, RedStep, StepKind, Var, subterm
 from lamtower.witness import span_beta_seq
 
 SPAN_M = App(Lam(App(Var(1), Var(0))), Var(1))
@@ -108,6 +108,27 @@ def test_stepcong():
     assert validate_seq(mapped)
     cell = StepCong(ctx, Refl(p))
     assert boundary(cell) == (mapped, mapped)
+
+
+def test_map_seq_replays_through_every_kind_of_context():
+    # each context holds the hole once on each side of an application and
+    # once under a binder, in a random order; the mapped sequence must
+    # replay, and hole_path must address the hole
+    rng = random.Random(7)
+    for _ in range(150):
+        wraps = [lambda c: CAppFun(c, gen_term(rng, 5)),
+                 lambda c: CAppArg(gen_term(rng, 5), c), CLam]
+        rng.shuffle(wraps)
+        ctx = Hole()
+        for wrap in wraps:
+            ctx = wrap(ctx)
+        p = gen_zigzag(rng, gen_term(rng, 6), rng.randint(1, 3))
+        mapped = map_seq(ctx, p)
+        assert validate_seq(mapped)
+        assert mapped.source == plug(ctx, p.source)
+        assert mapped.target == plug(ctx, p.target)
+        for t in (p.source, p.target):
+            assert subterm(plug(ctx, t), hole_path(ctx)) == t
 
 
 def test_pentagon_boundary(rng):

@@ -203,6 +203,36 @@ def test_lub_agrees_with_brute_force(tower, rng):
                 assert all(s is t.stage1[t.stage1_index[s]] for s in got)
 
 
+def _poset(labels, covers):
+    """The pointed poset on labels (the first is bottom) generated by the
+    covering pairs (i, j), i below j."""
+    n = len(labels)
+    leq = [[i == j or i == 0 for j in range(n)] for i in range(n)]
+    for i, j in covers:
+        leq[i][j] = True
+    for k, i, j in itertools.product(range(n), repeat=3):  # k outermost
+        leq[i][j] = leq[i][j] or (leq[i][k] and leq[k][j])
+    return FinPoset(tuple(labels), tuple(map(tuple, leq)), 0)
+
+
+CHAIN3 = _poset(("bot", "a", "c"), [(1, 2)])
+DIAMOND = _poset(("bot", "a", "b", "top"), [(1, 3), (2, 3)])
+
+
+@pytest.mark.parametrize("base, stage1_size", [(CHAIN3, 10), (DIAMOND, 36)],
+                         ids=["3-chain", "diamond"])
+def test_lub_on_non_flat_bases_agrees_with_brute_force(base, stage1_size):
+    # both bases are lattices, so every pair has a join at stages 0 and 1
+    t = Tower(base)
+    assert len(t.stage1) == stage1_size
+    for level, elems in ((0, range(len(base))), (1, t.stage1)):
+        for x in elems:
+            for y in elems:
+                expected = _brute_lub(t, level, (x, y), elems)
+                assert expected is not None
+                assert lub(t, level, [x, y]) == expected
+
+
 def test_step_map_examples(tower):
     assert step_map(tower, 0, BOT, SL1) == (SL1, SL1, SL1)
     sm = step_map(tower, 0, SR1, SL1)

@@ -7,9 +7,9 @@ from lamtower.cells import Pentagon, empty_seq, seq_compose, seq_invert
 from lamtower.frontseed import (AssL, FS1Seed, FS2Seed, HornGlueFailure,
                                 NonComposable, ReflL, SeedL, WlL, WrL,
                                 assemble_pentagon_filler,
-                                boundary3_words, empty_word, fs_assoc_compare,
-                                fs_bridges, fs_pentagon, interp_cell2,
-                                inv_word, letter_inv,
+                                boundary3_words, concat_words, empty_word,
+                                fs_assoc_compare, fs_bridges, fs_pentagon,
+                                interp_cell2, inv_word, letter_edges, letter_inv,
                                 mixed_target_word, pentagon_words,
                                 shell_word, word_of, word_reduce, words_equal)
 from lamtower.gen import (gen_composable_seqs, gen_term, gen_word, gen_zigzag,
@@ -64,6 +64,33 @@ def test_degenerate_letters_unwrap(rng):
 def test_inv_word_involution(rng):
     w = gen_word(random.Random(5), 4)
     assert inv_word(inv_word(w)) == w
+
+
+def test_word_times_its_inverse_reduces_to_nothing():
+    # the groupoid law w . w^-1 = id, on generated words that whisker on the
+    # right by an empty edge (whose inner word splices out, inverted)
+    rng = random.Random(3)
+    checked = 0
+    for _ in range(300):
+        w = gen_word(rng, rng.randint(1, 5))
+        assert word_reduce(concat_words(w, inv_word(w))).letters == ()
+        assert word_reduce(concat_words(inv_word(w), w)).letters == ()
+        checked += any(isinstance(l, WrL) and not l.edge.steps for l in w.letters)
+    assert checked >= 50
+
+
+def test_inverse_letters_swap_their_edges(rng):
+    # whiskers of a non-endo seed, so source and target differ
+    p, q = gen_composable_seqs(rng, 2, allow_empty=False)
+    detour = gen_zigzag(rng, p.source, 2)
+    p2 = seq_compose(seq_compose(detour, seq_invert(detour)), p)
+    inner = word_of([SeedL("g", p, p2)])
+    back = seq_invert(p)
+    for l in (WrL(inner, q), WrL(inner, empty_seq(p.target)), WlL(back, inner),
+              SeedL("g", p, p2), AssL(back, p, q)):
+        src, tgt = letter_edges(l)
+        assert letter_edges(letter_inv(l)) == (tgt, src)
+        assert letter_inv(letter_inv(l)) == l
 
 
 # --- seeds ------------------------------------------------------------------

@@ -198,6 +198,25 @@ def test_verify_laws_repeat_matches_fresh_tower():
     assert verify_laws(used, depth=3) == first == verify_laws(_tower(4), depth=3)
 
 
+def test_embedding_stage2_reflects_and_preserves_the_order():
+    # e_2 is an order embedding: threads compare as their stage-2 coordinates
+    # do, so thread_le must read the top coordinates too.  65 121 of the
+    # ordered pairs are below at stages 0 and 1 but not at stage 2.
+    t = _tower(3)
+    joins = step_join_sample(t, random.Random(0), 300)
+    threads = [stage_embed(t, 2, u, 3) for u in joins]
+    low_only = 0
+    for u, x in zip(joins, threads):
+        for v, y in zip(joins, threads):
+            below = t.leq(2, u, v)
+            assert thread_le(x, y) == below
+            if thread_le(y, x):
+                assert thread_eq(x, y) == below
+            low_only += (not below and t.leq(0, x.coords[0], y.coords[0])
+                         and t.leq(1, x.coords[1], y.coords[1]))
+    assert len(threads) == 300 and low_only == 65_121
+
+
 def test_verify_laws_base6_refused_before_tables():
     tower = _tower(6)
     with pytest.raises(CapExceeded, match="7781 elements"):

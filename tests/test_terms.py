@@ -414,6 +414,61 @@ def test_normalize_redex_under_deep_binders():
     assert to_text(nf) == "\\ . " * depth + "#5"
 
 
+def _text_outcome(outcome):
+    # terms compared by text, as == on a 20 000-deep term recurses
+    status, t, trace = outcome
+    return status, to_text(t), trace
+
+
+def _check_deep_search(t, expected_paths):
+    expected = [RedStep(StepKind.BETA, p) for p in expected_paths]
+    assert first_redex(t) == expected[0]
+    assert find_redexes(t) == expected
+    for fuel in (2, 10):
+        assert (_text_outcome(_normalize_outcome(t, fuel))
+                == _text_outcome(_normalize_reference(t, fuel)))
+
+
+def test_redex_search_down_a_deep_left_spine():
+    # 20 000 applications nested in function position, variables as their
+    # arguments; the only redex is the innermost argument
+    depth = 20_000
+    t = App(Var(1), App(Lam(Var(0)), Var(2)))
+    for i in range(depth - 1):
+        t = App(t, Var(i % 4))
+    _check_deep_search(t, [(Dir.FUN,) * (depth - 1) + (Dir.ARG,)])
+    assert to_text(normalize(t, 1)[0]) == "#1 #2" + "".join(
+        f" #{i % 4}" for i in range(depth - 1))
+
+
+def test_redex_search_through_alternating_nesting():
+    # 20 000 levels, nested in function position at odd levels and in
+    # argument position at even ones, counted from the inside; the innermost
+    # argument is a redex, and so is the argument beside every 5 000th level
+    depth = 20_000
+    t = App(Lam(Var(0)), Var(2))
+    ways = []  # the selector at each level, innermost first
+    siblings = []
+    for i in range(depth):
+        if i % 2:
+            if i % 5_000 == 1:
+                t = App(t, App(Lam(Var(0)), Var(3)))
+                siblings.append(i)
+            else:
+                t = App(t, Var(0))
+            ways.append(Dir.FUN)
+        else:
+            t = App(Var(1), t)
+            ways.append(Dir.ARG)
+    outside_in = ways[::-1]
+    # preorder: the innermost redex first, then the sibling arguments from
+    # the inside out, as each lies after the function that holds the others
+    expected = [tuple(outside_in)]
+    expected += [tuple(outside_in[:depth - 1 - i]) + (Dir.ARG,) for i in siblings]
+    assert len(expected) == 5
+    _check_deep_search(t, expected)
+
+
 def test_normalize_trace_replays():
     t = App(Lam(Lam(App(Var(0), Var(1)))), Var(2))
     nf, trace = normalize(t, 100)
