@@ -23,13 +23,14 @@ DEFAULT_POLES = ("sR1", "sL1")
 BOTTOM_LABEL = "bot"
 
 
-# Stage-3 evaluations verify_laws may make (see check_law_budget), at about
-# 5 us each on a 2-core host, so about 7.5 s of laws, which leaves the rest
-# of `kinfty check` within 10 s.  It admits base 5 (629 stage-1 elements,
-# 795 685 evaluations: 4.2-5.0 s and 24 MB for `kinfty check` on a 2-core
-# shared host whose speed varies, 2.6-3.2 s there at a quieter time; nearly
-# all of it the laws, as the stage-1 order and the step-join sample take
-# under 0.1 s) and refuses base 6 (7 781 elements, 121 142 389 evaluations).
+# Stage-3 evaluations verify_laws may make (see check_law_budget).  The base-5
+# suite takes 2.2-2.3 us per evaluation on a 2-core shared host, and up to
+# about 3.3 us when that host is busy, so the budget is at most about 5 s of
+# laws, which leaves the rest of `kinfty check` within 10 s.  It admits base
+# 5 (629 stage-1 elements, 795 685 evaluations: 2.0-2.1 s and 24 MB for
+# `kinfty check` on that host; nearly all of it the laws, as the stage-1
+# order and the step-join sample take under 0.1 s) and refuses base 6
+# (7 781 elements, 121 142 389 evaluations).
 LAW_BUDGET = 1_500_000
 
 
@@ -158,7 +159,10 @@ class Tower:
       because the tower keeps its probes alive), and `_probe_proj1`, each
       probe's proj(1, .) by position;
     - `_threads`: the shared canonical threads of kinfinity.stage_embed, at
-      most one per depth and stage-0 element, stage-1 element or probe.
+      most one per depth and stage-0 element, stage-1 element or probe;
+    - `_thread_rows`: kinfinity.thread_row's tuples of those same threads,
+      keyed (n, depth), one per element of domain(n) in order (at n = 2 one
+      per probe, in probe order), so a restriction reads them by position.
     """
 
     def __init__(self, base: FinPoset):
@@ -175,6 +179,7 @@ class Tower:
         self._probe_pos: dict = {}
         self._probe_proj1: tuple = ()
         self._threads: dict = {}
+        self._thread_rows: dict = {}
 
     def _enumerate_stage1(self) -> tuple[tuple[int, ...], ...]:
         n = len(self.base)
@@ -458,9 +463,18 @@ def lub(tower: Tower, level: int, xs) -> Optional[object]:
 
 
 def _join(tower: Tower, level: int, x, y):
-    """x join y, or None when they have no least upper bound.  One lookup in
-    the tower's join table at stage 0, pointwise above it; a stage-1 join it
-    computes is the canonical stage-1 element."""
+    """x join y, or None when they have no least upper bound; a stage-1
+    join it computes is the canonical stage-1 element.
+
+    One lookup in the tower's join table at stage 0, pointwise above it.  A
+    pointwise join that exists at every position is monotone, so it is the
+    join on any base.  When a position has no join, a stage-1 join is read
+    from the stage-1 order instead, as the least element above both (on a
+    bounded-complete base, a flat one say, there is no upper bound at that
+    position, so the common up-set is empty).  Stage-2 joins stay pointwise,
+    so on a base that is not bounded-complete one may be None although a
+    join exists.
+    """
     if x is y:
         return x
     if level == 0:
@@ -475,7 +489,7 @@ def _join(tower: Tower, level: int, x, y):
     for s, t in zip(x, y):
         j = _join(tower, level - 1, s, t)
         if j is None:
-            return None
+            return _least_above_both(tower, x, y) if level == 1 else None
         slots.append(j)
     table = tuple(slots)
     if level == 1:
@@ -483,6 +497,13 @@ def _join(tower: Tower, level: int, x, y):
         if i is not None:
             return tower.stage1[i]
     return table
+
+
+def _least_above_both(tower: Tower, x, y):
+    """The least stage-1 element above x and y, read from the stage-1 order,
+    or None when there is none: the one whose up-set is the common one."""
+    common = tower.up_set(1, x) & tower.up_set(1, y)
+    return next((z for z in common if tower.up_set(1, z) == common), None)
 
 
 def step_join_sample(tower: Tower, rng: random.Random, n: int) -> list:

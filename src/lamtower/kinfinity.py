@@ -73,12 +73,13 @@ def stage_embed(tower: Tower, n: int, u, depth: int) -> Thread:
     """
     if n > depth:
         raise DepthTooSmall(f"cannot embed stage {n} at depth {depth}")
-    if n == 0 and type(u) is int and 0 <= u < len(tower.base):
-        pos = u
+    # the probe case first: app's result is almost always a probe table
+    if n == 2:
+        pos = tower.probe_position(u)
     elif n == 1 and type(u) is tuple:
         pos = tower.stage1_index.get(u)
-    elif n == 2:
-        pos = tower.probe_position(u)
+    elif n == 0 and type(u) is int and 0 <= u < len(tower.base):
+        pos = u
     else:
         pos = None
     if pos is None:
@@ -124,8 +125,8 @@ def app(x: Thread, y: Thread) -> Thread:
     if d < 1:
         raise DepthTooSmall("application needs depth >= 1")
     # app_shadow(d - 1, x, y), inlined: the law suite calls it per entry
-    value = x.tower.apply(d, x.coords[d], y.coords[d - 1])
-    return stage_embed(x.tower, d - 1, value, d)
+    tower = x.tower
+    return stage_embed(tower, d - 1, tower.apply(d, x.coords[d], y.coords[d - 1]), d)
 
 
 # ---------------------------------------------------------------------------
@@ -156,11 +157,40 @@ class FromThread:
 EndoMap = Identity | Constant | FromThread
 
 
+def thread_row(tower: Tower, n: int, depth: int) -> tuple:
+    """The shared thread stage_embed gives each element of domain(n) at this
+    depth, in domain order; at n = 2 each probe's, in stage2_probes() order.
+
+    Built whole from stage_embed on first use and kept in the tower's
+    `_thread_rows`, so its entries are the very threads of `_threads`.
+    """
+    row = tower._thread_rows.get((n, depth))
+    if row is None:
+        elems = tower.stage2_probes() if n == 2 else tower.domain(n)
+        row = tower._thread_rows[n, depth] = tuple(
+            stage_embed(tower, n, u, depth) for u in elems)
+    return row
+
+
 def restrict(g: EndoMap, n: int, depth: int, tower: Tower):
-    """The stage-n restriction of an endomap: project, apply, embed."""
+    """The stage-n restriction of an endomap: project, apply, embed.
+
+    Entry u is g.apply(stage_embed(tower, n, u, depth)).coords[n].  Below
+    stage 2 the table walks thread_row(tower, n, depth), which lists those
+    embeddings in domain(n) order, so it is tower.tabulate(n, ...) read by
+    position.  At stage 2 it is the lazy tabulate(2, ...), where a probe
+    argument reads its thread from the row by its probe position and any
+    other table is embedded afresh.
+    """
     if n > depth - 1:
         raise DepthTooSmall(f"restriction to stage {n} needs depth > {n}")
-    return tower.tabulate(n, lambda u: g.apply(stage_embed(tower, n, u, depth)).coords[n])
+    apply = g.apply
+    row = thread_row(tower, n, depth)
+    if n <= 1:
+        return tuple(apply(x).coords[n] for x in row)
+    pos = tower.probe_position
+    return tower.tabulate(2, lambda w: apply(
+        stage_embed(tower, 2, w, depth) if (i := pos(w)) is None else row[i]).coords[2])
 
 
 def reify(g: EndoMap, depth: int, tower: Tower) -> Thread:

@@ -233,6 +233,78 @@ def test_lub_on_non_flat_bases_agrees_with_brute_force(base, stage1_size):
                 assert lub(t, level, [x, y]) == expected
 
 
+def _pointed_posets(max_size):
+    """Every pointed poset with at most max_size elements, one per
+    isomorphism class: bottom is element 0, below a poset on the rest, and
+    each poset on the rest is kept in its least form under relabelling."""
+    out = []
+    for n in range(1, max_size + 1):
+        rest = range(1, n)
+        pairs = [(i, j) for i in rest for j in rest if i != j]
+        perms = [dict(zip(rest, p)) for p in itertools.permutations(rest)]
+        seen = set()
+        for bits in itertools.product((False, True), repeat=len(pairs)):
+            less = set(itertools.compress(pairs, bits))  # strict order
+            if any((j, i) in less or any((j, k) in less and (i, k) not in less
+                                         for k in rest) for i, j in less):
+                continue  # not antisymmetric or not transitive
+            form = min(tuple(sorted((p[i], p[j]) for i, j in less)) for p in perms)
+            if form not in seen:
+                seen.add(form)
+                leq = tuple(tuple(i == 0 or i == j or (i, j) in less for j in range(n))
+                            for i in range(n))
+                out.append(FinPoset(tuple(f"e{i}" for i in range(n)), leq, 0))
+    return out
+
+
+def _pointwise_joins(base, elems):
+    """{(x, y): least upper bound or None} over every pair of elems, in the
+    order read pointwise from the base order (elems are base indices or
+    stage-1 tables): the least upper bound of x and y is the element whose
+    up-set is their common up-set."""
+    leq0 = base.leq
+
+    def below(a, b):
+        if type(a) is int:
+            return leq0[a][b]
+        return all(leq0[p][q] for p, q in zip(a, b))
+    ups = {a: frozenset(b for b in elems if below(a, b)) for a in elems}
+    by_up = {up: a for a, up in ups.items()}
+    return {(x, y): by_up.get(ups[x] & ups[y]) for x in elems for y in elems}
+
+
+# ⊥ < a, b < c, d, listed (bot, c, d, a, b): a and b have two minimal upper
+# bounds, so no join, and stage 1 has joins no pointwise join finds
+TWO_TOPS = _poset(("bot", "c", "d", "a", "b"), [(3, 1), (3, 2), (4, 1), (4, 2)])
+
+
+def test_pointed_posets_up_to_isomorphism():
+    # 1, 1, 2, 5 pointed posets with 1..4 elements (posets with 0..3)
+    sizes = [len(b) for b in _pointed_posets(4)]
+    assert [sizes.count(n) for n in (1, 2, 3, 4)] == [1, 1, 2, 5]
+
+
+# each id lists the up-set size of each element, bottom first
+@pytest.mark.parametrize("base", _pointed_posets(4) + [TWO_TOPS],
+                         ids=lambda b: "-".join(map(str, map(sum, b.leq))))
+def test_lub_on_small_pointed_posets_agrees_with_brute_force(base):
+    t = Tower(base)
+    for level, elems in ((0, tuple(range(len(base)))), (1, t.stage1)):
+        for (x, y), expected in _pointwise_joins(base, elems).items():
+            got = lub(t, level, [x, y])
+            assert got == expected, (level, x, y)
+            if level == 1 and got is not None:
+                assert got is t.stage1[t.stage1_index[got]]
+
+
+def test_stage1_join_where_no_pointwise_join_exists():
+    t = Tower(TWO_TOPS)
+    assert lub(t, 0, [3, 4]) is None
+    assert lub(t, 1, [(0, 1, 1, 0, 3), (0, 1, 1, 0, 4)]) == (0, 1, 1, 0, 1)
+    # no upper bound at all: a constant at c and a constant at d
+    assert lub(t, 1, [(1,) * 5, (2,) * 5]) is None
+
+
 def test_step_map_examples(tower):
     assert step_map(tower, 0, BOT, SL1) == (SL1, SL1, SL1)
     sm = step_map(tower, 0, SR1, SL1)

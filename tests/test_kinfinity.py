@@ -11,7 +11,8 @@ from lamtower.domains import (CapExceeded, LazyMono, Tower, check_law_budget,
 from lamtower.kinfinity import (Constant, DepthTooSmall, FromThread, Identity,
                                 Thread, app, app_shadow, bottom_thread,
                                 coherent, reify, restrict, stage_embed,
-                                thread_eq, thread_le, verify_laws)
+                                thread_eq, thread_le, thread_row,
+                                verify_laws)
 
 BOT, SR1, SL1 = 0, 1, 2
 ID1 = (0, 1, 2)
@@ -223,7 +224,7 @@ def test_verify_laws_base6_refused_before_tables():
         verify_laws(tower, depth=3)
     assert tower._emb1 == {} and tower._up1 is None and tower._probes is None
     assert tower._probe_pos == {} and tower._threads == {}
-    assert tower._probe_proj1 == ()
+    assert tower._probe_proj1 == () and tower._thread_rows == {}
 
 
 def test_tower_tables_are_set_in_init():
@@ -375,6 +376,63 @@ def test_probe_copies_and_joins_get_fresh_threads(base_size):
             _same_coords(t, thread, _fresh_coords(t, 2, w, 3))
         for u in maps:
             assert t.apply(3, u, copy) == t.apply(3, u, w) == u.fn(w)
+
+
+def _restrict_by_definition(t, g, n, depth):
+    """restrict's definition: project, apply, embed, entry by entry."""
+    return t.tabulate(n, lambda u: g.apply(stage_embed(t, n, u, depth)).coords[n])
+
+
+@pytest.mark.parametrize("base_size", [3, 4])
+def test_restrict_matches_its_definition(base_size):
+    t = _tower(base_size)
+    probes = t.stage2_probes()
+    joins = step_join_sample(t, random.Random(base_size), 10)
+    assert all(t.probe_position(w) is None for w in joins)
+    # probes, equal copies of probes and step joins that are not probes
+    args2 = list(probes) + [tuple(list(w)) for w in probes[::5]] + joins
+    for depth in (2, 3):
+        xs = [stage_embed(t, 1, u, depth) for u in t.stage1[::7]]
+        gs = [Identity(), Constant(bottom_thread(t, depth)), Constant(xs[-1])]
+        gs += [FromThread(x) for x in xs]
+        gs.append(FromThread(reify(Identity(), depth, t)))  # an unshared point
+        for g in gs:
+            for n in (0, 1):
+                assert restrict(g, n, depth, t) == _restrict_by_definition(t, g, n, depth)
+            if depth == 3:
+                got, want = restrict(g, 2, 3, t), _restrict_by_definition(t, g, 2, 3)
+                assert [got.fn(w) for w in args2] == [want.fn(w) for w in args2]
+                assert t.eq(3, got, want)
+
+
+@pytest.mark.parametrize("base_size", [3, 4])
+def test_thread_rows_are_the_shared_threads(base_size):
+    t = _tower(base_size)
+    for depth in (1, 2, 3):
+        reify(FromThread(stage_embed(t, 1, t.stage1[-1], depth)), depth, t)
+    assert set(t._thread_rows) == {(n, depth) for depth in (1, 2, 3)
+                                   for n in range(depth)}
+    for (n, depth), row in t._thread_rows.items():
+        assert thread_row(t, n, depth) is row
+        elems = t.stage2_probes() if n == 2 else t.domain(n)
+        assert len(row) == len(elems)
+        for i, (u, thread) in enumerate(zip(elems, row)):
+            assert thread is stage_embed(t, n, u, depth)
+            assert thread is t._threads[n, i, depth]
+
+
+@pytest.mark.parametrize("n, i, j", [(0, 1, 2), (1, 3, 9), (2, 3, 9)])
+def test_a_row_with_two_entries_swapped_fails_the_laws(n, i, j, monkeypatch):
+    t = _tower(3)
+    row = list(thread_row(t, n, 3))
+    row[i], row[j] = row[j], row[i]
+    monkeypatch.setitem(t._thread_rows, (n, 3), tuple(row))
+    try:
+        ok = verify_laws(t, depth=3)["ok"]
+    except ValueError as err:  # only a reified thread that came out incoherent
+        assert type(err) is ValueError and "incoherent thread" in str(err)
+        ok = False
+    assert not ok
 
 
 def _counted_suite(monkeypatch, t):
