@@ -320,6 +320,13 @@ def cmd_witness(args) -> int:
 # --samples 5 and 40 never finished.
 MAX_TOWER_DIM = 15
 
+# Largest --samples tower-check accepts.  The run is linear in the sample
+# count: at maxdim 15 over seeds 0-9 a CLI process took 0.42-0.78 s at 100
+# samples, 2.13-3.76 s at 500 and 4.83-6.79 s at 1 000 (2-core shared Xeon
+# host, Python 3.11), so the heaviest seed at the cap finishes within 10 s
+# on a busier day of that host as well.
+MAX_TOWER_SAMPLES = 1000
+
 
 def cmd_tower_check(args) -> int:
     if args.maxdim > MAX_TOWER_DIM:
@@ -327,7 +334,7 @@ def cmd_tower_check(args) -> int:
                           f"{MAX_TOWER_DIM} dimensions")
     # realization is checked from dimension 4, so a smaller cap checks nothing
     _check_bounds("--maxdim", args.maxdim, least=4)
-    _check_bounds("--samples", args.samples, least=0)
+    _check_bounds("--samples", args.samples, least=0, most=MAX_TOWER_SAMPLES)
     rng = random.Random(args.seed)
     checks = []
 

@@ -27,7 +27,7 @@ BOTTOM_LABEL = "bot"
 # suite takes 2.2-2.3 us per evaluation on a 2-core shared host, and up to
 # about 3.3 us when that host is busy, so the budget is at most about 5 s of
 # laws, which leaves the rest of `kinfty check` within 10 s.  It admits base
-# 5 (629 stage-1 elements, 795 685 evaluations: 2.0-2.1 s and 24 MB for
+# 5 (629 stage-1 elements, 795 685 evaluations: 1.9-2.0 s and 25 MB for
 # `kinfty check` on that host; nearly all of it the laws, as the stage-1
 # order and the step-join sample take under 0.1 s) and refuses base 6
 # (7 781 elements, 121 142 389 evaluations).
@@ -161,8 +161,8 @@ class Tower:
     - `_threads`: the shared canonical threads of kinfinity.stage_embed, at
       most one per depth and stage-0 element, stage-1 element or probe;
     - `_thread_rows`: kinfinity.thread_row's tuples of those same threads,
-      keyed (n, depth), one per element of domain(n) in order (at n = 2 one
-      per probe, in probe order), so a restriction reads them by position.
+      keyed (n, depth) for stage n 0 or 1, one per element of domain(n) in
+      order, so a restriction reads them by position.
     """
 
     def __init__(self, base: FinPoset):

@@ -6,8 +6,9 @@ import pytest
 
 from lamtower import cli, completion, serialize
 from lamtower.cells import seq_invert
-from lamtower.cli import (MAX_JOIN_SAMPLES, MAX_TOWER_DIM, MAX_BASE_SIZE,
-                          ParseError, main, parse_term, parse_witness)
+from lamtower.cli import (MAX_BASE_SIZE, MAX_JOIN_SAMPLES, MAX_TOWER_DIM,
+                          MAX_TOWER_SAMPLES, ParseError, main, parse_term,
+                          parse_witness)
 from lamtower.gen import gen_term
 from lamtower.kinfinity import MAX_DEPTH
 from lamtower.terms import App, Lam, Var, to_text
@@ -328,6 +329,14 @@ def test_cli_kinfty_samples_above_cap_refused(capsys, monkeypatch, samples):
     monkeypatch.setattr(cli, "flat_base", _no_work)
     assert _error(capsys, ["kinfty", "check", "--samples", samples]) == \
         f"--samples {samples} is above the maximum of {MAX_JOIN_SAMPLES}"
+
+
+@pytest.mark.parametrize("samples", [str(MAX_TOWER_SAMPLES + 1), "100000"])
+def test_cli_tower_check_samples_above_cap_refused(capsys, monkeypatch, samples):
+    # the run is linear in --samples: 100 000 used to run for minutes
+    monkeypatch.setattr(cli.gen, "gen_h3", _no_work)
+    assert _error(capsys, ["tower-check", "--samples", samples]) == \
+        f"--samples {samples} is above the maximum of {MAX_TOWER_SAMPLES}"
 
 
 def test_cli_kinfty_samples_at_cap_runs(capsys):

@@ -284,9 +284,15 @@ def test_pointed_posets_up_to_isomorphism():
     assert [sizes.count(n) for n in (1, 2, 3, 4)] == [1, 1, 2, 5]
 
 
-# each id lists the up-set size of each element, bottom first
-@pytest.mark.parametrize("base", _pointed_posets(4) + [TWO_TOPS],
-                         ids=lambda b: "-".join(map(str, map(sum, b.leq))))
+def _up_set_sizes(base):
+    """A test id: the up-set size of each element, bottom first."""
+    return "-".join(map(str, map(sum, base.leq)))
+
+
+SMALL_BASES = _pointed_posets(4) + [TWO_TOPS]
+
+
+@pytest.mark.parametrize("base", SMALL_BASES, ids=_up_set_sizes)
 def test_lub_on_small_pointed_posets_agrees_with_brute_force(base):
     t = Tower(base)
     for level, elems in ((0, tuple(range(len(base)))), (1, t.stage1)):
@@ -295,6 +301,26 @@ def test_lub_on_small_pointed_posets_agrees_with_brute_force(base):
             assert got == expected, (level, x, y)
             if level == 1 and got is not None:
                 assert got is t.stage1[t.stage1_index[got]]
+
+
+# the checked counts of the four laws on each of SMALL_BASES
+SMALL_BASE_LAW_COUNTS = [
+    [2, 2, 6, 1], [15, 4, 25, 3], [154, 12, 70, 11], [130, 11, 65, 10],
+    [4757, 68, 355, 67], [1760, 41, 220, 40], [1760, 41, 220, 40],
+    [1440, 37, 200, 36], [1365, 36, 195, 35], [18354, 134, 690, 133]]
+
+
+@pytest.mark.parametrize("base, counts", zip(SMALL_BASES, SMALL_BASE_LAW_COUNTS),
+                         ids=map(_up_set_sizes, SMALL_BASES))
+def test_laws_and_projection_pairs_on_small_pointed_posets(base, counts):
+    t = Tower(base)
+    report = verify_laws(t, depth=3)
+    assert report["ok"], report
+    assert [c["checked"] for c in report["checks"]] == counts
+    sample = step_join_sample(t, random.Random(0), 20)
+    for n in (0, 1):
+        pp = check_projection_pair(t, n, sample if n == 1 else ())
+        assert pp["ok"], pp
 
 
 def test_stage1_join_where_no_pointwise_join_exists():

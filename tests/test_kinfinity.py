@@ -4,14 +4,15 @@ import random
 from collections import Counter
 
 import pytest
+from lamtower import kinfinity
 from lamtower.cli import main
 from lamtower.domains import (CapExceeded, LazyMono, Tower, check_law_budget,
                               check_projection_pair, enumerate_stage,
                               flat_base, step_join_sample)
 from lamtower.kinfinity import (Constant, DepthTooSmall, FromThread, Identity,
-                                Thread, app, app_shadow, bottom_thread,
-                                coherent, reify, restrict, stage_embed,
-                                thread_eq, thread_le, thread_row,
+                                IncoherentThread, Thread, app, app_shadow,
+                                bottom_thread, coherent, reify, restrict,
+                                stage_embed, thread_eq, thread_le, thread_row,
                                 verify_laws)
 
 BOT, SR1, SL1 = 0, 1, 2
@@ -411,28 +412,58 @@ def test_thread_rows_are_the_shared_threads(base_size):
     for depth in (1, 2, 3):
         reify(FromThread(stage_embed(t, 1, t.stage1[-1], depth)), depth, t)
     assert set(t._thread_rows) == {(n, depth) for depth in (1, 2, 3)
-                                   for n in range(depth)}
+                                   for n in range(min(depth, 2))}
     for (n, depth), row in t._thread_rows.items():
         assert thread_row(t, n, depth) is row
-        elems = t.stage2_probes() if n == 2 else t.domain(n)
+        elems = t.domain(n)
         assert len(row) == len(elems)
         for i, (u, thread) in enumerate(zip(elems, row)):
             assert thread is stage_embed(t, n, u, depth)
             assert thread is t._threads[n, i, depth]
 
 
-@pytest.mark.parametrize("n, i, j", [(0, 1, 2), (1, 3, 9), (2, 3, 9)])
+@pytest.mark.parametrize("n, i, j", [(0, 1, 2), (1, 3, 9)])
 def test_a_row_with_two_entries_swapped_fails_the_laws(n, i, j, monkeypatch):
+    # the reifications come out incoherent, which fails the laws that built
+    # them instead of ending the suite
     t = _tower(3)
     row = list(thread_row(t, n, 3))
     row[i], row[j] = row[j], row[i]
     monkeypatch.setitem(t._thread_rows, (n, 3), tuple(row))
-    try:
-        ok = verify_laws(t, depth=3)["ok"]
-    except ValueError as err:  # only a reified thread that came out incoherent
-        assert type(err) is ValueError and "incoherent thread" in str(err)
-        ok = False
-    assert not ok
+    report = verify_laws(t, depth=3)
+    assert report["ok"] is False
+    failed = {c["name"]: c for c in report["checks"] if not c["pass"]}
+    assert set(failed) == {"retract_reify_app", "section_on_embedded_stages"}
+    assert [c["checked"] for c in report["checks"]] == [154, 12, 70, 11]
+    for check in failed.values():
+        assert check["detail"][0]["reason"] == "incoherent reification"
+
+
+def test_incoherent_reification_is_its_own_error(monkeypatch):
+    t = _tower(3)
+    row = list(thread_row(t, 0, 3))
+    row[1], row[2] = row[2], row[1]
+    monkeypatch.setitem(t._thread_rows, (0, 3), tuple(row))
+    with pytest.raises(IncoherentThread, match="incoherent thread"):
+        reify(Identity(), 3, t)
+
+
+@pytest.mark.parametrize("base_size", [3, 4])
+def test_depth3_reify_applies_its_endomap_once_per_stage1_point(base_size, monkeypatch):
+    # g is applied once per stage-0 element and once per stage-1 element;
+    # the stage-2 restriction reads the stage-1 images at the probes
+    t = _tower(base_size)
+    x = stage_embed(t, 1, t.stage1[-2], 3)
+    calls = []
+
+    def counted_app(a, b):
+        calls.append(b)
+        return app(a, b)
+    monkeypatch.setattr(kinfinity, "app", counted_app)
+    r = reify(FromThread(x), 3, t)
+    assert t.at_probes(r.coords[3]) == [app(x, stage_embed(t, 2, w, 3)).coords[2]
+                                        for w in t.stage2_probes()]
+    assert len(calls) == len(t.base) + len(t.stage1) == {3: 14, 4: 71}[base_size]
 
 
 def _counted_suite(monkeypatch, t):
