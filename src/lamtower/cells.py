@@ -6,7 +6,8 @@ over each dimension's own generators.  Boundaries are computed structurally
 per constructor, once each: a 3-cell's boundary 2-cells carry their own
 source and target sequences (boundary3_ends), which is globularity.  Since
 step lists concatenate strictly, associator and unitor cells have
-definitionally equal endpoints but are kept as distinct proof-relevant cells.
+definitionally equal endpoints but are kept as distinct proof-relevant cells;
+an associator's two ends are one composite, built once.
 """
 
 from __future__ import annotations
@@ -75,7 +76,9 @@ def validate_seq(p: RedSeq) -> bool:
 
 
 def seq_compose(p: RedSeq, q: RedSeq) -> RedSeq:
-    if p.target != q.source:
+    """p then q; the joint is usually one shared term, so identity is tried
+    before the structural compare, which alone decides a distinct copy."""
+    if p.target is not q.source and p.target != q.source:
         raise EndpointMismatch("cannot compose: target of first != source of second")
     return RedSeq(p.terms + q.terms[1:], p.steps + q.steps)
 
@@ -260,9 +263,9 @@ def _seq_point(x) -> RedSeq:
 def boundary2(cell: Homotopy2) -> tuple[RedSeq, RedSeq]:
     """Source and target reduction sequences of a 2-cell."""
     if isinstance(cell, Assoc):
-        left = seq_compose(seq_compose(cell.p, cell.q), cell.r)
-        right = seq_compose(cell.p, seq_compose(cell.q, cell.r))
-        return left, right
+        # checks both joints, p|q and q|r; p.(q.r) is the same sequence
+        both = seq_compose(seq_compose(cell.p, cell.q), cell.r)
+        return both, both
     if isinstance(cell, UnitL):
         return seq_compose(empty_seq(cell.seq.source), cell.seq), cell.seq
     if isinstance(cell, UnitR):

@@ -55,6 +55,24 @@ def test_seq_compose_strictly_associative(rng):
         assert seq_compose(p, seq_compose(q, r)) == seq_compose(seq_compose(p, q), r)
 
 
+def _copy(x):
+    """A structurally equal value that shares no object with x."""
+    return serialize.loads(serialize.dumps(x))
+
+
+def test_equal_but_distinct_joints_compose(rng):
+    # the joint is tried by identity first; a copy of the shared term must
+    # still pass the structural compare
+    for _ in range(25):
+        p, q = gen_composable_seqs(rng, 2, allow_empty=False)
+        q_copy = _copy(q)
+        assert q_copy.source == p.target and q_copy.source is not p.target
+        assert seq_compose(p, q_copy) == seq_compose(p, q)
+        p_copy = _copy(p)
+        assert p_copy == p and p_copy.target is not p.target
+        assert boundary2(Trans(Refl(p), Refl(p_copy))) == (p, p)
+
+
 def test_seq_invert_examples(rng):
     assert seq_invert(empty_seq(SPAN_M)) == empty_seq(SPAN_M)
     back = seq_invert(span_beta_seq())
@@ -72,6 +90,19 @@ def test_boundary_refl_and_assoc(rng):
     left, right = boundary(Assoc(p, q, r))
     assert left == right  # literal concatenation
     assert left == seq_compose(seq_compose(p, q), r)
+
+
+def test_associator_checks_both_joints(rng):
+    p, q, r = gen_composable_seqs(rng, 3, allow_empty=False)
+    stray = empty_seq(Var(99))
+    for bad in (Assoc(p, stray, r), Assoc(p, q, stray), Assoc(stray, q, r)):
+        with pytest.raises(EndpointMismatch):
+            boundary2(bad)
+    s = gen_zigzag(rng, r.target, 1)
+    for bad in (Pentagon(stray, q, r, s), Pentagon(p, stray, r, s),
+                Pentagon(p, q, stray, s), Pentagon(p, q, r, stray)):
+        with pytest.raises(EndpointMismatch):
+            boundary3(bad)
 
 
 def test_boundary_symm_trans(rng):
