@@ -106,12 +106,6 @@ def flat_base(poles: tuple[str, ...] = DEFAULT_POLES) -> FinPoset:
     return FinPoset(labels, leq, 0)
 
 
-def _least_above(leq, x, y) -> Optional[int]:
-    """The least element above both x and y in the order leq, or None."""
-    ubs = [z for z in range(len(leq)) if leq[x][z] and leq[y][z]]
-    return next((z for z in ubs if all(leq[z][u] for u in ubs)), None)
-
-
 @record
 class Stage:
     level: int
@@ -158,11 +152,10 @@ class Tower:
       `_probe_pos`, each probe's position keyed by its identity (sound
       because the tower keeps its probes alive), and `_probe_proj1`, each
       probe's proj(1, .) by position;
-    - `_threads`: the shared canonical threads of kinfinity.stage_embed, at
-      most one per depth and stage-0 element, stage-1 element or probe;
-    - `_thread_rows`: kinfinity.thread_row's tuples of those same threads,
-      keyed (n, depth) for stage n 0 or 1, one per element of domain(n) in
-      order, so a restriction reads them by position.
+    - `_thread_rows`: the shared canonical threads of kinfinity.stage_embed,
+      as kinfinity.thread_row's tuples keyed (n, depth) for stage n 0 or 1,
+      one per element of domain(n) in order, so a restriction reads them by
+      position; a probe e_1(g) reads g's thread in the stage-1 row.
     """
 
     def __init__(self, base: FinPoset):
@@ -171,14 +164,13 @@ class Tower:
         self.stage1_index = {t: i for i, t in enumerate(self.stage1)}
         self._const1 = tuple(self.stage1_index[self.emb(0, x)]
                              for x in range(len(base)))
-        self._join0 = tuple(tuple(_least_above(base.leq, x, y) for y in range(len(base)))
+        self._join0 = tuple(tuple(_least_above_both(self, 0, x, y) for y in range(len(base)))
                             for x in range(len(base)))
         self._emb1: dict = {}
         self._up1: Optional[dict] = None
         self._probes: Optional[tuple] = None
         self._probe_pos: dict = {}
         self._probe_proj1: tuple = ()
-        self._threads: dict = {}
         self._thread_rows: dict = {}
 
     def _enumerate_stage1(self) -> tuple[tuple[int, ...], ...]:
@@ -489,7 +481,7 @@ def _join(tower: Tower, level: int, x, y):
     for s, t in zip(x, y):
         j = _join(tower, level - 1, s, t)
         if j is None:
-            return _least_above_both(tower, x, y) if level == 1 else None
+            return _least_above_both(tower, 1, x, y) if level == 1 else None
         slots.append(j)
     table = tuple(slots)
     if level == 1:
@@ -499,11 +491,13 @@ def _join(tower: Tower, level: int, x, y):
     return table
 
 
-def _least_above_both(tower: Tower, x, y):
-    """The least stage-1 element above x and y, read from the stage-1 order,
-    or None when there is none: the one whose up-set is the common one."""
-    common = tower.up_set(1, x) & tower.up_set(1, y)
-    return next((z for z in common if tower.up_set(1, z) == common), None)
+def _least_above_both(tower: Tower, level: int, x, y):
+    """The least element of stage `level` (0 or 1) above x and y, or None
+    when there is none: the one whose up-set is the common one.  It builds
+    the stage-0 join table and is the stage-1 join where no pointwise join
+    exists."""
+    common = tower.up_set(level, x) & tower.up_set(level, y)
+    return next((z for z in common if tower.up_set(level, z) == common), None)
 
 
 def step_join_sample(tower: Tower, rng: random.Random, n: int) -> list:

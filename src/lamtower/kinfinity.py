@@ -71,29 +71,28 @@ def thread_le(x: Thread, y: Thread) -> bool:
 def stage_embed(tower: Tower, n: int, u, depth: int) -> Thread:
     """The canonical embedding of a stage-n element: project below, embed above.
 
-    A stage-0 element, a stage-1 element or one of the tower's own probe
-    tables gets one thread per depth, shared through the tower's `_threads`
-    table, so the values its top coordinate caches are computed once.  Any
-    other input, a table equal to a probe included, gets a fresh thread.
+    A stage-0 or stage-1 element gets its thread of thread_row(tower, n,
+    depth), built whole on first use and shared, so the values its top
+    coordinate caches are computed once.  One of the tower's own probe tables e_1(g) gets g's thread of the
+    stage-1 row: p_1 e_1 = id, so the two threads are equal coordinatewise,
+    coordinate 2 being the probe itself.  Any other input, a table equal to
+    a probe included, gets a fresh thread.
     """
     if n > depth:
         raise DepthTooSmall(f"cannot embed stage {n} at depth {depth}")
     # the probe case first: app's result is almost always a probe table
     if n == 2:
-        pos = tower.probe_position(u)
+        pos, row = tower.probe_position(u), 1
     elif n == 1 and type(u) is tuple:
-        pos = tower.stage1_index.get(u)
+        pos, row = tower.stage1_index.get(u), 1
     elif n == 0 and type(u) is int and 0 <= u < len(tower.base):
-        pos = u
+        pos, row = u, 0
     else:
         pos = None
     if pos is None:
         return _embed(tower, n, u, depth)
-    key = (n, pos, depth)
-    thread = tower._threads.get(key)
-    if thread is None:
-        thread = tower._threads[key] = _embed(tower, n, u, depth)
-    return thread
+    # thread_row(tower, row, depth), its lookup inlined: app calls this per entry
+    return (tower._thread_rows.get((row, depth)) or thread_row(tower, row, depth))[pos]
 
 
 def _embed(tower: Tower, n: int, u, depth: int) -> Thread:
@@ -166,48 +165,27 @@ def thread_row(tower: Tower, n: int, depth: int) -> tuple:
     """The shared thread stage_embed gives each element of domain(n), n 0 or
     1, at this depth, in domain order.
 
-    Built whole from stage_embed on first use and kept in the tower's
-    `_thread_rows`, so its entries are the very threads of `_threads`.
+    Built whole with _embed on first use and kept in the tower's
+    `_thread_rows`, the one table of shared threads; the stage-1 row also
+    serves the probes e_1(D_1).
     """
     row = tower._thread_rows.get((n, depth))
     if row is None:
         row = tower._thread_rows[n, depth] = tuple(
-            stage_embed(tower, n, u, depth) for u in tower.domain(n))
+            _embed(tower, n, u, depth) for u in tower.domain(n))
     return row
 
 
 def restrict(g: EndoMap, n: int, depth: int, tower: Tower):
     """The stage-n restriction of an endomap: project, apply, embed.
 
-    Entry u is g.apply(stage_embed(tower, n, u, depth)).coords[n].  Below
-    stage 2 the table walks thread_row(tower, n, depth), which lists those
-    embeddings in domain(n) order, so it is tower.tabulate(n, ...) read by
-    position.  At stage 2 it is the lazy tabulate(2, ...) of
-    _restrict_stage2: probe i is e_1 of stage-1 element i, so g is applied
-    to that element's thread of the stage-1 row, and any other table is
-    embedded afresh.
+    Entry u is g.apply(stage_embed(tower, n, u, depth)).coords[n], tabulated
+    by tower.tabulate(n, ...): a table for n 0 or 1, lazy at n = 2.  The
+    embeddings are the shared threads, a probe's from the stage-1 row.
     """
     if n > depth - 1:
         raise DepthTooSmall(f"restriction to stage {n} needs depth > {n}")
-    apply = g.apply
-    if n <= 1:
-        return tuple(apply(x).coords[n] for x in thread_row(tower, n, depth))
-    row = thread_row(tower, 1, depth)
-    return _restrict_stage2(g, depth, tower, lambda i: apply(row[i]))
-
-
-def _restrict_stage2(g: EndoMap, depth: int, tower: Tower, at_probe):
-    """The lazy stage-2 restriction of g, where at_probe(i) is g applied to
-    the thread of stage-1 element i.
-
-    Probe i is e_1 of that element, and p_1 e_1 = id, so the probe's thread
-    and the element's have equal coordinates, coordinate 2 being the probe
-    itself, and coordinate 2 of either image is the entry at probe i.
-    """
-    apply, pos = g.apply, tower.probe_position
-    return tower.tabulate(2, lambda w: (
-        apply(stage_embed(tower, 2, w, depth)) if (i := pos(w)) is None
-        else at_probe(i)).coords[2])
+    return tower.tabulate(n, lambda u: g.apply(stage_embed(tower, n, u, depth)).coords[n])
 
 
 def reify(g: EndoMap, depth: int, tower: Tower) -> Thread:
@@ -215,9 +193,9 @@ def reify(g: EndoMap, depth: int, tower: Tower) -> Thread:
     coords[n+1] = r_n.
 
     g is applied once to each thread of the stage-1 row: coordinate 1 of
-    those images is r_1 and coordinate 2 of image i is r_2 at probe i, so
-    the stage-1 restriction and the probe entries of the stage-2 one share
-    their applications.
+    those images is r_1, and since probe i's thread is thread i of that row,
+    coordinate 2 of image i is r_2 at probe i, so the stage-1 restriction
+    and the probe entries of the stage-2 one share their applications.
     """
     if depth < 1:
         raise DepthTooSmall("reify needs depth >= 1")
@@ -227,7 +205,10 @@ def reify(g: EndoMap, depth: int, tower: Tower) -> Thread:
         images = tuple(map(g.apply, thread_row(tower, 1, depth)))
         coords.append(tuple(y.coords[1] for y in images))
     if depth > 2:
-        coords.append(_restrict_stage2(g, depth, tower, images.__getitem__))
+        apply, pos = g.apply, tower.probe_position
+        coords.append(tower.tabulate(2, lambda w: (
+            apply(stage_embed(tower, 2, w, depth)) if (i := pos(w)) is None
+            else images[i]).coords[2]))
     return Thread(tower, tuple(coords))
 
 

@@ -9,7 +9,8 @@ from lamtower.domains import (CapExceeded, FinPoset, LazyMono, Tower,
                               check_law_budget, check_projection_pair,
                               enumerate_stage, flat_base, flat_stage1_size,
                               lub, step_join_sample, step_map)
-from lamtower.kinfinity import verify_laws
+from lamtower.kinfinity import (_embed, stage_embed, thread_eq, thread_row,
+                                verify_laws)
 
 BOT, SR1, SL1 = 0, 1, 2
 
@@ -323,6 +324,42 @@ def test_laws_and_projection_pairs_on_small_pointed_posets(base, counts):
         assert pp["ok"], pp
 
 
+# the 16 pointed posets with exactly 5 elements, with their stage-1 sizes;
+# the flat one (629) is the base of `kinfty check --base-size 5`
+FIVE_ELEMENT_BASES = [b for b in _pointed_posets(5) if len(b) == 5]
+FIVE_ELEMENT_STAGE1_SIZES = [629, 265, 221, 262, 167, 155, 141, 135, 154, 133,
+                             147, 178, 136, 133, 133, 126]
+FIVE_ELEMENT_IDS = [f"{_up_set_sizes(b)}-s{s}"
+                    for b, s in zip(FIVE_ELEMENT_BASES, FIVE_ELEMENT_STAGE1_SIZES)]
+
+
+@pytest.mark.parametrize("base", FIVE_ELEMENT_BASES, ids=FIVE_ELEMENT_IDS)
+def test_lub_on_five_element_pointed_posets_agrees_with_brute_force(base):
+    test_lub_on_small_pointed_posets_agrees_with_brute_force(base)
+
+
+@pytest.mark.parametrize("base, s", zip(FIVE_ELEMENT_BASES[1:], FIVE_ELEMENT_STAGE1_SIZES[1:]),
+                         ids=FIVE_ELEMENT_IDS[1:])
+def test_laws_and_projection_pairs_on_non_flat_five_element_posets(base, s):
+    # s stage-1 elements; the flat base is pinned by the stdout of
+    # `kinfty check --base-size 5` instead
+    test_laws_and_projection_pairs_on_small_pointed_posets(
+        base, [s * (5 + s), s + 1, 5 * (5 + s), s])
+
+
+@pytest.mark.parametrize("base", [flat_base(), TWO_TOPS], ids=["flat3", "two-tops"])
+def test_a_probe_shares_its_stage1_points_thread(base):
+    # p_1 e_1 = id: probe i = e_1(g) gets g's thread of the stage-1 row, and
+    # it equals the probe's own embedding coordinatewise
+    t = Tower(base)
+    for depth in (2, 3):
+        row = thread_row(t, 1, depth)
+        for i, probe in enumerate(t.stage2_probes()):
+            shared = stage_embed(t, 2, probe, depth)
+            assert shared is row[i] and shared.coords[2] is probe
+            assert thread_eq(shared, _embed(t, 2, probe, depth))
+
+
 def test_stage1_join_where_no_pointwise_join_exists():
     t = Tower(TWO_TOPS)
     assert lub(t, 0, [3, 4]) is None
@@ -380,7 +417,7 @@ def test_construction_builds_no_stage1_table():
     t = Tower(flat_base(("sR1", "sL1", "s2", "s3", "s4")))
     assert len(t.base) == 6 and len(t.stage1) == 7781
     assert t._emb1 == {} and t._up1 is None and t._probes is None
-    assert t._probe_pos == {} and t._threads == {} and t._probe_proj1 == ()
+    assert t._probe_pos == {} and t._thread_rows == {} and t._probe_proj1 == ()
     # embedding a pole fills one entry, not the whole table
     t.emb(1, t.emb(0, 1))
     assert len(t._emb1) == 1 and t._up1 is None

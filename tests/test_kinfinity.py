@@ -224,8 +224,8 @@ def test_verify_laws_base6_refused_before_tables():
     with pytest.raises(CapExceeded, match="7781 elements"):
         verify_laws(tower, depth=3)
     assert tower._emb1 == {} and tower._up1 is None and tower._probes is None
-    assert tower._probe_pos == {} and tower._threads == {}
-    assert tower._probe_proj1 == () and tower._thread_rows == {}
+    assert tower._probe_pos == {} and tower._probe_proj1 == ()
+    assert tower._thread_rows == {}
 
 
 def test_tower_tables_are_set_in_init():
@@ -239,7 +239,7 @@ def test_tower_tables_are_set_in_init():
         check_projection_pair(t, n, step_join_sample(t, random.Random(1), 20))
     enumerate_stage(t, 0)
     enumerate_stage(t, 1)
-    assert t._up1 is not None and t._probes is not None and t._threads
+    assert t._up1 is not None and t._probes is not None and t._thread_rows
     assert set(vars(t)) == keys
 
 
@@ -358,8 +358,8 @@ def test_shared_threads_equal_fresh_ones(base_size):
             shared = stage_embed(t, n, u, depth)
             assert stage_embed(t, n, u, depth) is shared
             _same_coords(t, shared, _fresh_coords(t, n, u, depth))
-    assert len(t._threads) == (len(t.base) * 3 + len(t.stage1) * 3
-                               + len(t.stage2_probes()) * 2)
+    # one row per stage 0 or 1 and depth; the probes read the stage-1 rows
+    assert set(t._thread_rows) == {(n, depth) for n in (0, 1) for depth in (1, 2, 3)}
 
 
 @pytest.mark.parametrize("base_size", [3, 4])
@@ -375,6 +375,7 @@ def test_probe_copies_and_joins_get_fresh_threads(base_size):
         assert stage_embed(t, 2, w, 3) is not threads[0]
         for thread in threads:
             _same_coords(t, thread, _fresh_coords(t, 2, w, 3))
+            assert thread_eq(thread, stage_embed(t, 2, w, 3))
         for u in maps:
             assert t.apply(3, u, copy) == t.apply(3, u, w) == u.fn(w)
 
@@ -411,22 +412,25 @@ def test_thread_rows_are_the_shared_threads(base_size):
     t = _tower(base_size)
     for depth in (1, 2, 3):
         reify(FromThread(stage_embed(t, 1, t.stage1[-1], depth)), depth, t)
-    assert set(t._thread_rows) == {(n, depth) for depth in (1, 2, 3)
-                                   for n in range(min(depth, 2))}
+    assert set(t._thread_rows) == {(n, depth) for depth in (1, 2, 3) for n in (0, 1)}
     for (n, depth), row in t._thread_rows.items():
         assert thread_row(t, n, depth) is row
         elems = t.domain(n)
         assert len(row) == len(elems)
         for i, (u, thread) in enumerate(zip(elems, row)):
             assert thread is stage_embed(t, n, u, depth)
-            assert thread is t._threads[n, i, depth]
+            if n == 1 and depth > 1:
+                assert thread is stage_embed(t, 2, t.stage2_probes()[i], depth)
 
 
 @pytest.mark.parametrize("n, i, j", [(0, 1, 2), (1, 3, 9)])
 def test_a_row_with_two_entries_swapped_fails_the_laws(n, i, j, monkeypatch):
     # the reifications come out incoherent, which fails the laws that read
     # them instead of ending the suite; the stagewise law never compared the
-    # rows of those reifications, so it fails too
+    # rows of those reifications, so it fails too.  The density law embeds
+    # through the same rows, so its chain breaks; a swapped stage-1 row also
+    # comes back from app, so the first reification the retract law reads
+    # is coherent but wrong
     t = _tower(3)
     row = list(thread_row(t, n, 3))
     row[i], row[j] = row[j], row[i]
@@ -435,10 +439,14 @@ def test_a_row_with_two_entries_swapped_fails_the_laws(n, i, j, monkeypatch):
     assert report["ok"] is False
     failed = {c["name"]: c for c in report["checks"] if not c["pass"]}
     assert set(failed) == {"stagewise_application", "retract_reify_app",
-                           "section_on_embedded_stages"}
+                           "section_on_embedded_stages", "density_chain"}
     assert [c["checked"] for c in report["checks"]] == [154, 12, 70, 11]
-    for check in failed.values():
-        assert check["detail"][0]["reason"] == "incoherent reification"
+    assert failed["density_chain"]["detail"][0] == {"law": "density-chain", "n": 0}
+    reasons = {name: check["detail"][0].get("reason") for name, check in failed.items()}
+    incoherent = "incoherent reification"
+    assert reasons == {"stagewise_application": incoherent,
+                       "retract_reify_app": incoherent if n == 0 else None,
+                       "section_on_embedded_stages": incoherent, "density_chain": None}
 
 
 def test_incoherent_reification_is_its_own_error(monkeypatch):
@@ -497,10 +505,9 @@ def test_suite_evaluates_each_map_probe_pair_once(monkeypatch):
     assert {w for _, w in calls} <= probe_ids  # every argument is a probe
     assert max(calls.values()) == 1
     assert sum(calls.values()) == 9447
-    # the thread table stays within one entry per stage-0 element, stage-1
-    # element and probe, at the one depth the suite uses
-    assert {depth for _, _, depth in t._threads} == {3}
-    assert len(t._threads) <= len(t.base) + len(t.stage1) + len(probe_ids)
+    # the shared threads are the stage-0 and stage-1 rows at the one depth
+    # the suite uses; the probes read the stage-1 row
+    assert set(t._thread_rows) == {(0, 3), (1, 3)}
 
 
 @pytest.mark.parametrize("base_size", [3, 4])
