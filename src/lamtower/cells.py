@@ -378,11 +378,6 @@ def boundary3(cell: Homotopy3) -> tuple[Homotopy2, Homotopy2]:
     return s, t
 
 
-def boundary(cell):
-    """Dispatching boundary: 2-cells land on sequences, 3-cells on 2-cells."""
-    return boundary3(cell) if cell_dim(cell) == 3 else boundary2(cell)
-
-
 def globular_check(cell: Homotopy3) -> bool:
     """s(s(c)) = s(t(c)) and t(s(c)) = t(t(c)), on the carried ends."""
     (_, (ss, st)), (_, (ts, tt)) = boundary3_ends(cell)

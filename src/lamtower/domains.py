@@ -153,9 +153,10 @@ class Tower:
       because the tower keeps its probes alive), and `_probe_proj1`, each
       probe's proj(1, .) by position;
     - `_thread_rows`: the shared canonical threads of kinfinity.stage_embed,
-      as kinfinity.thread_row's tuples keyed (n, depth) for stage n 0 or 1,
-      one per element of domain(n) in order, so a restriction reads them by
-      position; a probe e_1(g) reads g's thread in the stage-1 row.
+      as kinfinity.thread_row's lists keyed (n, depth) for stage n 0 or 1,
+      one entry per element of domain(n) in order, each filled on first
+      use, so a restriction reads them by position; a probe e_1(g) reads
+      g's thread in the stage-1 row.
     """
 
     def __init__(self, base: FinPoset):

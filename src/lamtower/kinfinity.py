@@ -72,27 +72,34 @@ def stage_embed(tower: Tower, n: int, u, depth: int) -> Thread:
     """The canonical embedding of a stage-n element: project below, embed above.
 
     A stage-0 or stage-1 element gets its thread of thread_row(tower, n,
-    depth), built whole on first use and shared, so the values its top
-    coordinate caches are computed once.  One of the tower's own probe tables e_1(g) gets g's thread of the
-    stage-1 row: p_1 e_1 = id, so the two threads are equal coordinatewise,
-    coordinate 2 being the probe itself.  Any other input, a table equal to
-    a probe included, gets a fresh thread.
+    depth), an entry built on first use and shared, so the values its top
+    coordinate caches are computed once.  One of the tower's own probe
+    tables e_1(g) gets g's thread of the stage-1 row: p_1 e_1 = id, so the
+    two threads are equal coordinatewise, coordinate 2 being the probe
+    itself.  Any other input, a table equal to a probe included, gets a
+    fresh thread.
     """
     if n > depth:
         raise DepthTooSmall(f"cannot embed stage {n} at depth {depth}")
     # the probe case first: app's result is almost always a probe table
     if n == 2:
-        pos, row = tower.probe_position(u), 1
+        pos, m = tower.probe_position(u), 1
     elif n == 1 and type(u) is tuple:
-        pos, row = tower.stage1_index.get(u), 1
+        pos, m = tower.stage1_index.get(u), 1
     elif n == 0 and type(u) is int and 0 <= u < len(tower.base):
-        pos, row = u, 0
+        pos, m = u, 0
     else:
         pos = None
     if pos is None:
         return _embed(tower, n, u, depth)
-    # thread_row(tower, row, depth), its lookup inlined: app calls this per entry
-    return (tower._thread_rows.get((row, depth)) or thread_row(tower, row, depth))[pos]
+    # the row's entry, filled on first use; app calls this per entry
+    row = tower._thread_rows.get((m, depth))
+    if row is None:
+        row = tower._thread_rows[m, depth] = [None] * len(tower.domain(m))
+    thread = row[pos]
+    if thread is None:
+        thread = row[pos] = _embed(tower, m, tower.domain(m)[pos], depth)
+    return thread
 
 
 def _embed(tower: Tower, n: int, u, depth: int) -> Thread:
@@ -161,18 +168,19 @@ class FromThread:
 EndoMap = Identity | Constant | FromThread
 
 
-def thread_row(tower: Tower, n: int, depth: int) -> tuple:
+def thread_row(tower: Tower, n: int, depth: int) -> list:
     """The shared thread stage_embed gives each element of domain(n), n 0 or
     1, at this depth, in domain order.
 
-    Built whole with _embed on first use and kept in the tower's
-    `_thread_rows`, the one table of shared threads; the stage-1 row also
-    serves the probes e_1(D_1).
+    The row is the list kept in the tower's `_thread_rows`, the one table of
+    shared threads, whose entries stage_embed fills one at a time; this
+    fills the rest.  The stage-1 row also serves the probes e_1(D_1).
     """
     row = tower._thread_rows.get((n, depth))
-    if row is None:
-        row = tower._thread_rows[n, depth] = tuple(
-            _embed(tower, n, u, depth) for u in tower.domain(n))
+    if row is None or not all(row):
+        for u in tower.domain(n):
+            stage_embed(tower, n, u, depth)
+        row = tower._thread_rows[n, depth]
     return row
 
 

@@ -7,7 +7,7 @@ from lamtower import cells, serialize
 from lamtower.cells import (Assoc, CAppArg, CAppFun, CLam, EndpointMismatch, HComp,
                             Hole, IllFormed, Interchange, Pentagon, RedSeq, Refl,
                             StepCong, Symm, Trans, Triangle, UnitL, UnitR, WhiskerL,
-                            WhiskerR, boundary, boundary2, boundary3, empty_seq,
+                            WhiskerR, boundary2, boundary3, empty_seq,
                             globular_check, hole_path, map_seq, pentagon_sides, plug,
                             seq_compose, seq_invert, validate_seq)
 from lamtower.completion import explicit_cell
@@ -86,8 +86,8 @@ def test_seq_invert_examples(rng):
 
 def test_boundary_refl_and_assoc(rng):
     p, q, r = gen_composable_seqs(rng, 3)
-    assert boundary(Refl(p)) == (p, p)
-    left, right = boundary(Assoc(p, q, r))
+    assert boundary2(Refl(p)) == (p, p)
+    left, right = boundary2(Assoc(p, q, r))
     assert left == right  # literal concatenation
     assert left == seq_compose(seq_compose(p, q), r)
 
@@ -108,18 +108,18 @@ def test_associator_checks_both_joints(rng):
 def test_boundary_symm_trans(rng):
     p = gen_zigzag(rng, gen_term(rng, 6), 2)
     a = Refl(p)
-    assert boundary(Symm(a)) == (p, p)
+    assert boundary2(Symm(a)) == (p, p)
     b = Trans(a, Symm(a))
-    assert boundary(b) == (p, p)
+    assert boundary2(b) == (p, p)
     with pytest.raises(EndpointMismatch):
-        boundary(Trans(Refl(p), Refl(empty_seq(Var(99)))))
+        boundary2(Trans(Refl(p), Refl(empty_seq(Var(99)))))
 
 
 def test_whisker_preserves_identities(rng):
     p, q = gen_composable_seqs(rng, 2, allow_empty=False)
     cell = WhiskerL(p, Refl(q))
     pq = seq_compose(p, q)
-    assert boundary(cell) == (pq, pq)
+    assert boundary2(cell) == (pq, pq)
 
 
 def test_unitors():
@@ -138,7 +138,7 @@ def test_stepcong():
     assert mapped.source == Lam(SPAN_M) and mapped.target == Lam(SPAN_N)
     assert validate_seq(mapped)
     cell = StepCong(ctx, Refl(p))
-    assert boundary(cell) == (mapped, mapped)
+    assert boundary2(cell) == (mapped, mapped)
 
 
 def test_map_seq_replays_through_every_kind_of_context():
@@ -164,7 +164,7 @@ def test_map_seq_replays_through_every_kind_of_context():
 
 def test_pentagon_boundary(rng):
     p, q, r, s = gen_composable_seqs(rng, 4)
-    left, right = boundary(Pentagon(p, q, r, s))
+    left, right = boundary3(Pentagon(p, q, r, s))
     p0 = seq_compose(seq_compose(seq_compose(p, q), r), s)
     for side in (left, right):
         src, tgt = boundary2(side)
@@ -311,14 +311,6 @@ def test_cell_dim(rng):
     for other in (p.source, Word(p, p, ()), Refl(Word(p, p, ())),
                   Symm(FS2Seed(p, q, r, s)), Refl(three), Refl(Refl(three))):
         assert cells.cell_dim(other) is None
-
-
-def test_boundary_dispatches_by_dimension(rng):
-    p = gen_zigzag(rng, gen_term(rng, 6), 1)
-    assert boundary(Refl(Refl(p))) == (Refl(p), Refl(p))
-    assert boundary(Symm(Refl(p))) == (p, p)
-    with pytest.raises(IllFormed):
-        boundary(Symm(Refl(Word(p, p, ()))))
 
 
 def test_explicit_cell_checks_dimension(rng):

@@ -3,6 +3,7 @@ import itertools
 import random
 import time
 
+import kref
 import pytest
 
 from lamtower.domains import (CapExceeded, FinPoset, LazyMono, Tower,
@@ -102,20 +103,9 @@ def test_enumerate_stage1_at_base5_is_fast():
     assert stage.poset.bottom == stage.elements.index((0,) * 5)
 
 
-def _flat_leq(i, j):
-    return i == 0 or i == j
-
-
 def test_stage1_matches_brute_force(tower):
-    # independent enumeration over all 27 tables with a hand-written order
-    brute = set()
-    for table in itertools.product(range(3), repeat=3):
-        ok = all(not _flat_leq(i, j) or _flat_leq(table[i], table[j])
-                 for i in range(3) for j in range(3))
-        if ok:
-            brute.add(table)
-    assert set(tower.stage1) == brute
-    assert len(tower.stage1) == 11
+    # the reference enumerates all 27 tables and keeps the monotone ones
+    assert kref.Ref(tower.base).d1 == tower.stage1 and len(tower.stage1) == 11
 
 
 def test_enumerate_stage(tower):
@@ -166,42 +156,24 @@ def test_lub_examples(tower):
     assert lub(tower, 1, [(1, 1, 1), (2, 2, 2)]) is None
 
 
-def _brute_lub(tower, level, xs, candidates):
-    ubs = [u for u in candidates if all(tower.leq(level, x, u) for x in xs)]
-    least = [u for u in ubs if all(tower.leq(level, u, v) for v in ubs)]
-    return least[0] if least else None
+def _canonical_joins(t, elems):
+    """Whether every stage-1 join of two of elems is the canonical object."""
+    return all(j is None or j is t.stage1[t.stage1_index[j]]
+               for x in elems for y in elems for j in [lub(t, 1, [x, y])])
 
 
-def test_lub_agrees_with_brute_force(tower, rng):
-    candidates0 = list(range(3))
-    for size in (1, 2, 3):
-        for xs in itertools.combinations(candidates0, size):
-            assert lub(tower, 0, list(xs)) == _brute_lub(tower, 0, xs, candidates0)
-    for _ in range(60):
-        xs = [rng.choice(tower.stage1) for _ in range(rng.randint(1, 3))]
-        assert lub(tower, 1, xs) == _brute_lub(tower, 1, xs, tower.stage1)
-    # level 2, on joins of two level-1 step maps: the stage-2 order is
-    # pointwise, so the brute-force join takes the brute-force level-1 lub
-    # slot by slot; every pair at base size 3, a seeded sample at 4
-    t4 = Tower(flat_base(POLES[4]))
-    for t, pairs in ((tower, None), (t4, 400)):
-        steps = sorted({step_map(t, 1, a, b) for a in t.stage1 for b in t.stage1})
-        if pairs is None:
-            joined = list(itertools.combinations_with_replacement(steps, 2))
-        else:
-            joined = [(rng.choice(steps), rng.choice(steps)) for _ in range(pairs)]
-        slot_lub = {}
-        for f, g in joined:
-            slots = []
-            for s, u in zip(f, g):
-                if (s, u) not in slot_lub:
-                    slot_lub[s, u] = _brute_lub(t, 1, (s, u), t.stage1)
-                slots.append(slot_lub[s, u])
-            expected = None if None in slots else tuple(slots)
-            got = lub(t, 2, [f, g])
-            assert got == expected
-            if got is not None:  # canonical slots
-                assert all(s is t.stage1[t.stage1_index[s]] for s in got)
+def test_lub_agrees_with_brute_force(tower, mismatches):
+    # joins at stages 0-2 against the reference's (kref.diff), at base sizes
+    # 3 and 4; at base 3 a stage-2 join of two step maps, against the
+    # reference's on a sample, has canonical stage-1 slots
+    assert mismatches(tower.base, "lub") == mismatches(flat_base(POLES[4]), "lub") == []
+    ref = kref.Ref(tower.base)
+    steps = sorted({step_map(tower, 1, a, b) for a in tower.stage1 for b in tower.stage1})
+    pairs = list(itertools.combinations_with_replacement(steps, 2))
+    for f, g in pairs:
+        got = lub(tower, 2, [f, g])
+        assert got is None or all(s is tower.stage1[tower.stage1_index[s]] for s in got)
+    assert all(lub(tower, 2, p) == ref.lub(2, p) for p in pairs[::40])
 
 
 def _poset(labels, covers):
@@ -222,16 +194,12 @@ DIAMOND = _poset(("bot", "a", "b", "top"), [(1, 3), (2, 3)])
 
 @pytest.mark.parametrize("base, stage1_size", [(CHAIN3, 10), (DIAMOND, 36)],
                          ids=["3-chain", "diamond"])
-def test_lub_on_non_flat_bases_agrees_with_brute_force(base, stage1_size):
+def test_lub_on_non_flat_bases_agrees_with_brute_force(base, stage1_size, mismatches):
     # both bases are lattices, so every pair has a join at stages 0 and 1
     t = Tower(base)
-    assert len(t.stage1) == stage1_size
+    assert len(t.stage1) == stage1_size and mismatches(base, "lub") == []
     for level, elems in ((0, range(len(base))), (1, t.stage1)):
-        for x in elems:
-            for y in elems:
-                expected = _brute_lub(t, level, (x, y), elems)
-                assert expected is not None
-                assert lub(t, level, [x, y]) == expected
+        assert all(lub(t, level, [x, y]) is not None for x in elems for y in elems)
 
 
 def _pointed_posets(max_size):
@@ -258,22 +226,6 @@ def _pointed_posets(max_size):
     return out
 
 
-def _pointwise_joins(base, elems):
-    """{(x, y): least upper bound or None} over every pair of elems, in the
-    order read pointwise from the base order (elems are base indices or
-    stage-1 tables): the least upper bound of x and y is the element whose
-    up-set is their common up-set."""
-    leq0 = base.leq
-
-    def below(a, b):
-        if type(a) is int:
-            return leq0[a][b]
-        return all(leq0[p][q] for p, q in zip(a, b))
-    ups = {a: frozenset(b for b in elems if below(a, b)) for a in elems}
-    by_up = {up: a for a, up in ups.items()}
-    return {(x, y): by_up.get(ups[x] & ups[y]) for x in elems for y in elems}
-
-
 # ⊥ < a, b < c, d, listed (bot, c, d, a, b): a and b have two minimal upper
 # bounds, so no join, and stage 1 has joins no pointwise join finds
 TWO_TOPS = _poset(("bot", "c", "d", "a", "b"), [(3, 1), (3, 2), (4, 1), (4, 2)])
@@ -294,14 +246,12 @@ SMALL_BASES = _pointed_posets(4) + [TWO_TOPS]
 
 
 @pytest.mark.parametrize("base", SMALL_BASES, ids=_up_set_sizes)
-def test_lub_on_small_pointed_posets_agrees_with_brute_force(base):
+def test_lub_on_small_pointed_posets_agrees_with_brute_force(base, mismatches):
+    # every operation against the reference (kref.diff), whose joins are the
+    # least common upper bounds; a stage-1 join is the canonical object
+    assert mismatches(base) == []
     t = Tower(base)
-    for level, elems in ((0, tuple(range(len(base)))), (1, t.stage1)):
-        for (x, y), expected in _pointwise_joins(base, elems).items():
-            got = lub(t, level, [x, y])
-            assert got == expected, (level, x, y)
-            if level == 1 and got is not None:
-                assert got is t.stage1[t.stage1_index[got]]
+    assert _canonical_joins(t, t.stage1)
 
 
 # the checked counts of the four laws on each of SMALL_BASES
@@ -335,7 +285,10 @@ FIVE_ELEMENT_IDS = [f"{_up_set_sizes(b)}-s{s}"
 
 @pytest.mark.parametrize("base", FIVE_ELEMENT_BASES, ids=FIVE_ELEMENT_IDS)
 def test_lub_on_five_element_pointed_posets_agrees_with_brute_force(base):
-    test_lub_on_small_pointed_posets_agrees_with_brute_force(base)
+    # stages 0 and 1 and depth-1 threads, on sampled stage-1 elements
+    t = Tower(base)
+    assert kref.diff(t, depth=1, size=8) == []
+    assert _canonical_joins(t, t.stage1[::7])
 
 
 @pytest.mark.parametrize("base, s", zip(FIVE_ELEMENT_BASES[1:], FIVE_ELEMENT_STAGE1_SIZES[1:]),
@@ -372,12 +325,6 @@ def test_step_map_examples(tower):
     assert step_map(tower, 0, BOT, SL1) == (SL1, SL1, SL1)
     sm = step_map(tower, 0, SR1, SL1)
     assert sm[SR1] == SL1 and sm[SL1] == BOT and sm[BOT] == BOT
-    # level 1, every (a, b), against the flat-base pointwise order
-    for a in tower.stage1:
-        for b in tower.stage1:
-            expected = tuple(b if all(_flat_leq(x, y) for x, y in zip(a, g))
-                             else (BOT,) * 3 for g in tower.stage1)
-            assert step_map(tower, 1, a, b) == expected
 
 
 def test_stage1_algebraicity_proxy(tower):
@@ -392,10 +339,7 @@ def test_stage1_algebraicity_proxy(tower):
 def test_extra_poles():
     t = Tower(flat_base(("sR1", "sL1", "s2")))
     assert len(t.base) == 4
-    # flat base: monotonicity only constrains f(bot) <= f(x)
-    brute = sum(all(table[0] == 0 or table[0] == table[i] for i in range(4))
-                for table in itertools.product(range(4), repeat=4))
-    assert len(t.stage1) == brute == 67
+    assert len(kref.Ref(t.base).d1) == len(t.stage1) == 67
 
 
 def test_flat_stage1_size_matches_enumeration():
@@ -432,14 +376,6 @@ def test_towers_keep_their_own_tables():
     assert t3._emb1 is not t4._emb1 and t3._up1 is not t4._up1
     assert len(t3._emb1) == len(t3._up1) == 11 and len(t4._emb1) == len(t4._up1) == 67
     assert len(t3.stage2_probes()) == 11 and len(t4.stage2_probes()) == 67
-    for t in (t3, t4):
-        n = len(t.base)
-        for g in t.stage1:
-            assert t.emb(1, g) == tuple((g[u[0]],) * n for u in t.stage1)
-        for a in t.stage1:
-            for b in t.stage1:
-                assert t.leq(1, a, b) == all(_flat_leq(x, y) for x, y in zip(a, b))
-            assert t._up1[a] == {b for b in t.stage1 if t.leq(1, a, b)}
 
 
 POLES = {3: ("sR1", "sL1"), 4: ("sR1", "sL1", "s2")}
@@ -468,31 +404,16 @@ def test_step_join_sample_pinned(base_size):
 
 
 @pytest.mark.parametrize("base_size", [3, 4])
-def test_proj1_reads_constant_map_indices(base_size):
-    t = Tower(flat_base(POLES[base_size]))
-    n = len(t.base)
-    assert t._const1 == tuple(t.stage1.index((x,) * n) for x in range(n))
-    sample = step_join_sample(t, random.Random(base_size), 100)
-    assert len(sample) == 100
-    for u in sample + [t.bottom(2)] + [t.emb(1, g) for g in t.stage1]:
-        reference = tuple(t.proj(0, t.apply(2, u, t.emb(0, x))) for x in range(n))
-        assert t.proj(1, u) == reference
+def test_proj1_reads_constant_map_indices(base_size, mismatches):
+    # at bottom(2), probes, an equal copy, step maps and joins (kref.diff)
+    assert mismatches(flat_base(POLES[base_size]), ("proj", 1)) == []
 
 
 @pytest.mark.parametrize("base_size", [3, 4])
-def test_leq_shortcut_agrees_with_pointwise_order(base_size, rng):
-    t = Tower(flat_base(POLES[base_size]))
-
-    def below(a, b):  # stage 2, pointwise over the flat base
-        return all(_flat_leq(x, y) for f, g in zip(a, b) for x, y in zip(f, g))
-
-    tables = [t.emb(1, g) for g in t.stage1] + step_join_sample(t, rng, 30)
-    for a in tables:
-        assert t.leq(2, a, a) and t.leq(2, a, tuple(list(a)))  # same and equal
-        for b in rng.sample(tables, 10):
-            assert t.leq(2, a, b) == below(a, b)
-    for g in t.stage1:
-        assert t.leq(1, g, g) and t.leq(1, g, tuple(list(g)))
+def test_leq_shortcut_agrees_with_pointwise_order(base_size, mismatches):
+    # pairs of one object, of equal copies and of other elements, at
+    # stages 0-3 (kref.diff)
+    assert mismatches(flat_base(POLES[base_size]), "leq", "eq") == []
 
 
 def test_make_mono_rejects_entries_outside_the_stage(tower):
@@ -510,13 +431,6 @@ def test_make_mono_rejects_entries_outside_the_stage(tower):
     assert const.table == (tower.stage1[4],) * 11
 
 
-def _stage3_maps(t):
-    """Fresh stage-3 maps: emb(2, .) of some stage-2 tables, and the identity
-    of stage 2, which has no construction key."""
-    ws = [t.bottom(2)] + [t.emb(1, g) for g in t.stage1[::7]]
-    return [t.emb(2, w) for w in ws] + [LazyMono(lambda w: w)]
-
-
 @pytest.mark.parametrize("base_size", [3, 4])
 def test_apply3_at_probes_out_of_order(base_size):
     # apply(3, u, w) at probe i fills u.probed up to i, so probes read in any
@@ -525,7 +439,8 @@ def test_apply3_at_probes_out_of_order(base_size):
     probes = t.stage2_probes()
     order = list(range(len(probes)))
     random.Random(base_size).shuffle(order)
-    for u in _stage3_maps(t):
+    # keyed maps, and the identity of stage 2, which has no key
+    for u in [t.emb(2, w) for w in (t.bottom(2), probes[-1])] + [LazyMono(lambda w: w)]:
         ref = [u.fn(w) for w in probes]
         top = -1
         for i in order:
@@ -542,7 +457,7 @@ def test_apply3_off_the_probes_uses_the_memo(base_size, rng):
     t = Tower(flat_base(POLES[base_size]))
     probes = t.stage2_probes()
     joins = step_join_sample(t, rng, 10)
-    for u in _stage3_maps(t):
+    for u in [t.emb(2, w) for w in (t.bottom(2), probes[-1])] + [LazyMono(lambda w: w)]:
         for i, w in enumerate(probes):
             copy = tuple(list(w))
             assert copy is not w and t.probe_position(copy) is None

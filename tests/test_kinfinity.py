@@ -1,14 +1,18 @@
 import hashlib
+import itertools
 import json
 import random
+import sys
 from collections import Counter
+from functools import partial
 
+import kref
 import pytest
-from lamtower import kinfinity
+from lamtower import domains, kinfinity
 from lamtower.cli import main
-from lamtower.domains import (CapExceeded, LazyMono, Tower, check_law_budget,
-                              check_projection_pair, enumerate_stage,
-                              flat_base, step_join_sample)
+from lamtower.domains import (CapExceeded, FinPoset, LazyMono, Tower,
+                              check_law_budget, check_projection_pair,
+                              enumerate_stage, flat_base, step_join_sample)
 from lamtower.kinfinity import (Constant, DepthTooSmall, FromThread, Identity,
                                 IncoherentThread, Thread, app, app_shadow,
                                 bottom_thread, coherent, reify, restrict,
@@ -243,6 +247,16 @@ def test_tower_tables_are_set_in_init():
     assert set(vars(t)) == keys
 
 
+def test_a_stage1_embedding_fills_one_row_entry():
+    # the shared row fills per entry: over the flat base 6 one stage-1
+    # thread builds one emb(1, .) table, not all 7 781
+    t = _tower(6)
+    x = stage_embed(t, 1, t.stage1[5], 2)
+    assert len(t._emb1) == 1 and stage_embed(t, 1, t.stage1[5], 2) is x
+    row = t._thread_rows[1, 2]
+    assert row[5] is x and row.count(None) == len(row) - 1
+
+
 def test_cli_base6_refused(capsys):
     code = main(["kinfty", "check", "--base-size", "6"])
     out = capsys.readouterr().out
@@ -250,35 +264,12 @@ def test_cli_base6_refused(capsys):
     assert "7781 elements" in json.loads(out)["error"]
 
 
-def _probe_maps(t):
-    """Fresh stage-3 maps: emb(2, .) of some stage-2 tables and the stage-2
-    restrictions of three endomaps."""
-    maps = [t.emb(2, w) for w in [t.bottom(2)] + [t.emb(1, g) for g in t.stage1[::5]]]
-    gs = (Identity(), Constant(bottom_thread(t, 3)),
-          FromThread(stage_embed(t, 1, t.stage1[-1], 3)))
-    return maps + [restrict(g, 2, 3, t) for g in gs]
-
-
-def _below2(t, a, b):
-    """Stage-2 order, pointwise over the base order, with no shortcut."""
-    leq0 = t.base.leq
-    return all(leq0[x][y] for f, g in zip(a, b) for x, y in zip(f, g))
-
-
 @pytest.mark.parametrize("base_size", [3, 4])
-def test_probe_vectors_match_probe_by_probe_reference(base_size):
-    t = _tower(base_size)
-    probes = t.stage2_probes()
-    maps = _probe_maps(t)
-    refs = [[u.fn(w) for w in probes] for u in maps]
-    for a, ra in zip(maps, refs):
-        for b, rb in zip(maps, refs):
-            assert t.eq(3, a, b) == (ra == rb)
-            assert t.leq(3, a, b) == all(_below2(t, x, y) for x, y in zip(ra, rb))
-    for u, ref in zip(maps, refs):
-        assert t.proj(2, u) == tuple(t.proj(1, v) for v in ref)
-        assert u.probed == ref
-    assert any(ra != rb for ra in refs for rb in refs)
+def test_probe_vectors_match_probe_by_probe_reference(base_size, mismatches):
+    # stage-3 order, probe vectors and application against the reference
+    # maps' values at every probe (kref.diff)
+    assert mismatches(_tower(base_size).base, ("eq", 3), ("leq", 3), "at_probes",
+                      ("apply", 3)) == []
 
 
 def test_unequal_pair_stops_at_first_differing_probe(tower):
@@ -321,32 +312,10 @@ def test_verify_laws_reports_pinned(base_size, plain, sampled):
     assert verify_laws(t, depth=3, sample_threads=xs) == _law_report(sampled, False)
 
 
-def _fresh_coords(t, n, u, depth):
-    """A thread's coordinates built by hand: project below, embed above."""
-    coords = [None] * (depth + 1)
-    coords[n] = u
-    for m in range(n - 1, -1, -1):
-        coords[m] = t.proj(m, coords[m + 1])
-    for m in range(n + 1, depth + 1):
-        coords[m] = t.emb(m - 1, coords[m - 1])
-    return coords
-
-
-def _same_coords(t, shared, fresh):
-    """Coordinate by coordinate; a stage-3 coordinate by its key and by
-    apply(3, ., w) against a fresh map's fn at every probe."""
-    assert len(shared.coords) == len(fresh)
-    for n, (a, b) in enumerate(zip(shared.coords, fresh)):
-        if n < 3:
-            assert a == b
-        else:
-            assert a.key == b.key
-            assert [t.apply(3, a, w) for w in t.stage2_probes()] == \
-                [b.fn(w) for w in t.stage2_probes()]
-
-
 @pytest.mark.parametrize("base_size", [3, 4])
-def test_shared_threads_equal_fresh_ones(base_size):
+def test_shared_threads_equal_fresh_ones(base_size, mismatches):
+    # a shared thread comes back as the same object, and equals the
+    # reference's embedding, which is built afresh (kref.diff)
     t = _tower(base_size)
     keys = [(0, x) for x in range(len(t.base))]
     keys += [(1, u) for u in t.stage1]
@@ -357,9 +326,9 @@ def test_shared_threads_equal_fresh_ones(base_size):
                 continue
             shared = stage_embed(t, n, u, depth)
             assert stage_embed(t, n, u, depth) is shared
-            _same_coords(t, shared, _fresh_coords(t, n, u, depth))
     # one row per stage 0 or 1 and depth; the probes read the stage-1 rows
     assert set(t._thread_rows) == {(n, depth) for n in (0, 1) for depth in (1, 2, 3)}
+    assert mismatches(t.base, "stage_embed", "thread_row") == []
 
 
 @pytest.mark.parametrize("base_size", [3, 4])
@@ -367,44 +336,21 @@ def test_probe_copies_and_joins_get_fresh_threads(base_size):
     t = _tower(base_size)
     probes = t.stage2_probes()
     joins = step_join_sample(t, random.Random(base_size), 10)
-    maps = _probe_maps(t)
     for w in list(probes[::5]) + joins:
         copy = tuple(list(w))
         threads = [stage_embed(t, 2, copy, 3) for _ in range(2)]
         assert threads[0] is not threads[1]
         assert stage_embed(t, 2, w, 3) is not threads[0]
         for thread in threads:
-            _same_coords(t, thread, _fresh_coords(t, 2, w, 3))
             assert thread_eq(thread, stage_embed(t, 2, w, 3))
-        for u in maps:
-            assert t.apply(3, u, copy) == t.apply(3, u, w) == u.fn(w)
-
-
-def _restrict_by_definition(t, g, n, depth):
-    """restrict's definition: project, apply, embed, entry by entry."""
-    return t.tabulate(n, lambda u: g.apply(stage_embed(t, n, u, depth)).coords[n])
 
 
 @pytest.mark.parametrize("base_size", [3, 4])
-def test_restrict_matches_its_definition(base_size):
-    t = _tower(base_size)
-    probes = t.stage2_probes()
-    joins = step_join_sample(t, random.Random(base_size), 10)
-    assert all(t.probe_position(w) is None for w in joins)
-    # probes, equal copies of probes and step joins that are not probes
-    args2 = list(probes) + [tuple(list(w)) for w in probes[::5]] + joins
-    for depth in (2, 3):
-        xs = [stage_embed(t, 1, u, depth) for u in t.stage1[::7]]
-        gs = [Identity(), Constant(bottom_thread(t, depth)), Constant(xs[-1])]
-        gs += [FromThread(x) for x in xs]
-        gs.append(FromThread(reify(Identity(), depth, t)))  # an unshared point
-        for g in gs:
-            for n in (0, 1):
-                assert restrict(g, n, depth, t) == _restrict_by_definition(t, g, n, depth)
-            if depth == 3:
-                got, want = restrict(g, 2, 3, t), _restrict_by_definition(t, g, 2, 3)
-                assert [got.fn(w) for w in args2] == [want.fn(w) for w in args2]
-                assert t.eq(3, got, want)
+def test_restrict_matches_its_definition(base_size, mismatches):
+    # restrict and reify against the reference's, at depths 1-3, for an
+    # endomap of each kind, one from an unshared point; stage-2 restrictions
+    # are read at probes, at a copy of one and at step joins (kref.diff)
+    assert mismatches(_tower(base_size).base, "restrict", "reify") == []
 
 
 @pytest.mark.parametrize("base_size", [3, 4])
@@ -569,48 +515,88 @@ def test_reports_under_a_faulty_apply_are_pinned(level, ok, digest, monkeypatch)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-# -- the probe fast paths are exact ------------------------------------------
-
-def _proj1_by_formula(t, v):
-    """proj(1, v) by its definition, with no probe table: v at the constant
-    map at x, evaluated at bottom."""
-    n, bot = len(t.base), t.base.bottom
-    return tuple(v[t.stage1_index[(x,) * n]][bot] for x in range(n))
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_the_reference_sees_each_faulty_apply(level, monkeypatch):
+    monkeypatch.setattr(Tower, "apply", _faulty_apply(level))
+    assert kref.diff(_tower(3))
 
 
-def _proj2_by_formula(t, fn):
-    """proj(2, .) of the stage-3 map fn, probe by probe, from fresh
-    evaluations."""
-    return tuple(_proj1_by_formula(t, fn(w)) for w in t.stage2_probes())
+# -- the reference model is the arbiter --------------------------------------
+
+# the public callables of domains and kinfinity that kref.diff does not call
+NOT_DIFFED = {
+    "CapExceeded": "an exception class, with no code of its own",
+    "DepthTooSmall": "an exception class, with no code of its own",
+    "IncoherentThread": "an exception class, with no code of its own",
+    "Tower": "diff's input, built before it runs; each method is compared",
+    "check_law_budget": "its counts are pinned by the evaluation-count tests",
+    "flat_base": "it builds a base, not a tower; test_flat_base_shape pins it",
+    "verify_laws": "not re-implemented: its reports are pinned, and diff "
+                   "compares every operation it composes",
+}
+
+
+def test_the_reference_covers_every_public_callable():
+    # a function or method counts when it runs, a class when it is built;
+    # the unpatched tower has no mismatch
+    called, t = set(), _tower(3)
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+    sys.setprofile(profile)
+    try:
+        assert kref.diff(t) == []
+    finally:
+        sys.setprofile(None)
+    missed = set()
+    for module in (domains, kinfinity):
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = {name: obj}
+            if isinstance(obj, type):
+                members = {name: obj.__init__}
+                members.update((f"{name}.{k}", v) for k, v in vars(obj).items()
+                               if callable(v) and not k.startswith("_"))
+            missed.update(k for k, f in members.items()
+                          if callable(f) and getattr(f, "__code__", None) not in called)
+    assert missed == set(NOT_DIFFED)
+
+
+def test_probe_comparisons_decide_stage3_on_the_two_element_base(monkeypatch):
+    # on bot < a, stage 2 has 10 elements, so every stage-3 comparison the
+    # law suite makes can be decided at all of them, not only at the probes
+    base = FinPoset(("bot", "a"), ((True, True), (False, True)))
+    t, ref = Tower(base), kref.Ref(base)
+    stage2 = [w for w in itertools.product(ref.d1, repeat=len(ref.d1)) if ref.monotone(1, w)]
+    calls = []
+    for name in ("eq", "leq"):
+        def logged(self, level, a, b, name=name, compare=getattr(Tower, name)):
+            got = compare(self, level, a, b)
+            if level == 3:
+                calls.append((name, a, b, got))
+            return got
+        monkeypatch.setattr(Tower, name, logged)
+    assert verify_laws(t, depth=3)["ok"]
+    monkeypatch.undo()
+    assert len(stage2) == 10 and Counter(c[0] for c in calls) == {"eq": 7, "leq": 12}
+    for name, a, b, got in calls:
+        assert got == getattr(ref, name)(3, partial(t.apply, 3, a), partial(t.apply, 3, b), stage2)
+
+
+# -- the probe fast paths are exact -------------------------------------------
+
+@pytest.mark.parametrize("base_size", [3, 4])
+def test_proj1_of_a_probe_reads_the_table_exactly(base_size, mismatches):
+    # at probes, at an equal copy of one and at other stage-2 tables (kref.diff)
+    assert mismatches(_tower(base_size).base, ("proj", 1)) == []
 
 
 @pytest.mark.parametrize("base_size", [3, 4])
-def test_proj1_of_a_probe_reads_the_table_exactly(base_size):
-    t = _tower(base_size)
-    probes = t.stage2_probes()
-    assert t._probe_proj1 == t.stage1
-    for w in probes:
-        copy = tuple(list(w))
-        assert t.proj(1, w) == t.proj(1, copy) == _proj1_by_formula(t, w)
-
-
-@pytest.mark.parametrize("base_size", [3, 4])
-def test_proj2_matches_probe_by_probe_formula(base_size):
-    t = _tower(base_size)
-    verify_laws(t, depth=3)
-    keys = [(0, x) for x in range(len(t.base))]
-    keys += [(1, u) for u in t.stage1]
-    keys += [(2, w) for w in t.stage2_probes()]
-    tops = [stage_embed(t, n, u, 3).coords[3] for n, u in keys]
-    gs = [Identity(), Constant(bottom_thread(t, 3))]
-    gs += [FromThread(stage_embed(t, 1, u, 3)) for u in t.stage1]
-    restrictions = [reify(g, 3, t).coords[3] for g in gs]
-    for u in tops + restrictions:
-        assert t.proj(2, u) == _proj2_by_formula(t, u.fn)
-    # values equal to the probes but other objects take the proj(1, .) path
-    copies = LazyMono(lambda w: tuple(list(w)))
-    assert t.proj(2, copies) == _proj2_by_formula(t, copies.fn) == t.stage1
-    assert all(t.probe_position(v) is None for v in copies.probed)
+def test_proj2_matches_probe_by_probe_formula(base_size, mismatches):
+    # keyed maps, and a map whose values are copies of the probes (kref.diff)
+    assert mismatches(_tower(base_size).base, ("proj", 2)) == []
 
 
 def _counted_map(fn):
@@ -631,7 +617,7 @@ def test_full_probe_vector_is_returned_as_is(tower):
     assert values is not u.probed and log == []  # a partial vector fills lazily
     assert list(values) == [fn(w) for w in probes] and log == list(probes)
     assert tower.at_probes(u) is u.probed
-    assert tower.proj(2, u) == _proj2_by_formula(tower, fn)
+    assert tower.proj(2, u) == tower.stage1  # p_2 of the identity
     assert log == list(probes)  # read again, evaluated once
 
 
