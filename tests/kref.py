@@ -1,5 +1,5 @@
 """A reference K-infinity built from the textbook definitions, and `diff`,
-which compares every public operation of lamtower.domains and
+which compares the public operations of lamtower.domains and
 lamtower.kinfinity with it.
 
 Stage 0 is the base and stage n+1 the monotone self-maps of stage n, ordered
@@ -9,70 +9,75 @@ p_n(g) = p_{n-1} g e_{n-1} (Abramsky & Jung, Domain Theory, 1994, §3-5).
 Stage 1 is enumerated by its definition; stage-1 and stage-2 elements are
 tables over the enumeration of the stage below, a stage-3 element is a plain
 function that evaluates anew at each call, and a thread is the tuple of its
-coordinates.  The model keeps its enumeration, an index of it and the probes
-e_1(D_1), at which stage 3 is compared as the tower compares it; it caches
-no value, tests no identity and shares no row.
+coordinates.  The model keeps only its enumeration and an index of it: it
+caches no value, tests no identity and shares no row.
 """
 
 import itertools
-import operator
 import random
-from functools import partial
+from functools import partial, reduce
 
 from lamtower import domains, kinfinity as K
 
 
 class Ref:
     def __init__(self, base):
-        self.base = base
-        self.d0 = tuple(range(len(base)))
+        self.base, self.d0 = base, tuple(range(len(base)))
         tables = itertools.product(self.d0, repeat=len(base))
         self.d1 = tuple(t for t in tables if self.monotone(0, t))
         self.index = {t: i for i, t in enumerate(self.d1)}
-        self.probes = tuple(self.emb(1, g) for g in self.d1)
 
     def domain(self, n):
         return self.d1 if n else self.d0
 
     def monotone(self, n, table):
-        dom = range(len(self.domain(n)))
-        return all(self.leq(n, table[i], table[j]) for i, j in itertools.product(dom, dom)
-                   if self.leq(n, self.domain(n)[i], self.domain(n)[j]))
+        dom = self.domain(n)
+        return all(self.leq(n, table[i], table[j])
+                   for i, j in itertools.product(range(len(dom)), repeat=2)
+                   if self.leq(n, dom[i], dom[j]))
 
     def bottom(self, n):
         return self.base.bottom if n == 0 else (self.bottom(n - 1),) * len(self.domain(n - 1))
 
-    def leq(self, n, a, b, points=None):
-        """The pointwise order; at stage 3 on `points`, the probes unless given."""
+    def leq(self, n, a, b, points=()):
+        """The pointwise order; a stage-3 map is read at `points`, or given
+        as the list of its values at some points."""
         if n == 0:
             return self.base.leq[a][b]
-        if n == 1:  # base.leq[a[i]][b[i]] at every i
-            return all(map(tuple.__getitem__, map(self.base.leq.__getitem__, a), b))
         if n == 3:
-            points = self.probes if points is None else points
-            a, b = map(a, points), map(b, points)
-        return all(map(partial(self.leq, n - 1), a, b))
+            a, b = (map(a, points), map(b, points)) if callable(a) else (a, b)
+            return all(map(partial(self.leq, 2), a, b))
+        if n == 2:  # entry by entry of the base
+            a, b = itertools.chain(*a), itertools.chain(*b)
+        return all(map(tuple.__getitem__, map(self.base.leq.__getitem__, a), b))
 
-    def eq(self, n, a, b, points=None):
-        return self.leq(n, a, b, points) and self.leq(n, b, a, points)
+    def eq(self, n, a, b, points=()):
+        return a == b if n < 3 else self.leq(n, a, b, points) and self.leq(n, b, a, points)
 
     def up_set(self, n, a):
         return frozenset(z for z in self.domain(n) if self.leq(n, a, z))
 
-    def lub(self, n, xs):
-        """The upper bound of xs below every other, or None; at stage 2 the
-        pointwise one, which is the join where it exists in every slot (the
-        tower's stage-2 joins are pointwise too)."""
-        xs = list(xs) or [self.bottom(n)]
-        if n == 2:  # slot by slot, up to the first slot with no join
-            joins = map(partial(self.lub, 1), zip(*xs))
-            slots = tuple(itertools.takewhile(partial(operator.is_not, None), joins))
-            return slots if len(slots) == len(xs[0]) else None
-        ubs = [z for z in self.domain(n) if all(self.leq(n, x, z) for x in xs)]
-        least = next(iter(ubs), None)
-        for z in ubs:
-            least = z if self.leq(n, z, least) else least
-        return least if all(self.leq(n, least, z) for z in ubs) else None
+    def join(self, n):
+        """The join of a list of stage-n elements, n 0 or 1: the element
+        whose up-set is the meet of theirs, or None.  Up-sets are bit masks;
+        a stage-1 one is the meet over positions x of the tables above f(x)
+        at x, as the order is pointwise."""
+        leq, dom = self.base.leq, self.domain(n)
+        above = [[sum(1 << j for j, g in enumerate(dom) if leq[v][g[x] if n else g])
+                  for v in self.d0] for x in (self.d0 if n else [0])]
+        ups = {a: reduce(int.__and__, map(list.__getitem__, above, a if n else [a]))
+               for a in dom}
+        by_up, top = {u: a for a, u in ups.items()}, (1 << len(dom)) - 1
+        return lambda xs: by_up.get(reduce(int.__and__, map(ups.__getitem__, xs), top))
+
+    def lub(self, n, xs, join=None):
+        """At stage 2 slot by slot, None where a slot has no join, as the
+        tower's stage-2 join."""
+        join = join or self.join(min(n, 1))
+        if n < 2:
+            return join(xs)
+        slots = list(map(join, zip(*xs) if xs else [()] * len(self.d1)))
+        return None if None in slots else tuple(slots)
 
     def apply(self, n, f, x):
         return f(x) if n == 3 else f[self.index[x] if n == 2 else x]
@@ -92,19 +97,8 @@ class Ref:
             n - 1, lambda x: self.proj(n - 1, self.apply(n + 1, u, self.emb(n - 1, x))))
 
     def step_map(self, n, a, b):
-        return self.tabulate(n, lambda x: b if self.leq(n, a, x) else self.bottom(n))
-
-    def join_sample(self, rng, k):
-        """step_join_sample's draws: joins of two step maps a->b, c->d."""
-        out = []
-        for _ in range(40 * k):
-            if len(out) == k:
-                break
-            a, b, c, d = (rng.choice(self.d1) for _ in range(4))
-            j = self.lub(2, [self.step_map(1, a, b), self.step_map(1, c, d)])
-            if j is not None and j not in out:
-                out.append(j)
-        return out
+        bot = self.bottom(n)
+        return self.tabulate(n, lambda x: b if self.leq(n, a, x) else bot)
 
     def embed(self, n, u, depth):
         coords = [u]
@@ -131,181 +125,154 @@ class Ref:
         return all(self.proj(n, x[n + 1]) == x[n] for n in range(len(x) - 1))
 
 
-def diff(tower, depth=3, size=10, seed=0) -> list:
+def diff(tower) -> list:
     """Every disagreement of the tower with the reference, as tuples
     (operation, stage or depth, arguments, tower's value, reference's value).
 
-    It reads stages 0 to `depth` and threads of depths 1 to `depth`.  Pairs,
-    embeddings and reifications range over `size` stage-1 elements (all of
-    stage 1 when it is no larger, else a seeded sample), equal copies of
-    two, and stage-2 tables: probes, an equal copy of one, step maps and step
-    joins.  Stage-3 maps are ordered and projected by their values at every
-    probe, as the tower orders them; a single stage-3 value is read at the
-    probes of the sampled elements and at the copy and the joins, which are
-    not probes.
+    Stages 0 to 3 and threads of depths 1 to 3 are read at every stage-1
+    element of a base with at most 4 elements, else at 16 seeded ones, and
+    at equal copies of two; stage 2 at bottom, the probe e_1(g) of each of
+    those g and an equal copy of it, three step maps and three step joins.
+    Below stage 2 every pair is compared, the join of every pair of the
+    whole stage and of three elements from each; a stage-2 element with
+    itself, its copy and every twelfth other, and the join of every pair of
+    step maps (of 400 seeded pairs past 150 maps).  A stage-3 map and the
+    order of three threads are compared at every probe, a reification at
+    the probes of the elements read, other stage-3 values at a probe and a
+    step join.
     """
-    ref, out, rng, base = Ref(tower.base), [], random.Random(seed), tower.base
+    ref, out, rng = Ref(tower.base), [], random.Random(0)
 
     def check(op, n, args, got, want):
         if got != want:
             out.append((op, n, args, got, want))
 
     def same(op, n, *args):  # a Tower method or a domains function, and the reference's
-        if hasattr(tower, op):
-            check(op, n, args, getattr(tower, op)(n, *args), getattr(ref, op)(n, *args))
-        else:
-            check(op, n, args, getattr(domains, op)(tower, n, *args), getattr(ref, op)(n, *args))
+        mine = getattr(tower, op, None) or partial(getattr(domains, op), tower)
+        check(op, n, args, mine(n, *args), getattr(ref, op)(n, *args))
 
     same("domain", 1)
     if tower.stage1 != ref.d1:
         return out  # nothing else lines up
-    s = len(ref.d1)
-    e1 = list(tower.stage1) if s <= size else rng.sample(tower.stage1, size)
-    elems = [ref.d0, e1 + [tuple(list(g)) for g in e1[:2]]]
-    if all(base.leq[i][j] == (i in (base.bottom, j)) for i in ref.d0 for j in ref.d0):
-        check("flat_stage1_size", 1, (), domains.flat_stage1_size(len(base) - 1), s)
-    probes = ()
-    if depth > 1:
-        probes, pos = tower.stage2_probes(), [ref.index[g] for g in e1]
-        copy = tuple(list(probes[pos[-1]]))
-        joins = domains.step_join_sample(tower, random.Random(seed), 2)
-        steps = [domains.step_map(tower, 1, a, b) for a, b in zip(e1[:3], e1[::-1])]
-        elems.append([tower.bottom(2)] + [probes[i] for i in pos[:4]] + [copy] + steps + joins)
-        check("stage2_probes", 2, (), probes, ref.probes)
-        check("step_join_sample", 2, (seed,), joins, ref.join_sample(random.Random(seed), 2))
-        ws = [probes[i] for i in pos] + [copy] + joins
-        check("probe_position", 2, (), list(map(tower.probe_position, ws)),
-              pos + [None] * (1 + len(joins)))
-        for ys in ([], steps[:2]):
-            same("lub", 2, ys)
+    s, joins = len(ref.d1), [ref.join(0), ref.join(1)]
+    pick = range(s) if len(ref.d0) <= 4 else sorted(rng.sample(range(s), 16))
+    e1 = [tower.stage1[i] for i in pick]
+    probes = tower.stage2_probes()
+    ws = [probes[i] for i in pick]
+    steps = sorted({domains.step_map(tower, 1, a, b) for a in e1 for b in e1})
+    extra = [tuple(list(w)) for w in ws] + steps[-3:]
+    extra += domains.step_join_sample(tower, random.Random(0), 3)
+    elems = [list(ref.d0), e1 + [tuple(list(g)) for g in e1[:2]], [tower.bottom(2)] + ws + extra]
+    points = ws[-1:] + extra[-1:]
+    check("stage2_probes", 2, (), probes, tuple(ref.emb(1, g) for g in ref.d1))
+    check("probe_position", 2, (), list(map(tower.probe_position, elems[2])),
+          [None] + list(pick) + [None] * len(extra))
+    pairs = (itertools.combinations_with_replacement(steps, 2) if len(steps) <= 150
+             else [(rng.choice(steps), rng.choice(steps)) for _ in range(400)])
+    for p in pairs:
+        check("lub", 2, p, domains.lub(tower, 2, p), ref.lub(2, p, joins[1]))
 
-    # stages 0 to 2: order and application; below 2 enumeration, joins, step maps
-    for n, xs in enumerate(elems):
+    for n, xs in enumerate(elems):  # stages 0 to 2
         same("bottom", n)
+        few = xs[::max(1, len(xs) // 12)]
         for a in xs:
             if n:
-                check("apply", n, (a,), [tower.apply(n, a, x) for x in elems[n - 1]],
-                      [ref.apply(n, a, x) for x in elems[n - 1]])
-            for b in xs:
+                below = elems[n - 1]
+                check("apply", n, (a,), [tower.apply(n, a, x) for x in below],
+                      [ref.apply(n, a, x) for x in below])
+                same("proj", n - 1, a)
+            for b in (xs if n < 2 else few + [a, tuple(list(a))]):
                 same("leq", n, a, b)
                 same("eq", n, a, b)
-        if n == 2:
-            break
-        stage, dom = domains.enumerate_stage(tower, n), ref.domain(n)
-        idx = [dom.index(x) for x in xs]
-        check("enumerate_stage", n, (), (stage.level, stage.elements, stage.poset.bottom,
-                                         [[stage.poset.leq[i][j] for j in idx] for i in idx]),
-              (n, dom, dom.index(ref.bottom(n)), [[ref.leq(n, a, b) for b in xs] for a in xs]))
-        same("domain", n)
-        same("tabulate", n, lambda x: x)
-        for a, b in zip(xs, xs[::-1]):
-            same("step_map", n, a, b)
-        for ys in [[]] + [[a, b] for a in xs for b in xs] + [xs[:3]]:
-            same("lub", n, ys)
-        for a in xs:
-            same("up_set", n, a)
-
-    # the projection pairs, their laws, and make_mono on a step map of the
-    # stage, its reverse and a table with an entry outside the stage
-    for n in range(len(elems) - 1):
-        for x in elems[n]:
-            same("emb", n, x)
-        for u in elems[n + 1]:
-            same("proj", n, u)
-        dom, ups = ref.domain(n), (joins if n else ref.d1)
-        r = [x for x in dom if ref.proj(n, ref.emb(n, x)) != x]
-        f = [u for u in ups if not ref.leq(n + 1, ref.emb(n, ref.proj(n, u)), u)]
-        got = domains.check_projection_pair(tower, n, ups if n else ())
-        check("check_projection_pair", n, (), got, {
-            "stage": n, "retract_checked": len(dom), "retract_failures": r,
-            "section_checked": len(ups), "section_failures": f, "ok": not (r or f)})
-        outside = (len(base),) * len(base) if n else len(base)
-        for a, b in zip(elems[n][:2], elems[n][-2:]):
-            step = ref.step_map(n, a, b)
+        if n < 2:
+            same("domain", n)
+            same("tabulate", n, lambda x: x)
+            every = tower.domain(n)
+            triples = [xs[i:i + 3] for i in range(len(xs))]
+            for ys in [[]] + triples + [[a, b] for a in every for b in every]:
+                check("lub", n, ys, domains.lub(tower, n, ys), joins[n](ys))
+            for a in xs:
+                same("up_set", n, a)
+                same("emb", n, a)
+                for b in few:
+                    same("step_map", n, a, b)
+            dom, stage = ref.domain(n), domains.enumerate_stage(tower, n)
+            check("enumerate_stage", n, (), (stage.level, stage.elements, stage.poset.leq,
+                                             stage.poset.bottom),
+                  (n, dom, tuple(tuple(ref.leq(n, a, b) for b in dom) for a in dom),
+                   dom.index(ref.bottom(n))))
+            # make_mono on a step map, its reverse and a table with an entry
+            # outside the stage
+            step = ref.step_map(n, xs[len(xs) // 2], xs[-1])
+            outside = (len(dom),) * len(dom) if n else len(dom)
             for t in (step, step[::-1], step[:-1] + (outside,)):
                 try:
                     got = tower.make_mono(n, t).table
                 except ValueError:
                     got = None
-                ok = set(t) <= set(dom) and ref.monotone(n, t)
-                check("make_mono", n, (t,), got, t if ok else None)
+                check("make_mono", n, (t,), got,
+                      t if set(t) <= set(dom) and ref.monotone(n, t) else None)
 
-    # a stage-3 value is compared by its values at `points`, and a thread by
-    # its view: its coordinates, a stage-3 one by its values at `points` (at
-    # every probe for the thread order)
-    points, tops = [], []
+    def values(u, at=None):  # a tower's or the reference's stage-3 value
+        at = points if at is None else at
+        return [tower.apply(3, u, w) if isinstance(u, domains.LazyMono) else u(w) for w in at]
 
-    def values(u, at=None, value=partial(tower.apply, 3)):
-        return [value(u, w) for w in (points if at is None else at)]
+    def view(coords, at=None):  # a thread, its stage-3 coordinate by its values
+        return coords[:3] + tuple(values(c, at) for c in coords[3:])
 
-    def view(coords, at=None, value=partial(tower.apply, 3)):
-        return coords[:3] + tuple(values(c, at, value) for c in coords[3:])
+    # keyed maps, and one with no key whose values are probe copies
+    maps = [(tower.emb(2, w), ref.emb(2, w)) for w in [elems[2][0]] + points + extra[:1]]
+    maps.append((tower.tabulate(2, lambda w: tuple(list(w))), lambda w: w))
+    vecs = [values(f, probes) for _, f in maps]
+    for (a, _), va in zip(maps, vecs):
+        for (b, _), vb in zip(maps, vecs):
+            check("eq", 3, (a, b), tower.eq(3, a, b), va == vb)
+            check("leq", 3, (a, b), tower.leq(3, a, b), ref.leq(3, va, vb))
+    for (u, f), v in zip(maps, vecs):
+        check("apply", 3, (u,), values(u), values(f))
+        check("at_probes", 3, (u,), list(tower.at_probes(u)), v)
+        check("proj", 2, (u,), tower.proj(2, u), tuple(map(partial(ref.proj, 1), v)))
 
-    def rview(coords, at=None):
-        return view(coords, at, lambda f, w: f(w))
-
-    if depth > 2:
-        points = ws
-        # keyed embeddings, and a map with no key whose values are copies,
-        # so that its projection reads no probe
-        maps = [(tower.emb(2, w), ref.emb(2, w)) for w in elems[2][:3]]
-        maps.append((tower.tabulate(2, lambda w: tuple(list(w))), lambda w: w))
-        vecs = [list(map(f, probes)) for _, f in maps]
-        for (a, _), va in zip(maps, vecs):
-            for (b, _), vb in zip(maps, vecs):
-                check("eq", 3, (a, b), tower.eq(3, a, b), va == vb)
-                check("leq", 3, (a, b), tower.leq(3, a, b), all(map(partial(ref.leq, 2), va, vb)))
-        for (u, f), v in zip(maps, vecs):
-            check("at_probes", 3, (u,), list(tower.at_probes(u)), v)
-            check("apply", 3, (u,), values(u), list(map(f, points)))
-            check("proj", 2, (u,), tower.proj(2, u), tuple(map(partial(ref.proj, 1), v)))
-        tops = [(3,) + maps[-1]]
-
-    for d in range(1, depth + 1):
+    for d in (1, 2, 3):
         keys = [(0, x, x) for x in ref.d0] + [(1, g, g) for g in elems[1]]
-        keys += [(2, w, w) for w in elems[-1][1:]] * (d > 1) + tops * (d > 2)
-        rows = [K.thread_row(tower, n, d) for n in (0, 1)]
-        check("thread_row", d, (), list(map(len, rows)), [len(ref.d0), s])
-        threads = []
-        for n, u, ru in keys:
-            x, rx = K.stage_embed(tower, n, u, d), ref.embed(n, ru, d)
-            want = rview(rx)
-            check("stage_embed", d, (n, u), view(x.coords), want)
-            if n < 2:
-                row = rows[n][ref.index[u] if n else u]
-                check("thread_row", d, (n, u), view(row.coords), want)
-            threads.append((x, rx))
+        keys += [(2, w, w) for w in elems[2][1:]] * (d > 1) + [(3,) + maps[-1]] * (d > 2)
+        threads = [(K.stage_embed(tower, n, u, d), ref.embed(n, ru, d)) for n, u, ru in keys]
+        for (x, rx), (n, u, _) in zip(threads, keys):
+            check("stage_embed", d, (n, u), view(x.coords), view(rx))
+        for n in (0, 1):
+            check("thread_row", d, (n,), [x.coords[:3] for x in K.thread_row(tower, n, d)],
+                  [ref.embed(n, u, d)[:3] for u in ref.domain(n)])
         check("bottom_thread", d, (), view(K.bottom_thread(tower, d).coords),
-              rview(ref.embed(0, base.bottom, d)))
+              view(ref.embed(0, tower.base.bottom, d)))
         x, rx = threads[-1]
-        bad = ((x.coords[0] + 1) % len(base),) + x.coords[1:]
+        bad = ((x.coords[0] + 1) % len(ref.d0),) + x.coords[1:]
         got = [K.coherent(K.Thread(tower, c, check=False)) for c in (x.coords, bad)]
         check("coherent", d, (), got, [ref.coherent(c) for c in (rx, bad[:1] + rx[1:])])
+        # three threads: their order and shadows, and their application to
+        # every eighth thread
         some = threads[::max(1, len(threads) // 3)][:3]
-        full = [rview(rx, probes) for _, rx in some]  # the order reads every probe
+        full = [view(rx, probes) for _, rx in some]
         for (x, rx), xv in zip(some, full):
             for (y, ry), yv in zip(some, full):
                 check("thread_eq", d, (x, y), K.thread_eq(x, y), xv == yv)
-                check("thread_le", d, (x, y), K.thread_le(x, y), _below(ref, xv, yv))
-                check("app", d, (x, y), view(K.app(x, y).coords), rview(ref.app(rx, ry)))
+                check("thread_le", d, (x, y), K.thread_le(x, y),
+                      all(map(ref.leq, range(d + 1), xv, yv)))
                 for n in range(d - 1):
                     check("app_shadow", d, (n, x, y), view(K.app_shadow(n, x, y).coords),
-                          rview(ref.shadow(n, rx, ry)))
-        # an endomap of each kind, one of them from an unshared point
+                          view(ref.shadow(n, rx, ry)))
+            for y, ry in threads[::8]:
+                check("app", d, (x, y), view(K.app(x, y).coords), view(ref.app(rx, ry)))
+        # an endomap of each kind, from those threads, the next-to-last one
+        # and an unshared point
         gs = [(K.Identity(), lambda y: y), (K.Constant(x), lambda y, v=rx: v)]
-        gs += [(K.FromThread(x), partial(ref.app, rx)) for x, rx in some[1:]]
+        gs += [(K.FromThread(x), partial(ref.app, rx)) for x, rx in some + threads[-2:-1]]
         gs.append((K.FromThread(K.reify(K.Identity(), d, tower)),
                    partial(ref.app, ref.reify(lambda y: y, d))))
         for g, rg in gs:
-            want = rview(ref.reify(rg, d))
-            check("reify", d, (g,), view(K.reify(g, d, tower).coords), want)
+            rr = ref.reify(rg, d)
+            check("reify", d, (g,), view(K.reify(g, d, tower).coords, ws), view(rr, ws))
             for n in range(d):
                 r = K.restrict(g, n, d, tower)
-                check("restrict", d, (g, n), values(r) if n == 2 else r, want[n + 1])
+                check("restrict", d, (g, n), values(r) if n == 2 else r,
+                      values(rr[3]) if n == 2 else rr[n + 1])
     return out
-
-
-def _below(ref, xs, ys):
-    """xs <= ys coordinatewise, a list being stage-3 values at some points."""
-    return all(all(map(partial(ref.leq, 2), a, b)) if type(a) is list else ref.leq(n, a, b)
-               for n, (a, b) in enumerate(zip(xs, ys)))

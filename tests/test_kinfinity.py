@@ -348,8 +348,9 @@ def test_probe_copies_and_joins_get_fresh_threads(base_size):
 @pytest.mark.parametrize("base_size", [3, 4])
 def test_restrict_matches_its_definition(base_size, mismatches):
     # restrict and reify against the reference's, at depths 1-3, for an
-    # endomap of each kind, one from an unshared point; stage-2 restrictions
-    # are read at probes, at a copy of one and at step joins (kref.diff)
+    # endomap of each kind, one from an unshared point; a reification's
+    # stage-3 coordinate is read at every probe, a stage-2 restriction at a
+    # probe and a step join (kref.diff)
     assert mismatches(_tower(base_size).base, "restrict", "reify") == []
 
 
@@ -530,7 +531,10 @@ NOT_DIFFED = {
     "IncoherentThread": "an exception class, with no code of its own",
     "Tower": "diff's input, built before it runs; each method is compared",
     "check_law_budget": "its counts are pinned by the evaluation-count tests",
+    "check_projection_pair": "its reports are pinned by the projection-pair tests; "
+                             "diff compares the emb and proj it composes",
     "flat_base": "it builds a base, not a tower; test_flat_base_shape pins it",
+    "flat_stage1_size": "test_flat_stage1_size_matches_enumeration pins it",
     "verify_laws": "not re-implemented: its reports are pinned, and diff "
                    "compares every operation it composes",
 }
@@ -540,28 +544,18 @@ def test_the_reference_covers_every_public_callable():
     # a function or method counts when it runs, a class when it is built;
     # the unpatched tower has no mismatch
     called, t = set(), _tower(3)
-
-    def profile(frame, event, arg):
-        if event == "call":
-            called.add(frame.f_code)
-    sys.setprofile(profile)
+    sys.setprofile(lambda frame, event, arg: event == "call" and called.add(frame.f_code))
     try:
         assert kref.diff(t) == []
     finally:
         sys.setprofile(None)
-    missed = set()
-    for module in (domains, kinfinity):
-        for name, obj in vars(module).items():
-            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
-                continue
-            members = {name: obj}
-            if isinstance(obj, type):
-                members = {name: obj.__init__}
-                members.update((f"{name}.{k}", v) for k, v in vars(obj).items()
-                               if callable(v) and not k.startswith("_"))
-            missed.update(k for k, f in members.items()
-                          if callable(f) and getattr(f, "__code__", None) not in called)
-    assert missed == set(NOT_DIFFED)
+    public = [(name, obj) for module in (domains, kinfinity) for name, obj in vars(module).items()
+              if name[0] != "_" and getattr(obj, "__module__", None) == module.__name__]
+    code = {name: obj.__init__ if isinstance(obj, type) else obj for name, obj in public}
+    code.update((f"{name}.{k}", f) for name, obj in public if isinstance(obj, type)
+                for k, f in vars(obj).items() if callable(f) and k[0] != "_")
+    assert {k for k, f in code.items() if getattr(f, "__code__", None) not in called} \
+        == set(NOT_DIFFED)
 
 
 def test_probe_comparisons_decide_stage3_on_the_two_element_base(monkeypatch):
@@ -589,7 +583,7 @@ def test_probe_comparisons_decide_stage3_on_the_two_element_base(monkeypatch):
 
 @pytest.mark.parametrize("base_size", [3, 4])
 def test_proj1_of_a_probe_reads_the_table_exactly(base_size, mismatches):
-    # at probes, at an equal copy of one and at other stage-2 tables (kref.diff)
+    # at every probe, an equal copy of each and other stage-2 tables (kref.diff)
     assert mismatches(_tower(base_size).base, ("proj", 1)) == []
 
 
