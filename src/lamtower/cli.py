@@ -16,9 +16,8 @@ from . import frontseed as F
 from . import gen, kinfinity, serialize, witness
 from .cells import Pentagon, RedSeq, globular_check, seq_invert, validate_seq
 from .completion import (hd_map, pi0_equiv, realize_boundary_check)
-from .domains import (CapExceeded, Tower, check_law_budget,
-                      check_projection_pair, flat_base, flat_stage1_size,
-                      step_join_sample)
+from .domains import (Tower, check_projection_pair, flat_base,
+                      flat_stage1_size, step_join_sample)
 from .gen import gen_hd_tree, gen_rtower_cell
 from .terms import (App, FuelExhausted, Lam, Term, Var, apply_step, normalize,
                     to_text)
@@ -329,11 +328,8 @@ MAX_TOWER_SAMPLES = 1000
 
 
 def cmd_tower_check(args) -> int:
-    if args.maxdim > MAX_TOWER_DIM:
-        raise CapExceeded(f"--maxdim {args.maxdim} is above the cap of "
-                          f"{MAX_TOWER_DIM} dimensions")
     # realization is checked from dimension 4, so a smaller cap checks nothing
-    _check_bounds("--maxdim", args.maxdim, least=4)
+    _check_bounds("--maxdim", args.maxdim, least=4, most=MAX_TOWER_DIM)
     _check_bounds("--samples", args.samples, least=0, most=MAX_TOWER_SAMPLES)
     rng = random.Random(args.seed)
     checks = []
@@ -385,7 +381,7 @@ def cmd_kinfty(args) -> int:
     poles = _base_poles(args.base_size)
     _check_bounds("--depth", args.depth, least=2, most=kinfinity.MAX_DEPTH)
     _check_bounds("--samples", args.samples, least=0, most=MAX_JOIN_SAMPLES)
-    check_law_budget(flat_stage1_size(len(poles)))
+    kinfinity.check_law_budget(flat_stage1_size(len(poles)))
     tower = Tower(flat_base(poles))
     rng = random.Random(args.seed)
     report = kinfinity.verify_laws(tower, depth=args.depth)

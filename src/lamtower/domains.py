@@ -23,17 +23,6 @@ DEFAULT_POLES = ("sR1", "sL1")
 BOTTOM_LABEL = "bot"
 
 
-# Stage-3 evaluations verify_laws may make (see check_law_budget).  The base-5
-# suite takes 2.2-2.3 us per evaluation on a 2-core shared host, and up to
-# about 3.3 us when that host is busy, so the budget is at most about 5 s of
-# laws, which leaves the rest of `kinfty check` within 10 s.  It admits base
-# 5 (629 stage-1 elements, 795 685 evaluations: 1.9-2.0 s and 25 MB for
-# `kinfty check` on that host; nearly all of it the laws, as the stage-1
-# order and the step-join sample take under 0.1 s) and refuses base 6
-# (7 781 elements, 121 142 389 evaluations).
-LAW_BUDGET = 1_500_000
-
-
 class CapExceeded(ValueError):
     """Requested enumeration above the enumeration cap."""
 
@@ -42,29 +31,6 @@ def flat_stage1_size(poles: int) -> int:
     """Exact stage-1 size over a flat base with `poles` poles: the monotone
     maps fixing bottom (any map of the poles) plus the constants at a pole."""
     return (poles + 1) ** poles + poles
-
-
-def check_law_budget(stage1_size: int) -> None:
-    """Refuse a law suite whose work exceeds LAW_BUDGET.
-
-    The work is counted in stage-3 evaluations, from the loop bounds of
-    kinfinity.verify_laws at depth 3 with no sample threads, and the count
-    is exact on a fresh Tower (on one whose shared threads already hold
-    their probe values the suite makes fewer).  With s stage-1 elements, each
-    stage-3 map the suite reads is evaluated once at each of the s probes
-    e_1(D_1): the tops of the s embedded stage-1 elements and of the bottom
-    thread (read by their reifications), the s + 1 reified restrictions of
-    the stagewise and retract laws, and the 5 reified endomaps of the
-    section law.  The density chain fills no further map, since it orders
-    tops with one construction key by the key.  That is s(2s + 7): 319 at
-    base 3, 9 447 at base 4 and 795 685 at base 5.
-    """
-    work = stage1_size * (2 * stage1_size + 7)
-    if work > LAW_BUDGET:
-        raise CapExceeded(
-            f"the law suite over a stage 1 of {stage1_size} elements needs an "
-            f"estimated {work} stage-3 evaluations, above the budget of "
-            f"{LAW_BUDGET}")
 
 
 @record
@@ -124,6 +90,12 @@ class MonoMap:
     table: tuple
 
 
+class _Probe(tuple):
+    """A probe e_1(g): the table emb(1, g) of a stage-1 element g, carrying
+    g's stage-1 position (`pos`) and its own p_1 value (`proj1`), both set
+    once by Tower.emb.  A plain tuple equal to a probe is not a probe."""
+
+
 class Tower:
     """The stage tower over one finite pointed base, with projection pairs.
 
@@ -136,22 +108,20 @@ class Tower:
     Construction enumerates stage 1 and indexes it: `stage1_index` maps each
     table to its position and `_const1` holds the positions of the constant
     maps (x,)*n, one per base element x, which is all proj(1, .) reads.
-    `_join0[x][y]` is the stage-0 join, read from the base order: the least
-    element above both x and y, or None when there is none.  The tower also
-    keeps these tables, each built on first use and held for the
-    life of the instance:
+    `_least[n]` maps the up-set of each element of stage n (0 or 1) to that
+    element, which is how joins are found; stage 0's is built here, stage
+    1's with the stage-1 up-set rows.  The tower also keeps these tables,
+    each built on first use and held for the life of the instance:
     - `_emb1`: emb(1, g) per stage-1 element g, filled one g at a time, so
-      embedding a few poles over a large base stays cheap; its entries are
-      the canonical constant maps of `stage1`, not copies;
+      embedding a few poles over a large base stays cheap; each is a probe,
+      a table whose entries are the canonical constant maps of `stage1`,
+      not copies;
     - `_up1`: the stage-1 order as one up-set row per stage-1 element (the
       frozenset of the elements above it), built whole on first use by
-      leq(1, ...), leq(2, ...) or up_set(1, ...), whose arguments and
-      entries must therefore be stage-1 elements;
+      leq(1, ...), leq(2, ...), up_set(1, ...) or a stage-1 join, whose
+      arguments and entries must therefore be stage-1 elements;
     - `_probes`: the stage2_probes() family e_1(D_1), built whole on first
-      call, one probe per stage-1 element in stage-1 order, with
-      `_probe_pos`, each probe's position keyed by its identity (sound
-      because the tower keeps its probes alive), and `_probe_proj1`, each
-      probe's proj(1, .) by position;
+      call, one probe per stage-1 element in stage-1 order;
     - `_thread_rows`: the shared canonical threads of kinfinity.stage_embed,
       as kinfinity.thread_row's lists keyed (n, depth) for stage n 0 or 1,
       one entry per element of domain(n) in order, each filled on first
@@ -165,13 +135,10 @@ class Tower:
         self.stage1_index = {t: i for i, t in enumerate(self.stage1)}
         self._const1 = tuple(self.stage1_index[self.emb(0, x)]
                              for x in range(len(base)))
-        self._join0 = tuple(tuple(_least_above_both(self, 0, x, y) for y in range(len(base)))
-                            for x in range(len(base)))
+        self._least = ({self.up_set(0, x): x for x in range(len(base))}, {})
         self._emb1: dict = {}
         self._up1: Optional[dict] = None
         self._probes: Optional[tuple] = None
-        self._probe_pos: dict = {}
-        self._probe_proj1: tuple = ()
         self._thread_rows: dict = {}
 
     def _enumerate_stage1(self) -> tuple[tuple[int, ...], ...]:
@@ -264,6 +231,7 @@ class Tower:
             for f in elems:
                 sets = sorted((above[x][v] for x, v in enumerate(f)), key=len)
                 rows[f] = sets[0].intersection(*sets[1:])
+            self._least[1].update(zip(rows.values(), rows))
             self._up1 = rows
         return self._up1
 
@@ -285,13 +253,14 @@ class Tower:
         if level == 2:
             return f[self.stage1_index[x]]
         if level == 3:
-            i = self._probe_pos.get(id(x))
-            if i is None:
+            if type(x) is not _Probe:
                 return f.eval(x)
-            # at a probe, read and fill the vector at_probes keeps
-            probed = f.probed
+            # at a probe, read and fill the vector at_probes keeps; until
+            # stage2_probes() has built them all, build no probe past this one
+            probed, i, probes = f.probed, x.pos, self._probes
             while len(probed) <= i:
-                probed.append(f.fn(self._probes[len(probed)]))
+                k = len(probed)
+                probed.append(f.fn(probes[k] if probes else self.emb(1, self.stage1[k])))
             return probed[i]
         raise CapExceeded(f"cannot apply a stage-{level} element")
 
@@ -302,15 +271,17 @@ class Tower:
         if n == 0:
             return (x,) * len(self.base)
         if n == 1:
-            table = self._emb1.get(x)
-            if table is None:
+            probe = self._emb1.get(x)
+            if probe is None:
                 # the constant maps as canonical stage-1 elements, shared by
                 # every table, so the order's lookups find them by identity
                 const = [self.stage1[i] for i in self._const1]
                 bot = self.base.bottom
                 table = tuple(const[x[u[bot]]] for u in self.stage1)
-                self._emb1[x] = table
-            return table
+                probe = _Probe(table)
+                probe.pos, probe.proj1 = self.stage1_index[x], self.proj(1, table)
+                self._emb1[x] = probe
+            return probe
         if n == 2:
             return LazyMono(lambda w: self.emb(1, self.apply(2, x, self.proj(1, w))),
                             key=("emb2", x))
@@ -321,17 +292,15 @@ class Tower:
         if n == 0:
             return u[self.base.bottom]
         if n == 1:
-            i = self._probe_pos.get(id(u))
-            if i is not None:  # one of the probes
-                return self._probe_proj1[i]
+            if type(u) is _Probe:
+                return u.proj1
             # u applied to the constant map at x, then evaluated at bottom
             bot = self.base.bottom
             return tuple(u[i][bot] for i in self._const1)
         if n == 2:
             # u at emb(1, g) for each g, which are the probes; the probe
-            # lookup of proj(1, .) is inlined, as it runs per entry
-            pos, table = self._probe_pos.get, self._probe_proj1
-            return tuple(self.proj(1, v) if (i := pos(id(v))) is None else table[i]
+            # case of proj(1, .) is inlined, as it runs per entry
+            return tuple(v.proj1 if type(v) is _Probe else self.proj(1, v)
                          for v in self.at_probes(u))
         raise CapExceeded(f"no projection representation to stage {n}")
 
@@ -369,15 +338,13 @@ class Tower:
         stage-3 map's probe vector is indexed as a stage-2 table is."""
         if self._probes is None:
             self._probes = tuple(self.emb(1, g) for g in self.stage1)
-            # built while _probe_pos is still empty, so proj(1, .) computes
-            self._probe_proj1 = tuple(self.proj(1, w) for w in self._probes)
-            self._probe_pos = {id(w): i for i, w in enumerate(self._probes)}
         return self._probes
 
     def probe_position(self, w) -> Optional[int]:
-        """The position of w in stage2_probes() when w is one of those very
-        tables; None for any other object, equal tables included."""
-        return self._probe_pos.get(id(w))
+        """The position of w in stage2_probes() when w is a probe, a table
+        built by emb(1, .); None for any other object, equal tables
+        included."""
+        return w.pos if type(w) is _Probe else None
 
     def at_probes(self, u: "LazyMono"):
         """The values of the stage-3 element u at stage2_probes(), in order.
@@ -456,49 +423,32 @@ def lub(tower: Tower, level: int, xs) -> Optional[object]:
 
 
 def _join(tower: Tower, level: int, x, y):
-    """x join y, or None when they have no least upper bound; a stage-1
-    join it computes is the canonical stage-1 element.
+    """x join y, or None when they have no least upper bound.
 
-    One lookup in the tower's join table at stage 0, pointwise above it.  A
-    pointwise join that exists at every position is monotone, so it is the
-    join on any base.  When a position has no join, a stage-1 join is read
-    from the stage-1 order instead, as the least element above both (on a
-    bounded-complete base, a flat one say, there is no upper bound at that
-    position, so the common up-set is empty).  Stage-2 joins stay pointwise,
-    so on a base that is not bounded-complete one may be None although a
-    join exists.
+    At stages 0 and 1 the join is the element whose up-set is the common
+    up-set of x and y, if there is one, read from the tower's `_least` map,
+    so a stage-1 join looked up there is the canonical stage-1 element.
+    Stage-2 joins are pointwise, so on a base that is not bounded-complete
+    one may be None although a join exists.
     """
     if x is y:
         return x
-    if level == 0:
-        return tower._join0[x][y]
     if level == 1:
         bot = tower.bottom(1)
         if x is bot:
             return y
         if y is bot:
             return x
+    if level < 2:
+        common = tower.up_set(level, x) & tower.up_set(level, y)
+        return tower._least[level].get(common)
     slots = []
     for s, t in zip(x, y):
         j = _join(tower, level - 1, s, t)
         if j is None:
-            return _least_above_both(tower, 1, x, y) if level == 1 else None
+            return None
         slots.append(j)
-    table = tuple(slots)
-    if level == 1:
-        i = tower.stage1_index.get(table)
-        if i is not None:
-            return tower.stage1[i]
-    return table
-
-
-def _least_above_both(tower: Tower, level: int, x, y):
-    """The least element of stage `level` (0 or 1) above x and y, or None
-    when there is none: the one whose up-set is the common one.  It builds
-    the stage-0 join table and is the stage-1 join where no pointwise join
-    exists."""
-    common = tower.up_set(level, x) & tower.up_set(level, y)
-    return next((z for z in common if tower.up_set(level, z) == common), None)
+    return tuple(slots)
 
 
 def step_join_sample(tower: Tower, rng: random.Random, n: int) -> list:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .domains import Tower, check_law_budget
+from .domains import CapExceeded, Tower
 from .record import record
 
 
@@ -228,6 +228,40 @@ def _check(name: str, failures: list, checked: int) -> dict:
             "detail": failures[:3]}
 
 
+# Stage-3 evaluations verify_laws may make (see check_law_budget).  The base-5
+# suite takes 2.2-2.3 us per evaluation on a 2-core shared host, and up to
+# about 3.3 us when that host is busy, so the budget is at most about 5 s of
+# laws, which leaves the rest of `kinfty check` within 10 s.  It admits base
+# 5 (629 stage-1 elements, 795 685 evaluations: 1.9-2.0 s and 25 MB for
+# `kinfty check` on that host; nearly all of it the laws, as the stage-1
+# order and the step-join sample take under 0.1 s) and refuses base 6
+# (7 781 elements, 121 142 389 evaluations).
+LAW_BUDGET = 1_500_000
+
+
+def check_law_budget(stage1_size: int) -> None:
+    """Refuse a law suite whose work exceeds LAW_BUDGET.
+
+    The work is counted in stage-3 evaluations, from the loop bounds of
+    verify_laws at depth 3 with no sample threads, and the count is exact
+    on a fresh Tower (on one whose shared threads already hold their probe
+    values the suite makes fewer).  With s stage-1 elements, each stage-3
+    map the suite reads is evaluated once at each of the s probes e_1(D_1):
+    the tops of the s embedded stage-1 elements and of the bottom thread
+    (read by their reifications), the s + 1 reified restrictions of the
+    stagewise and retract laws, and the 5 reified endomaps of the section
+    law.  The density chain fills no further map, since it orders tops with
+    one construction key by the key.  That is s(2s + 7): 319 at base 3,
+    9 447 at base 4 and 795 685 at base 5.
+    """
+    work = stage1_size * (2 * stage1_size + 7)
+    if work > LAW_BUDGET:
+        raise CapExceeded(
+            f"the law suite over a stage 1 of {stage1_size} elements needs an "
+            f"estimated {work} stage-3 evaluations, above the budget of "
+            f"{LAW_BUDGET}")
+
+
 def verify_laws(tower: Tower, depth: int = 3,
                 sample_threads: Optional[list] = None) -> dict:
     """Run the exact application/retract/section/density checks at this depth.
@@ -238,7 +272,6 @@ def verify_laws(tower: Tower, depth: int = 3,
     if depth < 2:
         raise DepthTooSmall("the law suite needs depth >= 2")
     check_law_budget(len(tower.stage1))
-    tower.stage2_probes()  # so stage-3 application at a probe uses the probe vectors
     checks = []
     embeds1 = [stage_embed(tower, 1, u, depth) for u in tower.stage1]
     bottom = bottom_thread(tower, depth)

@@ -18,16 +18,13 @@ def tower():
 
 @pytest.fixture(scope="session")
 def mismatches():
-    """kref.diff of a fresh Tower, run once per base order in a session.
-
-    mismatches(base, *ops) lists the mismatches of the named operations, an
-    op being a name or an (operation, stage) pair, or all of them when no op
-    is named."""
+    """mismatches(base) is kref.diff of a fresh Tower over base, run once per
+    base order in a session."""
     runs = {}
 
-    def view(base, *ops):
+    def diff(base):
         key = (base.leq, base.bottom)
         if key not in runs:
             runs[key] = kref.diff(Tower(base))
-        return [m for m in runs[key] if not ops or m[0] in ops or m[:2] in ops]
-    return view
+        return runs[key]
+    return diff

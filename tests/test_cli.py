@@ -157,28 +157,58 @@ def test_cli_kinfty_stdout_pinned(capsys, base_size, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("argv, digest", [
+LOOPING = "(\\x. x x x) (\\x. x x x)"
+
+# (argv, sha256 of stdout, exit code)
+STDOUT_PINS = [
     # shell_word and word_of run on the assoc path, pentagon_words on the
     # pentagon one
     (["coherence", "assoc", "--seed", "0"],
-     "aaa3943be60c5d6928bb83c18d5df833e7a267ba9317d98eba87175d588c992a"),
+     "aaa3943be60c5d6928bb83c18d5df833e7a267ba9317d98eba87175d588c992a", 0),
     (["coherence", "assoc", "--span"],
-     "a4d6ea7111c5c5702ffea0ede8aee55556c4928e4596cb7ed1aa0ca9deaab82e"),
+     "a4d6ea7111c5c5702ffea0ede8aee55556c4928e4596cb7ed1aa0ca9deaab82e", 0),
     (["coherence", "pentagon", "--seed", "3"],
-     "aaabe50ba379a02f5a2cee2da02ed75e6298dad35060b828811e7e5d6eba3bc4"),
+     "aaabe50ba379a02f5a2cee2da02ed75e6298dad35060b828811e7e5d6eba3bc4", 0),
+    # the witness runs read the shared stage-0 thread row at depths 1 and 2
+    (["witness", "beta", "--depth", "1"],
+     "3377d354460cc867dfd51f965633ff73c51be5e958f0fa5ec1e8bc1f4d96bf1d", 0),
     (["witness", "beta", "--depth", "2"],
-     "9ad820377cfb5de433e1076cf30a42a45aec34647b314a0bc0853278b24d9cad"),
+     "9ad820377cfb5de433e1076cf30a42a45aec34647b314a0bc0853278b24d9cad", 0),
     # thread comparisons below the top stage: a depth-2 law suite and the
     # depth-1 witness separation
     (["kinfty", "check", "--depth", "2", "--base-size", "4", "--seed", "5"],
-     "b84c7a6af0ea1d13420d9ec044acaf4e296b0bedb8c8a3971a922bbbad7033b3"),
+     "b84c7a6af0ea1d13420d9ec044acaf4e296b0bedb8c8a3971a922bbbad7033b3", 0),
     (["witness", "eta", "--depth", "1"],
-     "81468c262c60d2a7cbfb01b229255c79998e547b955e31e05d4a064e26d96ff9"),
-], ids=" ".join)
-def test_cli_stdout_pinned(capsys, argv, digest):
-    code = main(argv)
+     "81468c262c60d2a7cbfb01b229255c79998e547b955e31e05d4a064e26d96ff9", 0),
+    # the law suite at the default seed: base 4 at depths 3 and 2, and base
+    # 5, the largest base the law budget admits
+    (["kinfty", "check", "--base-size", "4"],
+     "2ecf74cbaaec9a08eb710ba588628d2bc28c6a9c70155f5314a4cbc6f97fe31e", 0),
+    (["kinfty", "check", "--depth", "2", "--base-size", "4"],
+     "03e40a228820f0d646f49e37761637866c7a39213d3c7d88d3b1e565a0ce7088", 0),
+    (["kinfty", "check", "--base-size", "5"],
+     "c46aa886257cdedfea68c29aca1b8f4053c09a7943bf823e4ad75d1a507cd33b", 0),
+    # the README fingerprints stop at maxdim 9; maxdim 15 is the largest the
+    # CLI accepts and takes realization through every cell joint
+    (["tower-check", "--maxdim", "15", "--seed", "0"],
+     "be7f01ddc1874e9e9e70b909f0a097368e8c9ce4f354ad9d1a31bf8f1008d201", 0),
+    # fuel 2000 takes the redex search past depth 1000, so a walk that loses
+    # the leftmost-outermost order on a deep spine fails here
+    (["reduce", LOOPING, "--fuel", "1000"],
+     "9dd4561a8bc0c09fd8d769036244c86ada29cdd757a071aa775e900c5fd75f4f", 1),
+    (["reduce", LOOPING, "--fuel", "2000"],
+     "5fe898358611ea1bde595fe3afbde452c069076b07462a1d403142b289d5184c", 1),
+]
+
+
+# an id is the argv, then the digest letter by letter
+@pytest.mark.parametrize("argv, digest, code", STDOUT_PINS,
+                         ids=[" ".join(argv) + "-" + " ".join(digest)
+                              for argv, digest, _ in STDOUT_PINS])
+def test_cli_stdout_pinned(capsys, argv, digest, code):
+    got = main(argv)
     out = capsys.readouterr().out
-    assert (hashlib.sha256(out.encode()).hexdigest(), code) == (digest, 0)
+    assert (hashlib.sha256(out.encode()).hexdigest(), got) == (digest, code)
 
 
 def _error(capsys, argv):
@@ -271,9 +301,10 @@ def test_cli_sequences_file_roundtrip(capsys, tmp_path):
 
 def test_cli_tower_check_maxdim_cap(capsys):
     error = _error(capsys, ["tower-check", "--maxdim", str(MAX_TOWER_DIM + 1)])
-    assert f"cap of {MAX_TOWER_DIM}" in error
+    assert error == f"--maxdim {MAX_TOWER_DIM + 1} is above the maximum of {MAX_TOWER_DIM}"
     # refused before any work: maxdim 40 used to run without end
-    assert f"cap of {MAX_TOWER_DIM}" in _error(capsys, ["tower-check", "--maxdim", "40"])
+    assert _error(capsys, ["tower-check", "--maxdim", "40"]) == \
+        f"--maxdim 40 is above the maximum of {MAX_TOWER_DIM}"
 
 
 def _no_work(*args, **kwargs):
