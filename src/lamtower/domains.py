@@ -92,8 +92,8 @@ class MonoMap:
 
 class _Probe(tuple):
     """A probe e_1(g): the table emb(1, g) of a stage-1 element g, carrying
-    g's stage-1 position (`pos`) and its own p_1 value (`proj1`), both set
-    once by Tower.emb.  A plain tuple equal to a probe is not a probe."""
+    g's stage-1 position (`pos`), set once by Tower.emb.  Its p_1 value is g
+    itself.  A plain tuple equal to a probe is not a probe."""
 
 
 class Tower:
@@ -255,13 +255,12 @@ class Tower:
         if level == 3:
             if type(x) is not _Probe:
                 return f.eval(x)
-            # at a probe, read and fill the vector at_probes keeps; until
-            # stage2_probes() has built them all, build no probe past this one
-            probed, i, probes = f.probed, x.pos, self._probes
-            while len(probed) <= i:
-                k = len(probed)
-                probed.append(f.fn(probes[k] if probes else self.emb(1, self.stage1[k])))
-            return probed[i]
+            # at a probe, read and fill the vector at_probes keeps, building
+            # no probe past this one
+            probed = f.probed
+            while len(probed) <= x.pos:
+                probed.append(f.fn(self.emb(1, self.stage1[len(probed)])))
+            return probed[x.pos]
         raise CapExceeded(f"cannot apply a stage-{level} element")
 
     # -- projection pairs --------------------------------------------------
@@ -278,9 +277,8 @@ class Tower:
                 const = [self.stage1[i] for i in self._const1]
                 bot = self.base.bottom
                 table = tuple(const[x[u[bot]]] for u in self.stage1)
-                probe = _Probe(table)
-                probe.pos, probe.proj1 = self.stage1_index[x], self.proj(1, table)
-                self._emb1[x] = probe
+                probe = self._emb1[x] = _Probe(table)
+                probe.pos = self.stage1_index[x]
             return probe
         if n == 2:
             return LazyMono(lambda w: self.emb(1, self.apply(2, x, self.proj(1, w))),
@@ -292,15 +290,15 @@ class Tower:
         if n == 0:
             return u[self.base.bottom]
         if n == 1:
-            if type(u) is _Probe:
-                return u.proj1
+            if type(u) is _Probe:  # p_1 e_1 is the identity
+                return self.stage1[u.pos]
             # u applied to the constant map at x, then evaluated at bottom
             bot = self.base.bottom
             return tuple(u[i][bot] for i in self._const1)
         if n == 2:
             # u at emb(1, g) for each g, which are the probes; the probe
             # case of proj(1, .) is inlined, as it runs per entry
-            return tuple(v.proj1 if type(v) is _Probe else self.proj(1, v)
+            return tuple(self.stage1[v.pos] if type(v) is _Probe else self.proj(1, v)
                          for v in self.at_probes(u))
         raise CapExceeded(f"no projection representation to stage {n}")
 

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import random
@@ -622,8 +624,9 @@ def test_unequal_comparison_reads_no_further_than_first_difference(tower, fill):
 # -- base 5 is admitted: its whole law suite, once per session ---------------
 
 @pytest.fixture(scope="module")
-def base5_suite():
-    """One base-5 verify_laws with its stage-3 evaluations counted."""
+def base5_check():
+    """One `kinfty check --base-size 5` at the default seed: its exit code,
+    its stdout as parsed JSON and as a digest, and its stage-3 evaluations."""
     evaluations = [0]
     init = LazyMono.__init__
 
@@ -633,21 +636,32 @@ def base5_suite():
             return fn(w)
         init(self, counted, key)
 
-    with pytest.MonkeyPatch.context() as mp:
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
         mp.setattr(LazyMono, "__init__", counting_init)
-        t = _tower(5)
-        report = verify_laws(t, depth=3)
-    return report, evaluations[0], len(t.base), len(t.stage1)
+        code = main(["kinfty", "check", "--base-size", "5"])
+    out = out.getvalue()
+    return (code, json.loads(out), hashlib.sha256(out.encode()).hexdigest(),
+            evaluations[0])
 
 
-def test_verify_laws_base5_passes_every_law(base5_suite):
-    report, _, _, _ = base5_suite
-    assert report == _law_report((398786, 630, 3170, 629))
+def test_kinfty_check_base5_stdout_pinned(base5_check):
+    # the largest base the law budget admits
+    code, _, digest, _ = base5_check
+    assert (code, digest) == (
+        0, "c46aa886257cdedfea68c29aca1b8f4053c09a7943bf823e4ad75d1a507cd33b")
 
 
-def test_verify_laws_base5_evaluation_count(base5_suite):
+def test_verify_laws_base5_passes_every_law(base5_check):
+    _, report, _, _ = base5_check
+    laws = _law_report((398786, 630, 3170, 629))
+    assert (report["result"]["depth"], report["checks"][:4]) == (3, laws["checks"])
+
+
+def test_verify_laws_base5_evaluation_count(base5_check):
     # exactly the budget estimate
-    _, evaluations, base, s = base5_suite
+    _, report, _, evaluations = base5_check
+    base, s = len(report["result"]["base"]), report["result"]["stage1_size"]
     assert (base, s) == (5, 629)
     assert evaluations == 795_685 == s * (2 * s + 7)
     check_law_budget(s)
