@@ -210,8 +210,19 @@ def _render_letter(l: F.Letter) -> str:
 # ---------------------------------------------------------------------------
 # Subcommands.
 
+# Largest --fuel reduce and pi0 accept.  The looping term (\x. x x x)
+# (\x. x x x) grows at every step, so a run costs more than the square of
+# its fuel: as a CLI process, `reduce` on it took 0.61 / 2.25 / 4.3-4.9 /
+# 7.5 / 9.1 s and 19 / 31 / 51 / 64 / 78 MB at fuel 1 000 / 2 000 / 3 000 /
+# 3 500 / 4 000 on a loaded day of a 2-core shared Xeon host (Python 3.11.7),
+# and 10.2 s at 4 000 and 17.2 s at 5 000 on another such day.  At the cap it
+# finishes within 10 s with room to spare; `pi0` stops at the first term that
+# runs out of fuel, so it costs the same on it.
+MAX_FUEL = 3000
+
+
 def cmd_reduce(args) -> int:
-    _check_bounds("--fuel", args.fuel, least=0)
+    _check_bounds("--fuel", args.fuel, least=0, most=MAX_FUEL)
     t = parse_term(args.term)
     checks = []
     try:
@@ -230,7 +241,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_pi0(args) -> int:
-    _check_bounds("--fuel", args.fuel, least=0)
+    _check_bounds("--fuel", args.fuel, least=0, most=MAX_FUEL)
     t1, t2 = parse_term_pair(args.term1, args.term2)
     checks = []
     try:
@@ -370,10 +381,10 @@ def cmd_tower_check(args) -> int:
 # Largest --samples kinfty check accepts.  The step-join sample makes up to
 # 40 attempts per join and keeps only distinct joins; base size 3 has 3 331 of
 # them, so past about 3 000 the attempts run out, however fast a join is.  At
-# 1 000, sampling plus the stage-1 projection-pair check took 0.02 s at base
-# size 3 and 0.04 s at 4 (2-core host); at 5 a join with its two step maps
-# costs about 0.2 ms, so the default 200 takes about 0.07 s there and 1 000
-# about 0.3 s.
+# 1 000, sampling plus the stage-1 projection-pair check took 0.02-0.04 s at
+# base size 3 and 0.04-0.06 s at 4 (busy 2-core shared host); at 5 a join
+# with its two step maps costs 0.16-0.18 ms, so the default 200 takes
+# 0.07-0.10 s there and 1 000 about 0.25 s.
 MAX_JOIN_SAMPLES = 1000
 
 

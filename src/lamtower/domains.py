@@ -2,9 +2,11 @@
 
 Stage 0 is any finite poset with a bottom (the CLI builds the flat one, with
 labeled poles); stage n+1 consists of monotone self-maps of stage n under the
-pointwise order.  Stages 0 and 1 are fully enumerated; stage 2 elements are
-explicit tables over the stage-1 enumeration; stage 3 elements are
-evaluation-backed maps (no global enumeration exists at that size).
+pointwise order.  Stages 0 and 1 are fully enumerated, and an element of
+either is its position in the enumeration (a stage-1 element's table is in
+Tower.stage1_tables); stage 2 elements are explicit tables of stage-1
+positions; stage 3 elements are evaluation-backed maps (no global
+enumeration exists at that size).
 Projection pairs are the constant/evaluate-at-bottom seeds lifted
 functorially.
 """
@@ -92,34 +94,34 @@ class MonoMap:
 
 class _Probe(tuple):
     """A probe e_1(g): the table emb(1, g) of a stage-1 element g, carrying
-    g's stage-1 position (`pos`), set once by Tower.emb.  Its p_1 value is g
-    itself.  A plain tuple equal to a probe is not a probe."""
+    g itself (`pos`), set once by Tower.emb; p_1 e_1 is the identity, so
+    that is its p_1 value.  A plain tuple equal to a probe is not a probe."""
 
 
 class Tower:
     """The stage tower over one finite pointed base, with projection pairs.
 
-    Element representations: stage 0 is an index into the base; stage 1 is a
-    table over base indices; stage 2 is a table over the canonical stage-1
-    enumeration whose entries are stage-1 tables; stage 3 is a LazyMono
-    evaluated at stage-2 tables on demand.  Only the tower reads them: other
-    code builds, applies, orders and compares elements through its methods.
+    Element representations: stage 0 is an index into the base; stage 1 is
+    a position in the sorted enumeration of the monotone tables over base
+    indices, `stage1` being range(s) as a tuple and `stage1_tables` (read
+    only) the tables; stage 2 is a table of stage-1 positions, indexed by
+    stage-1 position; stage 3 is a LazyMono evaluated at stage-2 tables on
+    demand.  Only the tower reads them: other code builds, applies, orders
+    and compares elements through its methods.
 
     Construction enumerates stage 1 and indexes it: `stage1_index` maps each
-    table to its position and `_const1` holds the positions of the constant
-    maps (x,)*n, one per base element x, which is all proj(1, .) reads.
-    `_least[n]` maps the up-set of each element of stage n (0 or 1) to that
-    element, which is how joins are found; stage 0's is built here, stage
-    1's with the stage-1 up-set rows.  The tower also keeps these tables,
-    each built on first use and held for the life of the instance:
+    table to its position, read only where a table becomes an element
+    (tabulate(0, .) and proj(1, .) off the probes), and `_const1` holds the
+    positions of the constant maps, one per base element, which is emb(0,
+    .).  `_least[n]` maps the up-set of each element of stage n (0 or 1) to
+    that element, which is how joins are found; stage 0's is built here,
+    stage 1's with the stage-1 up-set rows.  The tower also keeps these
+    tables, each built on first use and held for the life of the instance:
     - `_emb1`: emb(1, g) per stage-1 element g, filled one g at a time, so
-      embedding a few poles over a large base stays cheap; each is a probe,
-      a table whose entries are the canonical constant maps of `stage1`,
-      not copies;
-    - `_up1`: the stage-1 order as one up-set row per stage-1 element (the
-      frozenset of the elements above it), built whole on first use by
-      leq(1, ...), leq(2, ...), up_set(1, ...) or a stage-1 join, whose
-      arguments and entries must therefore be stage-1 elements;
+      embedding a few poles over a large base stays cheap; each is a probe;
+    - `_up1`: the stage-1 order as one up-set row per stage-1 position (the
+      frozenset of the positions above it), built whole on first use by
+      leq(1, ...), leq(2, ...), up_set(1, ...) or a stage-1 join;
     - `_probes`: the stage2_probes() family e_1(D_1), built whole on first
       call, one probe per stage-1 element in stage-1 order;
     - `_thread_rows`: the shared canonical threads of kinfinity.stage_embed,
@@ -131,13 +133,14 @@ class Tower:
 
     def __init__(self, base: FinPoset):
         self.base = base
-        self.stage1 = self._enumerate_stage1()
-        self.stage1_index = {t: i for i, t in enumerate(self.stage1)}
-        self._const1 = tuple(self.stage1_index[self.emb(0, x)]
+        self.stage1_tables = self._enumerate_stage1()
+        self.stage1 = tuple(range(len(self.stage1_tables)))
+        self.stage1_index = {t: i for i, t in enumerate(self.stage1_tables)}
+        self._const1 = tuple(self.stage1_index[(x,) * len(base)]
                              for x in range(len(base)))
         self._least = ({self.up_set(0, x): x for x in range(len(base))}, {})
         self._emb1: dict = {}
-        self._up1: Optional[dict] = None
+        self._up1: Optional[tuple] = None
         self._probes: Optional[tuple] = None
         self._thread_rows: dict = {}
 
@@ -166,13 +169,10 @@ class Tower:
     def leq(self, level: int, a, b) -> bool:
         """a <= b in stage `level`, for a and b elements of that stage.
 
-        In stages 1 and 2 an element is reflexively below itself without a
-        lookup (`a is b`), and otherwise the answer is read from the up-set
-        rows of the stage-1 order.  Both are exact only for stage elements:
-        a table that is not one may compare as below itself, and a stage-1
-        argument of leq(1, ...) or entry of leq(2, ...) that is not a
-        stage-1 element raises KeyError.
-
+        In stages 1 and 2 the answer is read from the up-set rows of the
+        stage-1 order: a stage-2 element is below itself by identity, two
+        probes compare as their positions, and other stage-2 elements slot
+        by slot.
         At stage 3 it decides less than the order of maps: one map, or two
         with equal construction keys (both emb(2, w) for one w), are below;
         others are compared pointwise at the s probes e_1(D_1) only, s the
@@ -183,11 +183,13 @@ class Tower:
         if level == 0:
             return self.base.leq[a][b]
         if level == 1:
-            return a is b or b in (self._up1 or self._stage1_up())[a]
+            return b in (self._up1 or self._stage1_up())[a]
         if level == 2:
             if a is b:
                 return True
             rows = self._up1 or self._stage1_up()
+            if type(a) is _Probe and type(b) is _Probe:  # e_1 is an order embedding
+                return b.pos in rows[a.pos]
             return all(map(frozenset.__contains__, map(rows.__getitem__, a), b))
         if level == 3:
             if a is b or (a.key is not None and a.key == b.key):
@@ -215,31 +217,29 @@ class Tower:
             return (self._up1 or self._stage1_up())[a]
         raise CapExceeded(f"no up-sets in stage {level}")
 
-    def _stage1_up(self) -> dict:
-        """The stage-1 order as up-set rows: each element maps to the
-        frozenset of the elements above it.
+    def _stage1_up(self) -> tuple:
+        """The stage-1 order as up-set rows: row f is the frozenset of the
+        positions of the elements above f.
 
-        g is above f when f(x) <= g(x) at every position x, so f's row is
+        g is above f when f(x) <= g(x) at every base index x, so f's row is
         the intersection over x of the elements whose value at x is above
-        f(x): one per-position value set per (x, f(x)), smallest first.
+        f(x): one per-index value set per (x, f(x)), smallest first.
         """
         if self._up1 is None:
-            n, leq0, elems = len(self.base), self.base.leq, self.stage1
-            above = [[frozenset(g for g in elems if leq0[v][g[x]]) for v in range(n)]
-                     for x in range(n)]
-            rows = {}
-            for f in elems:
-                sets = sorted((above[x][v] for x, v in enumerate(f)), key=len)
-                rows[f] = sets[0].intersection(*sets[1:])
-            self._least[1].update(zip(rows.values(), rows))
+            n, leq0, tables = len(self.base), self.base.leq, self.stage1_tables
+            above = [[frozenset(i for i in self.stage1 if leq0[v][tables[i][x]])
+                      for v in range(n)] for x in range(n)]
+            rows = tuple(frozenset.intersection(*sorted(map(
+                list.__getitem__, above, f), key=len)) for f in tables)
+            self._least[1].update(zip(rows, self.stage1))
             self._up1 = rows
         return self._up1
 
     def bottom(self, level: int):
         if level == 0:
             return self.base.bottom
-        if level == 1:  # the canonical stage-1 element, so `is` finds it
-            return self.stage1[self._const1[self.base.bottom]]
+        if level == 1:
+            return self._const1[self.base.bottom]
         if level == 2:
             return (self.bottom(1),) * len(self.stage1)
         raise CapExceeded("no bottom representation above stage 2")
@@ -249,9 +249,9 @@ class Tower:
     def apply(self, level: int, f, x):
         """Apply a stage-`level` element (level >= 1) to a stage-(level-1) one."""
         if level == 1:
-            return f[x]
+            return self.stage1_tables[f][x]
         if level == 2:
-            return f[self.stage1_index[x]]
+            return f[x]
         if level == 3:
             if type(x) is not _Probe:
                 return f.eval(x)
@@ -259,7 +259,7 @@ class Tower:
             # no probe past this one
             probed = f.probed
             while len(probed) <= x.pos:
-                probed.append(f.fn(self.emb(1, self.stage1[len(probed)])))
+                probed.append(f.fn(self.emb(1, len(probed))))
             return probed[x.pos]
         raise CapExceeded(f"cannot apply a stage-{level} element")
 
@@ -268,17 +268,13 @@ class Tower:
     def emb(self, n: int, x):
         """f_n^+ : stage n -> stage n+1."""
         if n == 0:
-            return (x,) * len(self.base)
+            return self._const1[x]
         if n == 1:
             probe = self._emb1.get(x)
             if probe is None:
-                # the constant maps as canonical stage-1 elements, shared by
-                # every table, so the order's lookups find them by identity
-                const = [self.stage1[i] for i in self._const1]
-                bot = self.base.bottom
-                table = tuple(const[x[u[bot]]] for u in self.stage1)
-                probe = self._emb1[x] = _Probe(table)
-                probe.pos = self.stage1_index[x]
+                const, g, bot = self._const1, self.stage1_tables[x], self.base.bottom
+                probe = self._emb1[x] = _Probe(const[g[u[bot]]] for u in self.stage1_tables)
+                probe.pos = x
             return probe
         if n == 2:
             return LazyMono(lambda w: self.emb(1, self.apply(2, x, self.proj(1, w))),
@@ -288,26 +284,30 @@ class Tower:
     def proj(self, n: int, u):
         """f_n^- : stage n+1 -> stage n."""
         if n == 0:
-            return u[self.base.bottom]
+            return self.stage1_tables[u][self.base.bottom]
         if n == 1:
             if type(u) is _Probe:  # p_1 e_1 is the identity
-                return self.stage1[u.pos]
+                return u.pos
             # u applied to the constant map at x, then evaluated at bottom
-            bot = self.base.bottom
-            return tuple(u[i][bot] for i in self._const1)
+            bot, tables = self.base.bottom, self.stage1_tables
+            return self.stage1_index[tuple(tables[u[i]][bot] for i in self._const1)]
         if n == 2:
-            # u at emb(1, g) for each g, which are the probes; the probe
-            # case of proj(1, .) is inlined, as it runs per entry
-            return tuple(self.stage1[v.pos] if type(v) is _Probe else self.proj(1, v)
-                         for v in self.at_probes(u))
+            # u at emb(1, g) for each g, which are the probes, all read, so
+            # filled in one pass; the probe case of proj(1, .) is inlined
+            probed = u.probed
+            probed.extend(map(u.fn, self.stage2_probes()[len(probed):]))
+            return tuple([v.pos if type(v) is _Probe else self.proj(1, v) for v in probed])
         raise CapExceeded(f"no projection representation to stage {n}")
 
     def tabulate(self, n: int, fn: Callable):
         """The stage-(n+1) element x |-> fn(x), for fn monotone on stage n:
-        a table over domain(n) for n <= 1, and at n = 2 a LazyMono that
-        evaluates fn only when applied or compared."""
-        if n <= 1:
-            return tuple(map(fn, self.domain(n)))
+        the stage-1 position of its table at n = 0, a table over stage 1 at
+        n = 1, and at n = 2 a LazyMono that evaluates fn only when applied
+        or compared."""
+        if n == 0:
+            return self.stage1_index[tuple(map(fn, self.domain(0)))]
+        if n == 1:
+            return tuple(map(fn, self.stage1))
         if n == 2:
             return LazyMono(fn)
         raise CapExceeded(f"no tabulation over stage {n}")
@@ -318,11 +318,8 @@ class Tower:
         dom = self.domain(level)
         if len(table) != len(dom):
             raise ValueError("table length must match the stage enumeration")
-        # leq's reflexive shortcut holds only for stage elements, so an entry
-        # outside the stage must be caught here, not by the order lookups
-        elements = self.stage1_index if level == 1 else range(len(dom))
         for t in table:
-            if t not in elements:
+            if t not in range(len(dom)):
                 raise ValueError(f"table entry {t!r} is not a stage-{level} element")
         if not self._monotone_table(level, table):
             raise ValueError("table is not monotone")
@@ -335,7 +332,7 @@ class Tower:
         table emb(1, g) of each stage-1 element g in stage-1 order, so a
         stage-3 map's probe vector is indexed as a stage-2 table is."""
         if self._probes is None:
-            self._probes = tuple(self.emb(1, g) for g in self.stage1)
+            self._probes = tuple(map(partial(self.emb, 1), self.stage1))
         return self._probes
 
     def probe_position(self, w) -> Optional[int]:
@@ -348,10 +345,10 @@ class Tower:
         """The values of the stage-3 element u at stage2_probes(), in order.
 
         Each value is computed once per u and kept on it (`u.probed`), which
-        apply(3, u, w) at a probe w reads and fills too.  A full vector is
-        returned as it is; a partial one fills only as far as a caller
-        reads, so a comparison that stops at its first differing probe
-        evaluates no further.
+        apply(3, u, w) at a probe w and proj(2, u) read and fill too.  A
+        full vector is returned as it is; a partial one fills only as far as
+        a caller reads, so a comparison that stops at its first differing
+        probe evaluates no further.
         """
         probes = self.stage2_probes()
         if len(u.probed) == len(probes):
@@ -370,8 +367,8 @@ class Tower:
 class LazyMono:
     """A stage-3 element backed by evaluation, memoized; carries an optional
     construction key so embedded elements compare exactly.  `probed` holds
-    its values at the probe family, a prefix filled by Tower.at_probes and
-    Tower.apply; `memo` holds its values at any other argument."""
+    its values at the probe family, a prefix filled by Tower.at_probes,
+    Tower.apply and Tower.proj; `memo` holds its values at any other argument."""
 
     def __init__(self, fn: Callable, key=None):
         self.fn = fn
@@ -393,8 +390,8 @@ def enumerate_stage(tower: Tower, n: int) -> Stage:
     if n == 1:
         elems = tower.stage1
         leq = tuple(tuple(tower.leq(1, a, b) for b in elems) for a in elems)
-        labels = tuple("map" + "".join(str(i) for i in t) for t in elems)
-        poset = FinPoset(labels, leq, elems.index(tower.bottom(1)))
+        labels = tuple("map" + "".join(map(str, t)) for t in tower.stage1_tables)
+        poset = FinPoset(labels, leq, tower.bottom(1))
         return Stage(1, elems, poset)
     raise CapExceeded(f"no enumeration implemented for stage {n}")
 
@@ -403,7 +400,7 @@ def step_map(tower: Tower, level: int, a, b):
     """The compact step map at `level`: x maps to b when a <= x, else bottom."""
     above = tower.up_set(level, a)
     bot = tower.bottom(level)
-    return tuple(b if x in above else bot for x in tower.domain(level))
+    return tower.tabulate(level, lambda x: b if x in above else bot)
 
 
 def lub(tower: Tower, level: int, xs) -> Optional[object]:
@@ -424,8 +421,7 @@ def _join(tower: Tower, level: int, x, y):
     """x join y, or None when they have no least upper bound.
 
     At stages 0 and 1 the join is the element whose up-set is the common
-    up-set of x and y, if there is one, read from the tower's `_least` map,
-    so a stage-1 join looked up there is the canonical stage-1 element.
+    up-set of x and y, if there is one, read from the tower's `_least` map.
     Stage-2 joins are pointwise, so on a base that is not bounded-complete
     one may be None although a join exists.
     """
@@ -433,9 +429,9 @@ def _join(tower: Tower, level: int, x, y):
         return x
     if level == 1:
         bot = tower.bottom(1)
-        if x is bot:
+        if x == bot:
             return y
-        if y is bot:
+        if y == bot:
             return x
     if level < 2:
         common = tower.up_set(level, x) & tower.up_set(level, y)

@@ -71,23 +71,21 @@ def thread_le(x: Thread, y: Thread) -> bool:
 def stage_embed(tower: Tower, n: int, u, depth: int) -> Thread:
     """The canonical embedding of a stage-n element: project below, embed above.
 
-    A stage-0 or stage-1 element gets its thread of thread_row(tower, n,
-    depth), an entry built on first use and shared, so the values its top
-    coordinate caches are computed once.  One of the tower's own probe
-    tables e_1(g) gets g's thread of the stage-1 row: p_1 e_1 = id, so the
-    two threads are equal coordinatewise, coordinate 2 being the probe
-    itself.  Any other input, a table equal to a probe included, gets a
-    fresh thread.
+    A stage-0 or stage-1 element, a position, gets its thread of
+    thread_row(tower, n, depth), the entry at that position, built on first
+    use and shared, so the values its top coordinate caches are computed
+    once.  One of the tower's own probe tables e_1(g) gets g's thread of the
+    stage-1 row: p_1 e_1 = id, so the two threads are equal coordinatewise,
+    coordinate 2 being the probe itself.  Any other input, a table equal to
+    a probe included, gets a fresh thread.
     """
     if n > depth:
         raise DepthTooSmall(f"cannot embed stage {n} at depth {depth}")
     # the probe case first: app's result is almost always a probe table
     if n == 2:
         pos, m = tower.probe_position(u), 1
-    elif n == 1 and type(u) is tuple:
-        pos, m = tower.stage1_index.get(u), 1
-    elif n == 0 and type(u) is int and 0 <= u < len(tower.base):
-        pos, m = u, 0
+    elif n < 2:
+        pos, m = u, n
     else:
         pos = None
     if pos is None:
@@ -229,13 +227,13 @@ def _check(name: str, failures: list, checked: int) -> dict:
 
 
 # Stage-3 evaluations verify_laws may make (see check_law_budget).  The base-5
-# suite takes 2.2-2.3 us per evaluation on a 2-core shared host, and up to
-# about 3.3 us when that host is busy, so the budget is at most about 5 s of
-# laws, which leaves the rest of `kinfty check` within 10 s.  It admits base
-# 5 (629 stage-1 elements, 795 685 evaluations: 1.9-2.0 s and 25 MB for
-# `kinfty check` on that host; nearly all of it the laws, as the stage-1
-# order and the step-join sample take under 0.1 s) and refuses base 6
-# (7 781 elements, 121 142 389 evaluations).
+# suite takes 2.3-3.2 us per evaluation on a busy 2-core shared host, so the
+# budget is at most about 5 s of laws, which leaves the rest of `kinfty
+# check` within 10 s.  It admits base 5 (629 stage-1 elements, 795 685
+# evaluations: 1.9-2.7 s and 24-25 MB for `kinfty check` on that host;
+# nearly all of it the laws, as the stage-1 order and the step-join sample
+# take 0.04-0.05 s) and refuses base 6 (7 781 elements, 121 142 389
+# evaluations).
 LAW_BUDGET = 1_500_000
 
 
@@ -299,10 +297,11 @@ def verify_laws(tower: Tower, depth: int = 3,
             continue
         if x is not bottom:
             for n in stages:
-                for y, lhs in zip(tower.domain(n), rx.coords[n + 1]):
+                r = rx.coords[n + 1]  # a stage-1 element's entries are its table's
+                for y, lhs in zip(tower.domain(n), r if n else tower.stage1_tables[r]):
                     if lhs != tower.apply(n + 1, x.coords[n + 1], y):
-                        stagewise[n].append(
-                            {"law": "stagewise-app", "n": n, "y": str(y)})
+                        stagewise[n].append({"law": "stagewise-app", "n": n,
+                                             "y": str(tower.stage1_tables[y] if n else y)})
         if not thread_eq(rx, x):
             retract.append({"law": "retract", "x": repr(x)})
     count = len(embeds1) * sum(len(tower.domain(n)) for n in stages)

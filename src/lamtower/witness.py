@@ -6,10 +6,11 @@ The span is hard-coded: source (\\z. x z) y and target x y under the
 encoding x -> #0, y -> #1.  The language has the two direct one-step
 witnesses, the two reflexivities, and composition; there is no inverse.
 
-Swapping sR1 and sL1 is an automorphism of the flat base, and it takes the
-beta class's point to the eta class's, so no order-invariant property of
-the model tells the two apart: the classes are told apart only by the fixed
-interpretation, which sends each class to its pole.
+Swapping sR1 and sL1 is an automorphism of the flat base, and its lift to
+the stages takes the beta class's point to the eta class's, so no
+order-invariant property of the model tells the two apart.  The separation
+comes from the fixed interpretation, which sends each class to its pole: the
+paper's "deliberately fixed forward witness language", not the model.
 """
 
 from __future__ import annotations

@@ -213,7 +213,7 @@ def test_criterion_7_projection_pairs():
     brute = [t for t in itertools.product(range(3), repeat=3)
              if all(not leq0(i, j) or leq0(t[i], t[j])
                     for i in range(3) for j in range(3))]
-    count_ok = len(brute) == 11 and set(brute) == set(tower.stage1)
+    count_ok = len(brute) == 11 and set(brute) == set(tower.stage1_tables)
 
     retract_bad = 0
     for x in range(3):

@@ -6,9 +6,9 @@ import pytest
 
 from lamtower import cli, completion, serialize
 from lamtower.cells import seq_invert
-from lamtower.cli import (MAX_BASE_SIZE, MAX_JOIN_SAMPLES, MAX_TOWER_DIM,
-                          MAX_TOWER_SAMPLES, ParseError, main, parse_term,
-                          parse_witness)
+from lamtower.cli import (MAX_BASE_SIZE, MAX_FUEL, MAX_JOIN_SAMPLES,
+                          MAX_TOWER_DIM, MAX_TOWER_SAMPLES, ParseError, main,
+                          parse_term, parse_witness)
 from lamtower.gen import gen_term
 from lamtower.kinfinity import MAX_DEPTH
 from lamtower.terms import App, Lam, Var, to_text
@@ -405,6 +405,16 @@ def test_cli_negative_fuel_refused(capsys, monkeypatch, argv):
     monkeypatch.setattr(completion, "normalize", _no_work)
     assert _error(capsys, argv + ["--fuel", "-1"]) == \
         "--fuel -1 is below the minimum of 0"
+
+
+@pytest.mark.parametrize("argv", [["reduce", "x"], ["pi0", "x", "x"]])
+def test_cli_fuel_above_cap_refused(capsys, monkeypatch, argv):
+    # the looping term took 10.2 s at fuel 4 000 and 17.2 s at 5 000
+    monkeypatch.setattr(cli, "normalize", _no_work)
+    monkeypatch.setattr(completion, "normalize", _no_work)
+    for fuel in (MAX_FUEL + 1, 5000):
+        assert _error(capsys, argv + ["--fuel", str(fuel)]) == \
+            f"--fuel {fuel} is above the maximum of {MAX_FUEL}"
 
 
 @pytest.mark.parametrize("maxdim", ["3", "2", "-1"])

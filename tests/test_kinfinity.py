@@ -10,6 +10,7 @@ from functools import partial
 
 import kref
 import pytest
+from kref import element
 from lamtower import domains, kinfinity
 from lamtower.cli import main
 from lamtower.domains import (CapExceeded, FinPoset, LazyMono, Tower,
@@ -22,19 +23,19 @@ from lamtower.kinfinity import (Constant, DepthTooSmall, FromThread, Identity,
                                 thread_le, thread_row, verify_laws)
 
 BOT, SR1, SL1 = 0, 1, 2
-ID1 = (0, 1, 2)
+ID1 = element(Tower(flat_base()), (0, 1, 2))  # at base 3
 
 
 def test_stage_embed_bottom(tower):
     t = bottom_thread(tower, 2)
     assert t.coords[0] == BOT
-    assert t.coords[1] == (BOT, BOT, BOT)
+    assert t.coords[1] == element(tower, (BOT, BOT, BOT))
     assert coherent(t)
 
 
 def test_stage_embed_pole_coords(tower):
     t = stage_embed(tower, 0, SR1, 2)
-    const = (SR1, SR1, SR1)
+    const = element(tower, (SR1, SR1, SR1))
     assert t.coords[0] == SR1
     assert t.coords[1] == const
     assert t.coords[2] == tower.emb(1, const)
@@ -67,7 +68,7 @@ def test_app_shadow_identity(tower):
 
 
 def test_app_shadow_constant_bottom(tower):
-    x = stage_embed(tower, 1, (BOT, BOT, BOT), 2)
+    x = stage_embed(tower, 1, element(tower, (BOT, BOT, BOT)), 2)
     y = stage_embed(tower, 0, SL1, 2)
     assert thread_eq(app_shadow(0, x, y), bottom_thread(tower, 2))
 
@@ -102,16 +103,16 @@ def test_stagewise_application_formula(tower):
 
 
 def test_restrict_identity_and_constant(tower):
-    assert restrict(Identity(), 0, 3, tower) == (0, 1, 2)
+    assert restrict(Identity(), 0, 3, tower) == ID1
     assert restrict(Identity(), 1, 3, tower) == tower.stage1
     bot = bottom_thread(tower, 3)
-    assert restrict(Constant(bot), 0, 3, tower) == (BOT, BOT, BOT)
+    assert restrict(Constant(bot), 0, 3, tower) == element(tower, (BOT, BOT, BOT))
     assert restrict(Constant(bot), 1, 3, tower) == (tower.bottom(1),) * 11
 
 
 def test_restrict_coherence(tower):
     # f_n^-(r_{n+1}(g)) == r_n(g) for n in {0, 1}
-    x = stage_embed(tower, 1, (BOT, SR1, SL1), 3)
+    x = stage_embed(tower, 1, ID1, 3)
     for g in (Identity(), Constant(bottom_thread(tower, 3)), FromThread(x)):
         r0 = restrict(g, 0, 3, tower)
         r1 = restrict(g, 1, 3, tower)
@@ -123,7 +124,7 @@ def test_restrict_coherence(tower):
 def test_reify_identity_coords(tower):
     t = reify(Identity(), 3, tower)
     assert t.coords[0] == BOT
-    assert t.coords[1] == (0, 1, 2)
+    assert t.coords[1] == ID1
     assert t.coords[2] == tower.stage1  # the identity table on stage 1
     assert coherent(t)
 
@@ -557,7 +558,8 @@ def test_probe_comparisons_decide_stage3_on_the_two_element_base(monkeypatch):
     # on bot < a, stage 2 has 10 elements, so every stage-3 comparison the
     # law suite makes can be decided at all of them, not only at the probes
     base = FinPoset(("bot", "a"), ((True, True), (False, True)))
-    t, ref = Tower(base), kref.Ref(base)
+    t = Tower(base)
+    ref, T = kref.Ref(base), kref.Tabled(t)
     stage2 = [w for w in itertools.product(ref.d1, repeat=len(ref.d1)) if ref.monotone(1, w)]
     calls = []
     for name in ("eq", "leq"):
@@ -571,7 +573,7 @@ def test_probe_comparisons_decide_stage3_on_the_two_element_base(monkeypatch):
     monkeypatch.undo()
     assert len(stage2) == 10 and Counter(c[0] for c in calls) == {"eq": 7, "leq": 12}
     for name, a, b, got in calls:
-        assert got == getattr(ref, name)(3, partial(t.apply, 3, a), partial(t.apply, 3, b), stage2)
+        assert got == getattr(ref, name)(3, partial(T.apply, 3, a), partial(T.apply, 3, b), stage2)
 
 
 # -- probe vectors fill lazily ------------------------------------------------
