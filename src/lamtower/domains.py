@@ -332,7 +332,7 @@ class Tower:
         table emb(1, g) of each stage-1 element g in stage-1 order, so a
         stage-3 map's probe vector is indexed as a stage-2 table is."""
         if self._probes is None:
-            self._probes = tuple(map(partial(self.emb, 1), self.stage1))
+            self._probes = tuple(self.emb(1, g) for g in self.stage1)
         return self._probes
 
     def probe_position(self, w) -> Optional[int]:
@@ -390,7 +390,7 @@ def enumerate_stage(tower: Tower, n: int) -> Stage:
     if n == 1:
         elems = tower.stage1
         leq = tuple(tuple(tower.leq(1, a, b) for b in elems) for a in elems)
-        labels = tuple("map" + "".join(map(str, t)) for t in tower.stage1_tables)
+        labels = tuple("map" + "".join(str(i) for i in t) for t in tower.stage1_tables)
         poset = FinPoset(labels, leq, tower.bottom(1))
         return Stage(1, elems, poset)
     raise CapExceeded(f"no enumeration implemented for stage {n}")

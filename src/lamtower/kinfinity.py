@@ -50,8 +50,13 @@ class Thread:
 
 
 def coherent(t: Thread) -> bool:
-    """proj_n(coords[n+1]) == coords[n] for every covered n."""
-    return all(t.tower.proj(n, t.coords[n + 1]) == t.coords[n] for n in range(t.depth))
+    """proj_n(coords[n+1]) == coords[n] for every covered n; a coordinate
+    whose projection is a table that is not monotone, so has no stage-1
+    position (KeyError), is not coherent."""
+    try:
+        return all(t.tower.proj(n, t.coords[n + 1]) == t.coords[n] for n in range(t.depth))
+    except KeyError:
+        return False
 
 
 def thread_eq(x: Thread, y: Thread) -> bool:
@@ -82,12 +87,7 @@ def stage_embed(tower: Tower, n: int, u, depth: int) -> Thread:
     if n > depth:
         raise DepthTooSmall(f"cannot embed stage {n} at depth {depth}")
     # the probe case first: app's result is almost always a probe table
-    if n == 2:
-        pos, m = tower.probe_position(u), 1
-    elif n < 2:
-        pos, m = u, n
-    else:
-        pos = None
+    pos, m = (tower.probe_position(u), 1) if n == 2 else (u if n < 2 else None, n)
     if pos is None:
         return _embed(tower, n, u, depth)
     # the row's entry, filled on first use; app calls this per entry
@@ -205,7 +205,10 @@ def reify(g: EndoMap, depth: int, tower: Tower) -> Thread:
     """
     if depth < 1:
         raise DepthTooSmall("reify needs depth >= 1")
-    r0 = restrict(g, 0, depth, tower)
+    try:
+        r0 = restrict(g, 0, depth, tower)
+    except KeyError:  # a table that is not monotone has no stage-1 position
+        raise IncoherentThread("incoherent thread: stage-0 restriction not monotone")
     coords: list = [tower.proj(0, r0), r0]
     if depth > 1:
         images = tuple(map(g.apply, thread_row(tower, 1, depth)))

@@ -533,6 +533,7 @@ def test_base_automorphisms_commute_with_the_tower(base):
     ws = [probes[ref.index[g]] for g in some]
     stage2 = ws + [T.step_map(1, f, g) for f, g in zip(some, some[1:])]
     stage2 += [tuple(list(w)) for w in ws[:3]] + T.step_join_sample(random.Random(0), 5)
+    maps = {w: T.emb(2, w) for w in (ws[0], ws[-1], stage2[len(ws)], stage2[-1])}
     for sigma in kref.automorphisms(base):
         act = ref.lift(sigma)
         for x in d0:
@@ -550,8 +551,8 @@ def test_base_automorphisms_commute_with_the_tower(base):
                 assert (None if j is None else act(1, j)) == T.lub(1, [act(1, f), act(1, g)])
         for u in stage2:
             assert act(1, T.proj(1, u)) == T.proj(1, act(2, u))
-        for w in stage2[:4]:
-            u, v = T.emb(2, w), T.emb(2, act(2, w))
+        for w, u in maps.items():
+            v = T.emb(2, act(2, w))
             for g in some:
                 moved = probes[ref.index[act(1, g)]]
                 assert T.apply(3, v, moved) == act(2, T.apply(3, u, probes[ref.index[g]]))
