@@ -366,13 +366,13 @@ def test_thread_rows_are_the_shared_threads(base_size):
                 assert thread is stage_embed(t, 2, t.stage2_probes()[i], depth)
 
 
-@pytest.mark.parametrize("n, i, j", [(0, 1, 2), (0, 0, 1), (1, 3, 9)])
+@pytest.mark.parametrize("n, i, j", [(0, 1, 2), (0, 0, 1), (1, 3, 9), (1, 0, 9)])
 def test_a_row_with_two_entries_swapped_fails_the_laws(n, i, j, monkeypatch):
     # the reifications come out incoherent, which fails the laws that read
-    # them instead of ending the suite (with bottom and a pole swapped, the
-    # stage-0 restriction is not monotone, so it has no stage-1 position);
-    # the stagewise law never compared the rows of those reifications, so
-    # it fails too.  The density law embeds
+    # them instead of ending the suite (at (0, 0, 1) a stage-0 restriction,
+    # at (1, 0, 9) a stage-1 projection is a table that is not monotone, so
+    # has no stage-1 position); the stagewise law never compared the rows
+    # of those reifications, so it fails too.  The density law embeds
     # through the same rows, so its chain breaks; a swapped stage-1 row also
     # comes back from app, so the first reification the retract law reads
     # is coherent but wrong
