@@ -6,9 +6,8 @@ pointwise order.  Stages 0 and 1 are fully enumerated, and an element of
 either is its position in the enumeration (a stage-1 element's table is in
 Tower.stage1_tables); stage 2 elements are explicit tables of stage-1
 positions; stage 3 elements are evaluation-backed maps (no global
-enumeration exists at that size).
-Projection pairs are the constant/evaluate-at-bottom seeds lifted
-functorially.
+enumeration exists at that size).  Projection pairs are the
+constant/evaluate-at-bottom seeds lifted functorially.
 """
 
 from __future__ import annotations
@@ -27,6 +26,10 @@ BOTTOM_LABEL = "bot"
 
 class CapExceeded(ValueError):
     """Requested enumeration above the enumeration cap."""
+
+
+class NotInStage(ValueError):
+    """A table that is not monotone, so has no stage-1 position."""
 
 
 def flat_stage1_size(poles: int) -> int:
@@ -106,29 +109,25 @@ class Tower:
     indices, `stage1` being range(s) as a tuple and `stage1_tables` (read
     only) the tables; stage 2 is a table of stage-1 positions, indexed by
     stage-1 position; stage 3 is a LazyMono evaluated at stage-2 tables on
-    demand.  Only the tower reads them: other code builds, applies, orders
-    and compares elements through its methods.
+    demand.  Other code builds, applies, orders and compares elements only
+    through the tower's methods.
 
-    Construction enumerates stage 1 and indexes it: `stage1_index` maps each
-    table to its position, read only where a table becomes an element
-    (tabulate(0, .) and proj(1, .) off the probes), and `_const1` holds the
-    positions of the constant maps, one per base element, which is emb(0,
-    .).  `_least[n]` maps the up-set of each element of stage n (0 or 1) to
-    that element, which is how joins are found; stage 0's is built here,
-    stage 1's with the stage-1 up-set rows.  The tower also keeps these
-    tables, each built on first use and held for the life of the instance:
+    `stage1_index` maps each table to its position, read only where a table
+    becomes an element (tabulate(0, .) and proj(1, .) off the probes, which
+    raise NotInStage for a table that is not monotone); `_const1` holds the
+    positions of the constant maps, which is emb(0, .); `_least[n]` maps the
+    up-set of each element of stage n (0 or 1) to that element, for joins.
+    These are built with the tower (`_least[1]` with `_up1`); the rest are
+    built on first use and kept for the life of the instance:
     - `_emb1`: emb(1, g) per stage-1 element g, filled one g at a time, so
       embedding a few poles over a large base stays cheap; each is a probe;
-    - `_up1`: the stage-1 order as one up-set row per stage-1 position (the
-      frozenset of the positions above it), built whole on first use by
-      leq(1, ...), leq(2, ...), up_set(1, ...) or a stage-1 join;
-    - `_probes`: the stage2_probes() family e_1(D_1), built whole on first
-      call, one probe per stage-1 element in stage-1 order;
-    - `_thread_rows`: the shared canonical threads of kinfinity.stage_embed,
-      as kinfinity.thread_row's lists keyed (n, depth) for stage n 0 or 1,
-      one entry per element of domain(n) in order, each filled on first
-      use, so a restriction reads them by position; a probe e_1(g) reads
-      g's thread in the stage-1 row.
+    - `_up1`: the stage-1 order, one up-set row (the frozenset of positions
+      above) per stage-1 position, built whole by the first stage-1 or
+      stage-2 comparison, stage-1 up-set or stage-1 join;
+    - `_probes`: the stage2_probes() family e_1(D_1), built whole;
+    - `_thread_rows`: kinfinity.thread_row's lists of shared threads, keyed
+      (n, depth) for n 0 or 1, one entry per element of domain(n), each
+      filled on first use; a probe e_1(g) reads g's thread in the stage-1 row.
     """
 
     def __init__(self, base: FinPoset):
@@ -136,8 +135,7 @@ class Tower:
         self.stage1_tables = self._enumerate_stage1()
         self.stage1 = tuple(range(len(self.stage1_tables)))
         self.stage1_index = {t: i for i, t in enumerate(self.stage1_tables)}
-        self._const1 = tuple(self.stage1_index[(x,) * len(base)]
-                             for x in range(len(base)))
+        self._const1 = tuple(self.stage1_index[(x,) * len(base)] for x in range(len(base)))
         self._least = ({self.up_set(0, x): x for x in range(len(base))}, {})
         self._emb1: dict = {}
         self._up1: Optional[tuple] = None
@@ -172,11 +170,10 @@ class Tower:
         In stages 1 and 2 the answer is read from the up-set rows of the
         stage-1 order: a stage-2 element is below itself by identity, two
         probes compare as their positions, and other stage-2 elements slot
-        by slot.
-        At stage 3 it decides less than the order of maps: one map, or two
-        with equal construction keys (both emb(2, w) for one w), are below;
-        others are compared pointwise at the s probes e_1(D_1) only, s the
-        size of stage 1 (bottom(2) is e_1(bottom(1)), one of them).  Maps
+        by slot.  At stage 3 it decides less than the order of maps: one map,
+        or two with equal construction keys (both emb(2, w) for one w), are
+        below; others are compared pointwise at the s probes e_1(D_1) only, s
+        the size of stage 1 (bottom(2) is e_1(bottom(1)), one of them).  Maps
         that agree on the probes but differ elsewhere in stage 2 compare
         below each other.
         """
@@ -290,13 +287,12 @@ class Tower:
                 return u.pos
             # u applied to the constant map at x, then evaluated at bottom
             bot, tables = self.base.bottom, self.stage1_tables
-            return self.stage1_index[tuple(tables[u[i]][bot] for i in self._const1)]
+            return self._position(tuple([tables[u[i]][bot] for i in self._const1]))
         if n == 2:
-            # u at emb(1, g) for each g, which are the probes, all read, so
-            # filled in one pass; the probe case of proj(1, .) is inlined
-            probed = u.probed
-            probed.extend(map(u.fn, self.stage2_probes()[len(probed):]))
-            return tuple([v.pos if type(v) is _Probe else self.proj(1, v) for v in probed])
+            # u at emb(1, g) for each g, which are the probes; the probe
+            # case of proj(1, .) is inlined, as it runs per entry
+            return tuple([v.pos if type(v) is _Probe else self.proj(1, v)
+                          for v in self.at_probes(u)])
         raise CapExceeded(f"no projection representation to stage {n}")
 
     def tabulate(self, n: int, fn: Callable):
@@ -305,12 +301,18 @@ class Tower:
         n = 1, and at n = 2 a LazyMono that evaluates fn only when applied
         or compared."""
         if n == 0:
-            return self.stage1_index[tuple(map(fn, self.domain(0)))]
+            return self._position(tuple(map(fn, self.domain(0))))
         if n == 1:
             return tuple(map(fn, self.stage1))
         if n == 2:
             return LazyMono(fn)
         raise CapExceeded(f"no tabulation over stage {n}")
+
+    def _position(self, table: tuple) -> int:
+        try:
+            return self.stage1_index[table]
+        except KeyError:  # not monotone
+            raise NotInStage(f"table {table} is not a stage-1 element") from None
 
     def make_mono(self, level: int, table) -> MonoMap:
         """A validated monotone self-map table over stage `level`."""
@@ -336,19 +338,18 @@ class Tower:
         return self._probes
 
     def probe_position(self, w) -> Optional[int]:
-        """The position of w in stage2_probes() when w is a probe, a table
-        built by emb(1, .); None for any other object, equal tables
-        included."""
+        """w's position in stage2_probes() when w is a probe, a table built
+        by emb(1, .); None for any other object, equal tables included."""
         return w.pos if type(w) is _Probe else None
 
     def at_probes(self, u: "LazyMono"):
         """The values of the stage-3 element u at stage2_probes(), in order.
 
         Each value is computed once per u and kept on it (`u.probed`), which
-        apply(3, u, w) at a probe w and proj(2, u) read and fill too.  A
-        full vector is returned as it is; a partial one fills only as far as
-        a caller reads, so a comparison that stops at its first differing
-        probe evaluates no further.
+        apply(3, u, w) at a probe w reads and fills too.  A full vector is
+        returned as it is; a partial one fills only as far as a caller reads,
+        so a comparison that stops at its first differing probe evaluates no
+        further.
         """
         probes = self.stage2_probes()
         if len(u.probed) == len(probes):
@@ -367,8 +368,8 @@ class Tower:
 class LazyMono:
     """A stage-3 element backed by evaluation, memoized; carries an optional
     construction key so embedded elements compare exactly.  `probed` holds
-    its values at the probe family, a prefix filled by Tower.at_probes,
-    Tower.apply and Tower.proj; `memo` holds its values at any other argument."""
+    its values at the probe family, a prefix filled by Tower.at_probes and
+    Tower.apply; `memo` holds its values at any other argument."""
 
     def __init__(self, fn: Callable, key=None):
         self.fn = fn
@@ -463,11 +464,13 @@ def step_join_sample(tower: Tower, rng: random.Random, n: int) -> list:
 
 def check_projection_pair(tower: Tower, n: int, sample=()) -> dict:
     """Retract law on all of stage n; section inequality on stage n+1
-    (enumerated when possible, otherwise on the sample)."""
-    retract_failures = [x for x in tower.domain(n)
+    (enumerated when possible, otherwise on the sample).  The failures list
+    a stage-1 element as its table."""
+    tables = tower.stage1_tables.__getitem__
+    retract_failures = [tables(x) if n else x for x in tower.domain(n)
                         if tower.proj(n, tower.emb(n, x)) != x]
     uppers = tower.stage1 if n == 0 else tuple(sample)
-    section_failures = [u for u in uppers
+    section_failures = [tuple(map(tables, u)) if n else tables(u) for u in uppers
                         if not tower.leq(n + 1, tower.emb(n, tower.proj(n, u)), u)]
     return {
         "stage": n,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .domains import CapExceeded, Tower
+from .domains import CapExceeded, NotInStage, Tower
 from .record import record
 
 
@@ -51,11 +51,10 @@ class Thread:
 
 def coherent(t: Thread) -> bool:
     """proj_n(coords[n+1]) == coords[n] for every covered n; a coordinate
-    whose projection is a table that is not monotone, so has no stage-1
-    position (KeyError), is not coherent."""
+    whose projection has no stage-1 position (NotInStage) is not coherent."""
     try:
         return all(t.tower.proj(n, t.coords[n + 1]) == t.coords[n] for n in range(t.depth))
-    except KeyError:
+    except NotInStage:
         return False
 
 
@@ -207,8 +206,8 @@ def reify(g: EndoMap, depth: int, tower: Tower) -> Thread:
         raise DepthTooSmall("reify needs depth >= 1")
     try:
         r0 = restrict(g, 0, depth, tower)
-    except KeyError:  # a table that is not monotone has no stage-1 position
-        raise IncoherentThread("incoherent thread: stage-0 restriction not monotone")
+    except NotInStage as e:
+        raise IncoherentThread("incoherent thread: stage-0 restriction not monotone") from e
     coords: list = [tower.proj(0, r0), r0]
     if depth > 1:
         images = tuple(map(g.apply, thread_row(tower, 1, depth)))

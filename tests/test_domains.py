@@ -9,8 +9,8 @@ import pytest
 from kref import element
 
 from lamtower import witness
-from lamtower.domains import (CapExceeded, FinPoset, LazyMono, Tower,
-                              check_projection_pair, enumerate_stage,
+from lamtower.domains import (CapExceeded, FinPoset, LazyMono, NotInStage,
+                              Tower, check_projection_pair, enumerate_stage,
                               flat_base, flat_stage1_size, lub,
                               step_join_sample, step_map)
 from lamtower.kinfinity import (_embed, check_law_budget, stage_embed,
@@ -143,6 +143,31 @@ def test_projection_pair_report(tower, rng):
               for _ in range(50)]
     rep = check_projection_pair(tower, 1, sample)
     assert rep["ok"] and rep["retract_checked"] == 11
+
+
+def test_projection_pair_report_lists_stage1_elements_as_tables(tower, monkeypatch):
+    # a faulty proj that sends everything to sR1's element: stage-1 failures
+    # show as their tables, stage-2 ones as tuples of tables
+    sr1 = tower.emb(0, SR1)
+    monkeypatch.setattr(tower, "proj", lambda n, u: sr1 if n else SR1)
+    not_sr1 = [t for t in kref.Ref(tower.base).d1 if t != (SR1, SR1, SR1)]
+    rep = check_projection_pair(tower, 0)
+    assert rep["retract_failures"] == [BOT, SL1]
+    assert rep["section_failures"] == not_sr1
+    rep = check_projection_pair(tower, 1, [tower.bottom(2)])
+    assert rep["retract_failures"] == not_sr1
+    assert rep["section_failures"] == [((BOT, BOT, BOT),) * 11]
+
+
+def test_a_table_that_is_not_monotone_has_no_position(tower):
+    # bot to sR1 and sR1 to bot, as a tabulation and as a projection
+    with pytest.raises(NotInStage, match=r"^table \(1, 0, 0\) is not a stage-1 element$"):
+        tower.tabulate(0, (SR1, BOT, BOT).__getitem__)
+    u = [tower.bottom(1)] * len(tower.stage1)
+    u[tower.emb(0, BOT)] = tower.emb(0, SR1)
+    with pytest.raises(NotInStage, match=r"^table \(1, 0, 0\) is not"):
+        tower.proj(1, tuple(u))
+    assert issubclass(NotInStage, ValueError)
 
 
 def test_non_monotone_rejected(tower):

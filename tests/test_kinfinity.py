@@ -371,8 +371,8 @@ def test_a_row_with_two_entries_swapped_fails_the_laws(n, i, j, monkeypatch):
     # the reifications come out incoherent, which fails the laws that read
     # them instead of ending the suite (at (0, 0, 1) a stage-0 restriction,
     # at (1, 0, 9) a stage-1 projection is a table that is not monotone, so
-    # has no stage-1 position); the stagewise law never compared the rows
-    # of those reifications, so it fails too.  The density law embeds
+    # has no stage-1 position: NotInStage); the stagewise law never compared
+    # the rows of those reifications, so it fails too.  The density law embeds
     # through the same rows, so its chain breaks; a swapped stage-1 row also
     # comes back from app, so the first reification the retract law reads
     # is coherent but wrong
@@ -392,6 +392,33 @@ def test_a_row_with_two_entries_swapped_fails_the_laws(n, i, j, monkeypatch):
     assert reasons == {"stagewise_application": incoherent,
                        "retract_reify_app": incoherent if n == 0 else None,
                        "section_on_embedded_stages": incoherent, "density_chain": None}
+
+
+def test_a_non_monotone_restriction_is_incoherent_and_a_stray_key_error_is_not(monkeypatch):
+    t = _tower(3)
+    swap = {BOT: SR1, SR1: BOT, SL1: BOT}
+
+    class Swap:  # stage-0 restriction (sR1, bot, bot), not monotone
+        def apply(self, y):
+            return stage_embed(t, 0, swap[y.coords[0]], 3)
+
+    class Stray:
+        def apply(self, y):
+            raise KeyError("stray")
+
+    with pytest.raises(IncoherentThread) as caught:
+        reify(Swap(), 3, t)
+    assert isinstance(caught.value.__cause__, domains.NotInStage)
+    with pytest.raises(KeyError, match="stray"):
+        reify(Stray(), 3, t)
+    x = stage_embed(t, 1, t.stage1[-1], 3)
+    monkeypatch.setattr(t, "proj", partial(_raise, KeyError("stray")))
+    with pytest.raises(KeyError, match="stray"):
+        coherent(x)
+
+
+def _raise(error, *args):
+    raise error
 
 
 def test_incoherent_reification_is_its_own_error(monkeypatch):
@@ -527,6 +554,7 @@ NOT_DIFFED = {
     "CapExceeded": "an exception class, with no code of its own",
     "DepthTooSmall": "an exception class, with no code of its own",
     "IncoherentThread": "an exception class, with no code of its own",
+    "NotInStage": "an exception class, with no code of its own",
     "Tower": "diff's input, built before it runs; each method is compared",
     "check_law_budget": "its counts are pinned by the evaluation-count tests",
     "check_projection_pair": "its reports are pinned by the projection-pair tests; "
