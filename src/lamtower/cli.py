@@ -412,6 +412,19 @@ def cmd_kinfty(args) -> int:
                          result, checks))
 
 
+# Largest total step count of the four --sequences coherence accepts.  The
+# word engine's work grows faster than the square of the sequence lengths:
+# as a CLI process on four chained generated zigzags of n steps each (a
+# 2-core shared Xeon host, Python 3.11.7), `pentagon` / `bridges` / `assoc`
+# took 1.1 / 1.1 / 0.3 s at n = 64, 4.9-5.9 / 4.9-6.2 / 0.8-0.9 s at
+# n = 128 (three runs) and 9.7 / 8.3 / 1.9 s at n = 160.  At the cap,
+# 4 x 128 steps, the slowest finishes within 10 s on a loaded day.  Uneven
+# splits of about that total (256-128-64-64, 64-64-128-256, 1-1-1-509)
+# ended within 3.4 s, some in a recursion-depth error: `pentagon` and
+# `bridges` where |p| + |q| passes about 300 steps, `assoc` at |p| = 509.
+MAX_SEQUENCE_STEPS = 512
+
+
 def cmd_coherence(args) -> int:
     if args.sequences and args.span:
         raise ValueError("--sequences and --span each choose the four sequences; "
@@ -428,6 +441,8 @@ def cmd_coherence(args) -> int:
                                  f"sequence: {e}") from e
         if len(seqs) != 4 or not all(isinstance(x, RedSeq) for x in seqs):
             raise ParseError("expected exactly four serialized sequences", 0)
+        _check_bounds("--sequences total steps", sum(map(len, seqs)),
+                      most=MAX_SEQUENCE_STEPS)
         for i, seq in enumerate(seqs):
             if not validate_seq(seq):
                 raise ValueError(f"sequence {i} is not a replayable reduction sequence")
@@ -466,9 +481,8 @@ def cmd_coherence(args) -> int:
         result = {}
         for cell, name, (esrc, etgt) in zip(bridges, names, expect):
             src, tgt = F.boundary3_words(cell)
-            ok = F.words_equal(src, esrc) if esrc is not None else not src.letters
-            ok = ok and (F.words_equal(tgt, etgt) if etgt is not None
-                         else not tgt.letters)
+            ok = F.words_equal(src, esrc) and (F.words_equal(tgt, etgt) if etgt is not None
+                                               else not tgt.letters)
             checks.append({"name": name, "pass": ok, "detail": "boundary words"})
             result[name] = {"source": _render_word(src), "target": _render_word(tgt)}
     return _emit(_report({"cmd": "coherence", "which": args.which,

@@ -2,8 +2,10 @@
 
 Stage 0 is any finite poset with a bottom (the CLI builds the flat one, with
 labeled poles); stage n+1 consists of monotone self-maps of stage n under the
-pointwise order.  Stages 0 and 1 are fully enumerated, and an element of
-either is its position in the enumeration (a stage-1 element's table is in
+pointwise order.  A Tower owns the elements of every stage and is the one
+way to build, apply, order and compare them.  Stage 1 is enumerated straight
+from the base order, as the tables that preserve it, and an element of stage
+0 or 1 is its position (a stage-1 element's table is in
 Tower.stage1_tables); stage 2 elements are explicit tables of stage-1
 positions; stage 3 elements are evaluation-backed maps (no global
 enumeration exists at that size).  Projection pairs are the
@@ -77,24 +79,6 @@ def flat_base(poles: tuple[str, ...] = DEFAULT_POLES) -> FinPoset:
     return FinPoset(labels, leq, 0)
 
 
-@record
-class Stage:
-    level: int
-    elements: tuple
-    poset: FinPoset
-
-
-@record
-class MonoMap:
-    """A monotone self-map of an enumerated stage, as an explicit table.
-
-    Build through Tower.make_mono, which rejects non-monotone tables.
-    """
-
-    level: int  # domain stage
-    table: tuple
-
-
 class _Probe(tuple):
     """A probe e_1(g): the table emb(1, g) of a stage-1 element g, carrying
     g itself (`pos`), set once by Tower.emb; p_1 e_1 is the identity, so
@@ -106,11 +90,12 @@ class Tower:
 
     Element representations: stage 0 is an index into the base; stage 1 is
     a position in the sorted enumeration of the monotone tables over base
-    indices, `stage1` being range(s) as a tuple and `stage1_tables` (read
-    only) the tables; stage 2 is a table of stage-1 positions, indexed by
-    stage-1 position; stage 3 is a LazyMono evaluated at stage-2 tables on
-    demand.  Other code builds, applies, orders and compares elements only
-    through the tower's methods.
+    indices, made from the base order when the tower is built, `stage1`
+    being range(s) as a tuple and `stage1_tables` (read only) the tables;
+    stage 2 is a table of stage-1 positions, indexed by stage-1 position;
+    stage 3 is a LazyMono evaluated at stage-2 tables on demand.  Other code
+    builds, applies, orders and compares elements only through the tower's
+    methods.
 
     `stage1_index` maps each table to its position, read only where a table
     becomes an element (tabulate(0, .) and proj(1, .) off the probes, which
@@ -132,7 +117,12 @@ class Tower:
 
     def __init__(self, base: FinPoset):
         self.base = base
-        self.stage1_tables = self._enumerate_stage1()
+        # the tables over base indices that preserve the base order, in
+        # sorted order (product yields them so); reflexive pairs hold always
+        n, leq0 = len(base), base.leq
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j and leq0[i][j]]
+        self.stage1_tables = tuple(t for t in itertools.product(range(n), repeat=n)
+                                   if all(leq0[t[i]][t[j]] for i, j in pairs))
         self.stage1 = tuple(range(len(self.stage1_tables)))
         self.stage1_index = {t: i for i, t in enumerate(self.stage1_tables)}
         self._const1 = tuple(self.stage1_index[(x,) * len(base)] for x in range(len(base)))
@@ -141,19 +131,6 @@ class Tower:
         self._up1: Optional[tuple] = None
         self._probes: Optional[tuple] = None
         self._thread_rows: dict = {}
-
-    def _enumerate_stage1(self) -> tuple[tuple[int, ...], ...]:
-        n = len(self.base)
-        tables = itertools.product(range(n), repeat=n)
-        return tuple(sorted(filter(partial(self._monotone_table, 0), tables)))
-
-    def _monotone_table(self, level: int, table) -> bool:
-        dom = self.domain(level)
-        for i, x in enumerate(dom):
-            for j, y in enumerate(dom):
-                if self.leq(level, x, y) and not self.leq(level, table[i], table[j]):
-                    return False
-        return True
 
     def domain(self, level: int):
         if level == 0:
@@ -314,19 +291,6 @@ class Tower:
         except KeyError:  # not monotone
             raise NotInStage(f"table {table} is not a stage-1 element") from None
 
-    def make_mono(self, level: int, table) -> MonoMap:
-        """A validated monotone self-map table over stage `level`."""
-        table = tuple(table)
-        dom = self.domain(level)
-        if len(table) != len(dom):
-            raise ValueError("table length must match the stage enumeration")
-        for t in table:
-            if t not in range(len(dom)):
-                raise ValueError(f"table entry {t!r} is not a stage-{level} element")
-        if not self._monotone_table(level, table):
-            raise ValueError("table is not monotone")
-        return MonoMap(level, table)
-
     # -- probes for the lazy top stage ------------------------------------
 
     def stage2_probes(self) -> tuple:
@@ -382,19 +346,6 @@ class LazyMono:
         if value is None:
             value = self.memo[w] = self.fn(w)
         return value
-
-
-def enumerate_stage(tower: Tower, n: int) -> Stage:
-    """Fully enumerate stage 0 or 1; CapExceeded for any other stage."""
-    if n == 0:
-        return Stage(0, tuple(range(len(tower.base))), tower.base)
-    if n == 1:
-        elems = tower.stage1
-        leq = tuple(tuple(tower.leq(1, a, b) for b in elems) for a in elems)
-        labels = tuple("map" + "".join(str(i) for i in t) for t in tower.stage1_tables)
-        poset = FinPoset(labels, leq, tower.bottom(1))
-        return Stage(1, elems, poset)
-    raise CapExceeded(f"no enumeration implemented for stage {n}")
 
 
 def step_map(tower: Tower, level: int, a, b):

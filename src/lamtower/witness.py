@@ -153,22 +153,19 @@ def _epsilon(fuel: int = 64) -> dict:
             "steps_from_target": len(trace_n)}
 
 
-def interpret(w: Witness, depth: int, tower: Tower | None = None) -> WitnessInterp:
+def interpret(w: Witness, depth: int, tower: Tower) -> WitnessInterp:
     """Denotation-equality evidence plus the distinguished model point:
     the right pole for the beta class, the left pole for the eta class."""
     if depth < 1:
         raise ValueError("interpretation needs depth >= 1")
-    tower = tower or default_tower()
     tag = tag_classify(w)
     label = "sR1" if tag is Tag.BETA else "sL1"
     point = stage_embed(tower, 0, pole_index(tower, label), depth)
     return WitnessInterp(tag, _epsilon(), point)
 
 
-def separation_report(w1: Witness, w2: Witness, depth: int,
-                      tower: Tower | None = None) -> dict:
+def separation_report(w1: Witness, w2: Witness, depth: int, tower: Tower) -> dict:
     """Tags, interpretation points, and the connection/separation verdict."""
-    tower = tower or default_tower()
     i1 = interpret(w1, depth, tower)
     i2 = interpret(w2, depth, tower)
     distinct = not thread_eq(i1.point, i2.point)

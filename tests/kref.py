@@ -11,7 +11,8 @@ tables over the enumeration of the stage below, a stage-3 element is a plain
 function that evaluates anew at each call, and a thread is the tuple of its
 coordinates.  The model keeps only its enumeration and an index of it: it
 caches no value, tests no identity and shares no row.  `lift` carries an
-order automorphism of the base to stages 1-3.
+order automorphism of the base to stages 1-3, `tower_lift` to the tower's
+elements and `lift_thread` to its threads.
 """
 
 import itertools
@@ -156,6 +157,39 @@ def automorphisms(base):
             if all(base.leq[x][y] == base.leq[p[x]][p[y]] for x in n for y in n)]
 
 
+def tower_lift(ref, tower, sigma):
+    """The order automorphism sigma of the base of ref and the tower on
+    the tower's own elements, as act(n, u) for n 0 to 3: stage 1 conjugated
+    as Ref.lift does, read as a permutation of positions, and each stage
+    above conjugated by the one below.  A probe e_1(g) goes to the probe
+    e_1(sigma g), any other stage-2 table to a plain table, and a stage-3
+    map to one the tower tabulates and evaluates on demand."""
+    act1 = ref.lift(sigma)
+    perm = [ref.index[act1(1, f)] for f in ref.d1]
+    inv = sorted(range(len(perm)), key=perm.__getitem__)
+    probes = tower.stage2_probes()
+
+    def conj(u, by, at):  # by . u . at, as tables of positions
+        i = tower.probe_position(u)
+        return tuple(map(by.__getitem__, map(u.__getitem__, at))) if i is None else probes[by[i]]
+
+    def act(n, u):
+        if n == 0:
+            return sigma[u]
+        if n == 1:
+            return perm[u]
+        if n == 2:
+            return conj(u, perm, inv)
+        return tower.tabulate(2, lambda w: conj(tower.apply(3, u, conj(w, inv, perm)), perm, inv))
+    return act
+
+
+def lift_thread(ref, tower, sigma):
+    """sigma on the tower's threads, coordinate by coordinate (tower_lift)."""
+    act = tower_lift(ref, tower, sigma)
+    return lambda x: K.Thread(tower, tuple(map(act, range(x.depth + 1), x.coords)), check=False)
+
+
 def element(tower, table):
     """The stage-1 element of the tower whose table is `table`: how tests
     write a stage-1 element."""
@@ -230,10 +264,6 @@ class Tabled:
     def tabulate(self, n, fn):
         return self.of(n + 1, self.tower.tabulate(n, lambda x: self.to(n, fn(self.of(n, x)))))
 
-    def make_mono(self, n, table):
-        got = self.tower.make_mono(n, [self.to(n, x) for x in table]).table
-        return tuple(self.of(n, x) for x in got)
-
     def stage2_probes(self):
         return tuple(self.of(2, w) for w in self.tower.stage2_probes())
 
@@ -248,10 +278,6 @@ class Tabled:
 
     def lub(self, n, xs):
         return self.of(n, domains.lub(self.tower, n, [self.to(n, x) for x in xs]))
-
-    def enumerate_stage(self, n):
-        stage = domains.enumerate_stage(self.tower, n)
-        return stage.level, tuple(self.of(n, x) for x in stage.elements), stage.poset
 
     def step_join_sample(self, rng, k):
         return [self.of(2, j) for j in domains.step_join_sample(self.tower, rng, k)]
@@ -330,21 +356,6 @@ def diff(tower) -> list:
                 same("emb", n, a)
                 for b in few:
                     same("step_map", n, a, b)
-            dom, (level, stage, poset) = ref.domain(n), T.enumerate_stage(n)
-            check("enumerate_stage", n, (), (level, stage, poset.leq, poset.bottom),
-                  (n, dom, tuple(tuple(ref.leq(n, a, b) for b in dom) for a in dom),
-                   dom.index(ref.bottom(n))))
-            # make_mono on a step map, its reverse and a table with an entry
-            # outside the stage
-            step = ref.step_map(n, xs[len(xs) // 2], xs[-1])
-            outside = (len(dom),) * len(dom) if n else len(dom)
-            for t in (step, step[::-1], step[:-1] + (outside,)):
-                try:
-                    got = T.make_mono(n, t)
-                except ValueError:
-                    got = None
-                check("make_mono", n, (t,), got,
-                      t if set(t) <= set(dom) and ref.monotone(n, t) else None)
 
     def values(u, at=None):  # a tower's or the reference's stage-3 value
         at = points if at is None else at

@@ -5,10 +5,10 @@ from pathlib import Path
 import pytest
 
 from lamtower import cli, completion, serialize
-from lamtower.cells import seq_invert
+from lamtower.cells import RedSeq, seq_invert
 from lamtower.cli import (MAX_BASE_SIZE, MAX_FUEL, MAX_JOIN_SAMPLES,
-                          MAX_TOWER_DIM, MAX_TOWER_SAMPLES, ParseError, main,
-                          parse_term, parse_witness)
+                          MAX_SEQUENCE_STEPS, MAX_TOWER_DIM, MAX_TOWER_SAMPLES,
+                          ParseError, main, parse_term, parse_witness)
 from lamtower.gen import gen_term
 from lamtower.kinfinity import MAX_DEPTH
 from lamtower.terms import App, Lam, Var, to_text
@@ -281,6 +281,32 @@ _NOT_REPLAYABLE = "sequence 0 is not a replayable reduction sequence"
         "int-terms-field"])
 def test_cli_sequences_not_replayable_is_json(capsys, tmp_path, data, message):
     assert message in _sequences_error(capsys, tmp_path, data)
+
+
+def _span_zigzag_quadruple(total):
+    """Four chained sequences of `total` steps in all, the span's beta step
+    and its inverse in turn, split as evenly as the count allows."""
+    beta = span_beta_seq()
+    terms = (beta.source, beta.target) * (total // 2 + 1)
+    steps = (beta.steps[0], seq_invert(beta).steps[0]) * (total // 2 + 1)
+    cuts = [total * i // 4 for i in range(5)]
+    return [serialize.encode(RedSeq(terms[a:b + 1], steps[a:b]))
+            for a, b in zip(cuts, cuts[1:])]
+
+
+def test_cli_sequences_over_the_step_cap_refused_before_replay(capsys, tmp_path, monkeypatch):
+    # the cap is read after decoding and before any sequence is replayed
+    # (every subcommand takes the same path): at the cap the first replay is
+    # reached, one step over it none is
+    def replayed(seq):
+        raise ValueError("replayed")
+    monkeypatch.setattr(cli, "validate_seq", replayed)
+    path = tmp_path / "seqs.json"
+    for total, error in [(MAX_SEQUENCE_STEPS, "replayed"), (MAX_SEQUENCE_STEPS + 1,
+                         f"--sequences total steps {MAX_SEQUENCE_STEPS + 1} is above "
+                         f"the maximum of {MAX_SEQUENCE_STEPS}")]:
+        path.write_text(json.dumps(_span_zigzag_quadruple(total)))
+        assert _error(capsys, ["coherence", "pentagon", "--sequences", str(path)]) == error
 
 
 def test_cli_memory_error_is_json(capsys, monkeypatch):

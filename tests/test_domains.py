@@ -10,10 +10,10 @@ from kref import element
 
 from lamtower import witness
 from lamtower.domains import (CapExceeded, FinPoset, LazyMono, NotInStage,
-                              Tower, check_projection_pair, enumerate_stage,
-                              flat_base, flat_stage1_size, lub,
-                              step_join_sample, step_map)
-from lamtower.kinfinity import (_embed, check_law_budget, stage_embed,
+                              Tower, check_projection_pair, flat_base,
+                              flat_stage1_size, lub, step_join_sample, step_map)
+from lamtower.kinfinity import (Constant, FromThread, Identity, Thread, _embed,
+                                app, check_law_budget, reify, stage_embed,
                                 thread_eq, thread_row, verify_laws)
 
 BOT, SR1, SL1 = 0, 1, 2
@@ -97,13 +97,15 @@ def test_poset_check_agrees_with_definition(rng):
             assert not broken
 
 
-def test_enumerate_stage1_at_base5_is_fast():
+def test_stage1_is_a_pointed_poset_at_base5_quickly():
+    # FinPoset checks that the stage-1 order is reflexive, antisymmetric and
+    # transitive, and that bottom(1) is below every element
     t = Tower(flat_base(("sR1", "sL1", "s2", "s3")))
     start = time.perf_counter()
-    stage = enumerate_stage(t, 1)
+    order = tuple(tuple(t.leq(1, a, b) for b in t.stage1) for a in t.stage1)
+    poset = FinPoset(tuple(map(str, t.stage1_tables)), order, t.bottom(1))
     assert time.perf_counter() - start < 1.0
-    assert len(stage.elements) == 629
-    assert stage.poset.bottom == element(t, (0,) * 5)
+    assert len(poset) == 629 and poset.bottom == element(t, (0,) * 5)
 
 
 def test_stage1_matches_brute_force(tower):
@@ -111,16 +113,6 @@ def test_stage1_matches_brute_force(tower):
     # stage-1 element is its position among them
     assert kref.Ref(tower.base).d1 == tower.stage1_tables and len(tower.stage1) == 11
     assert tower.stage1 == tuple(range(11))
-
-
-def test_enumerate_stage(tower):
-    s0 = enumerate_stage(tower, 0)
-    assert len(s0.elements) == 3
-    s1 = enumerate_stage(tower, 1)
-    assert len(s1.elements) == 11
-    assert s1.poset.bottom == element(tower, (0, 0, 0))
-    with pytest.raises(CapExceeded):
-        enumerate_stage(tower, 2)
 
 
 def test_projection_pair_stage0(tower):
@@ -168,12 +160,6 @@ def test_a_table_that_is_not_monotone_has_no_position(tower):
     with pytest.raises(NotInStage, match=r"^table \(1, 0, 0\) is not"):
         tower.proj(1, tuple(u))
     assert issubclass(NotInStage, ValueError)
-
-
-def test_non_monotone_rejected(tower):
-    with pytest.raises(ValueError):
-        tower.make_mono(0, (SR1, BOT, BOT))  # bot maps above its successors
-    assert tower.make_mono(0, (BOT, SR1, SL1)).table == (0, 1, 2)
 
 
 def test_lub_examples(tower):
@@ -437,21 +423,6 @@ def test_step_join_sample_pinned(base_size):
         assert len(sample) == 200 and digest == STEP_JOIN_PINS[base_size, seed]
 
 
-def test_make_mono_rejects_entries_outside_the_stage(tower):
-    # a constant table is monotone whatever its entry, so membership in the
-    # stage is checked first: a stage-1 element is a position, not a table
-    for entry in (-1, 3):
-        with pytest.raises(ValueError, match="not a stage-0 element"):
-            tower.make_mono(0, (entry,) * 3)
-    for outside in (-1, 11, tower.stage1_tables[4]):
-        with pytest.raises(ValueError, match="not a stage-1 element"):
-            tower.make_mono(1, (outside,) * 11)
-    with pytest.raises(ValueError, match="not a stage-1 element"):
-        tower.make_mono(1, (tower.stage1[0],) * 10 + (11,))
-    const = tower.make_mono(1, (tower.stage1[4],) * 11)
-    assert const.table == (4,) * 11
-
-
 @pytest.mark.parametrize("base_size", [3, 4])
 def test_apply3_at_probes_out_of_order(base_size):
     # apply(3, u, w) at probe i fills u.probed up to i, so probes read in any
@@ -522,7 +493,7 @@ def test_suite_maps_at_bottom2_are_read_at_the_first_probe(monkeypatch):
 
 def test_tabulate_builds_each_stage(tower):
     # a stage-1 element is the position of its table, a stage-2 one a table
-    # over stage 1; stage 3 is a map
+    # over stage 1 (stage 2 has no enumeration); stage 3 is a map
     # that evaluates nothing when it is built, and then once per probe
     assert tower.tabulate(0, lambda x: x) == element(tower, range(len(tower.base)))
     assert tower.tabulate(1, lambda g: g) == tower.stage1
@@ -534,6 +505,8 @@ def test_tabulate_builds_each_stage(tower):
     assert tower.eq(3, u, tower.tabulate(2, lambda w: w)) and tower.leq(3, u, u)
     with pytest.raises(CapExceeded):
         tower.tabulate(3, lambda u: u)
+    with pytest.raises(CapExceeded, match="stage 2 has no global enumeration"):
+        tower.domain(2)
     for compare in (tower.leq, tower.eq):
         with pytest.raises(CapExceeded, match="above stage 3"):
             compare(4, u, u)
@@ -602,3 +575,72 @@ def test_the_pole_swap_takes_the_beta_point_to_the_eta_point(depth):
     if depth == 3:
         moved = act(3, partial(T.apply, 3, beta[3]))
         assert [moved(w) for w in probes] == [T.apply(3, eta[3], w) for w in probes]
+
+
+@pytest.mark.parametrize("base", NATURALITY_BASES, ids=_up_set_sizes)
+def test_base_automorphisms_commute_with_the_thread_operations(base):
+    # each automorphism sigma, lifted to threads coordinate by coordinate
+    # (kref.tower_lift, which agrees with kref.Ref.lift on stage 2; a
+    # stage-3 coordinate is read on the probes, which sigma permutes, so
+    # sigma(x) at e_1(sigma g) is sigma of x at e_1(g)), commutes with
+    # stage_embed at stages 0-2 and with app and reify(FromThread(x)) at
+    # depths 1-3; stage 1, the probes and the probe reads are sampled at 3
+    # seeded stage-1 elements, so no position or pole is special.  app takes
+    # x embedded from those and, as an embedded stage-1 point reads only p_0
+    # of its argument, from the identity of stage 2 (which reads every
+    # stage-1 point as it is), a step map and a step join; reify takes the
+    # first stage-1 point and the identity, each reification made once
+    t = Tower(base)
+    ref, T, probes = kref.Ref(base), kref.Tabled(t), t.stage2_probes()
+    some = random.Random(0).sample(t.stage1, min(3, len(t.stage1)))
+    ws = [probes[g] for g in some]
+    spread = [t.tabulate(1, lambda g: g), step_map(t, 1, some[0], some[-1])]
+    spread += step_join_sample(t, random.Random(0), 1)
+    points = [range(len(base)), some, ws + [tuple(ws[-1])] + spread]
+    reified: dict = {}
+
+    def reified_at(n, u, d):
+        if (n, u, d) not in reified:
+            reified[n, u, d] = reify(FromThread(stage_embed(t, n, u, d)), d, t)
+        return reified[n, u, d]
+
+    for sigma in kref.automorphisms(base):
+        act, ref_act = kref.tower_lift(ref, t, sigma), ref.lift(sigma)
+        for u in points[2]:
+            assert T.of(2, act(2, u)) == ref_act(2, T.of(2, u))
+
+        def commute(x, y):  # y is sigma(x)
+            assert list(map(act, range(3), x.coords[:3])) == list(y.coords[:3])
+            for g in some if x.depth == 3 else ():
+                assert act(2, t.apply(3, x.coords[3], probes[g])) == \
+                    t.apply(3, y.coords[3], probes[act(1, g)])
+
+        for d in (1, 2, 3):
+            def embed(n, u):
+                return stage_embed(t, n, u, d), stage_embed(t, n, act(n, u), d)
+            pairs = [embed(n, u) for n in range(min(d, 2) + 1) for u in points[n]]
+            for x, sx in pairs:
+                commute(x, sx)
+            for x, sx in [embed(1, g) for g in some] + [embed(2, u) for u in spread if d > 1]:
+                for y, sy in pairs:
+                    commute(app(x, y), app(sx, sy))
+            for n, u in [(1, some[0])] + [(2, spread[0])] * (d > 1):
+                commute(reified_at(n, u, d), reified_at(n, act(n, u), d))
+
+
+@pytest.mark.parametrize("base", [b for b in NATURALITY_BASES if len(b) in (2, 3)],
+                         ids=_up_set_sizes)
+def test_verify_laws_reports_the_same_on_conjugate_sample_threads(base):
+    # sigma(x) is built coordinate by coordinate (kref.lift_thread), its
+    # stage-3 coordinate a map evaluated on demand; the samples are reified
+    # threads and an incoherent one, as in the pinned law reports
+    t = Tower(base)
+    top = stage_embed(t, 1, t.stage1[-1], 3)
+    bad = Thread(t, ((top.coords[0] + 1) % len(base),) + top.coords[1:], check=False)
+    xs = [reify(Identity(), 3, t), reify(Constant(top), 3, t), reify(FromThread(top), 3, t), bad]
+    report = verify_laws(t, 3, sample_threads=xs)
+    assert not report["ok"] and report["checks"][-1]["checked"] == len(t.stage1) + 4
+    ref = kref.Ref(base)
+    for sigma in kref.automorphisms(base):
+        lift = kref.lift_thread(ref, t, sigma)
+        assert verify_laws(t, 3, sample_threads=list(map(lift, xs))) == report
