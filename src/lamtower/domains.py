@@ -79,7 +79,7 @@ def flat_base(poles: tuple[str, ...] = DEFAULT_POLES) -> FinPoset:
     return FinPoset(labels, leq, 0)
 
 
-class _Probe(tuple):
+class Probe(tuple):
     """A probe e_1(g): the table emb(1, g) of a stage-1 element g, carrying
     g itself (`pos`), set once by Tower.emb; p_1 e_1 is the identity, so
     that is its p_1 value.  A plain tuple equal to a probe is not a probe."""
@@ -95,7 +95,12 @@ class Tower:
     stage 2 is a table of stage-1 positions, indexed by stage-1 position;
     stage 3 is a LazyMono evaluated at stage-2 tables on demand.  Other code
     builds, applies, orders and compares elements only through the tower's
-    methods.
+    methods.  A stage-3 map keeps its values at the probes e_1(D_1) as a
+    vector, filled in probe order: proj(2, .) reads and fills all of it,
+    apply(3, ., w) at a probe w fills it only as far as w, and eq(3, ...)
+    compares two full vectors whole; otherwise eq(3, ...) and leq(3, ...)
+    read both vectors lazily (at_probes), no further than their first
+    differing probe.
 
     `stage1_index` maps each table to its position, read only where a table
     becomes an element (tabulate(0, .) and proj(1, .) off the probes, which
@@ -162,7 +167,7 @@ class Tower:
             if a is b:
                 return True
             rows = self._up1 or self._stage1_up()
-            if type(a) is _Probe and type(b) is _Probe:  # e_1 is an order embedding
+            if type(a) is Probe and type(b) is Probe:  # e_1 is an order embedding
                 return b.pos in rows[a.pos]
             return all(map(frozenset.__contains__, map(rows.__getitem__, a), b))
         if level == 3:
@@ -180,7 +185,10 @@ class Tower:
         if level == 3:
             if a.key is not None and a.key == b.key:
                 return True
-            return all(map(operator.eq, self.at_probes(a), self.at_probes(b)))
+            va, vb = self.at_probes(a), self.at_probes(b)
+            if va is a.probed and vb is b.probed:  # both full: == skips identical entries
+                return va == vb
+            return all(map(operator.eq, va, vb))
         raise CapExceeded("no equality test above stage 3")
 
     def up_set(self, level: int, a):
@@ -227,11 +235,15 @@ class Tower:
         if level == 2:
             return f[x]
         if level == 3:
-            if type(x) is not _Probe:
+            if type(x) is not Probe:
                 return f.eval(x)
-            # at a probe, read and fill the vector at_probes keeps, building
-            # no probe past this one
+            # at a probe, read the vector at_probes keeps, or fill it as far
+            # as this probe, building no probe past this one
             probed = f.probed
+            try:
+                return probed[x.pos]
+            except IndexError:
+                pass
             while len(probed) <= x.pos:
                 probed.append(f.fn(self.emb(1, len(probed))))
             return probed[x.pos]
@@ -247,7 +259,7 @@ class Tower:
             probe = self._emb1.get(x)
             if probe is None:
                 const, g, bot = self._const1, self.stage1_tables[x], self.base.bottom
-                probe = self._emb1[x] = _Probe(const[g[u[bot]]] for u in self.stage1_tables)
+                probe = self._emb1[x] = Probe(const[g[u[bot]]] for u in self.stage1_tables)
                 probe.pos = x
             return probe
         if n == 2:
@@ -260,16 +272,18 @@ class Tower:
         if n == 0:
             return self.stage1_tables[u][self.base.bottom]
         if n == 1:
-            if type(u) is _Probe:  # p_1 e_1 is the identity
+            if type(u) is Probe:  # p_1 e_1 is the identity
                 return u.pos
             # u applied to the constant map at x, then evaluated at bottom
             bot, tables = self.base.bottom, self.stage1_tables
             return self._position(tuple([tables[u[i]][bot] for i in self._const1]))
         if n == 2:
-            # u at emb(1, g) for each g, which are the probes; the probe
-            # case of proj(1, .) is inlined, as it runs per entry
-            return tuple([v.pos if type(v) is _Probe else self.proj(1, v)
-                          for v in self.at_probes(u)])
+            # u at emb(1, g) for each g, which are the probes: its whole
+            # vector, filled in one pass; the probe case of proj(1, .) is
+            # inlined, as it runs per entry
+            probed = u.probed
+            probed.extend(map(u.fn, self.stage2_probes()[len(probed):]))
+            return tuple([v.pos if type(v) is Probe else self.proj(1, v) for v in probed])
         raise CapExceeded(f"no projection representation to stage {n}")
 
     def tabulate(self, n: int, fn: Callable):
@@ -304,36 +318,29 @@ class Tower:
     def probe_position(self, w) -> Optional[int]:
         """w's position in stage2_probes() when w is a probe, a table built
         by emb(1, .); None for any other object, equal tables included."""
-        return w.pos if type(w) is _Probe else None
+        return w.pos if type(w) is Probe else None
 
     def at_probes(self, u: "LazyMono"):
         """The values of the stage-3 element u at stage2_probes(), in order.
 
         Each value is computed once per u and kept on it (`u.probed`), which
         apply(3, u, w) at a probe w reads and fills too.  A full vector is
-        returned as it is; a partial one fills only as far as a caller reads,
-        so a comparison that stops at its first differing probe evaluates no
-        further.
+        returned as it is; a partial one is read through apply(3, u, .), so
+        it fills only as far as a caller reads, and a comparison that stops
+        at its first differing probe evaluates no further.
         """
         probes = self.stage2_probes()
         if len(u.probed) == len(probes):
             return u.probed
-        return self._fill_probes(u, probes)
-
-    @staticmethod
-    def _fill_probes(u: "LazyMono", probes: tuple):
-        probed = u.probed
-        for i, w in enumerate(probes):
-            if i == len(probed):
-                probed.append(u.fn(w))
-            yield probed[i]
+        return map(partial(self.apply, 3, u), probes)
 
 
 class LazyMono:
     """A stage-3 element backed by evaluation, memoized; carries an optional
     construction key so embedded elements compare exactly.  `probed` holds
-    its values at the probe family, a prefix filled by Tower.at_probes and
-    Tower.apply; `memo` holds its values at any other argument."""
+    its values at the probe family, a prefix filled by Tower.apply (and so
+    Tower.at_probes) and, whole, by Tower.proj; `memo` holds its values at
+    any other argument."""
 
     def __init__(self, fn: Callable, key=None):
         self.fn = fn

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .domains import CapExceeded, NotInStage, Tower
+from .domains import CapExceeded, NotInStage, Probe, Tower
 from .record import record
 
 
@@ -72,6 +72,13 @@ def thread_le(x: Thread, y: Thread) -> bool:
     return all(map(x.tower.leq, range(x.depth + 1), x.coords, y.coords))
 
 
+def cut(x: Thread, d: int) -> Thread:
+    """x's coordinates 0..d, a thread of depth d."""
+    if not 0 <= d <= x.depth:
+        raise DepthTooSmall(f"cannot cut a thread of depth {x.depth} to depth {d}")
+    return Thread(x.tower, x.coords[:d + 1], check=False)
+
+
 def stage_embed(tower: Tower, n: int, u, depth: int) -> Thread:
     """The canonical embedding of a stage-n element: project below, embed above.
 
@@ -86,7 +93,7 @@ def stage_embed(tower: Tower, n: int, u, depth: int) -> Thread:
     if n > depth:
         raise DepthTooSmall(f"cannot embed stage {n} at depth {depth}")
     # the probe case first: app's result is almost always a probe table
-    pos, m = (tower.probe_position(u), 1) if n == 2 else (u if n < 2 else None, n)
+    pos, m = (u.pos if type(u) is Probe else None, 1) if n == 2 else (u if n < 2 else None, n)
     if pos is None:
         return _embed(tower, n, u, depth)
     # the row's entry, filled on first use; app calls this per entry
@@ -213,10 +220,9 @@ def reify(g: EndoMap, depth: int, tower: Tower) -> Thread:
         images = tuple(map(g.apply, thread_row(tower, 1, depth)))
         coords.append(tuple(y.coords[1] for y in images))
     if depth > 2:
-        apply, pos = g.apply, tower.probe_position
-        coords.append(tower.tabulate(2, lambda w: (
-            apply(stage_embed(tower, 2, w, depth)) if (i := pos(w)) is None
-            else images[i]).coords[2]))
+        tops = [y.coords[2] for y in images]
+        coords.append(tower.tabulate(2, lambda w: tops[w.pos] if type(w) is Probe
+                                     else g.apply(stage_embed(tower, 2, w, depth)).coords[2]))
     return Thread(tower, tuple(coords))
 
 
@@ -229,10 +235,10 @@ def _check(name: str, failures: list, checked: int) -> dict:
 
 
 # Stage-3 evaluations verify_laws may make (see check_law_budget).  The base-5
-# suite takes 2.3-3.2 us per evaluation on a busy 2-core shared host, so the
-# budget is at most about 5 s of laws, which leaves the rest of `kinfty
-# check` within 10 s.  It admits base 5 (629 stage-1 elements, 795 685
-# evaluations: 1.9-2.7 s and 24-25 MB for `kinfty check` on that host;
+# suite takes 0.9-1.9 us per evaluation on a busy 2-core shared host, so the
+# budget is at most about 3 s of laws, which leaves the rest of `kinfty
+# check` well within 10 s.  It admits base 5 (629 stage-1 elements, 795 685
+# evaluations: 0.9-1.7 s and 23-24 MB for `kinfty check` on that host;
 # nearly all of it the laws, as the stage-1 order and the step-join sample
 # take 0.04-0.05 s) and refuses base 6 (7 781 elements, 121 142 389
 # evaluations).

@@ -135,7 +135,8 @@ def decode(data):
         raise ValueError(f"cannot decode a JSON {type(data).__name__}")
     if "$e" in data:
         pair = data["$e"]
-        if not (isinstance(pair, list) and len(pair) == 2 and pair[0] in _ENUMS):
+        if not (isinstance(pair, list) and len(pair) == 2
+                and isinstance(pair[0], str) and pair[0] in _ENUMS):
             raise ValueError(f"unknown enum {pair!r}")
         return _ENUMS[pair[0]](pair[1])
     tag = data.get("$t")

@@ -300,7 +300,8 @@ def diff(tower) -> list:
     twelfth other, and the join of every pair of step maps (of 400 seeded
     pairs past 150 maps).  A stage-3 map and the order of three threads are
     compared at every probe, a reification at the probes of the elements
-    read, other stage-3 values at a probe and a step join.
+    read, other stage-3 values at a probe and a step join.  Every sixth
+    embedded thread is cut to each depth up to its own.
     """
     ref, out, rng, T = Ref(tower.base), [], random.Random(0), Tabled(tower)
 
@@ -386,6 +387,9 @@ def diff(tower) -> list:
         threads = [(T.stage_embed(n, u, d), ref.embed(n, ru, d)) for n, u, ru in keys]
         for (x, rx), (n, u, _) in zip(threads, keys):
             check("stage_embed", d, (n, u), mine(x), view(rx))
+        for e in range(d + 1):
+            for x, rx in threads[::max(1, len(threads) // 6)]:
+                check("cut", d, (x, e), mine(K.cut(x, e)), view(rx[:e + 1]))
         for n in (0, 1):
             check("thread_row", d, (n,), [T.coords(x)[:3] for x in K.thread_row(tower, n, d)],
                   [ref.embed(n, u, d)[:3] for u in ref.domain(n)])

@@ -277,8 +277,10 @@ _NOT_REPLAYABLE = "sequence 0 is not a replayable reduction sequence"
     # well-formed, but the path leaves the cached term: replay fails
     (_with_first_step_path([{"$e": ["Dir", "f"]}]), _NOT_REPLAYABLE),
     ([{"$t": "RedSeq", "f": [5, []]}] * 4, "RedSeq cannot hold these fields"),
+    # an enum name that is not a string: once a TypeError and a traceback
+    ([{"$e": [[], "a"]}], _NOT_REPLAYABLE + ": unknown enum [[], 'a']"),
 ], ids=["int-term", "int-path", "var-x", "negative-index", "path-leaves-term",
-        "int-terms-field"])
+        "int-terms-field", "list-enum-name"])
 def test_cli_sequences_not_replayable_is_json(capsys, tmp_path, data, message):
     assert message in _sequences_error(capsys, tmp_path, data)
 

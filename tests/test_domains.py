@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 import time
+from collections import Counter
 from functools import partial
 
 import kref
@@ -13,8 +14,9 @@ from lamtower.domains import (CapExceeded, FinPoset, LazyMono, NotInStage,
                               Tower, check_projection_pair, flat_base,
                               flat_stage1_size, lub, step_join_sample, step_map)
 from lamtower.kinfinity import (Constant, FromThread, Identity, Thread, _embed,
-                                app, check_law_budget, reify, stage_embed,
-                                thread_eq, thread_row, verify_laws)
+                                app, bottom_thread, check_law_budget, cut,
+                                reify, stage_embed, thread_eq, thread_le,
+                                thread_row, verify_laws)
 
 BOT, SR1, SL1 = 0, 1, 2
 
@@ -644,3 +646,130 @@ def test_verify_laws_reports_the_same_on_conjugate_sample_threads(base):
     for sigma in kref.automorphisms(base):
         lift = kref.lift_thread(ref, t, sigma)
         assert verify_laws(t, 3, sample_threads=list(map(lift, xs))) == report
+
+
+# -- the truncations form an inverse system: cut laws between depths ---------
+
+def _first_difference(t, x, y):
+    """The first stage at which threads x and y of one depth differ, or None."""
+    return next((n for n in range(x.depth + 1)
+                 if not t.eq(n, x.coords[n], y.coords[n])), None)
+
+
+def _cut_endomap(g, d):
+    """g with its value or point cut to depth d."""
+    if isinstance(g, Constant):
+        return Constant(cut(g.value, d))
+    if isinstance(g, FromThread):
+        return FromThread(cut(g.point, d))
+    return g
+
+
+def _cut_laws(t, pick):
+    """The cut laws from depth D to d = D - 1, for D 3 and 2, on tower t;
+    the failures, each with the first stage where its two sides differ, and
+    the cases checked per law.
+
+    The threads at depth D are every base point, the stage-1 elements
+    `pick` and four step joins, embedded, and the reifications of Identity,
+    Constant(bottom) and FromThread of the first three picked points.
+    - stage_embed: cut_d(e_n(u)) = e_n(u) at depth d, or e_d(p_d(u)) when
+      n = D;
+    - reify: cut_d(reify(g)) = reify(cut_d(g)), g's point or value cut;
+    - app: app(cut_d(x), cut_d(y)) <= cut_d(app(x, y)), with equality when
+      x's top coordinate is e_d of its stage-d one: every thread here but
+      the identity's reification and, at D = 2, the embedded joins.  Depth
+      d applies x_d to y_(d-1) = p(y_d) and embeds, depth D applies x_D to
+      y_d, and e_d p_d is below the identity;
+    - the cut is monotone for thread_le and preserves thread_eq.
+    "app_equal" counts the app pairs whose two sides are equal.
+    """
+    failures, counts = [], Counter()
+    joins = step_join_sample(t, random.Random(0), 4)
+    for D in (3, 2):
+        d = D - 1
+        keys = [(0, x) for x in range(len(t.base))] + [(1, g) for g in pick]
+        keys += [(2, w) for w in joins]
+        threads = [stage_embed(t, n, u, D) for n, u in keys]
+        exact = [n <= d for n, _ in keys]
+        for (n, u), x in zip(keys, threads):
+            low = stage_embed(t, n, u, d) if n <= d else stage_embed(t, d, t.proj(d, u), d)
+            counts["stage_embed"] += 1
+            if (diff := _first_difference(t, cut(x, d), low)) is not None:
+                failures.append(("stage_embed", D, n, u, diff))
+        gs = [Identity(), Constant(bottom_thread(t, D))]
+        gs += [FromThread(x) for (n, _), x in zip(keys, threads) if n == 1][:3]
+        for g in gs:
+            r, low = reify(g, D, t), reify(_cut_endomap(g, d), d, t)
+            counts["reify"] += 1
+            if (diff := _first_difference(t, cut(r, d), low)) is not None:
+                failures.append(("reify", D, type(g).__name__, diff))
+            threads.append(r)
+            exact.append(type(g) is not Identity)
+        cuts = [cut(x, d) for x in threads]
+        for i, (x, cx) in enumerate(zip(threads, cuts)):
+            for j, (y, cy) in enumerate(zip(threads, cuts)):
+                low, high = app(cx, cy), cut(app(x, y), d)
+                counts["app"] += 1
+                diff = _first_difference(t, low, high)
+                counts["app_equal"] += diff is None
+                if not thread_le(low, high) or (exact[i] and diff is not None):
+                    failures.append(("app", D, i, j, diff))
+                if thread_le(x, y):
+                    counts["le"] += 1
+                    if not thread_le(cx, cy):
+                        failures.append(("le", D, i, j))
+                if thread_eq(x, y):
+                    counts["eq"] += 1
+                    if not thread_eq(cx, cy):
+                        failures.append(("eq", D, i, j))
+    return failures, dict(counts)
+
+
+def _cut_pick(t):
+    """Every stage-1 element of a base with at most 4 elements, else 16
+    seeded ones, as kref.diff reads them."""
+    s = len(t.stage1)
+    return range(s) if len(t.base) <= 4 else sorted(random.Random(0).sample(range(s), 16))
+
+
+# the cases of each cut law on each of SMALL_BASES: stage_embed, reify, app,
+# app pairs that are equal (not only below), le pairs and eq pairs
+SMALL_BASE_CUT_COUNTS = [
+    (6, 6, 72, 72, 72, 72), (18, 10, 392, 365, 234, 96),
+    (36, 10, 1058, 1021, 308, 86), (34, 10, 968, 905, 404, 84),
+    (150, 10, 12800, 12690, 1410, 204), (96, 10, 5618, 5504, 1170, 150),
+    (96, 10, 5618, 5526, 1368, 150), (88, 10, 4802, 4710, 1422, 142),
+    (86, 10, 4608, 4503, 1654, 140), (50, 10, 1800, 1751, 328, 76)]
+CUT_LAWS = ("stage_embed", "reify", "app", "app_equal", "le", "eq")
+
+
+@pytest.mark.parametrize("base, counts", zip(SMALL_BASES, SMALL_BASE_CUT_COUNTS),
+                         ids=map(_up_set_sizes, SMALL_BASES))
+def test_cut_laws_on_small_pointed_posets(base, counts):
+    t = Tower(base)
+    assert _cut_laws(t, _cut_pick(t)) == ([], dict(zip(CUT_LAWS, counts)))
+
+
+def test_cut_laws_on_a_sample_of_the_flat_base5():
+    t = Tower(flat_base(("sR1", "sL1", "s2", "s3")))
+    assert _cut_laws(t, _cut_pick(t)) == (
+        [], dict(zip(CUT_LAWS, (50, 10, 1800, 1766, 192, 76))))
+
+
+def test_a_wrong_stage3_application_fails_the_cut_laws(monkeypatch):
+    # apply(3, u, w) gives the bottom probe at the last probe, for every u.
+    # Only depth 3 applies a stage-3 coordinate, so the laws from depth 3
+    # fail: app, and reify of FromThread, whose restrictions apply at depth
+    # 3 but read the cut point at depth 2
+    apply = Tower.apply
+
+    def wrong(self, level, f, x):
+        if level == 3 and x is self.stage2_probes()[-1]:
+            return self.emb(1, self.bottom(1))
+        return apply(self, level, f, x)
+    t = Tower(flat_base())
+    monkeypatch.setattr(Tower, "apply", wrong)
+    failures, _ = _cut_laws(t, _cut_pick(t))
+    assert len(failures) == 28
+    assert {(law, depth) for law, depth, *_ in failures} == {("app", 3), ("reify", 3)}

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from lamtower import cells
+from lamtower import cells, frontseed
 from lamtower.cells import Pentagon, empty_seq, seq_compose, seq_invert
 from lamtower.frontseed import (AssL, FS1Seed, FS2Seed, HornGlueFailure,
                                 NonComposable, ReflL, SeedL, WlL, WrL,
@@ -91,6 +91,35 @@ def test_inverse_letters_swap_their_edges(rng):
         src, tgt = letter_edges(l)
         assert letter_edges(letter_inv(l)) == (tgt, src)
         assert letter_inv(letter_inv(l)) == l
+
+
+def _inverse_pair_by_composite(l1, l2):
+    """A wrong _inverse_pair: associators cancel when their three arguments
+    compose to one sequence, whatever the split."""
+    if isinstance(l1, AssL) and isinstance(l2, AssL):
+        return l1.inv != l2.inv and letter_edges(l1) == letter_edges(l2)
+    return l1 == letter_inv(l2)
+
+
+def _associators_on_two_splits():
+    """AssL(a, b, c) then AssL(a', b', c', inv=True) on the 4-step sequence
+    beta, back, beta, back of the span quadruple, split 1|1|2 and 2|1|1."""
+    t, back, _, _ = _span_quad()
+    return word_of([AssL(t, back, seq_compose(t, back)),
+                    AssL(seq_compose(t, back), t, back, inv=True)])
+
+
+def test_associators_on_different_splits_do_not_cancel(monkeypatch):
+    # distinct generators of the free groupoid, though both sides compose to
+    # the same sequence; an engine that cancels them passes the boundary
+    # checks, which reduce both sides with the same word_reduce
+    w = _associators_on_two_splits()
+    assert len(w.src) == 4
+    assert word_reduce(w).letters == w.letters
+    assert not words_equal(w, empty_word(w.src))
+    monkeypatch.setattr(frontseed, "_inverse_pair", _inverse_pair_by_composite)
+    assert word_reduce(w).letters == ()
+    assert words_equal(w, empty_word(w.src))
 
 
 # --- seeds ------------------------------------------------------------------

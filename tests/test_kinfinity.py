@@ -19,7 +19,7 @@ from lamtower.domains import (CapExceeded, FinPoset, LazyMono, Tower,
 from lamtower.kinfinity import (Constant, DepthTooSmall, FromThread, Identity,
                                 IncoherentThread, Thread, app, app_shadow,
                                 bottom_thread, check_law_budget, coherent,
-                                reify, restrict, stage_embed, thread_eq,
+                                cut, reify, restrict, stage_embed, thread_eq,
                                 thread_le, thread_row, verify_laws)
 
 BOT, SR1, SL1 = 0, 1, 2
@@ -202,9 +202,19 @@ def test_verify_laws_base4_passes_every_law():
 
 
 def test_verify_laws_repeat_matches_fresh_tower():
-    used = _tower(4)
-    first = verify_laws(used, depth=3)
-    assert verify_laws(used, depth=3) == first == verify_laws(_tower(4), depth=3)
+    # the second suite on one tower reads the probe vectors the first filled
+    for base_size in (3, 4):
+        used = _tower(base_size)
+        first = verify_laws(used, depth=3)
+        assert verify_laws(used, depth=3) == first == verify_laws(_tower(base_size), depth=3)
+
+
+def test_a_repeat_suite_sees_a_fault_in_stage3_application(monkeypatch):
+    # the second suite still applies each stage-3 map through Tower.apply
+    t = _tower(3)
+    assert verify_laws(t, depth=3)["ok"]
+    monkeypatch.setattr(Tower, "apply", _faulty_apply(3))
+    assert verify_laws(t, depth=3)["ok"] is False
 
 
 def test_embedding_stage2_reflects_and_preserves_the_order():
@@ -553,6 +563,8 @@ NOT_DIFFED = {
     "DepthTooSmall": "an exception class, with no code of its own",
     "IncoherentThread": "an exception class, with no code of its own",
     "NotInStage": "an exception class, with no code of its own",
+    "Probe": "a tuple with no code of its own, built by emb(1, .); diff compares "
+             "stage2_probes and probe_position",
     "FinPoset": "a base, built before diff runs; test_poset_check_agrees_with_definition "
                 "pins its checks, test_stage1_is_a_pointed_poset_at_base5_quickly the "
                 "stage-1 order's",
@@ -608,6 +620,36 @@ def test_probe_comparisons_decide_stage3_on_the_two_element_base(monkeypatch):
 
 
 # -- probe vectors fill lazily ------------------------------------------------
+
+def test_full_vector_comparisons_agree_with_the_entrywise_rule(tower):
+    # two full vectors compare as wholes: entries equal but not identical,
+    # a plain copy against each probe, and entries that differ only at the
+    # last probe, where one map gives bottom
+    probes = tower.stage2_probes()
+    ident = restrict(Identity(), 2, 3, tower)
+    copy = LazyMono(lambda w: tuple(list(w)))
+    low = LazyMono(lambda w: tower.bottom(2) if w is probes[-1] else w)
+    maps = (ident, copy, low)
+    for u in maps:
+        list(tower.at_probes(u))
+        assert tower.at_probes(u) is u.probed
+    assert [type(v) for v in copy.probed] == [tuple] * len(probes)
+    assert ident.probed[-1] != tower.bottom(2) and ident.probed[:-1] == low.probed[:-1]
+    for a, b in itertools.product(maps, repeat=2):
+        pairs = list(zip(a.probed, b.probed))
+        assert tower.eq(3, a, b) == all(tower.eq(2, v, w) for v, w in pairs)
+        assert tower.leq(3, a, b) == all(tower.leq(2, v, w) for v, w in pairs)
+    assert tower.eq(3, ident, copy) and not tower.eq(3, ident, low)
+    assert tower.leq(3, low, copy) and not tower.leq(3, copy, low)
+
+
+def test_cut_keeps_the_low_coordinates(tower):
+    x = reify(Identity(), 3, tower)
+    for d in range(4):
+        assert cut(x, d).coords == x.coords[:d + 1] and cut(x, d).depth == d
+    for d in (-1, 4):
+        with pytest.raises(DepthTooSmall):
+            cut(x, d)
 
 def _counted_map(fn):
     """A fresh stage-3 map and the list its evaluations are logged to."""

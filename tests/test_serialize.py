@@ -100,6 +100,9 @@ def test_deterministic_bytes(rng):
     (serialize.encode(Word(_P, seq_invert(_P), ())), "Word cannot hold these fields: ill-shaped"),
     (serialize.encode(Word(_P, seq_invert(_P), (ReflL(_P),))),
      "Word cannot hold these fields: ill-shaped"),
+    # an enum name that is not a string, refused before it is looked up
+    ({"$e": [[], "a"]}, "unknown enum [[], 'a']"),
+    ({"$e": [{}, "a"]}, "unknown enum [{}, 'a']"),
 ])
 def test_decode_rejects_non_encodings(data, message):
     with pytest.raises(ValueError, match=re.escape(message)):
