@@ -211,13 +211,15 @@ def _render_letter(l: F.Letter) -> str:
 # Subcommands.
 
 # Largest --fuel reduce and pi0 accept.  The looping term (\x. x x x)
-# (\x. x x x) grows at every step, so a run costs more than the square of
-# its fuel: as a CLI process, `reduce` on it took 0.61 / 2.25 / 4.3-4.9 /
-# 7.5 / 9.1 s and 19 / 31 / 51 / 64 / 78 MB at fuel 1 000 / 2 000 / 3 000 /
-# 3 500 / 4 000 on a loaded day of a 2-core shared Xeon host (Python 3.11.7),
-# and 10.2 s at 4 000 and 17.2 s at 5 000 on another such day.  At the cap it
-# finishes within 10 s with room to spare; `pi0` stops at the first term that
-# runs out of fuel, so it costs the same on it.
+# (\x. x x x) grows at every step, and each step rebuilds its path and
+# keeps it in the trace, so a run costs more than the square of its fuel:
+# as a CLI process, `reduce` on it took 0.47-0.48 / 1.1-1.6 / 2.6-3.4 s and
+# 19 / 31 / 51 MB at fuel 1 000 / 2 000 / 3 000 on a 2-core shared Xeon host
+# (Python 3.11.7); before the search resumed at each contraction, 0.58 /
+# 1.6-1.9 / 3.4-3.7 s the same day, and 9.1-10.2 s at 4 000 and 17.2 s at
+# 5 000 on loaded days.  At the cap it finishes within 10 s with room to
+# spare; `pi0` stops at the first term that runs out of fuel, so it costs
+# the same on it.
 MAX_FUEL = 3000
 
 
@@ -417,12 +419,13 @@ def cmd_kinfty(args) -> int:
 # as a CLI process on four chained generated zigzags of n steps each (a
 # 2-core shared Xeon host, Python 3.11.7), `pentagon` / `bridges` / `assoc`
 # took 1.1 / 1.1 / 0.3 s at n = 64, 4.9-5.9 / 4.9-6.2 / 0.8-0.9 s at
-# n = 128 (three runs) and 9.7 / 8.3 / 1.9 s at n = 160.  At the cap,
-# 4 x 128 steps, the slowest finishes within 10 s on a loaded day.  Uneven
-# splits of about that total (256-128-64-64, 64-64-128-256, 1-1-1-509)
-# ended within 3.4 s, some in a recursion-depth error: `pentagon` and
-# `bridges` where |p| + |q| passes about 300 steps, `assoc` at |p| = 509.
-MAX_SEQUENCE_STEPS = 512
+# n = 128 (three runs) and 9.7 / 8.3 / 1.9 s at n = 160.  fs_assoc_compare
+# recurses once per step of p, so past the cap `assoc` and `bridges` end in a
+# recursion-depth error from |p| of about 340 and `pentagon` from |p| + |q|
+# of about 320.  At the cap every split answers with a report; the dearest
+# puts all 256 steps in p, where a CLI process took 5.3-5.6 / 4.3 / 1.4-1.5 s
+# and 17-20 MB.
+MAX_SEQUENCE_STEPS = 256
 
 
 def cmd_coherence(args) -> int:

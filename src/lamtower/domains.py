@@ -98,9 +98,9 @@ class Tower:
     methods.  A stage-3 map keeps its values at the probes e_1(D_1) as a
     vector, filled in probe order: proj(2, .) reads and fills all of it,
     apply(3, ., w) at a probe w fills it only as far as w, and eq(3, ...)
-    compares two full vectors whole; otherwise eq(3, ...) and leq(3, ...)
-    read both vectors lazily (at_probes), no further than their first
-    differing probe.
+    compares two full vectors whole; leq(3, ...) of two emb(2, .) maps reads
+    neither vector; otherwise eq(3, ...) and leq(3, ...) read both vectors
+    lazily (at_probes), no further than their first differing probe.
 
     `stage1_index` maps each table to its position, read only where a table
     becomes an element (tabulate(0, .) and proj(1, .) off the probes, which
@@ -152,9 +152,10 @@ class Tower:
         In stages 1 and 2 the answer is read from the up-set rows of the
         stage-1 order: a stage-2 element is below itself by identity, two
         probes compare as their positions, and other stage-2 elements slot
-        by slot.  At stage 3 it decides less than the order of maps: one map,
-        or two with equal construction keys (both emb(2, w) for one w), are
-        below; others are compared pointwise at the s probes e_1(D_1) only, s
+        by slot.  At stage 3 it decides less than the order of maps: one map
+        is below itself, two built by emb(2, .) compare as their construction
+        keys do in stage 2 (the probe-by-probe answer, read from no probe),
+        and others are compared pointwise at the s probes e_1(D_1) only, s
         the size of stage 1 (bottom(2) is e_1(bottom(1)), one of them).  Maps
         that agree on the probes but differ elsewhere in stage 2 compare
         below each other.
@@ -171,8 +172,12 @@ class Tower:
                 return b.pos in rows[a.pos]
             return all(map(frozenset.__contains__, map(rows.__getitem__, a), b))
         if level == 3:
-            if a is b or (a.key is not None and a.key == b.key):
+            if a is b:
                 return True
+            if a.key is not None and b.key is not None:
+                # both emb(2, .), and at the probe e_1(g), e_2(x) is
+                # e_1(x(g)), e_1 an order embedding: x <= y decides it
+                return self.leq(2, a.key[1], b.key[1])
             return all(map(partial(self.leq, 2), self.at_probes(a), self.at_probes(b)))
         raise CapExceeded("no order comparison above stage 3")
 

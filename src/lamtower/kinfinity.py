@@ -256,8 +256,8 @@ def check_law_budget(stage1_size: int) -> None:
     the tops of the s embedded stage-1 elements and of the bottom thread
     (read by their reifications), the s + 1 reified restrictions of the
     stagewise and retract laws, and the 5 reified endomaps of the section
-    law.  The density chain fills no further map, since it orders tops with
-    one construction key by the key.  That is s(2s + 7): 319 at base 3,
+    law.  The density chain fills no further map, since it orders tops
+    built by emb(2, .) by their construction keys.  That is s(2s + 7): 319 at base 3,
     9 447 at base 4 and 795 685 at base 5.
     """
     work = stage1_size * (2 * stage1_size + 7)

@@ -284,91 +284,125 @@ def invert_step(s: RedStep, source: Term) -> RedStep:
     return RedStep(s.kind, s.path, True)
 
 
-def _scan(t: Term, first: bool):
-    """The leftmost-outermost (preorder) search for forward redexes in t.
+def _eta_body(body: Term) -> bool:
+    """lam body is an eta redex: body is M #0 with #0 not free in M."""
+    return (isinstance(body, App) and body.arg.__class__ is Var
+            and body.arg.index == 0 and not free_in(body.fun, 0))
 
-    One walk down the leftmost spine, no recursion: the path and the node at
-    each level of it (parents) are live lists.  An App records only its
-    depth as pending and the walk goes into its function; a Lam goes into
-    its body.  At a Var the walk resumes at the deepest pending App: path
-    and parents are cut back to it, its selector turns from FUN to ARG, and
-    the walk goes into its argument.  So visiting a node costs O(1) however
-    deep it sits.  With first, returns (kind, node, path, parents) for the
-    first redex, or None; otherwise the list of every redex as a RedStep.
+
+def _scan(node: Term, path: list, parents: list, pending: list, first: bool):
+    """The leftmost-outermost (preorder) search for forward redexes, from
+    node on.
+
+    One walk down the leftmost spine, no recursion.  The walk's state is the
+    caller's three lists: the path to node, the node at each level of it
+    (parents), and the depths of the Apps on it whose argument is still
+    unvisited (pending).  An App records its depth as pending and the walk
+    goes into its function; a Lam goes into its body.  At a Var the walk
+    resumes at the deepest pending App: path and parents are cut back to it,
+    its selector turns from FUN to ARG, and the walk goes into its argument.
+    So visiting a node costs O(1) however deep it sits.  With first, stops
+    at the first redex and returns (kind, redex), the lists then addressing
+    the redex (its own argument is not pending), or None; otherwise returns
+    the list of every redex as a RedStep.
     """
-    path: list[Dir] = []
-    parents: list[Term] = []
-    pending: list[int] = []  # depths of the Apps whose argument is unvisited
     found: list[RedStep] = []
-    node = t
     while True:
-        kind = None
         if isinstance(node, App):
-            child = node.fun
-            if isinstance(child, Lam):
-                kind = _BETA
+            if isinstance(node.fun, Lam):
+                if first:
+                    return _BETA, node
+                found.append(RedStep(_BETA, tuple(path)))
             pending.append(len(path))
-            way = _FUN
+            path.append(_FUN)
+            parents.append(node)
+            node = node.fun
         elif isinstance(node, Lam):
-            child = node.body
-            if (isinstance(child, App) and child.arg.__class__ is Var
-                    and child.arg.index == 0 and not free_in(child.fun, 0)):
-                kind = _ETA
-            way = _BODY
-        else:
-            if not pending:
-                return None if first else found
+            if _eta_body(node.body):
+                if first:
+                    return _ETA, node
+                found.append(RedStep(_ETA, tuple(path)))
+            path.append(_BODY)
+            parents.append(node)
+            node = node.body
+        elif pending:
             depth = pending.pop()
             del path[depth + 1:]
             del parents[depth + 1:]
             path[depth] = _ARG
             node = parents[depth].arg
-            continue
-        if kind is not None:
-            if first:
-                return kind, node, path, parents
-            found.append(RedStep(kind, tuple(path)))
-        path.append(way)
-        parents.append(node)
-        node = child
+        else:
+            return None if first else found
 
 
 def find_redexes(t: Term) -> list[RedStep]:
     """All forward steps on t in leftmost-outermost path order."""
-    return _scan(t, False)
+    return _scan(t, [], [], [], False)
 
 
 def first_redex(t: Term) -> Optional[RedStep]:
-    hit = _scan(t, True)
-    return None if hit is None else RedStep(hit[0], tuple(hit[2]))
+    path: list[Dir] = []
+    hit = _scan(t, path, [], [], True)
+    return None if hit is None else RedStep(hit[0], tuple(path))
 
 
 def normalize(t: Term, fuel: int) -> tuple[Term, tuple[RedStep, ...]]:
     """Leftmost-outermost reduction to beta/eta normal form.
 
-    Each step is one descent: the scan that finds the redex hands its node,
-    path and parents to the contraction, which rebuilds along them.  Returns
-    the normal form and the replayable trace, or raises FuelExhausted
-    (carrying the partially reduced term) when fuel runs out first.
+    One walk serves every step: the search stops at a redex with its path,
+    parents and pending arguments live, the contraction rebuilds the term
+    along them and writes each rebuilt ancestor back into parents, and the
+    search resumes where it contracted.  Every node before the redex in
+    preorder held no redex, and those off the path are unchanged, so only
+    ancestors can have become redexes, and only two kinds can: the parent,
+    when the contractum is a Lam in function position (beta), and an
+    enclosing Lam whose body is now M #0 with #0 not free in M (eta).  The
+    outermost such ancestor is the next redex; with none, the walk goes on
+    from the contractum with the arguments it had pending.  Returns the
+    normal form and the replayable trace, or raises FuelExhausted (carrying
+    the partially reduced term) when fuel runs out first.
     """
     trace: list[RedStep] = []
+    path: list[Dir] = []
+    parents: list[Term] = []
+    pending: list[int] = []
     current = t
-    while True:
-        hit = _scan(current, True)
-        if hit is None:
-            return current, tuple(trace)
+    hit = _scan(t, path, parents, pending, True)
+    while hit is not None:
         if fuel <= 0:
             raise FuelExhausted(current, tuple(trace))
         fuel -= 1
-        kind, node, path, parents = hit
-        new = _beta_contract(node) if kind is _BETA else _eta_contract(node)
-        current = _plug(new, path, parents)
+        kind, node = hit
         trace.append(RedStep(kind, tuple(path)))
-        # Free the scan's lists before the next scan grows its own: on a
-        # growing spine they are as long as the path, and kept alive they
-        # fragment the heap (about 0.3 MB more peak RSS over repeated
-        # fuel-1000 runs of the looping term).
-        del hit, path, parents
+        contractum = _beta_contract(node) if kind is _BETA else _eta_contract(node)
+        depth = len(path)
+        # top: the outermost ancestor that is now a redex, depth if none.
+        # Below the parent an App keeps its function's constructor, so only
+        # the parent can become a beta redex.
+        top = depth - 1 if depth and path[-1] is _FUN and isinstance(contractum, Lam) else depth
+        new = contractum
+        for i in range(depth - 1, -1, -1):
+            d = path[i]
+            if d is _FUN:
+                new = App(new, parents[i].arg)
+            elif d is _ARG:
+                new = App(parents[i].fun, new)
+            else:
+                new = Lam(new)
+                if _eta_body(new.body):
+                    top = i
+            parents[i] = new
+        current = new
+        if top < depth:
+            node = parents[top]
+            del path[top:]
+            del parents[top:]
+            while pending and pending[-1] >= top:
+                pending.pop()
+            hit = (_BETA if isinstance(node, App) else _ETA), node
+        else:
+            hit = _scan(contractum, path, parents, pending, True)
+    return current, tuple(trace)
 
 
 def to_text(t: Term) -> str:

@@ -285,15 +285,21 @@ def test_cli_sequences_not_replayable_is_json(capsys, tmp_path, data, message):
     assert message in _sequences_error(capsys, tmp_path, data)
 
 
-def _span_zigzag_quadruple(total):
-    """Four chained sequences of `total` steps in all, the span's beta step
-    and its inverse in turn, split as evenly as the count allows."""
+def _span_zigzag_quadruple(lengths):
+    """Four chained sequences of the given lengths, the span's beta step and
+    its inverse in turn."""
+    total = sum(lengths)
     beta = span_beta_seq()
     terms = (beta.source, beta.target) * (total // 2 + 1)
     steps = (beta.steps[0], seq_invert(beta).steps[0]) * (total // 2 + 1)
-    cuts = [total * i // 4 for i in range(5)]
+    cuts = [sum(lengths[:i]) for i in range(5)]
     return [serialize.encode(RedSeq(terms[a:b + 1], steps[a:b]))
             for a, b in zip(cuts, cuts[1:])]
+
+
+def _even(total):
+    """`total` steps split into four as evenly as the count allows."""
+    return [total * (i + 1) // 4 - total * i // 4 for i in range(4)]
 
 
 def test_cli_sequences_over_the_step_cap_refused_before_replay(capsys, tmp_path, monkeypatch):
@@ -307,8 +313,27 @@ def test_cli_sequences_over_the_step_cap_refused_before_replay(capsys, tmp_path,
     for total, error in [(MAX_SEQUENCE_STEPS, "replayed"), (MAX_SEQUENCE_STEPS + 1,
                          f"--sequences total steps {MAX_SEQUENCE_STEPS + 1} is above "
                          f"the maximum of {MAX_SEQUENCE_STEPS}")]:
-        path.write_text(json.dumps(_span_zigzag_quadruple(total)))
+        path.write_text(json.dumps(_span_zigzag_quadruple(_even(total))))
         assert _error(capsys, ["coherence", "pentagon", "--sequences", str(path)]) == error
+
+
+@pytest.mark.parametrize("lengths, error", [
+    (_even(257), "--sequences total steps 257 is above the maximum of 256"),
+    ((256, 0, 0, 0), None),
+], ids=["257-refused", "assoc-256-0-0-0"])
+def test_cli_sequences_step_cap_is_where_every_split_answers(capsys, tmp_path, lengths, error):
+    # fs_assoc_compare recurses once per step of p, and from |p| of about 340
+    # `assoc` ended in a recursion-depth error; at the cap, all of it in p,
+    # it answers with a report
+    path = tmp_path / "seqs.json"
+    path.write_text(json.dumps(_span_zigzag_quadruple(lengths)))
+    argv = ["coherence", "assoc", "--sequences", str(path)]
+    if error:
+        assert _error(capsys, argv) == error
+    else:
+        code, report = _run(capsys, argv)
+        assert code == 0 and "error" not in report
+        assert [c["pass"] for c in report["checks"]] == [True]
 
 
 def test_cli_memory_error_is_json(capsys, monkeypatch):

@@ -464,6 +464,26 @@ def test_apply3_off_the_probes_uses_the_memo(base_size, rng):
 
 
 @pytest.mark.parametrize("base_size", [3, 4])
+def test_keyed_stage3_maps_compare_as_their_keys(base_size):
+    # leq(3) of two emb(2, .) maps is leq(2) of their keys; the probe-by-probe
+    # answer, on fresh maps, must be the same: probes, bottom(2), a plain copy
+    # of a probe, and step joins
+    t = Tower(flat_base(POLES[base_size]))
+    probes = t.stage2_probes()
+    keys = list(probes[::5]) + [t.bottom(2), tuple(probes[-1])]
+    keys += step_join_sample(t, random.Random(base_size), 10)
+    below = 0
+    for x, y in itertools.product(keys, repeat=2):
+        a, b = t.emb(2, x), t.emb(2, y)
+        pointwise = all(map(partial(t.leq, 2), list(t.at_probes(t.emb(2, x))),
+                            list(t.at_probes(t.emb(2, y)))))
+        assert t.leq(3, a, b) == pointwise == t.leq(2, x, y)
+        assert a.probed == b.probed == []  # decided without reading a probe
+        below += pointwise
+    assert (len(keys), below) == {3: (15, 58), 4: (26, 80)}[base_size]
+
+
+@pytest.mark.parametrize("base_size", [3, 4])
 def test_probes_are_the_embedded_stage1(base_size):
     # one probe per stage-1 element, in stage-1 order, and no two equal:
     # bottom(2) is e_1(bottom(1)), the first of them, and not a probe again

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from smallterms import all_terms
 
 from lamtower.gen import _all_paths, gen_term
 from lamtower.terms import (App, Dir, EtaFreeVarViolation, FuelExhausted,
@@ -391,6 +392,37 @@ def _normalize_outcome(t, fuel):
 def test_normalize_matches_search_and_apply_loop(t):
     for fuel in (0, 1, 5, 200):
         assert _normalize_outcome(t, fuel) == _normalize_reference(t, fuel)
+
+
+def test_normalize_matches_search_and_apply_loop_on_every_small_term():
+    # normalize resumes its search where it contracted, rechecking only the
+    # ancestors a contraction can turn into redexes; every shape of at most
+    # 8 nodes over two free variables meets each case
+    terms = all_terms(8, 2)
+    assert len(terms) == 6835
+    for t in terms:
+        for fuel in (0, 1, 5, 200):
+            assert _normalize_outcome(t, fuel) == _normalize_reference(t, fuel), t
+
+
+_B, _E = StepKind.BETA, StepKind.ETA
+_F, _A, _L = Dir.FUN, Dir.ARG, Dir.BODY
+
+
+@pytest.mark.parametrize("t, steps, nf", [
+    # (\ . #0) (\ . #0) #2: the contractum is a Lam in function position,
+    # so the parent is a beta redex
+    (App(App(Lam(Var(0)), Lam(Var(0))), Var(2)), [(_B, (_F,)), (_B, ())], Var(2)),
+    # \ . (\ . #2) #0 #0: the contraction removes the free #0 from the
+    # function part, so the enclosing Lam is an eta redex
+    (Lam(App(App(Lam(Var(2)), Var(0)), Var(0))), [(_B, (_L, _F)), (_E, ())], Var(0)),
+    # \ . #1 ((\ . #0) #0): the argument becomes #0, an eta redex again
+    (Lam(App(Var(1), App(Lam(Var(0)), Var(0)))), [(_B, (_L, _A)), (_E, ())], Var(0)),
+], ids=["beta-parent", "eta-function-part", "eta-argument"])
+def test_normalize_steps_back_to_an_ancestor_made_a_redex(t, steps, nf):
+    expected = tuple(RedStep(kind, path) for kind, path in steps)
+    assert normalize(t, 10) == (nf, expected)
+    assert _normalize_reference(t, 10) == ("normal", nf, expected)
 
 
 def test_normalize_deep_normal_term_is_itself():
