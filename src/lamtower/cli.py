@@ -414,17 +414,16 @@ def cmd_kinfty(args) -> int:
                          result, checks))
 
 
-# Largest total step count of the four --sequences coherence accepts.  The
-# word engine's work grows faster than the square of the sequence lengths:
-# as a CLI process on four chained generated zigzags of n steps each (a
-# 2-core shared Xeon host, Python 3.11.7), `pentagon` / `bridges` / `assoc`
-# took 1.1 / 1.1 / 0.3 s at n = 64, 4.9-5.9 / 4.9-6.2 / 0.8-0.9 s at
-# n = 128 (three runs) and 9.7 / 8.3 / 1.9 s at n = 160.  fs_assoc_compare
-# recurses once per step of p, so past the cap `assoc` and `bridges` end in a
-# recursion-depth error from |p| of about 340 and `pentagon` from |p| + |q|
-# of about 320.  At the cap every split answers with a report; the dearest
-# puts all 256 steps in p, where a CLI process took 5.3-5.6 / 4.3 / 1.4-1.5 s
-# and 17-20 MB.
+# Largest total step count of the four --sequences coherence accepts.
+# fs_assoc_compare recurses once per step of p, so past the cap `assoc` and
+# `bridges` end in a recursion-depth error from |p| of about 340 and
+# `pentagon` from |p| + |q| of about 320: the depth sets the cap, not the
+# time.  The time grows about as the square of |p| (the comparison alone,
+# in-process: 36 / 143 / 652 ms at |p| = 64 / 128 / 256).  As a CLI process
+# (a 2-core shared Xeon host, Python 3.11.7, five runs), with all 256 steps
+# in p, the dearest split, `pentagon` / `bridges` / `assoc` took 2.4-3.4 /
+# 1.9-2.6 / 0.65-0.9 s and 26 / 24 / 19 MB; on four chained generated
+# zigzags of 64 steps each (two runs), 0.45 / 0.40-0.48 / 0.13-0.14 s.
 MAX_SEQUENCE_STEPS = 256
 
 

@@ -205,40 +205,56 @@ def words_equal(w1: Word, w2: Word) -> bool:
 # ---------------------------------------------------------------------------
 # 3-cell expressions over words.
 
+def _store_words(cell, src: Word, tgt: Word) -> None:
+    """A generator (FS1Seed, FS2Seed, HeadNorm) keeps its reduced source and
+    target boundary words, built once at construction, in its `words` slot."""
+    object.__setattr__(cell, "words", (word_reduce(src), word_reduce(tgt)))
+
+
 @record
 class FS1Seed:
     """WLWR comparison: right-whiskering a left-whiskered cell rebrackets
-    through the two flanking associators."""
+    through the two flanking associators.  Keeps its `words` (_store_words)."""
 
+    __slots__ = ("words",)
     alpha: RedSeq
     eta: Word
     delta: RedSeq
 
     def __post_init__(self):
-        if self.alpha.target != self.eta.src.source:
+        alpha, eta, delta = self.alpha, self.eta, self.delta
+        if alpha.target != eta.src.source:
             raise NonComposable("FS1: eta's source edge must start where alpha ends")
-        if self.eta.src.target != self.delta.source:
+        if eta.src.target != delta.source:
             raise NonComposable("FS1: delta must start where eta's edges end")
+        _store_words(self, word_of([WrL(word_of([WlL(alpha, eta)]), delta)]),
+                     word_of([AssL(alpha, eta.src, delta),
+                              WlL(alpha, word_of([WrL(eta, delta)])),
+                              AssL(alpha, eta.tgt, delta, inv=True)]))
 
 
 @record
 class FS2Seed:
-    """Contraction of the whiskered inner-right-front pentagon face."""
+    """Contraction of the whiskered inner-right-front pentagon face; keeps `words`."""
 
+    __slots__ = ("words",)
     p: RedSeq
     q: RedSeq
     r: RedSeq
     s: RedSeq
 
     def __post_init__(self):
-        _chain(self.p, self.q, self.r, self.s)
+        whole = _chain(self.p, self.q, self.r, self.s)
+        _store_words(self, word_of([WlL(self.p, word_of([AssL(self.q, self.r, self.s)]))]),
+                     empty_word(whole))
 
 
 @record
 class HeadNorm:
     """Head-step normalization: the associator on a step-headed first
-    sequence unfolds to the tail associator whiskered under that step."""
+    sequence unfolds to the tail associator whiskered under that step; keeps `words`."""
 
+    __slots__ = ("words",)
     head: RedSeq
     rest: RedSeq
     q: RedSeq
@@ -247,7 +263,9 @@ class HeadNorm:
     def __post_init__(self):
         if len(self.head.steps) != 1:
             raise NonComposable("HeadNorm peels exactly one step")
-        _chain(self.head, self.rest, self.q, self.r)
+        whole = seq_compose(self.head, self.rest)
+        _store_words(self, word_of([AssL(whole, self.q, self.r)]),
+                     word_of([WlL(self.head, word_of([AssL(self.rest, self.q, self.r)]))]))
 
 
 @record
@@ -292,21 +310,12 @@ def _word_point(x) -> Word:
 
 
 def boundary3_words(e: Cell3Expr) -> tuple[Word, Word]:
-    """Reduced source and target boundary words of a 3-cell expression."""
-    if isinstance(e, FS1Seed):
-        beta, gamma = e.eta.src, e.eta.tgt
-        src = word_of([WrL(word_of([WlL(e.alpha, e.eta)]), e.delta)])
-        tgt = word_of([AssL(e.alpha, beta, e.delta),
-                       WlL(e.alpha, word_of([WrL(e.eta, e.delta)])),
-                       AssL(e.alpha, gamma, e.delta, inv=True)])
-    elif isinstance(e, FS2Seed):
-        src = word_of([WlL(e.p, word_of([AssL(e.q, e.r, e.s)]))])
-        tgt = empty_word(_chain(e.p, e.q, e.r, e.s))
-    elif isinstance(e, HeadNorm):
-        whole = seq_compose(e.head, e.rest)
-        src = word_of([AssL(whole, e.q, e.r)])
-        tgt = word_of([WlL(e.head, word_of([AssL(e.rest, e.q, e.r)]))])
-    elif isinstance(e, VComp):
+    """Reduced source and target boundary words of a 3-cell expression: a
+    generator's stored `words`, a composite's computed from its parts on
+    every read."""
+    if isinstance(e, (FS1Seed, FS2Seed, HeadNorm)):
+        return e.words
+    if isinstance(e, VComp):
         src = boundary3_words(e.left)[0]
         tgt = boundary3_words(e.right)[1]
     elif isinstance(e, PasteR):

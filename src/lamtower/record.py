@@ -9,7 +9,10 @@ tuple (a value of another class compares NotImplemented), the repr
 attribute raises AttributeError.  These are the methods a frozen, slotted
 standard-library data class gets, built by one exec per class, without the
 import and per-class cost of that machinery (and of the inspect module).
-The class body defines none of these methods itself.
+The class body defines none of these methods itself.  Slots it declares
+itself are not fields: __post_init__ sets each once (object.__setattr__),
+and each is read-only afterwards and left out of ==, hash, repr and
+__match_args__.
 """
 
 
@@ -22,7 +25,9 @@ def _delattr(self, name):
 
 
 def record(cls):
-    ns = {k: v for k, v in vars(cls).items() if k not in ("__dict__", "__weakref__")}
+    own = tuple(vars(cls).get("__slots__", ()))  # a tuple of names
+    skip = ("__dict__", "__weakref__", "__slots__", *own)  # the new class remakes slots
+    ns = {k: v for k, v in vars(cls).items() if k not in skip}
     names = tuple(ns.get("__annotations__", ()))
     g = {f"_d_{n}": ns.pop(n) for n in names if n in ns}  # the defaults
     params = "".join(f", {n}=_d_{n}" if f"_d_{n}" in g else f", {n}" for n in names)
@@ -44,7 +49,7 @@ def record(cls):
     for name in ("__init__", "__eq__", "__hash__", "__repr__"):
         ns[name] = g[name]
         g[name].__qualname__ = f"{cls.__qualname__}.{name}"
-    ns.update(__slots__=names, __match_args__=names, __qualname__=cls.__qualname__,
+    ns.update(__slots__=names + own, __match_args__=names, __qualname__=cls.__qualname__,
               __setattr__=_setattr, __delattr__=_delattr)
     new = type(cls)(cls.__name__, cls.__bases__, ns)
     # the slot descriptors exist only now; __init__ reads them as globals

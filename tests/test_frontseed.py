@@ -1,10 +1,12 @@
+import hashlib
 import random
 
 import pytest
 
-from lamtower import cells, frontseed
-from lamtower.cells import Pentagon, empty_seq, seq_compose, seq_invert
-from lamtower.frontseed import (AssL, FS1Seed, FS2Seed, HornGlueFailure,
+from lamtower import cells, frontseed, serialize
+from lamtower.cells import (EndpointMismatch, Pentagon, RedSeq, empty_seq,
+                            seq_compose, seq_invert)
+from lamtower.frontseed import (AssL, FS1Seed, FS2Seed, HeadNorm, HornGlueFailure,
                                 NonComposable, ReflL, SeedL, WlL, WrL,
                                 assemble_pentagon_filler,
                                 boundary3_words, concat_words, empty_word,
@@ -155,6 +157,73 @@ def test_fs2_display(rng):
     (wl,) = src.letters
     assert isinstance(wl, WlL) and wl.edge == p
     assert wl.inner.letters == (AssL(q, r, s),)
+
+
+def _span_generators():
+    """One FS1Seed, FS2Seed and HeadNorm on the span quadruple."""
+    p, q, r, s = _span_quad()
+    detour = seq_compose(seq_compose(q, r), seq_invert(r))
+    pq = seq_compose(p, q)
+    return [FS1Seed(p, word_of([SeedL("eta", q, detour)]), r), FS2Seed(p, q, r, s),
+            HeadNorm(RedSeq(pq.terms[:2], pq.steps[:1]), RedSeq(pq.terms[1:], pq.steps[1:]),
+                     r, s)]
+
+
+def test_generators_are_values_of_their_fields_alone():
+    # the stored words take no part in equality, hashing, the repr, matching
+    # or the encoding; the two digests pin the encoding and the repr
+    gens = _span_generators()
+    fields = {FS1Seed: ("alpha", "eta", "delta"), FS2Seed: ("p", "q", "r", "s"),
+              HeadNorm: ("head", "rest", "q", "r")}
+    for g in gens:
+        cls = type(g)
+        values = tuple(getattr(g, f) for f in fields[cls])
+        assert cls.__match_args__ == fields[cls]
+        assert g == cls(*values) and g is not cls(*values)
+        assert hash(g) == hash(values)
+        shown = ", ".join(f"{f}={v!r}" for f, v in zip(fields[cls], values))
+        assert repr(g) == f"{cls.__name__}({shown})"
+        assert serialize.loads(serialize.dumps(g)) == g
+        with pytest.raises(AttributeError):
+            g.words = g.words
+    assert gens[1] != FS2Seed(*reversed(_span_quad()))
+    digest = hashlib.sha256("".join(map(serialize.dumps, gens)).encode()).hexdigest()
+    assert digest == "c3b993dc87ce03ccaa5f8ea5ed577952d46c370162eb59addca2e808eeefe7b7"
+    digest = hashlib.sha256("".join(map(repr, gens)).encode()).hexdigest()
+    assert digest == "b8635d58d22665ecb21568837bc527f5e28c9f35d655d46d76248e6ebe08c3e4"
+
+
+def test_malformed_generators_raise_at_construction():
+    p, q, r, s = _span_quad()  # p and r go from the span's source to its target
+    joint = (EndpointMismatch, "cannot compose: target of first != source of second")
+    cases = [
+        (lambda: FS1Seed(p, word_of([SeedL("eta", p, p)]), q),
+         (NonComposable, "FS1: eta's source edge must start where alpha ends")),
+        (lambda: FS1Seed(p, word_of([SeedL("eta", q, q)]), q),
+         (NonComposable, "FS1: delta must start where eta's edges end")),
+        (lambda: FS2Seed(p, p, r, s), joint),
+        (lambda: FS2Seed(p, q, r, r), joint),
+        (lambda: HeadNorm(seq_compose(p, q), empty_seq(p.source), r, s),
+         (NonComposable, "HeadNorm peels exactly one step")),
+        (lambda: HeadNorm(empty_seq(p.source), p, q, r),
+         (NonComposable, "HeadNorm peels exactly one step")),
+        (lambda: HeadNorm(p, empty_seq(p.source), q, r), joint),
+        (lambda: HeadNorm(p, empty_seq(p.target), q, q), joint),
+    ]
+    for build, (cls, message) in cases:
+        with pytest.raises(cls) as info:
+            build()
+        assert (type(info.value), str(info.value)) == (cls, message)
+
+
+def test_fs1_on_a_word_whose_edges_are_not_parallel():
+    # eta's source edge fits alpha and delta but its target edge ends
+    # elsewhere: the construction composes its whiskerings and refuses it
+    p, q, r, _ = _span_quad()
+    eta = word_of([SeedL("eta", q, seq_compose(q, p))])
+    with pytest.raises(EndpointMismatch,
+                       match="^cannot compose: target of first != source of second$"):
+        FS1Seed(p, eta, r)
 
 
 # --- associator comparison --------------------------------------------------

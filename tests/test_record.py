@@ -100,3 +100,36 @@ def test_a_record_without_fields():
     assert Point.__qualname__ == qualname and repr(Point()) == qualname + "()"
     assert Point.label == "p"
     assert Point.__slots__ == () and Point.__doc__ == "A constant."
+
+
+def test_a_slot_of_its_own_is_state_but_not_a_field():
+    @record
+    class Edge:
+        """An edge that keeps its length, computed once."""
+
+        __slots__ = ("length",)
+        a: int
+        b: int
+
+        def __post_init__(self):
+            object.__setattr__(self, "length", abs(self.b - self.a))
+
+    e = Edge(1, 4)
+    assert e.length == 3
+    assert Edge.__slots__ == ("a", "b", "length")
+    assert Edge.__match_args__ == ("a", "b")
+    assert repr(e).endswith("<locals>.Edge(a=1, b=4)")
+    assert hash(e) == hash((1, 4)) and e == Edge(1, 4)
+    # the slot takes no part in equality: a value that stored another
+    # length still equals e
+    other = Edge(1, 4)
+    object.__setattr__(other, "length", 0)
+    assert other == e and hash(other) == hash(e)
+    with pytest.raises(AttributeError):
+        e.length = 5
+    with pytest.raises(AttributeError):
+        del e.length
+    with pytest.raises(TypeError):
+        Edge(1, 4, 3)
+    assert e.length == 3 and not hasattr(e, "__dict__")
+

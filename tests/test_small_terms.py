@@ -1,5 +1,6 @@
 """Bounded-exhaustive checks: every de Bruijn term up to size 9 with at most
-two free variables, against the independent oracle in smallterms.
+two free variables, against the independent oracle in smallterms, and every
+one up to size 8 through the text and JSON round trips.
 
 Seeded samples can miss a defect on a rare small shape, and most defects
 show on some small input (the small-scope hypothesis: Jackson, Software
@@ -10,8 +11,10 @@ named is a smallest one.
 import pytest
 from smallterms import OutOfFuel, all_terms, nbe
 
+from lamtower import serialize
+from lamtower.cli import parse_term
 from lamtower.terms import (App, FuelExhausted, Lam, Var, apply_step,
-                            find_redexes, normalize)
+                            find_redexes, normalize, to_text)
 
 SIZE, FREE = 9, 2
 OMEGA = App(Lam(App(Var(0), Var(0))), Lam(App(Var(0), Var(0))))
@@ -57,3 +60,13 @@ def test_every_two_one_step_reductions_of_a_term_join(terms):
             if len({normalize(apply_step(t, s), 60)[0] for s in steps}) > 1:
                 split.append(t)
     assert split[:1] == [] and pairs == 5208
+
+
+def test_every_term_up_to_size_8_round_trips():
+    # the raw de Bruijn text read back by the CLI parser, and the JSON
+    # encoding read back by serialize, give the term itself
+    terms = all_terms(8, FREE)
+    assert len(terms) == 6835
+    text = [t for t in terms if parse_term(to_text(t)) != t]
+    json = [t for t in terms if serialize.loads(serialize.dumps(t)) != t]
+    assert text[:1] == [] and json[:1] == []
