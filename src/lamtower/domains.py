@@ -3,19 +3,15 @@
 Stage 0 is any finite poset with a bottom (the CLI builds the flat one, with
 labeled poles); stage n+1 consists of monotone self-maps of stage n under the
 pointwise order.  A Tower owns the elements of every stage and is the one
-way to build, apply, order and compare them.  Stage 1 is enumerated straight
-from the base order, as the tables that preserve it, and an element of stage
-0 or 1 is its position (a stage-1 element's table is in
-Tower.stage1_tables); stage 2 elements are explicit tables of stage-1
-positions; stage 3 elements are evaluation-backed maps (no global
-enumeration exists at that size).  Projection pairs are the
+way to build, apply, order and compare them; its docstring gives each
+stage's representation (stage 3, which has no global enumeration, holds
+evaluation-backed maps).  Projection pairs are the
 constant/evaluate-at-bottom seeds lifted functorially.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 import random
 from functools import partial
 from typing import Callable, Optional
@@ -95,12 +91,13 @@ class Tower:
     stage 2 is a table of stage-1 positions, indexed by stage-1 position;
     stage 3 is a LazyMono evaluated at stage-2 tables on demand.  Other code
     builds, applies, orders and compares elements only through the tower's
-    methods.  A stage-3 map keeps its values at the probes e_1(D_1) as a
-    vector, filled in probe order: proj(2, .) reads and fills all of it,
-    apply(3, ., w) at a probe w fills it only as far as w, and eq(3, ...)
-    compares two full vectors whole; leq(3, ...) of two emb(2, .) maps reads
-    neither vector; otherwise eq(3, ...) and leq(3, ...) read both vectors
-    lazily (at_probes), no further than their first differing probe.
+    methods.  A stage-3 map keeps its values at the s probes e_1(D_1) as one
+    vector, built whole by its first read there (at_probes); apply(3, ., w)
+    at a probe w, eq(3, ...), leq(3, ...) and proj(2, .) all read it.  So
+    the first such read on a tower builds all s probes, s^2 table entries:
+    7 781 tables of 7 781 entries on the flat base 6, which no CLI path
+    reaches (`kinfty check` refuses it before it builds a Tower, and
+    `witness` runs on base 3).
 
     `stage1_index` maps each table to its position, read only where a table
     becomes an element (tabulate(0, .) and proj(1, .) off the probes, which
@@ -155,10 +152,10 @@ class Tower:
         by slot.  At stage 3 it decides less than the order of maps: one map
         is below itself, two built by emb(2, .) compare as their construction
         keys do in stage 2 (the probe-by-probe answer, read from no probe),
-        and others are compared pointwise at the s probes e_1(D_1) only, s
-        the size of stage 1 (bottom(2) is e_1(bottom(1)), one of them).  Maps
-        that agree on the probes but differ elsewhere in stage 2 compare
-        below each other.
+        and others are compared pointwise on their whole vectors at the s
+        probes e_1(D_1) only (at_probes), s the size of stage 1 (bottom(2) is
+        e_1(bottom(1)), one of them).  Maps that agree on the probes but
+        differ elsewhere in stage 2 compare below each other.
         """
         if level == 0:
             return self.base.leq[a][b]
@@ -188,12 +185,8 @@ class Tower:
         if level < 3:
             return a == b
         if level == 3:
-            if a.key is not None and a.key == b.key:
-                return True
-            va, vb = self.at_probes(a), self.at_probes(b)
-            if va is a.probed and vb is b.probed:  # both full: == skips identical entries
-                return va == vb
-            return all(map(operator.eq, va, vb))
+            return (a.key is not None and a.key == b.key
+                    or self.at_probes(a) == self.at_probes(b))
         raise CapExceeded("no equality test above stage 3")
 
     def up_set(self, level: int, a):
@@ -239,19 +232,8 @@ class Tower:
             return self.stage1_tables[f][x]
         if level == 2:
             return f[x]
-        if level == 3:
-            if type(x) is not Probe:
-                return f.eval(x)
-            # at a probe, read the vector at_probes keeps, or fill it as far
-            # as this probe, building no probe past this one
-            probed = f.probed
-            try:
-                return probed[x.pos]
-            except IndexError:
-                pass
-            while len(probed) <= x.pos:
-                probed.append(f.fn(self.emb(1, len(probed))))
-            return probed[x.pos]
+        if level == 3:  # a filled probe vector is read with no further call
+            return (f.probed or self.at_probes(f))[x.pos] if type(x) is Probe else f.eval(x)
         raise CapExceeded(f"cannot apply a stage-{level} element")
 
     # -- projection pairs --------------------------------------------------
@@ -283,12 +265,10 @@ class Tower:
             bot, tables = self.base.bottom, self.stage1_tables
             return self._position(tuple([tables[u[i]][bot] for i in self._const1]))
         if n == 2:
-            # u at emb(1, g) for each g, which are the probes: its whole
-            # vector, filled in one pass; the probe case of proj(1, .) is
-            # inlined, as it runs per entry
-            probed = u.probed
-            probed.extend(map(u.fn, self.stage2_probes()[len(probed):]))
-            return tuple([v.pos if type(v) is Probe else self.proj(1, v) for v in probed])
+            # u at the probes emb(1, g), its whole vector; the probe case of
+            # proj(1, .) is inlined, as it runs per entry
+            return tuple([v.pos if type(v) is Probe else self.proj(1, v)
+                          for v in self.at_probes(u)])
         raise CapExceeded(f"no projection representation to stage {n}")
 
     def tabulate(self, n: int, fn: Callable):
@@ -320,32 +300,21 @@ class Tower:
             self._probes = tuple(self.emb(1, g) for g in self.stage1)
         return self._probes
 
-    def probe_position(self, w) -> Optional[int]:
-        """w's position in stage2_probes() when w is a probe, a table built
-        by emb(1, .); None for any other object, equal tables included."""
-        return w.pos if type(w) is Probe else None
-
-    def at_probes(self, u: "LazyMono"):
-        """The values of the stage-3 element u at stage2_probes(), in order.
-
-        Each value is computed once per u and kept on it (`u.probed`), which
-        apply(3, u, w) at a probe w reads and fills too.  A full vector is
-        returned as it is; a partial one is read through apply(3, u, .), so
-        it fills only as far as a caller reads, and a comparison that stops
-        at its first differing probe evaluates no further.
-        """
-        probes = self.stage2_probes()
-        if len(u.probed) == len(probes):
-            return u.probed
-        return map(partial(self.apply, 3, u), probes)
+    def at_probes(self, u: "LazyMono") -> list:
+        """The values of the stage-3 element u at stage2_probes(), in order:
+        `u.probed`, which the first read fills with u.fn at every probe (an
+        fn that raises leaves it empty) and later reads return as it is."""
+        if not u.probed:
+            u.probed[:] = map(u.fn, self.stage2_probes())
+        return u.probed
 
 
 class LazyMono:
     """A stage-3 element backed by evaluation, memoized; carries an optional
     construction key so embedded elements compare exactly.  `probed` holds
-    its values at the probe family, a prefix filled by Tower.apply (and so
-    Tower.at_probes) and, whole, by Tower.proj; `memo` holds its values at
-    any other argument."""
+    its values at the probe family, empty until Tower.at_probes fills it
+    whole on the first read at the probes; `memo` holds its values at any
+    other argument, read through eval."""
 
     def __init__(self, fn: Callable, key=None):
         self.fn = fn

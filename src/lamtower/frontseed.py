@@ -92,12 +92,14 @@ def letter_edges(l: Letter) -> tuple[RedSeq, RedSeq]:
     if isinstance(l, AssL):
         e = _chain(l.a, l.b, l.c)
         return e, e
+    # an inner word whose ends are one object (every associator word) has
+    # one composite, shared by both edges
     if isinstance(l, WlL):
         s = seq_compose(l.edge, l.inner.src)
-        t = seq_compose(l.edge, l.inner.tgt)
+        t = s if l.inner.tgt is l.inner.src else seq_compose(l.edge, l.inner.tgt)
     elif isinstance(l, WrL):
         s = seq_compose(l.inner.src, l.edge)
-        t = seq_compose(l.inner.tgt, l.edge)
+        t = s if l.inner.tgt is l.inner.src else seq_compose(l.inner.tgt, l.edge)
     elif isinstance(l, ReflL):
         return l.edge, l.edge
     else:

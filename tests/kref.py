@@ -170,8 +170,9 @@ def tower_lift(ref, tower, sigma):
     probes = tower.stage2_probes()
 
     def conj(u, by, at):  # by . u . at, as tables of positions
-        i = tower.probe_position(u)
-        return tuple(map(by.__getitem__, map(u.__getitem__, at))) if i is None else probes[by[i]]
+        if type(u) is domains.Probe:
+            return probes[by[u.pos]]
+        return tuple(map(by.__getitem__, map(u.__getitem__, at)))
 
     def act(n, u):
         if n == 0:
@@ -267,9 +268,6 @@ class Tabled:
     def stage2_probes(self):
         return tuple(self.of(2, w) for w in self.tower.stage2_probes())
 
-    def probe_position(self, w):
-        return self.tower.probe_position(self.to(2, w))
-
     def at_probes(self, u):
         return [self.of(2, v) for v in self.tower.at_probes(u)]
 
@@ -326,7 +324,8 @@ def diff(tower) -> list:
     elems = [list(ref.d0), e1, [T.bottom(2)] + ws + extra]
     points = ws[-1:] + extra[-1:]
     check("stage2_probes", 2, (), probes, tuple(ref.emb(1, g) for g in ref.d1))
-    check("probe_position", 2, (), list(map(T.probe_position, elems[2])),
+    raw = [T.to(2, w) for w in elems[2]]
+    check("probe", 2, (), [w.pos if type(w) is domains.Probe else None for w in raw],
           [None] + list(pick) + [None] * len(extra))
     pairs = (itertools.combinations_with_replacement(steps, 2) if len(steps) <= 150
              else [(rng.choice(steps), rng.choice(steps)) for _ in range(400)])

@@ -95,6 +95,18 @@ def test_inverse_letters_swap_their_edges(rng):
         assert letter_inv(letter_inv(l)) == l
 
 
+def test_whiskered_associator_shares_its_one_composite(rng):
+    # an associator word starts and ends at one object, so a whisker of it
+    # composes its edge once: both of the letter's edges are that composite
+    p, q, r, s = gen_composable_seqs(rng, 4, allow_empty=False)
+    for l in (WlL(p, word_of([AssL(q, r, s)])), WrL(word_of([AssL(p, q, r)]), s)):
+        assert l.inner.src is l.inner.tgt
+        src, tgt = letter_edges(l)
+        assert src is tgt and letter_edges(letter_inv(l)) == (src, src)
+        assert src == (seq_compose(p, l.inner.src) if isinstance(l, WlL)
+                       else seq_compose(l.inner.src, s))
+
+
 def _inverse_pair_by_composite(l1, l2):
     """A wrong _inverse_pair: associators cancel when their three arguments
     compose to one sequence, whatever the split."""

@@ -1,11 +1,15 @@
 """Bounded-exhaustive front-seed checks: every chain (p, q, r, s) of 0- or
 1-step forward sequences that starts at a de Bruijn term of at most 6 nodes
-with at most two free variables.
+with at most two free variables, and every chain from a term of at most 4
+nodes whose 0- or 1-step sequences may also step back, by the invert_step of
+a forward step from another such term.
 
 The seeded quadruples of acceptance criterion 6 can miss a rare small shape
 (the small-scope hypothesis: Jackson, Software Abstractions, 2006).  Each
-sequence here is empty or one step by a redex of find_redexes, in the order
-find_redexes lists them, so the first failure named is a smallest one.
+sequence here is empty, one step by a redex of find_redexes, in the order
+find_redexes lists them, or one step back, so the first failure named is a
+smallest one.  Forward chains alone never step three times in a row; the
+steps back give the nontrivial associators.
 """
 
 import random
@@ -13,7 +17,8 @@ import random
 import pytest
 from smallterms import all_terms
 
-from lamtower.cells import Pentagon, RedSeq, empty_seq, seq_compose, seq_invert
+from lamtower.cells import (Pentagon, RedSeq, Triangle, empty_seq, globular_check,
+                            seq_compose, seq_invert)
 from lamtower.frontseed import (AssL, FS1Seed, FS2Seed, HeadNorm, SeedL, VComp,
                                 WlL, WrL, boundary3_words, empty_word,
                                 fs_assoc_compare, fs_bridges, fs_pentagon,
@@ -22,7 +27,7 @@ from lamtower.frontseed import (AssL, FS1Seed, FS2Seed, HeadNorm, SeedL, VComp,
 from lamtower.gen import gen_composable_seqs
 from lamtower.terms import apply_step, find_redexes
 
-SIZE, FREE = 6, 2
+SIZE, FREE, ZIGZAG_SIZE = 6, 2, 4
 
 
 def _chain(*seqs):
@@ -32,18 +37,34 @@ def _chain(*seqs):
     return out
 
 
-@pytest.fixture(scope="module")
-def quadruples():
+def _quadruples(terms, back):
+    """Every chain (p, q, r, s) from one of `terms` whose sequences are
+    empty, one forward step, or one of the steps `back` lists by source."""
     seqs = {}
 
     def from_term(t):
         if t not in seqs:
             seqs[t] = [empty_seq(t)] + [RedSeq((t, apply_step(t, s)), (s,))
-                                        for s in find_redexes(t)]
+                                        for s in find_redexes(t)] + back.get(t, [])
         return seqs[t]
-    return [(p, q, r, s) for t in all_terms(SIZE, FREE) for p in from_term(t)
+    return [(p, q, r, s) for t in terms for p in from_term(t)
             for q in from_term(p.target) for r in from_term(q.target)
             for s in from_term(r.target)]
+
+
+@pytest.fixture(scope="module")
+def quadruples():
+    return _quadruples(all_terms(SIZE, FREE), {})
+
+
+@pytest.fixture(scope="module")
+def zigzag_quadruples():
+    terms, back = all_terms(ZIGZAG_SIZE, FREE), {}
+    for u in terms:  # each forward step u -> v, inverted, steps back from v
+        for step in find_redexes(u):
+            forward = RedSeq((u, apply_step(u, step)), (step,))
+            back.setdefault(forward.target, []).append(seq_invert(forward))
+    return _quadruples(terms, back)
 
 
 def test_quadruple_counts(quadruples):
@@ -52,9 +73,34 @@ def test_quadruple_counts(quadruples):
     # no term of at most 6 nodes reduces twice in a row, so at most one of
     # p, q, r and s takes a step: every associator letter here is on a
     # degenerate argument and every shell and pentagon word reduces to the
-    # empty word; the WLWR cells below keep letters, and criterion 6's
-    # quadruples carry the nontrivial associators
+    # empty word; the WLWR cells below keep letters, and the zigzag and
+    # criterion 6's quadruples carry the nontrivial associators
     assert max(sum(map(len, quad)) for quad in quadruples) == 1
+
+
+def test_zigzag_quadruple_counts(zigzag_quadruples):
+    assert len(zigzag_quadruples) == 759
+    assert sum(all(map(len, quad[:3])) for quad in zigzag_quadruples) == 224
+    assert max(sum(map(len, quad)) for quad in zigzag_quadruples) == 4
+
+
+def test_associators_and_pentagons_on_every_small_zigzag(zigzag_quadruples):
+    # the exact reduced words of the associator comparison and the pentagon
+    # filler, and globular pentagon and triangle 3-cells; the counts are
+    # of the chains whose shell or pentagon word keeps a letter
+    bad, shells, pentagons = [], 0, 0
+    for p, q, r, s in zigzag_quadruples:
+        shell = word_reduce(shell_word(p, q, r))
+        left, right = map(word_reduce, pentagon_words(p, q, r, s))
+        ok = (boundary3_words(fs_assoc_compare(p, q, r))
+              == (shell, empty_word(_chain(p, q, r))))
+        ok = ok and boundary3_words(fs_pentagon(p, q, r, s)) == (left, right)
+        ok = ok and globular_check(Pentagon(p, q, r, s)) and globular_check(Triangle(p, q))
+        if not ok:
+            bad.append((p, q, r, s))
+        shells += bool(shell.letters)
+        pentagons += bool(left.letters or right.letters)
+    assert bad[:1] == [] and (shells, pentagons) == (224, 416)
 
 
 def test_front_seed_boundaries_on_every_small_quadruple(quadruples):

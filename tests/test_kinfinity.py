@@ -257,17 +257,6 @@ def test_tower_tables_are_set_in_init():
     assert set(vars(t)) == keys
 
 
-def test_stage3_application_at_a_probe_needs_no_probe_family():
-    # a probe is known by its type, so a map applied at e_1(g) before any
-    # stage2_probes() call fills its probe vector, not its memo, and builds
-    # no probe past g's: over the flat base 6 one emb(1, .) table, not 7 781
-    t = _tower(6)
-    u, w = t.emb(2, t.bottom(2)), t.emb(1, t.stage1[0])
-    assert t.apply(3, u, w) == u.fn(w)
-    assert len(u.probed) == 1 and u.memo == {}
-    assert t._probes is None and len(t._emb1) == 1 and t.probe_position(w) == 0
-
-
 def test_a_stage1_embedding_fills_one_row_entry():
     # the shared row fills per entry: over the flat base 6 one stage-1
     # thread builds one emb(1, .) table, not all 7 781
@@ -283,19 +272,6 @@ def test_cli_base6_refused(capsys):
     out = capsys.readouterr().out
     assert code == 2
     assert "7781 elements" in json.loads(out)["error"]
-
-
-def test_unequal_pair_stops_at_first_differing_probe(tower):
-    probes = tower.stage2_probes()
-    ident = restrict(Identity(), 2, 3, tower)
-    const = restrict(Constant(bottom_thread(tower, 3)), 2, 3, tower)
-    first = next(i for i, w in enumerate(probes) if ident.fn(w) != const.fn(w))
-    assert not tower.eq(3, ident, const)
-    assert len(ident.probed) == len(const.probed) == first + 1 < len(probes)
-    # eq(3, ...) reads a map compared with itself twice, filling it once;
-    # leq(3, ...) answers by identity
-    assert tower.eq(3, ident, ident) and tower.leq(3, ident, ident)
-    assert ident.probed == [ident.fn(w) for w in probes]
 
 
 def _law_report(checked, density_ok=True):
@@ -502,6 +478,28 @@ def test_law_budget_estimate_matches_counted_evaluations(base_size, monkeypatch)
     assert estimate == {3: 319, 4: 9447}[base_size]
 
 
+@pytest.mark.parametrize("base_size", [3, 4])
+def test_a_second_suite_on_one_tower_evaluates_only_its_new_maps(base_size, monkeypatch):
+    # the shared threads keep their full probe vectors, so a warm suite
+    # evaluates only the maps it builds afresh, each once per probe
+    t = _tower(base_size)
+    cold, _ = _counted_suite(monkeypatch, t)
+    warm, calls = _counted_suite(monkeypatch, t)
+    assert warm == cold and max(calls.values()) == 1
+    assert sum(calls.values()) == {3: 187, 4: 4891}[base_size]
+
+
+@pytest.mark.parametrize("kind", ["beta", "eta"])
+def test_witness_evaluates_no_stage3_map(kind, monkeypatch):
+    log = []
+    init = LazyMono.__init__
+    monkeypatch.setattr(LazyMono, "__init__", lambda self, fn, key=None: init(
+        self, lambda w: log.append(w) or fn(w), key))
+    for depth in (1, 2, 3):
+        assert main(["witness", kind, "--depth", str(depth)]) == 0
+    assert log == []
+
+
 # -- faults in application: the reports under each are pinned --------------
 
 def _faulty_apply(level):
@@ -564,7 +562,7 @@ NOT_DIFFED = {
     "IncoherentThread": "an exception class, with no code of its own",
     "NotInStage": "an exception class, with no code of its own",
     "Probe": "a tuple with no code of its own, built by emb(1, .); diff compares "
-             "stage2_probes and probe_position",
+             "stage2_probes and which stage-2 values are probes, at which pos",
     "FinPoset": "a base, built before diff runs; test_poset_check_agrees_with_definition "
                 "pins its checks, test_stage1_is_a_pointed_poset_at_base5_quickly the "
                 "stage-1 order's",
@@ -619,7 +617,7 @@ def test_probe_comparisons_decide_stage3_on_the_two_element_base(monkeypatch):
         assert got == getattr(ref, name)(3, partial(T.apply, 3, a), partial(T.apply, 3, b), stage2)
 
 
-# -- probe vectors fill lazily ------------------------------------------------
+# -- a probe vector is read whole ----------------------------------------------
 
 def test_full_vector_comparisons_agree_with_the_entrywise_rule(tower):
     # two full vectors compare as wholes: entries equal but not identical,
@@ -631,7 +629,6 @@ def test_full_vector_comparisons_agree_with_the_entrywise_rule(tower):
     low = LazyMono(lambda w: tower.bottom(2) if w is probes[-1] else w)
     maps = (ident, copy, low)
     for u in maps:
-        list(tower.at_probes(u))
         assert tower.at_probes(u) is u.probed
     assert [type(v) for v in copy.probed] == [tuple] * len(probes)
     assert ident.probed[-1] != tower.bottom(2) and ident.probed[:-1] == low.probed[:-1]
@@ -666,34 +663,61 @@ def test_full_probe_vector_is_returned_as_is(tower):
     fn = restrict(Identity(), 2, 3, tower).fn
     u, log = _counted_map(fn)
     values = tower.at_probes(u)
-    assert values is not u.probed and log == []  # a partial vector fills lazily
-    assert list(values) == [fn(w) for w in probes] and log == list(probes)
-    assert tower.at_probes(u) is u.probed
+    assert values is u.probed and log == list(probes)
+    assert values == [fn(w) for w in probes]
+    assert tower.at_probes(u) is values
     assert tower.proj(2, u) == tower.stage1  # p_2 of the identity
     assert log == list(probes)  # read again, evaluated once
 
 
+FIRST_READS = {
+    "apply": lambda t, u, v: t.apply(3, u, t.stage2_probes()[0]),
+    "eq": lambda t, u, v: t.eq(3, u, v),
+    "leq": lambda t, u, v: t.leq(3, u, v),
+    "proj": lambda t, u, v: t.proj(2, u),
+    "at_probes": lambda t, u, v: t.at_probes(u),
+}
+
+
+@pytest.mark.parametrize("read", list(FIRST_READS))
+def test_first_read_of_any_kind_fills_the_whole_vector(read):
+    # the first read at the probes, even apply(3) at one of them, calls fn
+    # once per probe, in probe order, and never through the memo; no later
+    # read of any kind calls it again
+    t = _tower(4)
+    fn = restrict(Identity(), 2, 3, t).fn
+    u, log = _counted_map(fn)
+    v = LazyMono(lambda w: w)
+    assert t._probes is None
+    FIRST_READS[read](t, u, v)
+    probes = t._probes
+    assert log == list(probes) and u.probed == [fn(w) for w in probes]
+    assert u.memo == {}
+    for again in FIRST_READS.values():
+        again(t, u, v)
+        again(t, v, u)
+    assert len(log) == len(probes) and u.memo == {}
+
+
 @pytest.mark.parametrize("fill", ["ident", "const", "neither"])
-def test_unequal_comparison_reads_no_further_than_first_difference(tower, fill):
-    # as on a partial vector before the full one was returned as is: an
-    # unequal comparison evaluates each partial vector up to the first
-    # differing probe and no further
+def test_unequal_comparison_reads_each_vector_once(tower, fill):
+    # whatever was read before, an unequal comparison reads both whole
+    # vectors, each evaluated once at every probe; a map compared with
+    # itself is equal and below itself
     probes = tower.stage2_probes()
     ident_fn = restrict(Identity(), 2, 3, tower).fn
     const_fn = restrict(Constant(bottom_thread(tower, 3)), 2, 3, tower).fn
-    first = next(i for i, w in enumerate(probes) if ident_fn(w) != const_fn(w))
-    assert first + 1 < len(probes)
     ident, ident_log = _counted_map(ident_fn)
     const, const_log = _counted_map(const_fn)
     full = {"ident": ident, "const": const}.get(fill)
     if full is not None:
-        list(tower.at_probes(full))
+        tower.at_probes(full)
     for compare in (tower.eq, tower.leq):
         assert not compare(3, ident, const)
-    for u, log in ((ident, ident_log), (const, const_log)):
-        read = len(probes) if u is full else first + 1
-        assert len(u.probed) == read
-        assert log == list(probes[:read])
+    assert tower.eq(3, ident, ident) and tower.leq(3, ident, ident)
+    for u, fn, log in ((ident, ident_fn, ident_log), (const, const_fn, const_log)):
+        assert u.probed == [fn(w) for w in probes]
+        assert log == list(probes)
 
 
 # -- base 5 is admitted: its whole law suite, once per session ---------------
