@@ -720,6 +720,23 @@ def test_unequal_comparison_reads_each_vector_once(tower, fill):
         assert log == list(probes)
 
 
+def test_unequal_restricted_pair_reads_both_whole_vectors(tower):
+    # the maps `restrict` returns, compared fresh: the first difference does
+    # not cut the read short, and a map compared with itself is equal and
+    # below itself without a second fill
+    probes = tower.stage2_probes()
+    ident = restrict(Identity(), 2, 3, tower)
+    const = restrict(Constant(bottom_thread(tower, 3)), 2, 3, tower)
+    assert any(ident.fn(w) != const.fn(w) for w in probes)
+    assert not tower.eq(3, ident, const)
+    assert len(ident.probed) == len(const.probed) == len(probes)
+    filled = ident.probed
+    assert tower.eq(3, ident, ident) and tower.leq(3, ident, ident)
+    assert ident.probed is filled
+    assert ident.probed == [ident.fn(w) for w in probes]
+    assert const.probed == [const.fn(w) for w in probes]
+
+
 # -- base 5 is admitted: its whole law suite, once per session ---------------
 
 @pytest.fixture(scope="module")
