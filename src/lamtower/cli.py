@@ -58,109 +58,93 @@ def _tokenize(text: str):
     return tokens
 
 
-class _Parser:
+def _parse(text: str, free: dict[str, int]) -> Term:
     """Named form (\\x. e, juxtaposition, parens) and raw de Bruijn form
-    (#n and anonymous \\ . e).  Free names get indices by first occurrence."""
+    (#n and anonymous \\ . e).  Free names get indices by first occurrence,
+    in `free`, which two terms may share.
 
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.free: list[str] = []
-        self.text = text
-
-    def _peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, len(self.text))
-
-    def _next(self):
-        tok = self._peek()
-        self.pos += 1
-        return tok
-
-    def parse(self) -> Term:
-        t = self._term([])
-        tok, at = self._peek()
-        if tok is not None:
-            raise ParseError(f"unexpected {tok!r}", at)
-        return t
-
-    def _term(self, binders: list[str | None]) -> Term:
-        tok, at = self._peek()
+    One pass over the tokens, so any depth parses in linear time.  Each open
+    lambda body or parenthesis is a frame [the names it binds, the
+    application built so far] on an explicit stack, over a bottom frame for
+    the whole text; `bound` maps a name to the stack of its binder depths."""
+    tokens = _tokenize(text) + [(None, len(text))]
+    stack: list[list] = [[(), None]]
+    bound: dict[str | None, list[int]] = {}
+    depth = i = 0
+    while True:
+        tok, at = tokens[i]
+        i += 1
         if tok == "\\":
-            self._next()
-            names: list[str | None] = []
-            while True:
-                tok, at = self._peek()
-                if tok == ".":
-                    self._next()
-                    break
-                if tok is not None and (tok[0].isalpha() or tok[0] == "_"):
-                    names.append(self._next()[0])
-                else:
+            names = []
+            while tokens[i][0] != ".":
+                tok, at = tokens[i]
+                if tok is None or not (tok[0].isalpha() or tok[0] == "_"):
                     raise ParseError("expected binder name or '.'", at)
-            if not names:
-                names = [None]  # anonymous de Bruijn binder: \ . e
-            body = self._term(list(reversed(names)) + binders)
-            for _ in names:
-                body = Lam(body)
-            return body
-        return self._app(binders)
-
-    def _app(self, binders) -> Term:
-        t = self._atom(binders)
-        while True:
-            tok, _ = self._peek()
-            if tok is None or tok in (")", "."):
-                return t
-            if tok == "\\":
-                t = App(t, self._term(binders))
-                return t
-            t = App(t, self._atom(binders))
-
-    def _atom(self, binders) -> Term:
-        tok, at = self._next()
-        if tok is None:
-            raise ParseError("unexpected end of input", at)
+                names.append(tok)
+                i += 1
+            i += 1
+            names = names or [None]  # anonymous de Bruijn binder: \\ . e
+            for name in names:
+                bound.setdefault(name, []).append(depth)
+                depth += 1
+            stack.append([names, None])
+            continue
         if tok == "(":
-            t = self._term(binders)
-            tok2, at2 = self._next()
-            if tok2 != ")":
-                raise ParseError("expected ')'", at2)
-            return t
-        if tok.startswith("#"):
-            return Var(int(tok[1:]))
-        if tok[0].isalpha() or tok[0] == "_":
-            if tok in binders:
-                return Var(binders.index(tok))
-            if tok not in self.free:
-                self.free.append(tok)
-            return Var(len(binders) + self.free.index(tok))
-        raise ParseError(f"unexpected {tok!r}", at)
+            stack.append([(), None])
+            continue
+        if tok is not None and tok not in (")", "."):
+            if tok[0] == "#":
+                t = Var(int(tok[1:]))
+            elif bound.get(tok):
+                t = Var(depth - 1 - bound[tok][-1])
+            else:
+                t = Var(depth + free.setdefault(tok, len(free)))
+        elif stack[-1][1] is None:
+            raise ParseError("unexpected end of input" if tok is None
+                             else f"unexpected {tok!r}", at)
+        else:
+            names, t = stack.pop()
+            if names:  # the token ends a body; the frame under reads it too
+                for name in names:
+                    bound[name].pop()
+                    t = Lam(t)
+                depth -= len(names)
+                i -= 1
+            elif not stack:
+                if tok is not None:
+                    raise ParseError(f"unexpected {tok!r}", at)
+                return t
+            elif tok != ")":
+                raise ParseError("expected ')'", at)
+        frame = stack[-1]
+        frame[1] = t if frame[1] is None else App(frame[1], t)
 
 
 def parse_term(text: str) -> Term:
-    return _Parser(text).parse()
+    return _parse(text, {})
 
 
 def parse_term_pair(text1: str, text2: str) -> tuple[Term, Term]:
     """Parse two terms sharing one free-name table, so the same name denotes
     the same index in both."""
-    first = _Parser(text1)
-    t1 = first.parse()
-    second = _Parser(text2)
-    second.free = list(first.free)
-    return t1, second.parse()
+    free: dict[str, int] = {}
+    return _parse(text1, free), _parse(text2, free)
 
 
 def parse_witness(expr: str) -> witness.Witness:
     """Dot-composed witness expressions: beta, eta, reflM, reflN."""
     atoms = {"beta": witness.TBeta, "eta": witness.TEta,
              "reflM": witness.ReflM, "reflN": witness.ReflN}
-    parts = [p.strip() for p in expr.split(".")]
     built = []
-    for p in parts:
+    at = 0  # where the segment starts
+    for segment in expr.split("."):
+        p = segment.strip()
         if p not in atoms:
-            raise ParseError(f"unknown witness atom {p!r}", expr.find(p))
+            # where the atom starts, or its segment's end when it is blank
+            lead = len(segment) - len(segment.lstrip())
+            raise ParseError(f"unknown witness atom {p!r}", at + lead)
         built.append(atoms[p]())
+        at += len(segment) + 1
     out = built[-1]
     for w in reversed(built[:-1]):
         out = witness.Comp(w, out)
@@ -549,8 +533,8 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (ValueError, OSError, FuelExhausted, RecursionError, MemoryError) as e:
         # OSError: an unreadable --sequences file.
-        # RecursionError: an input nested deeper than the recursive parser
-        # (or another recursive pass) can follow.
+        # RecursionError: a pass that recurses once per level of a deep
+        # input, such as term equality in pi0; the parser reads any depth.
         # MemoryError: an input whose work outgrows the address space.
         print(json.dumps({"error": str(e)}, sort_keys=True))
         print(f"[lamtower] error: {e}", file=sys.stderr)

@@ -32,9 +32,6 @@ class SpanEndpoint(Enum):
     M = "M"
     N = "N"
 
-    def term(self) -> Term:
-        return SPAN_SOURCE if self is SpanEndpoint.M else SPAN_TARGET
-
 
 class Tag(Enum):
     BETA = "beta"

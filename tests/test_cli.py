@@ -24,11 +24,26 @@ def test_parse_debruijn():
     assert parse_term("\\ . #0") == Lam(Var(0))
 
 
+# (text, message, position): each of the parser's six messages
+PARSE_ERRORS = [
+    ("x #y", "expected digits after #", 2),
+    ("x $", "unexpected character '$'", 2),
+    ("\\x #0. x", "expected binder name or '.'", 3),
+    ("\\x", "expected binder name or '.'", 2),
+    ("(x) (", "unexpected end of input", 5),
+    ("(\\z. z", "expected ')'", 6),
+    ("(x . y)", "expected ')'", 3),
+    ("x ( )", "unexpected ')'", 4),
+    ("\\x. x . y", "unexpected '.'", 6),
+]
+
+
 def test_parse_error_position():
-    with pytest.raises(ParseError):
-        parse_term("(\\z. z")
-    with pytest.raises(ParseError):
-        parse_term("#x")
+    for text, message, position in PARSE_ERRORS:
+        with pytest.raises(ParseError) as e:
+            parse_term(text)
+        assert str(e.value) == f"{message} (at position {position})", text
+        assert e.value.position == position
 
 
 def test_parse_multibinder():
@@ -46,6 +61,21 @@ def test_parse_witness_expr():
     assert parse_witness("reflM . eta . reflN") == Comp(ReflM(), Comp(TEta(), ReflN()))
     with pytest.raises(ParseError):
         parse_witness("gamma")
+
+
+@pytest.mark.parametrize("expr, atom, position", [
+    ("gamma", "gamma", 0),
+    ("beta . bet", "bet", 7),
+    ("beta . ", "", 7),
+    ("beta .  . eta", "", 8),
+    ("reflM .beta. Eta", "Eta", 13),
+])
+def test_parse_witness_error_position(expr, atom, position):
+    # the position is where the unknown atom starts, or the end of its
+    # segment when the atom is blank
+    with pytest.raises(ParseError) as e:
+        parse_witness(expr)
+    assert str(e.value) == f"unknown witness atom {atom!r} (at position {position})"
 
 
 def _run(capsys, argv):
@@ -138,11 +168,31 @@ def test_cli_reduce_looping_past_printer_depth(capsys):
     assert report["result"]["partial"].startswith("(\\ . #0 #0 #0) " * 2)
 
 
+def _deep_term(shape, depth):
+    """Term text nested `depth` levels deep: parentheses, a binder chain,
+    or identity redexes each in the argument of the one before."""
+    if shape == "parens":
+        return "(" * depth + "x" + ")" * depth
+    if shape == "binders":
+        return "\\x. " * depth + "x"
+    return "x " + "((\\y. y) " * depth + "z" + ")" * depth
+
+
+@pytest.mark.parametrize("shape", ["parens", "binders", "redexes"])
+def test_cli_reduce_deep_term_answers_with_a_report(capsys, shape):
+    code, report = _run(capsys, ["reduce", _deep_term(shape, 20_000)])
+    assert code in (0, 1)
+    assert report["checks"][0]["name"] == "normalized"
+
+
 def test_cli_recursion_error_is_json(capsys):
-    code = main(["reduce", "(" * 600 + "x" + ")" * 600])
+    # two equal chains parse and normalize; comparing them recurses past the
+    # interpreter stack
+    chain = _deep_term("binders", 600)
+    code = main(["pi0", chain, chain])
     out = capsys.readouterr().out
     assert code == 2
-    assert "error" in json.loads(out)
+    assert "recursion" in json.loads(out)["error"]
 
 
 @pytest.mark.parametrize("base_size, digest", [

@@ -4,15 +4,20 @@ The channels are term text (`reduce`, `pi0`), witness expressions
 (`classify`, `witness`), `--sequences` files (`coherence`), and each
 numeric option at, just past and far past its bounds.  Term and witness
 inputs are valid ones mutated a character or a token at a time, or token
-soup; a sequences file is four valid serialized sequences with one to three
-JSON nodes replaced.  Fuel stays small and the bound runs pair each option
-with the cheapest value of the others, so no input starts heavy work.
+soup, and a few terms nest up to 20 000 levels deep; a sequences file is
+four valid serialized sequences with one to three JSON nodes replaced.
+Fuel stays small and the bound runs pair each option with the cheapest
+value of the others, so no input starts heavy work.
 
 The property, for every input: the exit code is 0, 1 or 2; stdout is
 exactly one JSON object; the code is 2 exactly when that object has an
 "error" key; and nothing escapes `main` (in a process, a traceback).
+
+A second test pins the parser itself: the outcome of `parse_term` on a
+fixed corpus of token strings, printed terms and named terms, as a digest.
 """
 
+import hashlib
 import json
 import random
 import traceback
@@ -24,7 +29,8 @@ from lamtower.gen import gen_composable_seqs, gen_term
 from lamtower.kinfinity import MAX_DEPTH
 from lamtower.terms import to_text
 from lamtower.witness import span_beta_seq
-from test_cli import _even, _span_zigzag_quadruple
+from smallterms import all_terms
+from test_cli import _deep_term, _even, _span_zigzag_quadruple
 
 SEED = 20261020
 
@@ -38,6 +44,48 @@ _JSON_JUNK = [0, -1, 10 ** 20, 1.5, True, "", "x", [], [[]], {}, {"f": []}, None
               {"$e": ["Dir", "q"]}, {"$e": ["StepKind"]}, {"$e": [[], "a"]},
               {"$e": ["Dir", ["f"]]}, {"$t": "Var", "f": [-3]},
               {"$t": "Var", "f": ["0"]}, {"$t": "RedSeq", "f": [[], []]}]
+# the parser's pinned corpus: token soup that reaches past the tokenizer,
+# and the names of named terms
+_STRUCTURE_TOKENS = ["\\", ".", "(", ")", "x", "y", "#0", " "]
+_NAMES = ["x", "y", "z'", "_a"]
+
+
+def _named_term(rng, size):
+    """Named text with multi-name binders, repeated names in one binder,
+    shadowing and free names."""
+    if size <= 1 or rng.random() < 0.2:
+        return rng.choice(_NAMES)
+    if rng.random() < 0.4:
+        names = " ".join(rng.choice(_NAMES) for _ in range(rng.randint(1, 3)))
+        return f"\\{names}. {_named_term(rng, size - 1)}"
+    k = rng.randint(1, size - 1)
+    fun, arg = _named_term(rng, k), _named_term(rng, size - k)
+    return f"({fun}) ({arg})" if rng.random() < 0.5 else f"{fun} ({arg})"
+
+
+def _parse_corpus(rng):
+    for _ in range(10_000):
+        yield "".join(rng.choice(_TERM_TOKENS) for _ in range(rng.randint(0, 12)))
+    for _ in range(10_000):
+        yield "".join(rng.choice(_STRUCTURE_TOKENS) for _ in range(rng.randint(0, 16)))
+    yield from map(to_text, all_terms(8, 2))
+    yield from ["\\x x. x", "\\x. \\x. x", "\\x y x. x y", "\\x. y \\y. x y"]
+    for _ in range(4_000):
+        yield _named_term(rng, rng.randint(1, 10))
+
+
+def _outcome(text):
+    try:
+        return repr(cli.parse_term(text))
+    except cli.ParseError as e:
+        return str(e)
+
+
+def test_parse_outcomes_are_pinned():
+    # every term, and every error message with its position
+    outcomes = "\n".join(map(_outcome, _parse_corpus(random.Random(SEED))))
+    assert hashlib.sha256(outcomes.encode()).hexdigest() == (
+        "9269b089b8efab0a78e21ba70c518685fd7f2700c6eea0dbcccd480c60dde97b")
 
 
 def _positional(text):
@@ -67,9 +115,9 @@ def _term_text(rng):
     if roll < 0.97:
         return _positional("".join(rng.choice(_TERM_TOKENS)
                                    for _ in range(rng.randint(0, 12))))
-    # nesting past what the recursive parser follows
-    depth = rng.choice([50, 1200])
-    return "(" * depth + "x" + ")" * depth
+    # nesting past the interpreter stack, which every shape parses
+    return _deep_term(rng.choice(["parens", "binders", "redexes"]),
+                      rng.choice([50, 1200, 20_000]))
 
 
 def _term_inputs(rng, n):
