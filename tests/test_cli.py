@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -56,26 +57,24 @@ def test_print_parse_roundtrip(rng):
         assert parse_term(to_text(t)) == t
 
 
-def test_parse_witness_expr():
-    assert parse_witness("beta") == TBeta()
-    assert parse_witness("reflM . eta . reflN") == Comp(ReflM(), Comp(TEta(), ReflN()))
-    with pytest.raises(ParseError):
-        parse_witness("gamma")
-
-
-@pytest.mark.parametrize("expr, atom, position", [
+# (expr, unknown atom, position): the position is where the atom starts, or
+# the end of its segment when the atom is blank
+WITNESS_ERRORS = [
     ("gamma", "gamma", 0),
     ("beta . bet", "bet", 7),
     ("beta . ", "", 7),
     ("beta .  . eta", "", 8),
     ("reflM .beta. Eta", "Eta", 13),
-])
-def test_parse_witness_error_position(expr, atom, position):
-    # the position is where the unknown atom starts, or the end of its
-    # segment when the atom is blank
-    with pytest.raises(ParseError) as e:
-        parse_witness(expr)
-    assert str(e.value) == f"unknown witness atom {atom!r} (at position {position})"
+]
+
+
+def test_parse_witness_expr():
+    assert parse_witness("beta") == TBeta()
+    assert parse_witness("reflM . eta . reflN") == Comp(ReflM(), Comp(TEta(), ReflN()))
+    for expr, atom, position in WITNESS_ERRORS:
+        with pytest.raises(ParseError) as e:
+            parse_witness(expr)
+        assert str(e.value) == f"unknown witness atom {atom!r} (at position {position})", expr
 
 
 def _run(capsys, argv):
@@ -186,9 +185,10 @@ def test_cli_reduce_deep_term_answers_with_a_report(capsys, shape):
 
 
 def test_cli_recursion_error_is_json(capsys):
-    # two equal chains parse and normalize; comparing them recurses past the
-    # interpreter stack
-    chain = _deep_term("binders", 600)
+    # two equal chains parse and normalize; comparing them recurses once per
+    # level, and five times the recursion limit is past it on every Python
+    # (from 3.12 the limit counts only Python frames, one __eq__ per level)
+    chain = _deep_term("binders", 5 * sys.getrecursionlimit())
     code = main(["pi0", chain, chain])
     out = capsys.readouterr().out
     assert code == 2
