@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -12,8 +13,8 @@ from lamtower.cells import (Assoc, CAppArg, CAppFun, CLam, EndpointMismatch, HCo
                             seq_compose, seq_invert, validate_seq)
 from lamtower.completion import explicit_cell
 from lamtower.frontseed import FS2Seed, Word
-from lamtower.gen import gen_composable_seqs, gen_h3, gen_term, gen_zigzag
-from lamtower.terms import App, Lam, RedStep, StepKind, Var, subterm
+from lamtower.gen import gen_composable_seqs, gen_h2, gen_h3, gen_term, gen_zigzag
+from lamtower.terms import App, Dir, Lam, RedStep, StepKind, Var, subterm
 from lamtower.witness import span_beta_seq
 
 SPAN_M = App(Lam(App(Var(1), Var(0))), Var(1))
@@ -160,6 +161,51 @@ def test_map_seq_replays_through_every_kind_of_context():
         assert mapped.target == plug(ctx, p.target)
         for t in (p.source, p.target):
             assert subterm(plug(ctx, t), hole_path(ctx)) == t
+
+
+def _stepcong_corpus():
+    """(around, path, cell): three seeded draws for every path of at most 3
+    selectors, each a gen_h2 cell and side terms beside the path down to the
+    cell's source term."""
+    rng = random.Random(5)
+    for n in range(4):
+        for path in itertools.product(Dir, repeat=n):
+            for _ in range(3):
+                cell = gen_h2(rng)
+                around = boundary2(cell)[0].source
+                for d in reversed(path):
+                    if d is Dir.FUN:
+                        around = App(around, gen_term(rng, 4))
+                    elif d is Dir.ARG:
+                        around = App(gen_term(rng, 4), around)
+                    else:
+                        around = Lam(around)
+                yield around, path, cell
+
+
+def _stepcong(around, path, cell):
+    ctx, node, parents = Hole(), around, []
+    for d in path:
+        parents.append(node)
+        node = {Dir.FUN: lambda n: n.fun, Dir.ARG: lambda n: n.arg,
+                Dir.BODY: lambda n: n.body}[d](node)
+    for d, parent in zip(reversed(path), reversed(parents)):
+        ctx = (CAppFun(ctx, parent.arg) if d is Dir.FUN else
+               CAppArg(parent.fun, ctx) if d is Dir.ARG else CLam(ctx))
+    return StepCong(ctx, cell)
+
+
+def test_stepcong_boundaries_are_pinned():
+    # sha256 computed when a context was a tree of one-hole constructors
+    h = hashlib.sha256()
+    count = 0
+    for around, path, cell in _stepcong_corpus():
+        h.update(serialize.dumps(boundary2(_stepcong(around, path, cell))).encode())
+        h.update(b"\n")
+        count += 1
+    assert count == 120
+    assert h.hexdigest() == ("64edc098faeaf6f08247bec2c7138120"
+                             "6d089a4dce6ba946e83717fe48baab58")
 
 
 def test_pentagon_boundary(rng):

@@ -120,11 +120,37 @@ def test_cli_classify_and_witness(capsys):
     assert not report["result"]["separation_vs_eta"]["points_distinct"]
 
 
+@pytest.mark.parametrize("argv", [["classify"], ["witness", "--depth", "3"]])
+def test_cli_long_witness_chain_answers_with_a_report(capsys, argv):
+    # 20 000 atoms, right-nested by the parser: a composite keeps its ends
+    # and class, so reading them does not walk the chain
+    chain = " . ".join(["reflM"] * 9_999 + ["eta"] + ["reflN"] * 10_000)
+    code, report = _run(capsys, [argv[0], chain, *argv[1:]])
+    assert code == 0
+    assert report["result"]["tag"] == "eta"
+
+
 def test_cli_tower_check(capsys):
     code, report = _run(capsys, ["tower-check", "--maxdim", "6",
                                  "--samples", "20", "--seed", "1"])
     assert code == 0
     assert all(c["pass"] for c in report["checks"])
+
+
+@pytest.mark.parametrize("name, check", [
+    ("globular_check", "globularity"),
+    ("hd_map", "hd_functor_laws"),
+    ("realize_boundary_check", "realize_boundary"),
+])
+def test_cli_tower_check_reports_a_failing_check(capsys, monkeypatch, name, check):
+    # each law is made to fail alone, in this test only: its counter must
+    # fail that check and no other, and the run exits 1
+    monkeypatch.setattr(cli, name, lambda *args: None)
+    code, report = _run(capsys, ["tower-check", "--maxdim", "4",
+                                 "--samples", "5", "--seed", "1"])
+    assert code == 1 and not report["ok"]
+    assert {c["name"]: c["pass"] for c in report["checks"]} == {
+        c: c != check for c in ("globularity", "hd_functor_laws", "realize_boundary")}
 
 
 def test_cli_kinfty_check(capsys):
