@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Union
 
 from .record import record
-from .terms import (Dir, InvalidStep, RedStep, Term, App, Lam, apply_step,
+from .terms import (InvalidStep, Path, RedStep, Term, _plug, _walk, apply_step,
                     invert_step, is_step, is_term)
 
 
@@ -89,60 +89,19 @@ def seq_invert(p: RedSeq) -> RedSeq:
     return RedSeq(tuple(reversed(p.terms)), steps)
 
 
-# ---------------------------------------------------------------------------
-# One-hole term contexts, for congruence 2-cells.
-
-@record
-class Hole:
-    pass
-
-
-@record
-class CAppFun:
-    ctx: "Context"
-    arg: Term
-
-
-@record
-class CAppArg:
-    fun: Term
-    ctx: "Context"
-
-
-@record
-class CLam:
-    ctx: "Context"
-
-
-Context = Union[Hole, CAppFun, CAppArg, CLam]
-
-
-def plug(ctx: Context, t: Term) -> Term:
-    if isinstance(ctx, Hole):
-        return t
-    if isinstance(ctx, CAppFun):
-        return App(plug(ctx.ctx, t), ctx.arg)
-    if isinstance(ctx, CAppArg):
-        return App(ctx.fun, plug(ctx.ctx, t))
-    return Lam(plug(ctx.ctx, t))
-
-
-def hole_path(ctx: Context) -> tuple[Dir, ...]:
-    if isinstance(ctx, Hole):
-        return ()
-    if isinstance(ctx, CAppFun):
-        return (Dir.FUN,) + hole_path(ctx.ctx)
-    if isinstance(ctx, CAppArg):
-        return (Dir.ARG,) + hole_path(ctx.ctx)
-    return (Dir.BODY,) + hole_path(ctx.ctx)
-
-
-def map_seq(ctx: Context, p: RedSeq) -> RedSeq:
-    """Run a reduction sequence inside a one-hole context."""
-    prefix = hole_path(ctx)
-    steps = tuple(RedStep(s.kind, prefix + s.path, s.forward, s.redex)
+def map_seq(around: Term, path: Path, p: RedSeq) -> RedSeq:
+    """Run a reduction sequence at `path` inside `around`, whose subterm there
+    must be p's source; each term is plugged in by apply_step's walk and
+    rebuild."""
+    try:
+        parents, at = _walk(around, path)
+    except InvalidStep as e:
+        raise IllFormed(str(e)) from e
+    if at != p.source:
+        raise IllFormed("StepCong: the subterm at its path is not the cell's source term")
+    steps = tuple(RedStep(s.kind, path + s.path, s.forward, s.redex)
                   for s in p.steps)
-    return RedSeq(tuple(plug(ctx, t) for t in p.terms), steps)
+    return RedSeq(tuple(_plug(t, path, parents) for t in p.terms), steps)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +205,12 @@ class UnitR:
 
 @record
 class StepCong:
-    ctx: Context
+    """The congruence rule: `cell` run at `path` inside `around`.  A one-hole
+    context is a path and the terms beside it; the subterm of `around` at
+    `path` must be the cell's source term, so each context has one encoding."""
+
+    around: Term
+    path: Path
     cell: "Homotopy2"
 
 
@@ -272,7 +236,7 @@ def boundary2(cell: Homotopy2) -> tuple[RedSeq, RedSeq]:
         return seq_compose(cell.seq, empty_seq(cell.seq.target)), cell.seq
     if isinstance(cell, StepCong):
         s, t = boundary2(cell.cell)
-        return map_seq(cell.ctx, s), map_seq(cell.ctx, t)
+        return map_seq(cell.around, cell.path, s), map_seq(cell.around, cell.path, t)
     ends = groupoid_boundary(cell, boundary2, _seq_point,
                              seq_compose, seq_compose, seq_compose)
     if ends is None:

@@ -201,9 +201,10 @@ def _render_letter(l: F.Letter) -> str:
 # 19 / 31 / 51 MB at fuel 1 000 / 2 000 / 3 000 on a 2-core shared Xeon host
 # (Python 3.11.7); before the search resumed at each contraction, 0.58 /
 # 1.6-1.9 / 3.4-3.7 s the same day, and 9.1-10.2 s at 4 000 and 17.2 s at
-# 5 000 on loaded days.  At the cap it finishes within 10 s with room to
-# spare; `pi0` stops at the first term that runs out of fuel, so it costs
-# the same on it.
+# 5 000 on loaded days; `pi0` stops at the first term that runs out of
+# fuel, so it costs the same on it.  The cap bounds steps, not work: with n
+# trailing arguments each step rebuilds a path about n long, and at the cap
+# n = 2 000 took 10.2 s and 98 MB (ROADMAP item 13's work budget).
 MAX_FUEL = 3000
 
 

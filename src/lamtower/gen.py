@@ -11,7 +11,7 @@ import random
 from . import cells as C
 from . import completion as R
 from . import frontseed as F
-from .terms import (App, FuelExhausted, Lam, RedStep, StepKind, Term, Var,
+from .terms import (App, Dir, FuelExhausted, Lam, RedStep, StepKind, Term, Var,
                     apply_step, find_redexes, normalize, shift, subterm)
 
 
@@ -55,10 +55,10 @@ def _all_paths(t: Term) -> list[tuple]:
         node, path = stack.pop()
         out.append(path)
         if isinstance(node, App):
-            stack.append((node.fun, path + (C.Dir.FUN,)))
-            stack.append((node.arg, path + (C.Dir.ARG,)))
+            stack.append((node.fun, path + (Dir.FUN,)))
+            stack.append((node.arg, path + (Dir.ARG,)))
         elif isinstance(node, Lam):
-            stack.append((node.body, path + (C.Dir.BODY,)))
+            stack.append((node.body, path + (Dir.BODY,)))
     return out
 
 
@@ -81,10 +81,10 @@ def gen_zigzag(rng: random.Random, start: Term, steps: int,
     return C.RedSeq(tuple(trail), tuple(made))
 
 
-def gen_composable_seqs(rng: random.Random, k: int, start_size: int = 7,
-                        max_steps: int = 3, allow_empty: bool = True) -> list[C.RedSeq]:
-    """k reduction sequences chained end to end."""
-    t = gen_term(rng, start_size)
+def gen_composable_seqs(rng: random.Random, k: int, max_steps: int = 3,
+                        allow_empty: bool = True) -> list[C.RedSeq]:
+    """k reduction sequences chained end to end, from gen_term(rng, 7)."""
+    t = gen_term(rng, 7)
     out = []
     for _ in range(k):
         lo = 0 if allow_empty else 1

@@ -15,10 +15,9 @@ from . import cells, completion, frontseed, terms, witness
 
 _REGISTRY: dict[str, type] = {c.__name__: c for c in (
     terms.Var, terms.App, terms.Lam, terms.RedStep,
-    cells.RedSeq, cells.Hole, cells.CAppFun, cells.CAppArg, cells.CLam,
-    cells.Refl, cells.Symm, cells.Trans, cells.WhiskerL, cells.WhiskerR,
-    cells.HComp, cells.Assoc, cells.UnitL, cells.UnitR, cells.StepCong,
-    cells.Interchange, cells.Pentagon, cells.Triangle,
+    cells.RedSeq, cells.Refl, cells.Symm, cells.Trans, cells.WhiskerL,
+    cells.WhiskerR, cells.HComp, cells.Assoc, cells.UnitL, cells.UnitR,
+    cells.StepCong, cells.Interchange, cells.Pentagon, cells.Triangle,
     completion.RTowerCell, completion.SigmaCell,
     frontseed.AssL, frontseed.WlL, frontseed.WrL, frontseed.ReflL,
     frontseed.SeedL, frontseed.Word, frontseed.FS1Seed, frontseed.FS2Seed,
@@ -26,7 +25,7 @@ _REGISTRY: dict[str, type] = {c.__name__: c for c in (
     witness.TBeta, witness.TEta, witness.ReflM, witness.ReflN, witness.Comp,
 )}
 _ENUMS: dict[str, type] = {c.__name__: c for c in (
-    terms.StepKind, terms.Dir, witness.SpanEndpoint, witness.Tag)}
+    terms.StepKind, terms.Dir, witness.SpanEndpoint)}
 
 # The shape of a decoded value, read off its own fields, since each child
 # was checked as it was decoded; replay is validate_seq's, and a word's
@@ -34,7 +33,6 @@ _ENUMS: dict[str, type] = {c.__name__: c for c in (
 # the cells of the whiskerings stay unchecked: what they may hold depends on
 # the dimension their caller expects.
 _TERM = (terms.Var, terms.App, terms.Lam)
-_CONTEXT = (cells.Hole, cells.CAppFun, cells.CAppArg, cells.CLam)
 _LETTER = (frontseed.AssL, frontseed.WlL, frontseed.WrL, frontseed.ReflL,
            frontseed.SeedL)
 # what a SigmaCell of dimension 0, 1, 2, 3, and 4 or more holds
@@ -69,14 +67,12 @@ _WELL_FORMED = {
     terms.RedStep: terms.is_step,
     cells.RedSeq: lambda v: (isinstance(v.terms, tuple) and isinstance(v.steps, tuple)
                              and _are(_TERM, *v.terms) and _are(terms.RedStep, *v.steps)),
-    cells.CAppFun: lambda v: isinstance(v.ctx, _CONTEXT) and isinstance(v.arg, _TERM),
-    cells.CAppArg: lambda v: isinstance(v.fun, _TERM) and isinstance(v.ctx, _CONTEXT),
-    cells.CLam: lambda v: isinstance(v.ctx, _CONTEXT),
     cells.WhiskerL: lambda v: _seqs(v.prefix),
     cells.WhiskerR: lambda v: _seqs(v.suffix),
     **dict.fromkeys((cells.Assoc, cells.UnitL, cells.UnitR, cells.Pentagon,
                      cells.Triangle), _seq_fields),
-    cells.StepCong: lambda v: (isinstance(v.ctx, _CONTEXT)
+    cells.StepCong: lambda v: (isinstance(v.around, _TERM) and isinstance(v.path, tuple)
+                               and _are(terms.Dir, *v.path)
                                and isinstance(v.cell, cells.H2_CLASSES)),
     cells.Interchange: lambda v: _are(cells.H2_CLASSES, v.a, v.b, v.c, v.d),
     completion.SigmaCell: lambda v: (type(v.dim) is int and v.dim >= 0 and isinstance(

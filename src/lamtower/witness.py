@@ -33,51 +33,53 @@ class SpanEndpoint(Enum):
     N = "N"
 
 
-class Tag(Enum):
-    BETA = "beta"
-    ETA = "eta"
-
+# Each witness keeps its ends and its class: the step kind of the one
+# generator it crosses, None for a reflexivity or a composite of them.
 
 @record
 class TBeta:
     src = SpanEndpoint.M
     tgt = SpanEndpoint.N
+    kind = StepKind.BETA
 
 
 @record
 class TEta:
     src = SpanEndpoint.M
     tgt = SpanEndpoint.N
+    kind = StepKind.ETA
 
 
 @record
 class ReflM:
     src = SpanEndpoint.M
     tgt = SpanEndpoint.M
+    kind = None
 
 
 @record
 class ReflN:
     src = SpanEndpoint.N
     tgt = SpanEndpoint.N
+    kind = None
 
 
 @record
 class Comp:
+    """left then right; its ends and class are set once, at construction.
+    M -> N has no inverse, so at most one side crosses a generator."""
+
+    __slots__ = ("src", "tgt", "kind")
     left: "Witness"
     right: "Witness"
 
     def __post_init__(self):
-        if self.left.tgt is not self.right.src:
+        left, right = self.left, self.right
+        if left.tgt is not right.src:
             raise ValueError("composition endpoints do not meet")
-
-    @property
-    def src(self) -> SpanEndpoint:
-        return self.left.src
-
-    @property
-    def tgt(self) -> SpanEndpoint:
-        return self.right.tgt
+        object.__setattr__(self, "src", left.src)
+        object.__setattr__(self, "tgt", right.tgt)
+        object.__setattr__(self, "kind", left.kind or right.kind)
 
 
 Witness = Union[TBeta, TEta, ReflM, ReflN, Comp]
@@ -93,26 +95,11 @@ def span_eta_seq() -> RedSeq:
     return seq_from_steps(SPAN_SOURCE, (RedStep(StepKind.ETA, (Dir.FUN,)),))
 
 
-def _generators(w: Witness) -> list[Tag]:
-    if isinstance(w, TBeta):
-        return [Tag.BETA]
-    if isinstance(w, TEta):
-        return [Tag.ETA]
-    if isinstance(w, Comp):
-        return _generators(w.left) + _generators(w.right)
-    return []
-
-
-def tag_classify(w: Witness) -> Tag:
-    """The canonical class of a span witness: the unique nontrivial generator."""
+def tag_classify(w: Witness) -> StepKind:
+    """The canonical class of a span witness: the kind of its one generator."""
     if (w.src, w.tgt) != (SpanEndpoint.M, SpanEndpoint.N):
         raise ValueError("classification applies to witnesses from M to N")
-    gens = _generators(w)
-    if len(gens) != 1:
-        # Unreachable for welltyped trees: M -> N has no inverse, so the
-        # nontrivial generator is crossed exactly once.
-        raise ValueError(f"expected exactly one generator, found {len(gens)}")
-    return gens[0]
+    return w.kind
 
 
 def pad(w: Witness, left: int, right: int) -> Witness:
@@ -136,7 +123,7 @@ def pole_index(tower: Tower, label: str) -> int:
 
 @record
 class WitnessInterp:
-    tag: Tag
+    tag: StepKind
     epsilon: dict
     point: Thread
 
@@ -156,7 +143,7 @@ def interpret(w: Witness, depth: int, tower: Tower) -> WitnessInterp:
     if depth < 1:
         raise ValueError("interpretation needs depth >= 1")
     tag = tag_classify(w)
-    label = "sR1" if tag is Tag.BETA else "sL1"
+    label = "sR1" if tag is StepKind.BETA else "sL1"
     point = stage_embed(tower, 0, pole_index(tower, label), depth)
     return WitnessInterp(tag, _epsilon(), point)
 

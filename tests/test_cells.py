@@ -5,11 +5,10 @@ import random
 import pytest
 
 from lamtower import cells, serialize
-from lamtower.cells import (Assoc, CAppArg, CAppFun, CLam, EndpointMismatch, HComp,
-                            Hole, IllFormed, Interchange, Pentagon, RedSeq, Refl,
-                            StepCong, Symm, Trans, Triangle, UnitL, UnitR, WhiskerL,
-                            WhiskerR, boundary2, boundary3, empty_seq,
-                            globular_check, hole_path, map_seq, pentagon_sides, plug,
+from lamtower.cells import (Assoc, EndpointMismatch, HComp, IllFormed, Interchange,
+                            Pentagon, RedSeq, Refl, StepCong, Symm, Trans, Triangle,
+                            UnitL, UnitR, WhiskerL, WhiskerR, boundary2, boundary3,
+                            empty_seq, globular_check, map_seq, pentagon_sides,
                             seq_compose, seq_invert, validate_seq)
 from lamtower.completion import explicit_cell
 from lamtower.frontseed import FS2Seed, Word
@@ -134,33 +133,42 @@ def test_unitors():
 
 def test_stepcong():
     p = span_beta_seq()
-    ctx = CLam(Hole())
-    mapped = map_seq(ctx, p)
+    around, path = Lam(SPAN_M), (Dir.BODY,)
+    mapped = map_seq(around, path, p)
     assert mapped.source == Lam(SPAN_M) and mapped.target == Lam(SPAN_N)
     assert validate_seq(mapped)
-    cell = StepCong(ctx, Refl(p))
+    cell = StepCong(around, path, Refl(p))
     assert boundary2(cell) == (mapped, mapped)
 
 
 def test_map_seq_replays_through_every_kind_of_context():
     # each context holds the hole once on each side of an application and
     # once under a binder, in a random order; the mapped sequence must
-    # replay, and hole_path must address the hole
+    # replay, start at the context's term, and hold p's terms at the path
     rng = random.Random(7)
     for _ in range(150):
-        wraps = [lambda c: CAppFun(c, gen_term(rng, 5)),
-                 lambda c: CAppArg(gen_term(rng, 5), c), CLam]
-        rng.shuffle(wraps)
-        ctx = Hole()
-        for wrap in wraps:
-            ctx = wrap(ctx)
         p = gen_zigzag(rng, gen_term(rng, 6), rng.randint(1, 3))
-        mapped = map_seq(ctx, p)
+        wraps = [(Dir.FUN, lambda t: App(t, gen_term(rng, 5))),
+                 (Dir.ARG, lambda t: App(gen_term(rng, 5), t)),
+                 (Dir.BODY, Lam)]
+        rng.shuffle(wraps)
+        around, path = p.source, ()
+        for d, wrap in wraps:
+            around, path = wrap(around), (d,) + path
+        mapped = map_seq(around, path, p)
         assert validate_seq(mapped)
-        assert mapped.source == plug(ctx, p.source)
-        assert mapped.target == plug(ctx, p.target)
-        for t in (p.source, p.target):
-            assert subterm(plug(ctx, t), hole_path(ctx)) == t
+        assert mapped.source == around
+        assert [subterm(t, path) for t in mapped.terms] == list(p.terms)
+
+
+def test_stepcong_needs_the_cell_source_at_its_path():
+    # one encoding per context: the hole holds the cell's source term, and
+    # a path that leaves the term addresses nothing
+    p = span_beta_seq()
+    for around, path in [(Lam(SPAN_N), (Dir.BODY,)), (App(SPAN_N, SPAN_M), (Dir.FUN,)),
+                         (Lam(SPAN_M), (Dir.FUN,)), (SPAN_M, (Dir.ARG, Dir.BODY))]:
+        with pytest.raises(IllFormed):
+            boundary2(StepCong(around, path, Refl(p)))
 
 
 def _stepcong_corpus():
@@ -183,24 +191,12 @@ def _stepcong_corpus():
                 yield around, path, cell
 
 
-def _stepcong(around, path, cell):
-    ctx, node, parents = Hole(), around, []
-    for d in path:
-        parents.append(node)
-        node = {Dir.FUN: lambda n: n.fun, Dir.ARG: lambda n: n.arg,
-                Dir.BODY: lambda n: n.body}[d](node)
-    for d, parent in zip(reversed(path), reversed(parents)):
-        ctx = (CAppFun(ctx, parent.arg) if d is Dir.FUN else
-               CAppArg(parent.fun, ctx) if d is Dir.ARG else CLam(ctx))
-    return StepCong(ctx, cell)
-
-
 def test_stepcong_boundaries_are_pinned():
     # sha256 computed when a context was a tree of one-hole constructors
     h = hashlib.sha256()
     count = 0
     for around, path, cell in _stepcong_corpus():
-        h.update(serialize.dumps(boundary2(_stepcong(around, path, cell))).encode())
+        h.update(serialize.dumps(boundary2(StepCong(around, path, cell))).encode())
         h.update(b"\n")
         count += 1
     assert count == 120
@@ -348,7 +344,7 @@ def test_cell_dim(rng):
     two, three = Refl(p), Pentagon(p, q, r, s)
     assert cells.cell_dim(p) == 1
     for cell in (two, Assoc(p, q, r), Symm(Trans(two, two)), WhiskerL(p, two),
-                 HComp(StepCong(CLam(Hole()), two), two)):
+                 HComp(StepCong(Lam(p.source), (Dir.BODY,), two), two)):
         assert cells.cell_dim(cell) == 2
     for cell in (three, Refl(two), Symm(Trans(Refl(two), three)),
                  WhiskerR(HComp(three, three), s)):

@@ -6,9 +6,9 @@ import re
 import pytest
 
 from lamtower import serialize
-from lamtower.cells import (CAppArg, CAppFun, CLam, HComp, Hole, Interchange,
-                            Pentagon, RedSeq, Refl, Symm, Trans, Triangle,
-                            WhiskerL, WhiskerR, boundary3, empty_seq, seq_invert)
+from lamtower.cells import (HComp, Interchange, Pentagon, RedSeq, Refl, StepCong,
+                            Symm, Trans, Triangle, WhiskerL, WhiskerR, boundary3,
+                            empty_seq, seq_invert)
 from lamtower.completion import (RTowerCell, explicit_cell, realize,
                                  realize_boundary_check, triple_cell)
 from lamtower.frontseed import (AssL, FS2Seed, ReflL, SeedL, WlL, Word, WrL,
@@ -16,7 +16,7 @@ from lamtower.frontseed import (AssL, FS2Seed, ReflL, SeedL, WlL, Word, WrL,
                                 fs_bridges, fs_pentagon)
 from lamtower.gen import (gen_composable_seqs, gen_h2, gen_h3, gen_rtower_cell,
                           gen_term, gen_zigzag)
-from lamtower.terms import Var
+from lamtower.terms import App, Dir, Lam, Var
 from lamtower.witness import Comp, ReflM, TBeta, pad, span_beta_seq
 
 
@@ -90,7 +90,8 @@ def test_deterministic_bytes(rng):
     ({"$t": "RedSeq", "f": [[1], []]}, "RedSeq cannot hold these fields: ill-shaped"),
     # words, letters and contexts, likewise
     ({"$t": "Word", "f": [1, 2, []]}, "Word cannot hold these fields: ill-shaped"),
-    ({"$t": "CLam", "f": [5]}, "CLam cannot hold these fields: ill-shaped"),
+    ({"$t": "StepCong", "f": [_E(Var(0)), [5], _E(Refl(_P))]},
+     "StepCong cannot hold these fields: ill-shaped"),
     # words whose letters do not chain from src to tgt: two reflexive
     # letters that word_reduce would drop, so the word loaded equal to the
     # empty word on p; an empty word between different edges; and a chained
@@ -121,9 +122,10 @@ _W = _E(empty_word(_P))
     {"$t": "Triangle", "f": [_E(_P), 2]},
     {"$t": "WhiskerL", "f": [5, _E(Refl(_P))]},
     {"$t": "WhiskerR", "f": [_E(Refl(_P)), _E(Var(0))]},
-    # a context and a 2-cell; four 2-cells
-    {"$t": "StepCong", "f": [5, _E(Refl(_P))]},
-    {"$t": "StepCong", "f": [_E(Hole()), _E(_P)]},
+    # a term, a path and a 2-cell; four 2-cells
+    {"$t": "StepCong", "f": [5, [], _E(Refl(_P))]},
+    {"$t": "StepCong", "f": [_E(Var(0)), 5, _E(Refl(_P))]},
+    {"$t": "StepCong", "f": [_E(Var(0)), [], _E(_P)]},
     _E(Interchange(Refl(_P), Refl(_P), Refl(_P), _P)),
     # a dimension that is an int >= 0, and a payload of that dimension
     {"$t": "SigmaCell", "f": [9, 1]},
@@ -150,13 +152,13 @@ def test_decode_checks_every_field_of_words_letters_and_contexts():
         Word(p, p, (ReflL(p), SeedL("s", p, p, True))),
         AssL(p, e, e), AssL(p, e, e, True, True), WlL(p, inner), WrL(inner, p, True),
         ReflL(p), SeedL("s", p, e, False, True),
-        CAppFun(Hole(), t), CAppArg(t, CLam(Hole())), CLam(CAppFun(Hole(), t)),
+        StepCong(t, (), Refl(p)), StepCong(App(Lam(t), t), (Dir.FUN, Dir.BODY), Refl(p)),
     ]
     for value in values:
         assert _roundtrip(value)
         good = serialize.encode(value)
         # any field of the wrong kind: an int where a sequence, word, flag,
-        # name, letter tuple, context or term belongs
+        # name, letter tuple, path, cell or term belongs
         for i in range(len(good["f"])):
             data = dict(good, f=good["f"][:i] + [5] + good["f"][i + 1:])
             with pytest.raises(ValueError, match="ill-shaped"):

@@ -3,9 +3,9 @@ import itertools
 import pytest
 
 from lamtower.kinfinity import thread_eq
-from lamtower.terms import App, Lam, Var, normalize
+from lamtower.terms import App, Lam, StepKind, Var, normalize
 from lamtower.witness import (SPAN_SOURCE, SPAN_TARGET, Comp, ReflM, ReflN,
-                              SpanEndpoint, Tag, TBeta, TEta, default_tower,
+                              SpanEndpoint, TBeta, TEta, default_tower,
                               interpret, pad, separation_report, span_beta_seq,
                               span_eta_seq, tag_classify)
 
@@ -48,17 +48,19 @@ def test_typing_totality_up_to_size_7():
         for w in _all_trees(size, m, n):
             total += 1
             tag = tag_classify(w)  # total: never raises on well-typed trees
-            assert tag in (Tag.BETA, Tag.ETA)
+            assert tag in (StepKind.BETA, StepKind.ETA)
     assert total > 0
-    # there is no witness from N back to M in the forward language
+    # there is no witness from N back to M in the forward language, and one
+    # that starts where it ends crosses no generator
     for size in range(1, 8):
         assert _all_trees(size, n, m) == []
+        assert all(w.kind is None for end in (m, n) for w in _all_trees(size, end, end))
 
 
 def test_tag_examples():
-    assert tag_classify(TBeta()) is Tag.BETA
-    assert tag_classify(Comp(ReflM(), Comp(TEta(), ReflN()))) is Tag.ETA
-    assert tag_classify(Comp(TBeta(), ReflN())) is Tag.BETA
+    assert tag_classify(TBeta()) is StepKind.BETA
+    assert tag_classify(Comp(ReflM(), Comp(TEta(), ReflN()))) is StepKind.ETA
+    assert tag_classify(Comp(TBeta(), ReflN())) is StepKind.BETA
 
 
 def test_tag_rejects_wrong_endpoints():
