@@ -19,8 +19,7 @@ from .completion import (hd_map, pi0_equiv, realize_boundary_check)
 from .domains import (Tower, check_projection_pair, flat_base,
                       flat_stage1_size, step_join_sample)
 from .gen import gen_hd_tree, gen_rtower_cell
-from .terms import (App, FuelExhausted, Lam, Term, Var, apply_step, normalize,
-                    to_text)
+from .terms import App, FuelExhausted, Lam, Term, Var, normalize, to_text
 
 
 class ParseError(ValueError):
@@ -241,13 +240,10 @@ def cmd_pi0(args) -> int:
         result = {"verdict": "not-convertible", "detail": "distinct normal forms"}
         checks.append({"name": "decided", "pass": True, "detail": "NotFound"})
     else:
-        replay = t1
-        for s in zigzag.steps:
-            replay = apply_step(replay, s)
         result = {"verdict": "convertible", "zigzag_length": len(zigzag),
                   "via": to_text(zigzag.terms[len(zigzag.terms) // 2])}
         checks.append({"name": "decided", "pass": True, "detail": "zigzag found"})
-        checks.append({"name": "replay_valid", "pass": replay == t2,
+        checks.append({"name": "replay_valid", "pass": validate_seq(zigzag),
                        "detail": f"{len(zigzag)} steps"})
     return _emit(_report({"cmd": "pi0", "term1": args.term1, "term2": args.term2,
                           "fuel": args.fuel}, result, checks))
@@ -287,19 +283,20 @@ def _base_poles(base_size: int) -> tuple[str, ...]:
 def cmd_witness(args) -> int:
     _check_bounds("--depth", args.depth, least=1, most=kinfinity.MAX_DEPTH)
     w = parse_witness(args.expr)
-    tower = witness.default_tower()
-    interp = witness.interpret(w, args.depth, tower)
+    tower = Tower(flat_base())
+    point = witness.interpret(w, args.depth, tower)
+    epsilon = witness.span_epsilon()
     vs_beta = witness.separation_report(w, witness.TBeta(), args.depth, tower)
     vs_eta = witness.separation_report(w, witness.TEta(), args.depth, tower)
     result = {
-        "tag": interp.tag.value,
-        "epsilon": interp.epsilon,
-        "coordinate0": tower.base.labels[interp.point.coords[0]],
+        "tag": witness.tag_classify(w).value,
+        "epsilon": epsilon,
+        "coordinate0": tower.base.labels[point.coords[0]],
         "separation_vs_beta": vs_beta,
         "separation_vs_eta": vs_eta,
     }
     checks = [
-        {"name": "epsilon_valid", "pass": interp.epsilon["normal_form_equal"],
+        {"name": "epsilon_valid", "pass": epsilon["normal_form_equal"],
          "detail": "normal forms agree"},
         {"name": "separates_from_other_class", "pass":
          vs_beta["points_distinct"] != vs_eta["points_distinct"],
@@ -311,10 +308,10 @@ def cmd_witness(args) -> int:
 
 # Largest --maxdim tower-check accepts.  Realization cost per cell grows
 # steeply with dimension and with the seed's random derivation trees: with
-# the default --samples 100, maxdim 15 finished in 0.55-1.3 s over seeds 0-9
-# (2-core shared Xeon host, Python 3.11, in-process), but 16 took 31 s on
-# seed 6 (1.1-5.5 s on the others), past the 10 s budget; 24 took minutes at
-# --samples 5 and 40 never finished.
+# the default --samples 100, maxdim 15 finished in 0.55-1.3 s over seeds 0-9,
+# but 16 took 12.7 s on seed 6 (0.7 s on seed 0), past the 10 s budget
+# (in-process, cap lifted, Python 3.11.7 on a 2-core shared Xeon host; ROADMAP
+# item 7 bounds the work instead); 24 took minutes at --samples 5.
 MAX_TOWER_DIM = 15
 
 # Largest --samples tower-check accepts.  The run is linear in the sample
@@ -477,8 +474,15 @@ def cmd_coherence(args) -> int:
                          result, checks))
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses a bad command line with a ValueError, which main reports."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="lamtower")
+    ap = _Parser(prog="lamtower")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("reduce", help="normalize a term with bounded fuel")
@@ -529,8 +533,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (ValueError, OSError, FuelExhausted, RecursionError, MemoryError) as e:
         # OSError: an unreadable --sequences file.

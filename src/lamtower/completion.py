@@ -59,9 +59,9 @@ def hd_map(f: Callable[[object], object], h: HigherDeriv) -> HigherDeriv:
 # Cells of the recursive completion and of the explicit tower.
 #
 # Dimensions 0-3 carry the explicit payloads (Term, RedSeq, Homotopy2,
-# Homotopy3).  From dimension 4 up, an RTowerCell is a triple (x, y, h) of
-# parallel lower cells plus a derivation between them, while a SigmaCell is
-# the derivation alone, indexed by its endpoints.
+# Homotopy3), and realize to themselves.  From dimension 4 up, an RTowerCell
+# is a triple (x, y, h) of parallel lower cells plus a derivation between
+# them, while a SigmaCell is the derivation alone, indexed by its endpoints.
 
 @record
 class RTowerCell:
@@ -128,15 +128,12 @@ def triple_cell(x: RTowerCell, y: RTowerCell, h: HigherDeriv) -> RTowerCell:
     return RTowerCell(x.dim + 1, (x, y, h))
 
 
-def sigma_boundary(c: SigmaCell) -> tuple[SigmaCell, SigmaCell]:
-    """The source and target cells of c."""
-    if c.dim <= 3:
-        s, t = cell_boundary(RTowerCell(c.dim, c.payload))
-        return SigmaCell(s.dim, s.payload), SigmaCell(t.dim, t.payload)
+def sigma_boundary(c: SigmaCell) -> tuple:
+    """The source and target cells of c: the realized ends of its derivation."""
     return endpoints(c.payload)
 
 
-def realize(n: int, cell: RTowerCell) -> SigmaCell:
+def realize(n: int, cell: RTowerCell) -> Union[RTowerCell, SigmaCell]:
     """The realization map: identity through dimension 3, then the uniform
     recursion that transports the derivation datum along realize(n - 1).
 
@@ -144,7 +141,7 @@ def realize(n: int, cell: RTowerCell) -> SigmaCell:
     if cell.dim != n:
         raise IllFormed(f"cell has dimension {cell.dim}, not {n}")
     if n <= 3:
-        return SigmaCell(n, cell.payload)
+        return cell
     if not isinstance(cell.payload, tuple):
         raise IllFormed(f"expected a dimension-{n} triple")
     x, y, h = cell.payload
@@ -165,8 +162,8 @@ def realize_boundary_check(n: int, cell: RTowerCell) -> bool:
     """Does realization commute strictly with source and target?
 
     A reflexive cell's two ends are one object, realized once."""
-    if n < 1:
-        raise IllFormed("boundary checks need dimension >= 1")
+    if n < 4:  # below, the image is the cell itself: nothing to check
+        raise IllFormed("boundary checks need dimension >= 4")
     image_src, image_tgt = sigma_boundary(realize(n, cell))
     src, tgt = cell_boundary(cell)
     src_image = realize(n - 1, src)

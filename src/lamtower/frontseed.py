@@ -296,7 +296,6 @@ class FillerE:
     src: Word
     tgt: Word
     missing: "Cell3Expr"
-    label: str = ""
 
 
 # The groupoid constructors of cells serve here too: Refl of a word, Symm
@@ -396,9 +395,8 @@ def assemble_pentagon_filler(p, q, r, s, fs2_face, wr_face, mid_face,
     if not words_equal(boundary3_words(kill_r)[0], right):
         raise HornGlueFailure("front faces do not assemble the right composite")
     missing = VComp(kill_l, Symm(kill_r))
-    return FillerE(faces=(fs2_face, wr_face, mid_face, *back_faces),
-                   src=word_reduce(left), tgt=word_reduce(right),
-                   missing=missing, label="structural-pentagon-horn")
+    return FillerE((fs2_face, wr_face, mid_face, *back_faces),
+                   word_reduce(left), word_reduce(right), missing)
 
 
 def fs_pentagon(p: RedSeq, q: RedSeq, r: RedSeq, s: RedSeq) -> FillerE:
@@ -414,16 +412,16 @@ def fs_pentagon(p: RedSeq, q: RedSeq, r: RedSeq, s: RedSeq) -> FillerE:
 
 
 # ---------------------------------------------------------------------------
-# Interpretation of explicit syntactic 2-cells as boundary words.  Cells whose
-# endpoints concatenate to literally equal sequences interpret to the empty
-# word; whiskering and composition interpret structurally.
+# Interpretation of explicit syntactic 2-cells as boundary words.  Assoc,
+# UnitL, UnitR and StepCong have literally equal ends, which each constructor
+# keeps, so they interpret to the empty word; the constructors, structurally.
 
 def interp_cell2(h: Homotopy2) -> Word:
     if isinstance(h, cells.Refl):
         if not isinstance(h.point, RedSeq):
             raise NonComposable(f"cannot interpret a Refl of {type(h.point).__name__}")
         return empty_word(h.point)
-    if isinstance(h, (cells.Assoc, cells.UnitL, cells.UnitR)):
+    if isinstance(h, (cells.Assoc, cells.UnitL, cells.UnitR, cells.StepCong)):
         return empty_word(boundary2(h)[0])
     if isinstance(h, cells.Symm):
         return inv_word(interp_cell2(h.cell))
@@ -445,11 +443,6 @@ def interp_cell2(h: Homotopy2) -> Word:
         w2 = word_of([WlL(lt, second)]) if second.letters \
             else empty_word(seq_compose(lt, rt))
         return concat_words(w1, w2)
-    if isinstance(h, cells.StepCong):
-        s, t = boundary2(h)
-        if s == t:
-            return empty_word(s)
-        return word_of([SeedL("stepcong", s, t)])
     raise NonComposable(f"cannot interpret {type(h).__name__} as a word")
 
 

@@ -15,17 +15,18 @@ from .terms import (App, Dir, FuelExhausted, Lam, RedStep, StepKind, Term, Var,
                     apply_step, find_redexes, normalize, shift, subterm)
 
 
-def gen_term(rng: random.Random, max_size: int, free: int = 3, depth: int = 0) -> Term:
+def gen_term(rng: random.Random, max_size: int, depth: int = 0) -> Term:
+    """At most max_size nodes under `depth` binders, over three free names."""
     if max_size <= 1:
-        return Var(rng.randrange(depth + free))
+        return Var(rng.randrange(depth + 3))
     roll = rng.random()
     if roll < 0.35:
-        return Var(rng.randrange(depth + free))
+        return Var(rng.randrange(depth + 3))
     if roll < 0.65:
-        return Lam(gen_term(rng, max_size - 1, free, depth + 1))
+        return Lam(gen_term(rng, max_size - 1, depth + 1))
     left = rng.randint(1, max_size - 2) if max_size > 2 else 1
-    return App(gen_term(rng, left, free, depth),
-               gen_term(rng, max_size - 1 - left, free, depth))
+    return App(gen_term(rng, left, depth),
+               gen_term(rng, max_size - 1 - left, depth))
 
 
 def gen_normalizing_term(rng: random.Random, max_size: int, fuel: int = 200) -> Term:
@@ -97,8 +98,8 @@ def gen_composable_seqs(rng: random.Random, k: int, max_steps: int = 3,
 # ---------------------------------------------------------------------------
 # 2- and 3-cells.
 
-def _seq_ending_at(rng: random.Random, t: Term, max_steps: int = 2) -> C.RedSeq:
-    return C.seq_invert(gen_zigzag(rng, t, rng.randint(0, max_steps)))
+def _seq_ending_at(rng: random.Random, t: Term) -> C.RedSeq:
+    return C.seq_invert(gen_zigzag(rng, t, rng.randint(0, 2)))
 
 
 def gen_h2_at(rng: random.Random, start: Term, depth: int,
@@ -140,8 +141,8 @@ def _rooted_triple(rng: random.Random, start: Term) -> tuple:
     return p, q, r
 
 
-def gen_h2(rng: random.Random, depth: int = 2, size: int = 6) -> C.Homotopy2:
-    return gen_h2_at(rng, gen_term(rng, size), depth)
+def gen_h2(rng: random.Random, depth: int = 2) -> C.Homotopy2:
+    return gen_h2_at(rng, gen_term(rng, 6), depth)
 
 
 def gen_h3_at(rng: random.Random, start: Term, depth: int,
@@ -182,8 +183,8 @@ def gen_h3_at(rng: random.Random, start: Term, depth: int,
     return C.HComp(inner, partner)
 
 
-def gen_h3(rng: random.Random, depth: int = 2, size: int = 6) -> C.Homotopy3:
-    return gen_h3_at(rng, gen_term(rng, size), depth)
+def gen_h3(rng: random.Random, depth: int = 2) -> C.Homotopy3:
+    return gen_h3_at(rng, gen_term(rng, 6), depth)
 
 
 # ---------------------------------------------------------------------------
@@ -292,17 +293,16 @@ def insert_cancelling_pairs(rng: random.Random, w: F.Word, k: int) -> F.Word:
 # ---------------------------------------------------------------------------
 # Convertible and separated term pairs for the 0-truncation checks.
 
-def gen_convertible_pair(rng: random.Random, size: int = 7) -> tuple[Term, Term]:
-    base = gen_normalizing_term(rng, size)
+def gen_convertible_pair(rng: random.Random) -> tuple[Term, Term]:
+    base = gen_normalizing_term(rng, 7)
     left = gen_zigzag(rng, base, rng.randint(0, 3), p_expand=0.4).target
     right = gen_zigzag(rng, base, rng.randint(1, 3), p_expand=0.6).target
     return left, right
 
 
-def gen_separated_pair(rng: random.Random, size: int = 7,
-                       fuel: int = 300) -> tuple[Term, Term]:
+def gen_separated_pair(rng: random.Random) -> tuple[Term, Term]:
     while True:
-        a = gen_normalizing_term(rng, size, fuel)
-        b = gen_normalizing_term(rng, size, fuel)
-        if normalize(a, fuel)[0] != normalize(b, fuel)[0]:
+        a = gen_normalizing_term(rng, 7, 300)
+        b = gen_normalizing_term(rng, 7, 300)
+        if normalize(a, 300)[0] != normalize(b, 300)[0]:
             return a, b

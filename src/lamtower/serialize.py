@@ -35,9 +35,6 @@ _ENUMS: dict[str, type] = {c.__name__: c for c in (
 _TERM = (terms.Var, terms.App, terms.Lam)
 _LETTER = (frontseed.AssL, frontseed.WlL, frontseed.WrL, frontseed.ReflL,
            frontseed.SeedL)
-# what a SigmaCell of dimension 0, 1, 2, 3, and 4 or more holds
-_SIGMA_PAYLOAD = (_TERM, cells.RedSeq, cells.H2_CLASSES, cells.H3_CLASSES,
-                  (cells.Refl, cells.Symm, cells.Trans))
 
 
 def _are(kind, *xs) -> bool:
@@ -75,8 +72,8 @@ _WELL_FORMED = {
                                and _are(terms.Dir, *v.path)
                                and isinstance(v.cell, cells.H2_CLASSES)),
     cells.Interchange: lambda v: _are(cells.H2_CLASSES, v.a, v.b, v.c, v.d),
-    completion.SigmaCell: lambda v: (type(v.dim) is int and v.dim >= 0 and isinstance(
-        v.payload, _SIGMA_PAYLOAD[min(v.dim, 4)])),
+    completion.SigmaCell: lambda v: (type(v.dim) is int and v.dim >= 4 and isinstance(
+        v.payload, (cells.Refl, cells.Symm, cells.Trans))),
     frontseed.AssL: lambda v: _seqs(v.a, v.b, v.c) and _flags(v),
     frontseed.WlL: _whiskering,
     frontseed.WrL: _whiskering,
@@ -86,7 +83,7 @@ _WELL_FORMED = {
     frontseed.Word: lambda v: (_seqs(v.src, v.tgt) and isinstance(v.letters, tuple)
                                and _are(_LETTER, *v.letters) and _chains(v)),
     frontseed.PasteR: lambda v: isinstance(v.word, frontseed.Word),
-    frontseed.FillerE: lambda v: (isinstance(v.faces, tuple) and isinstance(v.label, str)
+    frontseed.FillerE: lambda v: (isinstance(v.faces, tuple)
                                   and _are(frontseed.Word, v.src, v.tgt)),
 }
 

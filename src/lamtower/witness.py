@@ -19,7 +19,7 @@ from enum import Enum
 from typing import Union
 
 from .cells import RedSeq, seq_from_steps
-from .domains import Tower, flat_base
+from .domains import Tower
 from .kinfinity import Thread, stage_embed, thread_eq
 from .record import record
 from .terms import App, Dir, Lam, RedStep, StepKind, Term, Var, normalize
@@ -113,50 +113,32 @@ def pad(w: Witness, left: int, right: int) -> Witness:
     return w
 
 
-def default_tower() -> Tower:
-    return Tower(flat_base())
-
-
-def pole_index(tower: Tower, label: str) -> int:
-    return tower.base.labels.index(label)
-
-
-@record
-class WitnessInterp:
-    tag: StepKind
-    epsilon: dict
-    point: Thread
-
-
-def _epsilon(fuel: int = 64) -> dict:
+def span_epsilon() -> dict:
     """Oracle certificate that both span endpoints share a normal form."""
-    nf_m, trace_m = normalize(SPAN_SOURCE, fuel)
-    nf_n, trace_n = normalize(SPAN_TARGET, fuel)
+    nf_m, trace_m = normalize(SPAN_SOURCE, 64)
+    nf_n, trace_n = normalize(SPAN_TARGET, 64)
     return {"normal_form_equal": nf_m == nf_n,
             "steps_from_source": len(trace_m),
             "steps_from_target": len(trace_n)}
 
 
-def interpret(w: Witness, depth: int, tower: Tower) -> WitnessInterp:
-    """Denotation-equality evidence plus the distinguished model point:
-    the right pole for the beta class, the left pole for the eta class."""
+def interpret(w: Witness, depth: int, tower: Tower) -> Thread:
+    """The distinguished model point of w's class: the right pole for the
+    beta class, the left pole for the eta class."""
     if depth < 1:
         raise ValueError("interpretation needs depth >= 1")
-    tag = tag_classify(w)
-    label = "sR1" if tag is StepKind.BETA else "sL1"
-    point = stage_embed(tower, 0, pole_index(tower, label), depth)
-    return WitnessInterp(tag, _epsilon(), point)
+    label = "sR1" if tag_classify(w) is StepKind.BETA else "sL1"
+    return stage_embed(tower, 0, tower.base.labels.index(label), depth)
 
 
 def separation_report(w1: Witness, w2: Witness, depth: int, tower: Tower) -> dict:
     """Tags, interpretation points, and the connection/separation verdict."""
-    i1 = interpret(w1, depth, tower)
-    i2 = interpret(w2, depth, tower)
-    distinct = not thread_eq(i1.point, i2.point)
+    p1, p2 = interpret(w1, depth, tower), interpret(w2, depth, tower)
+    distinct = not thread_eq(p1, p2)
     report = {
-        "tags": [i1.tag.value, i2.tag.value],
-        "coordinate0": [tower.base.labels[i1.point.coords[0]],
-                        tower.base.labels[i2.point.coords[0]]],
+        "tags": [tag_classify(w1).value, tag_classify(w2).value],
+        "coordinate0": [tower.base.labels[p1.coords[0]],
+                        tower.base.labels[p2.coords[0]]],
         "points_distinct": distinct,
     }
     if distinct:

@@ -282,8 +282,8 @@ def test_criterion_9_witness_separation():
                     bad += 1
 
     tower = Tower(flat_base())
-    beta_pt = interpret(TBeta(), 3, tower).point
-    eta_pt = interpret(TEta(), 3, tower).point
+    beta_pt = interpret(TBeta(), 3, tower)
+    eta_pt = interpret(TEta(), 3, tower)
     poles_ok = (tower.base.labels[beta_pt.coords[0]] == "sR1"
                 and tower.base.labels[eta_pt.coords[0]] == "sL1"
                 and not thread_eq(beta_pt, eta_pt))

@@ -183,6 +183,24 @@ def test_cli_error_exit(capsys):
     assert "error" in json.loads(out)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["reduce", "x", "--fuel", "abc"], "lamtower reduce: argument --fuel: invalid int value: 'abc'"),
+    (["coherence", "nope"], "lamtower coherence: argument which: invalid choice: 'nope'"),
+    (["witness", "eta", "--base-size", "3"], "lamtower: unrecognized arguments: --base-size 3"),
+    ([], "lamtower: the following arguments are required: command"),
+])
+def test_cli_argparse_refusals_are_json(capsys, argv, message):
+    # they used to print usage text to stderr, nothing to stdout
+    assert _error(capsys, argv).startswith(message)
+
+
+def test_cli_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: lamtower")
+
+
 def test_cli_reduce_looping_past_printer_depth(capsys):
     # the partial term nests about 1050 deep, past the interpreter stack
     code, report = _run(capsys, ["reduce", "(\\x. x x x) (\\x. x x x)",
@@ -465,10 +483,7 @@ def test_cli_kinfty_base_size_above_cap_refused(capsys, monkeypatch, size):
 ])
 def test_cli_base_options_beyond_base_size_unknown(capsys, argv):
     # witness runs only the sR1,sL1 base; kinfty check takes only --base-size
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    assert "unrecognized arguments" in _error(capsys, argv)
 
 
 @pytest.mark.parametrize("argv, first_work", [
@@ -505,7 +520,7 @@ def test_cli_kinfty_samples_at_cap_runs(capsys):
 
 @pytest.mark.parametrize("argv, first_work", [
     (["kinfty", "check"], (cli, "flat_base")),
-    (["witness", "eta"], (cli.witness, "default_tower")),
+    (["witness", "eta"], (cli, "flat_base")),
 ])
 def test_cli_depth_above_max_refused(capsys, monkeypatch, argv, first_work):
     # it used to fail late with "no embedding representation from stage 3"

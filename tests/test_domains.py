@@ -583,12 +583,12 @@ def test_the_pole_swap_takes_the_beta_point_to_the_eta_point(depth):
     # takes the beta class's point to the eta class's coordinate by
     # coordinate (the stage-3 one on the probes): the classes are told apart
     # only by the fixed interpretation, which sends each to its pole
-    tower = witness.default_tower()
+    tower = Tower(flat_base())
     ref, T = kref.Ref(tower.base), kref.Tabled(tower)
     swap = tuple(map(tower.base.labels.index, ("bot", "sL1", "sR1")))
     assert swap in kref.automorphisms(tower.base)
     act, probes = ref.lift(swap), T.stage2_probes()
-    beta, eta = (T.coords(witness.interpret(w, depth, tower).point)
+    beta, eta = (T.coords(witness.interpret(w, depth, tower))
                  for w in (witness.TBeta(), witness.TEta()))
     for n in range(min(depth, 2) + 1):
         assert beta[n] != eta[n] and act(n, beta[n]) == eta[n]

@@ -14,9 +14,10 @@ from lamtower.frontseed import (AssL, FS1Seed, FS2Seed, HeadNorm, HornGlueFailur
                                 interp_cell2, inv_word, letter_edges, letter_inv,
                                 mixed_target_word, pentagon_words,
                                 shell_word, word_of, word_reduce, words_equal)
-from lamtower.gen import (gen_composable_seqs, gen_term, gen_word, gen_zigzag,
-                          insert_cancelling_pairs)
+from lamtower.gen import (gen_composable_seqs, gen_h2, gen_h2_at, gen_term,
+                          gen_word, gen_zigzag, insert_cancelling_pairs)
 from lamtower.witness import span_beta_seq
+from test_cells import _stepcong_corpus
 
 
 def _span_quad():
@@ -401,3 +402,29 @@ def test_interp_cell2_rejects_3cells():
         with pytest.raises(ValueError):
             interp_cell2(bad)
     assert interp_cell2(cells.Refl(p)) == empty_word(p)
+
+
+def _interp_corpus():
+    """gen_h2 cells, the StepCong cells of test_cells, and the horizontal
+    composite of each with a cell, plain or a StepCong, rooted where it ends."""
+    rng = random.Random(12)
+    out = [gen_h2(rng, depth) for depth in range(4) for _ in range(25)]
+    out += [cells.StepCong(*row) for row in _stepcong_corpus()]
+    for i, h in enumerate(list(out)):
+        end = cells.boundary2(h)[0].target
+        partner = gen_h2_at(rng, end, 1, rooted=True)
+        if i % 2:
+            partner = cells.StepCong(end, (), partner)
+        out.append(cells.HComp(h, partner))
+    return out
+
+
+def test_explicit_2cells_interpret_to_the_empty_word():
+    # Assoc, UnitL and UnitR have equal ends under strict concatenation and
+    # every constructor keeps them equal, so no 2-cell needs a seed letter
+    corpus = _interp_corpus()
+    assert {type(h) for h in corpus} >= {cells.HComp, cells.StepCong}
+    for h in corpus:
+        s, t = cells.boundary2(h)
+        assert s == t
+        assert word_reduce(interp_cell2(h)) == empty_word(s)

@@ -2,11 +2,12 @@ import itertools
 
 import pytest
 
+from lamtower.domains import Tower, flat_base
 from lamtower.kinfinity import thread_eq
 from lamtower.terms import App, Lam, StepKind, Var, normalize
 from lamtower.witness import (SPAN_SOURCE, SPAN_TARGET, Comp, ReflM, ReflN,
-                              SpanEndpoint, TBeta, TEta, default_tower,
-                              interpret, pad, separation_report, span_beta_seq,
+                              SpanEndpoint, TBeta, TEta, interpret, pad,
+                              separation_report, span_beta_seq, span_epsilon,
                               span_eta_seq, tag_classify)
 
 
@@ -91,16 +92,16 @@ def test_pad_invariance_exhaustive():
 def test_interpret_poles(tower):
     beta = interpret(TBeta(), 3, tower)
     eta = interpret(TEta(), 3, tower)
-    assert tower.base.labels[beta.point.coords[0]] == "sR1"
-    assert tower.base.labels[eta.point.coords[0]] == "sL1"
-    assert beta.epsilon["normal_form_equal"]
-    assert not thread_eq(beta.point, eta.point)
+    assert tower.base.labels[beta.coords[0]] == "sR1"
+    assert tower.base.labels[eta.coords[0]] == "sL1"
+    assert span_epsilon()["normal_form_equal"]
+    assert not thread_eq(beta, eta)
 
 
 def test_interpret_factors_through_tag(tower):
     w1 = interpret(Comp(ReflM(), TBeta()), 3, tower)
     w2 = interpret(TBeta(), 3, tower)
-    assert thread_eq(w1.point, w2.point)
+    assert thread_eq(w1, w2)
 
 
 def test_separation_report_distinct(tower):
@@ -119,5 +120,6 @@ def test_separation_report_same_tag(tower):
 
 
 def test_default_tower_has_both_poles():
-    t = default_tower()
+    # the tower `lamtower witness` interprets in
+    t = Tower(flat_base())
     assert "sR1" in t.base.labels and "sL1" in t.base.labels
