@@ -8,8 +8,9 @@ from collections import Counter
 
 import pytest
 
-from lamtower import frontseed
+from lamtower import frontseed, kinfinity
 from lamtower.cells import RedSeq, seq_invert
+from lamtower.domains import Tower, flat_base
 from lamtower.witness import span_beta_seq
 
 
@@ -51,3 +52,32 @@ def test_assoc_compare_work_is_pinned(monkeypatch, n):
     p, q, r = _span_zigzag((n, 1, 1))
     frontseed.boundary3_words(frontseed.fs_assoc_compare(p, q, r))
     assert dict(calls) == _CALLS[n]
+
+
+# Calls made by one cold verify_laws(tower, 3) on the flat base of 3 and of 4
+# elements, s = 11 and 67 stage-1 elements.  Tower.apply is called once per
+# entry the laws read, which is quadratic in s; app and stage_embed are
+# called once per applied entry too.
+_KINFTY_CALLS = {
+    3: {"app": 322, "stage_embed": 499, "Tower.apply": 608},
+    4: {"app": 5_609, "stage_embed": 6_592, "Tower.apply": 14_922},
+}
+
+
+@pytest.mark.parametrize("base_size", sorted(_KINFTY_CALLS))
+def test_law_suite_work_is_pinned(monkeypatch, base_size):
+    # app and stage_embed are looked up in kinfinity's namespace by its own
+    # callers, Tower.apply on the class
+    calls = Counter()
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+    for name in ("app", "stage_embed"):
+        monkeypatch.setattr(kinfinity, name, counted(name, getattr(kinfinity, name)))
+    monkeypatch.setattr(Tower, "apply", counted("Tower.apply", Tower.apply))
+    poles = ("sR1", "sL1") + tuple(f"s{i}" for i in range(base_size - 3))
+    assert kinfinity.verify_laws(Tower(flat_base(poles)), 3)["ok"]
+    assert dict(calls) == _KINFTY_CALLS[base_size]
