@@ -14,12 +14,14 @@ from __future__ import annotations
 import itertools
 import random
 from functools import partial
+from operator import attrgetter
 from typing import Callable, Optional
 
 from .record import record
 
 DEFAULT_POLES = ("sR1", "sL1")
 BOTTOM_LABEL = "bot"
+_POS = attrgetter("pos")
 
 
 class CapExceeded(ValueError):
@@ -115,6 +117,9 @@ class Tower:
     - `_thread_rows`: kinfinity.thread_row's lists of shared threads, keyed
       (n, depth) for n 0 or 1, one entry per element of domain(n), each
       filled on first use; a probe e_1(g) reads g's thread in the stage-1 row.
+      The law suite applies a thread to a whole row at once
+      (kinfinity.app_row), one apply call per entry, and reads each value's
+      thread from these rows by position.
     """
 
     def __init__(self, base: FinPoset):
@@ -228,12 +233,12 @@ class Tower:
 
     def apply(self, level: int, f, x):
         """Apply a stage-`level` element (level >= 1) to a stage-(level-1) one."""
-        if level == 1:
-            return self.stage1_tables[f][x]
-        if level == 2:
-            return f[x]
         if level == 3:  # a filled probe vector is read with no further call
             return (f.probed or self.at_probes(f))[x.pos] if type(x) is Probe else f.eval(x)
+        if level == 2:
+            return f[x]
+        if level == 1:
+            return self.stage1_tables[f][x]
         raise CapExceeded(f"cannot apply a stage-{level} element")
 
     # -- projection pairs --------------------------------------------------
@@ -250,8 +255,11 @@ class Tower:
                 probe.pos = x
             return probe
         if n == 2:
-            return LazyMono(lambda w: self.emb(1, self.apply(2, x, self.proj(1, w))),
-                            key=("emb2", x))
+            def at(w):  # e_1(x(p_1 w)), with p_1 e_1 = id and the _emb1 read inlined
+                g = self.apply(2, x, w.pos if type(w) is Probe else self.proj(1, w))
+                probe = self._emb1.get(g)
+                return self.emb(1, g) if probe is None else probe
+            return LazyMono(at, key=("emb2", x))
         raise CapExceeded(f"no embedding representation from stage {n}")
 
     def proj(self, n: int, u):
@@ -265,10 +273,14 @@ class Tower:
             bot, tables = self.base.bottom, self.stage1_tables
             return self._position(tuple([tables[u[i]][bot] for i in self._const1]))
         if n == 2:
-            # u at the probes emb(1, g), its whole vector; the probe case of
-            # proj(1, .) is inlined, as it runs per entry
-            return tuple([v.pos if type(v) is Probe else self.proj(1, v)
-                          for v in self.at_probes(u)])
+            # u at the probes emb(1, g), its whole vector; p_1 e_1 = id reads
+            # each probe's pos, and a stage-2 value that is not a probe, a
+            # plain tuple, has none, so it takes proj(1, .)
+            values = self.at_probes(u)
+            try:
+                return tuple(map(_POS, values))
+            except AttributeError:
+                return tuple([v.pos if type(v) is Probe else self.proj(1, v) for v in values])
         raise CapExceeded(f"no projection representation to stage {n}")
 
     def tabulate(self, n: int, fn: Callable):

@@ -96,7 +96,8 @@ def stage_embed(tower: Tower, n: int, u, depth: int) -> Thread:
     pos, m = (u.pos if type(u) is Probe else None, 1) if n == 2 else (u if n < 2 else None, n)
     if pos is None:
         return _embed(tower, n, u, depth)
-    # the row's entry, filled on first use; app calls this per entry
+    # the row's entry, filled on first use (app calls this per entry,
+    # app_row reads the whole row)
     row = tower._thread_rows.get((m, depth))
     if row is None:
         row = tower._thread_rows[m, depth] = [None] * len(tower.domain(m))
@@ -139,9 +140,36 @@ def app(x: Thread, y: Thread) -> Thread:
     d = x.depth
     if d < 1:
         raise DepthTooSmall("application needs depth >= 1")
-    # app_shadow(d - 1, x, y), inlined: the law suite calls it per entry
+    # app_shadow(d - 1, x, y), inlined
     tower = x.tower
     return stage_embed(tower, d - 1, tower.apply(d, x.coords[d], y.coords[d - 1]), d)
+
+
+def app_row(x: Thread, row) -> list:
+    """[app(x, y) for y in row], for a sequence of threads: the law suite's
+    one call per row.
+
+    Each entry makes its one Tower.apply call.  Its value is a position at
+    depth 1 or 2, whose thread is the entry at that position of
+    thread_row(tower, d - 1, d), and at depth 3 almost always a probe e_1(g),
+    whose thread is g's in the stage-1 row, as stage_embed gives them; only
+    a stage-2 value that is not a probe goes through stage_embed.
+    """
+    if not row:
+        return []
+    d = x.depth
+    if [y for y in row if y.depth != d]:
+        raise DepthTooSmall("application needs equal depths")
+    if d < 1:
+        raise DepthTooSmall("application needs depth >= 1")
+    tower, f, k = x.tower, x.coords[d], d - 1
+    apply = tower.apply
+    values = [apply(d, f, y.coords[k]) for y in row]
+    shared = thread_row(tower, min(k, 1), d)
+    if d < 3:
+        return [shared[v] for v in values]
+    return [shared[v.pos] if type(v) is Probe else stage_embed(tower, 2, v, d)
+            for v in values]
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +200,14 @@ class FromThread:
 EndoMap = Identity | Constant | FromThread
 
 
+def _images(g: EndoMap, row) -> list:
+    """g applied to each thread of row: one app_row for a FromThread, else
+    g.apply per thread, so any object with an apply method serves."""
+    if type(g) is FromThread:
+        return app_row(g.point, row)
+    return list(map(g.apply, row))
+
+
 def thread_row(tower: Tower, n: int, depth: int) -> list:
     """The shared thread stage_embed gives each element of domain(n), n 0 or
     1, at this depth, in domain order.
@@ -193,21 +229,28 @@ def restrict(g: EndoMap, n: int, depth: int, tower: Tower):
 
     Entry u is g.apply(stage_embed(tower, n, u, depth)).coords[n], tabulated
     by tower.tabulate(n, ...): a table for n 0 or 1, lazy at n = 2.  The
-    embeddings are the shared threads, a probe's from the stage-1 row.
+    embeddings are the shared threads, a probe's from the stage-1 row.  For
+    n 0 or 1, g is applied to the whole row thread_row(tower, n, depth) at
+    once, a FromThread through one app_row call.
     """
     if n > depth - 1:
         raise DepthTooSmall(f"restriction to stage {n} needs depth > {n}")
-    return tower.tabulate(n, lambda u: g.apply(stage_embed(tower, n, u, depth)).coords[n])
+    if n < 2:
+        images = _images(g, thread_row(tower, n, depth))
+        return tower.tabulate(n, lambda u: images[u].coords[n])
+    return tower.tabulate(2, lambda u: g.apply(stage_embed(tower, 2, u, depth)).coords[2])
 
 
 def reify(g: EndoMap, depth: int, tower: Tower) -> Thread:
     """The thread of stage restrictions: coords[0] = proj(0, r_0),
     coords[n+1] = r_n.
 
-    g is applied once to each thread of the stage-1 row: coordinate 1 of
-    those images is r_1, and since probe i's thread is thread i of that row,
-    coordinate 2 of image i is r_2 at probe i, so the stage-1 restriction
-    and the probe entries of the stage-2 one share their applications.
+    g is applied once to each thread of the stage-0 row (by restrict) and
+    of the stage-1 row, a FromThread through one app_row call per row:
+    coordinate 1 of the stage-1 images is r_1, and since probe i's thread is
+    thread i of that row, coordinate 2 of image i is r_2 at probe i, so the
+    stage-1 restriction and the probe entries of the stage-2 one share their
+    applications.
     """
     if depth < 1:
         raise DepthTooSmall("reify needs depth >= 1")
@@ -217,8 +260,8 @@ def reify(g: EndoMap, depth: int, tower: Tower) -> Thread:
         raise IncoherentThread("incoherent thread: stage-0 restriction not monotone") from e
     coords: list = [tower.proj(0, r0), r0]
     if depth > 1:
-        images = tuple(map(g.apply, thread_row(tower, 1, depth)))
-        coords.append(tuple(y.coords[1] for y in images))
+        images = _images(g, thread_row(tower, 1, depth))
+        coords.append(tuple([y.coords[1] for y in images]))
     if depth > 2:
         tops = [y.coords[2] for y in images]
         coords.append(tower.tabulate(2, lambda w: tops[w.pos] if type(w) is Probe
@@ -235,13 +278,13 @@ def _check(name: str, failures: list, checked: int) -> dict:
 
 
 # Stage-3 evaluations verify_laws may make (see check_law_budget).  The base-5
-# suite takes 0.9-1.9 us per evaluation on a busy 2-core shared host, so the
-# budget is at most about 3 s of laws, which leaves the rest of `kinfty
-# check` well within 10 s.  It admits base 5 (629 stage-1 elements, 795 685
-# evaluations: 0.9-1.7 s and 23-24 MB for `kinfty check` on that host;
-# nearly all of it the laws, as the stage-1 order and the step-join sample
-# take 0.04-0.05 s) and refuses base 6 (7 781 elements, 121 142 389
-# evaluations).
+# suite takes 0.45-0.75 us per evaluation (0.35-0.58 s cold, in-process;
+# Python 3.11.7 on a busy 2-core shared Xeon host), so the budget is at most
+# about 1.2 s of laws, which leaves the rest of `kinfty check` well within
+# 10 s.  It admits base 5 (629 stage-1 elements, 795 685 evaluations:
+# 0.49-0.71 s and 23 MB for `kinfty check` as a process on that host; nearly
+# all of it the laws, as the stage-1 order and the step-join sample take
+# 0.04-0.06 s) and refuses base 6 (7 781 elements, 121 142 389 evaluations).
 LAW_BUDGET = 1_500_000
 
 
@@ -279,7 +322,7 @@ def verify_laws(tower: Tower, depth: int = 3,
         raise DepthTooSmall("the law suite needs depth >= 2")
     check_law_budget(len(tower.stage1))
     checks = []
-    embeds1 = [stage_embed(tower, 1, u, depth) for u in tower.stage1]
+    embeds1 = list(thread_row(tower, 1, depth))
     bottom = bottom_thread(tower, depth)
 
     # One reification of FromThread(x) per x serves two laws.  By restrict's
@@ -306,10 +349,13 @@ def verify_laws(tower: Tower, depth: int = 3,
         if x is not bottom:
             for n in stages:
                 r = rx.coords[n + 1]  # a stage-1 element's entries are its table's
-                for y, lhs in zip(tower.domain(n), r if n else tower.stage1_tables[r]):
-                    if lhs != tower.apply(n + 1, x.coords[n + 1], y):
-                        stagewise[n].append({"law": "stagewise-app", "n": n,
-                                             "y": str(tower.stage1_tables[y] if n else y)})
+                lhs = r if n else tower.stage1_tables[r]
+                f, ys = x.coords[n + 1], tower.domain(n)
+                rhs = tuple([tower.apply(n + 1, f, y) for y in ys])
+                if lhs != rhs:
+                    stagewise[n] += [{"law": "stagewise-app", "n": n,
+                                      "y": str(tower.stage1_tables[y] if n else y)}
+                                     for y, a, b in zip(ys, lhs, rhs) if a != b]
         if not thread_eq(rx, x):
             retract.append({"law": "retract", "x": repr(x)})
     count = len(embeds1) * sum(len(tower.domain(n)) for n in stages)
@@ -327,12 +373,10 @@ def verify_laws(tower: Tower, depth: int = 3,
             failures.append({"law": "section", "g": type(g).__name__,
                              "reason": "incoherent reification"})
             continue
-        for n in stages:
-            for y in tower.domain(n):
-                emb_y = stage_embed(tower, n, y, depth)
-                lhs = app(rg, emb_y).coords[n]
-                rhs = g.apply(emb_y).coords[n]
-                if lhs != rhs:
+        for n in stages:  # both sides over the shared row, one row call each
+            row = thread_row(tower, n, depth)
+            for lhs, rhs in zip(app_row(rg, row), _images(g, row)):
+                if lhs.coords[n] != rhs.coords[n]:
                     failures.append({"law": "section", "g": type(g).__name__, "n": n})
     count = len(gs) * sum(len(tower.domain(n)) for n in stages)
     checks.append(_check("section_on_embedded_stages", failures, count))

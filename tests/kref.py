@@ -399,7 +399,8 @@ def diff(tower) -> list:
         got = [K.coherent(K.Thread(tower, c, check=False)) for c in (x.coords, bad)]
         check("coherent", d, (), got, [ref.coherent(c) for c in (rx, bad[:1] + rx[1:])])
         # three threads: their order and shadows, and their application to
-        # every eighth thread
+        # every eighth thread, one by one and as one row, and to the stage-0
+        # row
         some = threads[::max(1, len(threads) // 3)][:3]
         full = [view(rx, probes) for _, rx in some]
         for (x, rx), xv in zip(some, full):
@@ -410,8 +411,14 @@ def diff(tower) -> list:
                 for n in range(d - 1):
                     check("app_shadow", d, (n, x, y), mine(K.app_shadow(n, x, y)),
                           view(ref.shadow(n, rx, ry)))
-            for y, ry in threads[::8]:
-                check("app", d, (x, y), mine(K.app(x, y)), view(ref.app(rx, ry)))
+            eighth = threads[::8]
+            want = [view(ref.app(rx, ry)) for _, ry in eighth]
+            for (y, _), w in zip(eighth, want):
+                check("app", d, (x, y), mine(K.app(x, y)), w)
+            check("app_row", d, (x,), [mine(z) for z in K.app_row(x, [y for y, _ in eighth])],
+                  want)
+            check("app_row", d, (x, 0), [mine(z) for z in K.app_row(x, K.thread_row(tower, 0, d))],
+                  [view(ref.app(rx, ref.embed(0, u, d))) for u in ref.d0])
         # an endomap of each kind, from those threads, the next-to-last one
         # and an unshared point
         gs = [(K.Identity(), lambda y: y), (K.Constant(x), lambda y, v=rx: v)]

@@ -17,13 +17,14 @@ from lamtower.domains import (CapExceeded, FinPoset, LazyMono, Tower,
                               check_projection_pair, flat_base,
                               step_join_sample)
 from lamtower.kinfinity import (Constant, DepthTooSmall, FromThread, Identity,
-                                IncoherentThread, Thread, app, app_shadow,
-                                bottom_thread, check_law_budget, coherent,
-                                cut, reify, restrict, stage_embed, thread_eq,
-                                thread_le, thread_row, verify_laws)
+                                IncoherentThread, Thread, app, app_row,
+                                app_shadow, bottom_thread, check_law_budget,
+                                coherent, cut, reify, restrict, stage_embed,
+                                thread_eq, thread_le, thread_row, verify_laws)
 
 BOT, SR1, SL1 = 0, 1, 2
 ID1 = element(Tower(flat_base()), (0, 1, 2))  # at base 3
+TWO = FinPoset(("bot", "a"), ((True, True), (False, True)))  # bot < a
 
 
 def test_stage_embed_bottom(tower):
@@ -390,11 +391,24 @@ def test_a_non_monotone_restriction_is_incoherent_and_a_stray_key_error_is_not(m
         def apply(self, y):
             raise KeyError("stray")
 
+    class Same:  # the identity, with apply only
+        def apply(self, y):
+            return y
+
     with pytest.raises(IncoherentThread) as caught:
         reify(Swap(), 3, t)
     assert isinstance(caught.value.__cause__, domains.NotInStage)
     with pytest.raises(KeyError, match="stray"):
         reify(Stray(), 3, t)
+    # restrict reads whole rows, and an endomap that defines only apply
+    # still serves it, with the same errors
+    with pytest.raises(domains.NotInStage):
+        restrict(Swap(), 0, 3, t)
+    for n in (0, 1):
+        with pytest.raises(KeyError, match="stray"):
+            restrict(Stray(), n, 3, t)
+        assert restrict(Same(), n, 3, t) == restrict(Identity(), n, 3, t)
+    assert thread_eq(reify(Same(), 3, t), reify(Identity(), 3, t))
     x = stage_embed(t, 1, t.stage1[-1], 3)
     monkeypatch.setattr(t, "proj", partial(_raise, KeyError("stray")))
     with pytest.raises(KeyError, match="stray"):
@@ -417,19 +431,77 @@ def test_incoherent_reification_is_its_own_error(monkeypatch):
 @pytest.mark.parametrize("base_size", [3, 4])
 def test_depth3_reify_applies_its_endomap_once_per_stage1_point(base_size, monkeypatch):
     # g is applied once per stage-0 element and once per stage-1 element;
-    # the stage-2 restriction reads the stage-1 images at the probes
+    # the stage-2 restriction reads the stage-1 images at the probes.  The
+    # entries applied are counted, one per app call and one per entry of an
+    # app_row call's row
     t = _tower(base_size)
     x = stage_embed(t, 1, t.stage1[-2], 3)
-    calls = []
+    applied = []
 
     def counted_app(a, b):
-        calls.append(b)
+        applied.append(b)
         return app(a, b)
+
+    def counted_app_row(a, row):
+        applied.extend(row)
+        return app_row(a, row)
     monkeypatch.setattr(kinfinity, "app", counted_app)
+    monkeypatch.setattr(kinfinity, "app_row", counted_app_row)
     r = reify(FromThread(x), 3, t)
     assert t.at_probes(r.coords[3]) == [app(x, stage_embed(t, 2, w, 3)).coords[2]
                                         for w in t.stage2_probes()]
-    assert len(calls) == len(t.base) + len(t.stage1) == {3: 14, 4: 71}[base_size]
+    assert len(applied) == len(t.base) + len(t.stage1) == {3: 14, 4: 71}[base_size]
+    assert applied == list(thread_row(t, 0, 3)) + list(thread_row(t, 1, 3))
+
+
+@pytest.mark.parametrize("base", [TWO, 3, 4, 5], ids=["bot<a", "flat3", "flat4", "flat5"])
+def test_app_row_is_app_entry_by_entry(base):
+    # over each shared row at each depth: the same thread object where app
+    # gives a shared one, else an equal fresh one; x runs over the stage-1
+    # row (every 16th thread at base 5, where the whole row takes 5 s), the
+    # bottom thread and a reified thread with no construction key whose
+    # stage-3 values are a probe's plain copy, not a probe
+    t = Tower(base) if isinstance(base, FinPoset) else _tower(base)
+    stride = 16 if base == 5 else 1
+    copy = tuple(list(t.stage2_probes()[-1]))
+    for d in (1, 2, 3):
+        shared = {id(y) for n in (0, 1) for y in thread_row(t, n, d)}
+        point = stage_embed(t, min(d, 2), copy if d > 1 else t.stage1[-1], d)
+        odd = reify(Constant(point), d, t)
+        assert d < 3 or odd.coords[3].key is None
+        fresh = 0
+        for x in list(thread_row(t, 1, d))[::stride] + [bottom_thread(t, d), odd]:
+            for n in (0, 1):
+                row = thread_row(t, n, d)
+                got, want = app_row(x, row), [app(x, y) for y in row]
+                assert len(got) == len(want)
+                for a, b in zip(got, want):
+                    assert a is b if id(b) in shared else id(a) not in shared
+                    assert a.coords[:3] == b.coords[:3] and thread_eq(a, b)
+                    fresh += id(b) not in shared
+        # only odd at depth 3 takes stage_embed's path for a value not a probe
+        assert fresh == (len(t.base) + len(t.stage1)) * (d == 3)
+        assert app_row(odd, []) == []
+    with pytest.raises(DepthTooSmall, match="equal depths"):
+        app_row(odd, [bottom_thread(t, 3), bottom_thread(t, 2)])
+
+
+def test_a_row_kernel_that_shifts_its_threads_fails_the_laws(monkeypatch):
+    # each entry gets its neighbour's thread: some reifications of app come
+    # out incoherent, which fails the stagewise law, the others wrong, which
+    # fails the retract law, and the section law's sides disagree; the
+    # density law applies nothing, so it passes
+    def shifted(x, row):
+        out = app_row(x, row)
+        return out[1:] + out[:1]
+    monkeypatch.setattr(kinfinity, "app_row", shifted)
+    report = verify_laws(_tower(3), depth=3)
+    failed = {c["name"] for c in report["checks"] if not c["pass"]}
+    assert report["ok"] is False
+    assert failed == {"stagewise_application", "retract_reify_app", "section_on_embedded_stages"}
+    text = json.dumps(report, sort_keys=True, default=str)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "7787c513fdb4063a4c757c7fc00c2c04c53639d45ae3eb2d50b389ba93628de1"
 
 
 def _counted_suite(monkeypatch, t):
@@ -598,9 +670,8 @@ def test_the_reference_covers_every_public_callable():
 def test_probe_comparisons_decide_stage3_on_the_two_element_base(monkeypatch):
     # on bot < a, stage 2 has 10 elements, so every stage-3 comparison the
     # law suite makes can be decided at all of them, not only at the probes
-    base = FinPoset(("bot", "a"), ((True, True), (False, True)))
-    t = Tower(base)
-    ref, T = kref.Ref(base), kref.Tabled(t)
+    t = Tower(TWO)
+    ref, T = kref.Ref(TWO), kref.Tabled(t)
     stage2 = [w for w in itertools.product(ref.d1, repeat=len(ref.d1)) if ref.monotone(1, w)]
     calls = []
     for name in ("eq", "leq"):

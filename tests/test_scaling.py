@@ -56,18 +56,25 @@ def test_assoc_compare_work_is_pinned(monkeypatch, n):
 
 # Calls made by one cold verify_laws(tower, 3) on the flat base of 3 and of 4
 # elements, s = 11 and 67 stage-1 elements.  Tower.apply is called once per
-# entry the laws read, which is quadratic in s; app and stage_embed are
-# called once per applied entry too.
+# entry the laws read, quadratic in s.  The laws apply a thread to a whole
+# shared row in one app_row call: two per reification of a FromThread (its
+# stage-0 and stage-1 rows), s + 4 of them, and eight at each of stages 0
+# and 1 in the section law (the 5 reified endomaps and the 3 FromThread
+# sides), 2s + 24 in all; no entry goes through app.  stage_embed fills the two rows (|D_0| + s calls) and
+# embeds the bottom and the density law's four approximants of each of the
+# s stage-1 threads: |D_0| + 5s + 1.  Both are linear in s.  (With one app
+# call and one stage_embed call per applied entry they were 322 / 5 609 and
+# 499 / 6 592.)
 _KINFTY_CALLS = {
-    3: {"app": 322, "stage_embed": 499, "Tower.apply": 608},
-    4: {"app": 5_609, "stage_embed": 6_592, "Tower.apply": 14_922},
+    3: {"app_row": 46, "stage_embed": 59, "Tower.apply": 608},
+    4: {"app_row": 158, "stage_embed": 340, "Tower.apply": 14_922},
 }
 
 
 @pytest.mark.parametrize("base_size", sorted(_KINFTY_CALLS))
 def test_law_suite_work_is_pinned(monkeypatch, base_size):
-    # app and stage_embed are looked up in kinfinity's namespace by its own
-    # callers, Tower.apply on the class
+    # app, app_row and stage_embed are looked up in kinfinity's namespace by
+    # its own callers, Tower.apply on the class
     calls = Counter()
 
     def counted(name, f):
@@ -75,9 +82,12 @@ def test_law_suite_work_is_pinned(monkeypatch, base_size):
             calls[name] += 1
             return f(*args)
         return wrapper
-    for name in ("app", "stage_embed"):
+    for name in ("app", "app_row", "stage_embed"):
         monkeypatch.setattr(kinfinity, name, counted(name, getattr(kinfinity, name)))
     monkeypatch.setattr(Tower, "apply", counted("Tower.apply", Tower.apply))
     poles = ("sR1", "sL1") + tuple(f"s{i}" for i in range(base_size - 3))
-    assert kinfinity.verify_laws(Tower(flat_base(poles)), 3)["ok"]
+    tower = Tower(flat_base(poles))
+    assert kinfinity.verify_laws(tower, 3)["ok"]
     assert dict(calls) == _KINFTY_CALLS[base_size]
+    s, d0 = len(tower.stage1), len(tower.base)
+    assert calls["app_row"] == 2 * s + 24 and calls["stage_embed"] == d0 + 5 * s + 1
