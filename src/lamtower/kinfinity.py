@@ -282,7 +282,7 @@ def _check(name: str, failures: list, checked: int) -> dict:
 # Python 3.11.7 on a busy 2-core shared Xeon host), so the budget is at most
 # about 1.2 s of laws, which leaves the rest of `kinfty check` well within
 # 10 s.  It admits base 5 (629 stage-1 elements, 795 685 evaluations:
-# 0.49-0.71 s and 23 MB for `kinfty check` as a process on that host; nearly
+# 0.47-0.71 s and 23 MB for `kinfty check` as a process on that host; nearly
 # all of it the laws, as the stage-1 order and the step-join sample take
 # 0.04-0.06 s) and refuses base 6 (7 781 elements, 121 142 389 evaluations).
 LAW_BUDGET = 1_500_000
@@ -349,13 +349,10 @@ def verify_laws(tower: Tower, depth: int = 3,
         if x is not bottom:
             for n in stages:
                 r = rx.coords[n + 1]  # a stage-1 element's entries are its table's
-                lhs = r if n else tower.stage1_tables[r]
-                f, ys = x.coords[n + 1], tower.domain(n)
-                rhs = tuple([tower.apply(n + 1, f, y) for y in ys])
-                if lhs != rhs:
-                    stagewise[n] += [{"law": "stagewise-app", "n": n,
-                                      "y": str(tower.stage1_tables[y] if n else y)}
-                                     for y, a, b in zip(ys, lhs, rhs) if a != b]
+                for y, lhs in zip(tower.domain(n), r if n else tower.stage1_tables[r]):
+                    if lhs != tower.apply(n + 1, x.coords[n + 1], y):
+                        stagewise[n].append({"law": "stagewise-app", "n": n,
+                                             "y": str(tower.stage1_tables[y] if n else y)})
         if not thread_eq(rx, x):
             retract.append({"law": "retract", "x": repr(x)})
     count = len(embeds1) * sum(len(tower.domain(n)) for n in stages)
