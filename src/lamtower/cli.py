@@ -177,17 +177,14 @@ def _render_word(w: F.Word) -> str:
 
 
 def _render_letter(l: F.Letter) -> str:
-    inv = "^-1" if getattr(l, "inv", False) else ""
-    eq = "=" if getattr(l, "eq", False) else ""
+    # coherence renders only reduced words over its sequences: their letters
+    # are associators and whiskerings, none equality-tagged
+    inv = "^-1" if l.inv else ""
     if isinstance(l, F.AssL):
-        return f"{eq}ass({len(l.a)},{len(l.b)},{len(l.c)}){inv}"
+        return f"ass({len(l.a)},{len(l.b)},{len(l.c)}){inv}"
     if isinstance(l, F.WlL):
-        return f"{eq}wl({len(l.edge)},{_render_word(l.inner)}){inv}"
-    if isinstance(l, F.WrL):
-        return f"{eq}wr({_render_word(l.inner)},{len(l.edge)}){inv}"
-    if isinstance(l, F.ReflL):
-        return "refl"
-    return f"{eq}{l.name}{inv}"
+        return f"wl({len(l.edge)},{_render_word(l.inner)}){inv}"
+    return f"wr({_render_word(l.inner)},{len(l.edge)}){inv}"
 
 
 # ---------------------------------------------------------------------------

@@ -121,11 +121,23 @@ def letter_inv(l: Letter) -> Letter:
 
 @record
 class Word:
-    """A composable chain of letters; empty words carry their anchor edge."""
+    """A composable chain of letters; empty words carry their anchor edge.
 
+    Its `reduced` slot is not a field.  It is set only on a word known to be
+    in normal form: one that word_reduce built, or a whiskered boundary word
+    that boundary3_words built (_whiskered).  word_reduce returns such a
+    word as it is.  Every other word, whatever its letters, is reduced
+    afresh."""
+
+    __slots__ = ("reduced",)
     src: RedSeq
     tgt: RedSeq
     letters: tuple[Letter, ...] = ()
+
+
+def _mark_reduced(w: Word) -> Word:
+    object.__setattr__(w, "reduced", True)
+    return w
 
 
 def word_of(letters) -> Word:
@@ -161,9 +173,7 @@ def _degenerate_ass(l: AssL) -> bool:
 
 def _norm_letter(l: Letter) -> list[Letter]:
     """Normalize one letter to its spliced reduced content."""
-    if isinstance(l, ReflL):
-        return []
-    if getattr(l, "eq", False):
+    if isinstance(l, ReflL) or l.eq:
         return []
     if isinstance(l, AssL):
         return [] if _degenerate_ass(l) else [l]
@@ -174,6 +184,8 @@ def _norm_letter(l: Letter) -> list[Letter]:
         if not l.edge.steps:
             spliced = inv_word(inner) if l.inv else inner
             return list(spliced.letters)
+        if inner is l.inner:  # already in normal form: the letter stays
+            return [l]
         if isinstance(l, WlL):
             return [WlL(l.edge, inner, l.inv)]
         return [WrL(inner, l.edge, l.inv)]
@@ -181,12 +193,26 @@ def _norm_letter(l: Letter) -> list[Letter]:
 
 
 def _inverse_pair(l1: Letter, l2: Letter) -> bool:
-    return l1 == letter_inv(l2)
+    """Whether l1 == letter_inv(l2), read off the fields of two letters that
+    _norm_letter kept (so neither is a ReflL)."""
+    if l1.__class__ is not l2.__class__:
+        return False
+    if l1.inv == l2.inv or l1.eq != l2.eq:
+        return False
+    if isinstance(l1, AssL):
+        return l1.a == l2.a and l1.b == l2.b and l1.c == l2.c
+    if isinstance(l1, SeedL):
+        return l1.name == l2.name and l1.src == l2.src and l1.tgt == l2.tgt
+    return l1.edge == l2.edge and l1.inner == l2.inner
 
 
 def word_reduce(w: Word) -> Word:
     """Free-groupoid normal form: degeneracies spliced out, then adjacent
-    inverse pairs cancelled with a stack pass."""
+    inverse pairs cancelled with a stack pass.  The word it returns is
+    marked reduced, and a word so marked comes back as it is; its argument
+    is never marked."""
+    if getattr(w, "reduced", False):
+        return w
     flat: list[Letter] = []
     for l in w.letters:
         flat.extend(_norm_letter(l))
@@ -196,7 +222,7 @@ def word_reduce(w: Word) -> Word:
             stack.pop()
         else:
             stack.append(l)
-    return Word(w.src, w.tgt, tuple(stack))
+    return _mark_reduced(Word(w.src, w.tgt, tuple(stack)))
 
 
 def words_equal(w1: Word, w2: Word) -> bool:
@@ -310,6 +336,16 @@ def _word_point(x) -> Word:
     return x
 
 
+def _whiskered(l: Union[WlL, WrL]) -> Word:
+    """The one-letter word of a whiskering of a boundary word.  When that
+    inner word is marked reduced and non-empty and the edge has steps, the
+    letter is its own normal form, and the word is marked reduced."""
+    w = word_of([l])
+    if l.edge.steps and l.inner.letters and getattr(l.inner, "reduced", False):
+        _mark_reduced(w)
+    return w
+
+
 def boundary3_words(e: Cell3Expr) -> tuple[Word, Word]:
     """Reduced source and target boundary words of a 3-cell expression: a
     generator's stored `words`, a composite's computed from its parts on
@@ -327,8 +363,8 @@ def boundary3_words(e: Cell3Expr) -> tuple[Word, Word]:
         src, tgt = e.src, e.tgt
     else:
         ends = groupoid_boundary(e, boundary3_words, _word_point,
-                                 lambda edge, w: word_of([WlL(edge, w)]),
-                                 lambda w, edge: word_of([WrL(w, edge)]), None)
+                                 lambda edge, w: _whiskered(WlL(edge, w)),
+                                 lambda w, edge: _whiskered(WrL(w, edge)), None)
         if ends is None:
             raise NonComposable(f"not a 3-cell expression: {e!r}")
         src, tgt = ends

@@ -10,9 +10,11 @@ attribute raises AttributeError.  These are the methods a frozen, slotted
 standard-library data class gets, built by one exec per class, without the
 import and per-class cost of that machinery (and of the inspect module).
 The class body defines none of these methods itself.  Slots it declares
-itself are not fields: __post_init__ sets each once (object.__setattr__),
-and each is read-only afterwards and left out of ==, hash, repr and
-__match_args__.
+itself are not fields.  The class's module sets each at most once per
+instance (object.__setattr__): in __post_init__, or on an instance that
+module has just built, as word_reduce marks a frontseed.Word reduced; a
+slot never set reads as missing.  Each is read-only afterwards and left out
+of ==, hash, repr and __match_args__.
 """
 
 

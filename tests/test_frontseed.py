@@ -7,7 +7,7 @@ from lamtower import cells, frontseed, serialize
 from lamtower.cells import (EndpointMismatch, Pentagon, RedSeq, empty_seq,
                             seq_compose, seq_invert)
 from lamtower.frontseed import (AssL, FS1Seed, FS2Seed, HeadNorm, HornGlueFailure,
-                                NonComposable, ReflL, SeedL, WlL, WrL,
+                                NonComposable, ReflL, SeedL, WlL, Word, WrL,
                                 assemble_pentagon_filler,
                                 boundary3_words, concat_words, empty_word,
                                 fs_assoc_compare, fs_bridges, fs_pentagon,
@@ -135,6 +135,90 @@ def test_associators_on_different_splits_do_not_cancel(monkeypatch):
     monkeypatch.setattr(frontseed, "_inverse_pair", _inverse_pair_by_composite)
     assert word_reduce(w).letters == ()
     assert words_equal(w, empty_word(w.src))
+
+
+def _with_eq(l):
+    fields = [getattr(l, f) for f in l.__match_args__]
+    return type(l)(*fields[:-1], True)
+
+
+def test_inverse_pair_agrees_with_the_inverse_letter():
+    # _inverse_pair reads the letters' fields; letter_inv is the reference,
+    # on every ordered pair of generated letters that normalization keeps
+    # (all but ReflL), their inverses, their equality-tagged forms and
+    # copies that share no object with them
+    rng = random.Random(23)
+    letters = [l for _ in range(25) for l in gen_word(rng, rng.randint(1, 4)).letters
+               if not isinstance(l, ReflL)]
+    letters += [letter_inv(l) for l in letters]
+    letters += [_with_eq(l) for l in letters[:20]]
+    letters += [serialize.loads(serialize.dumps(l)) for l in letters[::3]]
+    assert {type(l) for l in letters} == {AssL, WlL, WrL, SeedL}
+    pairs = 0
+    for l1 in letters:
+        for l2 in letters:
+            expected = l1 == letter_inv(l2)
+            assert frontseed._inverse_pair(l1, l2) == expected
+            pairs += expected
+    assert pairs > len(letters)
+
+
+def test_only_word_reduce_marks_a_word_reduced():
+    # a word that word_reduce built comes back as it is; one built any other
+    # way, even with a reduced word's letters, is reduced afresh, and the
+    # argument of word_reduce is never taken as reduced
+    rng = random.Random(29)
+    nonempty = 0
+    for _ in range(100):
+        w = gen_word(rng, rng.randint(0, 5))
+        padded = insert_cancelling_pairs(rng, w, rng.randint(1, 3))
+        red = word_reduce(padded)
+        assert word_reduce(red) is red
+        again = word_reduce(padded)
+        assert again is not padded and again == red
+        for copy in (concat_words(red, empty_word(red.tgt)), inv_word(inv_word(red)),
+                     Word(red.src, red.tgt, red.letters),
+                     serialize.loads(serialize.dumps(red))):
+            assert copy == red and word_reduce(copy) is not copy
+        # the mark is no field: equality, hash, repr and encoding ignore it
+        plain = Word(red.src, red.tgt, red.letters)
+        assert (hash(plain), repr(plain), serialize.dumps(plain)) \
+            == (hash(red), repr(red), serialize.dumps(red))
+        back = word_reduce(inv_word(red))
+        for both in (concat_words(red, inv_word(red)), concat_words(red, back),
+                     concat_words(back, red)):
+            assert word_reduce(both).letters == ()
+        loaded = serialize.loads(serialize.dumps(padded))
+        assert word_reduce(loaded) == red
+        nonempty += bool(red.letters)
+    assert nonempty >= 50
+    assert Word.__match_args__ == ("src", "tgt", "letters")
+    p, q, r, s = _span_quad()
+    mixed = mixed_target_word(p, q, r, s)
+    assert word_reduce(mixed) is not mixed
+    assert word_reduce(mixed).letters == mixed.letters[1:]
+
+
+def test_whiskered_boundary_words_are_reduced():
+    # boundary3_words takes a whiskering as reduced only over a non-empty
+    # reduced word and an edge with steps; over an empty word or an empty
+    # edge it reduces it afresh, to nothing or to the spliced word
+    rng = random.Random(31)
+    shapes = set()
+    for _ in range(80):
+        w = gen_word(rng, rng.randint(0, 3))
+        padded = insert_cancelling_pairs(rng, w, rng.randint(1, 2))
+        there = gen_zigzag(rng, padded.src.source, rng.randint(0, 2))
+        back = gen_zigzag(rng, padded.src.target, rng.randint(0, 2))
+        prefix, suffix = seq_invert(there), back
+        for cell, letter in ((cells.WhiskerL(prefix, cells.Refl(padded)),
+                              WlL(prefix, padded)),
+                             (cells.WhiskerR(cells.Symm(cells.Refl(padded)), suffix),
+                              WrL(padded, suffix))):
+            expected = word_reduce(word_of([letter]))
+            assert boundary3_words(cell) == (expected, expected)
+            shapes.add((bool(letter.edge.steps), bool(word_reduce(padded).letters)))
+    assert shapes == {(False, False), (False, True), (True, False), (True, True)}
 
 
 # --- seeds ------------------------------------------------------------------

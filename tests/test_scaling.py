@@ -25,17 +25,29 @@ def _span_zigzag(lengths):
     return [RedSeq(terms[a:b + 1], steps[a:b]) for a, b in zip(cuts, cuts[1:])]
 
 
-_COUNTED = ("boundary3_words", "word_reduce", "seq_compose")
+_COUNTED = ("boundary3_words", "word_reduce", "_norm_letter", "seq_compose")
 
 # Calls made by fs_assoc_compare(p, q, r) and then boundary3_words of its
 # cell, with |q| = |r| = 1.  Each row is exactly quadratic in n = |p|:
-# boundary3_words (3n² + 9n + 2) / 2, word_reduce 3n² + 16n, seq_compose
-# n² + 11n + 3.  At each doubling boundary3_words grows 3.68× and then 3.83×,
-# word_reduce 3.50× and 3.71×, seq_compose 3.17× and 3.48×, toward 4×.
+# boundary3_words (3n² + 9n + 2) / 2, word_reduce (5n² + 27n + 6) / 2,
+# _norm_letter (n² + 11n + 2) / 2, seq_compose n² + 11n + 3.  At each
+# doubling boundary3_words grows 3.68× and then 3.83×, word_reduce 3.49× and
+# 3.71×, _norm_letter 3.18× and 3.48×, seq_compose 3.17× and 3.48×, toward
+# 4×.  A word that word_reduce built, or a whiskering of one that
+# boundary3_words built, is marked reduced and comes back from word_reduce
+# with no letter normalized.  Before the mark, word_reduce made 3n² + 16n
+# calls and _norm_letter 2n² + 11n - 5 (683 / 2 395 / 8 891).  Of the
+# _norm_letter calls left, (n² + 5n + 2) / 2 normalize a whiskering of an
+# empty word, one per level the boundary reads descend (a one-letter word
+# not in normal form, so never marked); 3n build the HeadNorm generators'
+# words.
 _CALLS = {
-    16: {"boundary3_words": 457, "word_reduce": 1_024, "seq_compose": 435},
-    32: {"boundary3_words": 1_681, "word_reduce": 3_584, "seq_compose": 1_379},
-    64: {"boundary3_words": 6_433, "word_reduce": 13_312, "seq_compose": 4_803},
+    16: {"boundary3_words": 457, "word_reduce": 859, "_norm_letter": 217,
+         "seq_compose": 435},
+    32: {"boundary3_words": 1_681, "word_reduce": 2_995, "_norm_letter": 689,
+         "seq_compose": 1_379},
+    64: {"boundary3_words": 6_433, "word_reduce": 11_107, "_norm_letter": 2_401,
+         "seq_compose": 4_803},
 }
 
 
